@@ -38,11 +38,9 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    path: str
     exo: frozenset
     mode: engine.UMode
     fmt: str  # "human" | "json" | "tsv"
-    seed: int
     budget: int
 
 
@@ -115,23 +113,18 @@ def parse_exogenous_assignment(spec: str | None, theory: Theory) -> frozenset:
     return frozenset(X)
 
 
-def _config(args) -> tuple[Theory, "engine.UMode", RunConfig]:
+def _config(args) -> tuple[Theory, RunConfig]:
     theory = _read_theory(args.path)
-    mode = engine.UMode(args.mode)
     exo = parse_exogenous_assignment(getattr(args, "exo", None), theory)
     fmt = "json" if getattr(args, "json", False) else (
         "tsv" if getattr(args, "tsv", False) else "human")
-    cfg = RunConfig(args.path, exo, mode, fmt, args.seed,
+    cfg = RunConfig(exo, engine.UMode(args.mode), fmt,
                     getattr(args, "budget", 1_000_000))
-    return theory, mode, cfg
-
-
-def _dist_rows(dist: engine.Distribution):
-    return [(world, p) for world, p in dist.sorted_items()]
+    return theory, cfg
 
 
 def _print_dist(dist: engine.Distribution, cfg: RunConfig):
-    rows = _dist_rows(dist)
+    rows = dist.sorted_items()
     if cfg.fmt == "json":
         payload = {
             "distribution": [{"world": _world_list(w), "p": str(p)} for w, p in rows],
@@ -153,28 +146,28 @@ def _print_dist(dist: engine.Distribution, cfg: RunConfig):
 # -- subcommands -------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    theory, mode, cfg = _config(args)
+    theory, cfg = _config(args)
     g = ground(theory)
     print(f"laws: {len(theory.laws)} ({len(g.laws)} ground instances)")
     print(f"endogenous atoms: {len(g.endogenous_atoms)}")
     print(f"exogenous atoms: {len(g.exogenous_atoms)}")
     print(stratification_report(g).describe())
-    dist = engine.distribution(g, cfg.exo, mode)
+    dist = engine.distribution(g, cfg.exo, cfg.mode)
     print(f"soundness probe (exo={_fmt_world(cfg.exo)}): ok ({len(dist)} worlds)")
     return 0
 
 
 def cmd_dist(args) -> int:
-    theory, mode, cfg = _config(args)
-    dist = engine.distribution(ground(theory), cfg.exo, mode)
+    theory, cfg = _config(args)
+    dist = engine.distribution(ground(theory), cfg.exo, cfg.mode)
     _print_dist(dist, cfg)
     return 0
 
 
 def cmd_query(args) -> int:
-    theory, mode, cfg = _config(args)
+    theory, cfg = _config(args)
     phi = parse_formula(args.query, theory)
-    p = engine.query(ground(theory), cfg.exo, phi, mode)
+    p = engine.query(ground(theory), cfg.exo, phi, cfg.mode)
     if cfg.fmt == "json":
         print(json.dumps({"query": args.query, "p": str(p),
                           "mode": cfg.mode.value, "exo": _world_list(cfg.exo)}))
@@ -184,14 +177,14 @@ def cmd_query(args) -> int:
 
 
 def cmd_do(args) -> int:
-    theory, _mode, _cfg = _config(args)
+    theory, _cfg = _config(args)
     lit = parse_literal(args.lit, theory)
     print(print_theory(transform.intervene(theory, lit)), end="")
     return 0
 
 
 def cmd_compile(args) -> int:
-    theory, _mode, _cfg = _config(args)
+    theory, _cfg = _config(args)
     if not args.eliminate_neg_heads:
         raise UsageError("compile currently only supports --eliminate-neg-heads")
     out, _taumap = transform.tau_not(theory)
@@ -200,8 +193,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    theory, mode, cfg = _config(args)
-    report = oracle.sweep_orders(ground(theory), cfg.exo, mode, cfg.budget)
+    theory, cfg = _config(args)
+    report = oracle.sweep_orders(ground(theory), cfg.exo, cfg.mode, cfg.budget)
     if cfg.fmt == "json":
         payload = {
             "models": report.models_explored,
@@ -214,7 +207,6 @@ def cmd_sweep(args) -> int:
             "witness": report.witness.describe() if report.witness else None,
             "mode": cfg.mode.value,
             "exo": _world_list(cfg.exo),
-            "seed": cfg.seed,
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -247,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=[m.value for m in engine.UMode],
                        default=engine.UMode.EXTENDED.value,
                        help="overestimate mode (default: extended)")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
         if exo:
             p.add_argument("--exo", default="",
                            help='exogenous assignment, e.g. "Crank1=true,Locked(g1)=true"')

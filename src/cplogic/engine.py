@@ -8,6 +8,12 @@ still be caused further down the tree.  The second gate makes a body literal
 now".  When a body holds in the current world but the overestimate cannot
 decide it, the process is stuck and the theory has no semantics.
 
+One iterative fold, `_fold`, walks the reachable execution states children
+first: it checks X, normalizes heads, classifies each distinct state once
+and raises `SoundnessError`.  `build_execution_model` and `distribution`
+are folds over it that follow one law per state; `oracle.sweep_orders` is a
+fold that follows every applicable law.
+
 All probabilities are exact rationals; distributions sum to exactly 1.
 """
 
@@ -92,28 +98,26 @@ class ExecNode:
         return not self.children
 
     def walk(self):
-        yield self
-        for edge in self.children:
-            yield from edge.child.walk()
+        """Every node in preorder; a shared subtree once per edge into it."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(edge.child for edge in reversed(node.children))
 
-    def leaf_paths(self, _prefix=()):
-        """Yield (edges-from-root, leaf node) pairs."""
-        if self.is_leaf:
-            yield _prefix, self
-            return
-        for edge in self.children:
-            yield from edge.child.leaf_paths(_prefix + (edge,))
+    def leaf_paths(self):
+        """Yield (edges-from-root, leaf node) pairs, left to right."""
+        stack = [((), self)]
+        while stack:
+            prefix, node = stack.pop()
+            if node.is_leaf:
+                yield prefix, node
+            stack.extend((prefix + (edge,), edge.child)
+                         for edge in reversed(node.children))
 
 
 def lowest_index_policy(applicable_laws, state):
     return applicable_laws[0]
-
-
-def _check_exogenous(g: GroundTheory, X: frozenset):
-    extra = X - g.exogenous_atoms
-    if extra:
-        names = ", ".join(sorted(str(a) for a in extra))
-        raise ExogenousError(f"not in the exogenous universe: {names}")
 
 
 def compute_U(g: GroundTheory, X: frozenset, state: ExecState,
@@ -193,13 +197,67 @@ def apply_disjunct(state: ExecState, law: NormalizedLaw,
     return ExecState(state.true_atoms | {a}, state.negated, fired)
 
 
-def _step(g, X, state, mode):
-    """Classify a state: (applicable tuple, satisfied tuple, U)."""
-    u = compute_U(g, X, state, mode)
-    sat = satisfied_unfired(g, X, state)
-    app = tuple(i for i in sat
-                if kleene_eval(g.laws[i].body, u, X, g.exogenous_atoms) is T)
-    return app, sat, u
+def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
+    """Fold the execution states reachable from the root, children first.
+
+    This is the one place where a state is classified.  ``expand(state,
+    app)`` sees each distinct state once, with the laws applicable there,
+    and returns the ones to branch on; every outcome of each is a child.  A
+    state where some body holds but no law is applicable raises
+    `SoundnessError`.  Once its children are done, ``combine(state, u,
+    branches, path)`` gives the state's value: ``branches`` holds one
+    ``(law index, [(outcome, prob, child value), ...])`` per expanded law,
+    and ``path`` the ``(law index, outcome)`` steps from the root.  Identical
+    states are folded once and share their value.  The current path lives
+    on an explicit stack, so its length is not bounded by the recursion
+    limit.
+    """
+    extra = X - g.exogenous_atoms
+    if extra:
+        names = ", ".join(sorted(str(a) for a in extra))
+        raise ExogenousError(f"not in the exogenous universe: {names}")
+    norm = [normalize(law, i) for i, law in enumerate(g.laws)]
+    memo: dict = {}  # finished state -> value
+    # The current path: per state, its U, the (law, outcome, prob) edges to
+    # follow, an iterator over those not yet visited, and the children so far.
+    frames: list = []
+    path: list = []  # (law index, outcome) steps into frames[1:]
+    state = ExecState.initial()
+    while True:
+        if state is not None:
+            u = compute_U(g, X, state, mode)
+            sat = satisfied_unfired(g, X, state)
+            app = tuple(i for i in sat if kleene_eval(
+                g.laws[i].body, u, X, g.exogenous_atoms) is T)
+            chosen = expand(state, app)
+            if sat and not app:
+                raise SoundnessError(state, sat)
+            edges = [(i, outcome, prob)
+                     for i in chosen for outcome, prob in norm[i].outcomes]
+            frames.append((state, u, edges, iter(edges), []))
+        top, u, edges, todo, children = frames[-1]
+        for i, outcome, _ in todo:
+            state = apply_disjunct(top, norm[i], outcome)
+            children.append(state)
+            if state not in memo:
+                path.append((i, outcome))
+                break
+        else:
+            frames.pop()
+            branches: dict = {}
+            for (i, outcome, prob), child in zip(edges, children):
+                branches.setdefault(i, []).append((outcome, prob, memo[child]))
+            value = combine(top, u, branches.items(), path)
+            if not frames:
+                return value
+            memo[top] = value
+            path.pop()
+            state = None
+
+
+def _follow(policy):
+    """Expand only the applicable law that ``policy`` picks."""
+    return lambda state, app: (policy(app, state),) if app else ()
 
 
 def build_execution_model(g: GroundTheory, X: frozenset,
@@ -209,26 +267,17 @@ def build_execution_model(g: GroundTheory, X: frozenset,
 
     At each node the policy picks one applicable law; the node gets one child
     per outcome of the normalized head.  A node with no satisfied unfired law
-    is a leaf.  Raises `SoundnessError` when some body holds but every such
-    law is undecidable under U.
+    is a leaf.  Identical states share one subtree object; `ExecNode.walk`
+    and `ExecNode.leaf_paths` still read the result as a tree.  Raises
+    `SoundnessError` when some body holds but every such law is undecidable
+    under U.
     """
-    _check_exogenous(g, X)
-    norm = [normalize(law, i) for i, law in enumerate(g.laws)]
+    def node(state, u, branches, _path):
+        return ExecNode(state, u, tuple(
+            ExecEdge(prob, outcome, i, child)
+            for i, kids in branches for outcome, prob, child in kids))
 
-    def build(state: ExecState) -> ExecNode:
-        app, sat, u = _step(g, X, state, mode)
-        if not sat:
-            return ExecNode(state, u, ())
-        if not app:
-            raise SoundnessError(state, sat)
-        chosen = norm[policy(app, state)]
-        edges = tuple(
-            ExecEdge(prob, outcome, chosen.index,
-                     build(apply_disjunct(state, chosen, outcome)))
-            for outcome, prob in chosen.outcomes)
-        return ExecNode(state, u, edges)
-
-    return build(ExecState.initial())
+    return _fold(g, X, mode, _follow(policy), node)
 
 
 class Distribution(dict):
@@ -254,40 +303,34 @@ class Distribution(dict):
                    Fraction(0))
 
 
+def _mix(weighted) -> dict:
+    """Sum of ``prob * p`` per world over ``(prob, (world, p) pairs)`` items."""
+    acc: dict = {}
+    for prob, pairs in weighted:
+        for world, p in pairs:
+            acc[world] = acc.get(world, Fraction(0)) + prob * p
+    return acc
+
+
 def distribution(g: GroundTheory, X: frozenset,
                  mode: UMode = UMode.EXTENDED,
                  policy=lowest_index_policy) -> Distribution:
     """Exact leaf distribution of the execution model under ``policy``.
 
-    Memoized on (I, N, fired): sub-distributions depend only on that triple,
-    so sharing identical subtrees is safe and keeps the walk polynomial for
-    the common diamond-shaped state spaces.
+    A sub-distribution depends only on its state (I, N, fired), so sharing
+    identical states keeps the walk polynomial for the common
+    diamond-shaped state spaces.
     """
-    _check_exogenous(g, X)
-    norm = [normalize(law, i) for i, law in enumerate(g.laws)]
-    memo: dict = {}
+    def mix(state, _u, branches, _path):
+        if not branches:
+            return {state.true_atoms: Fraction(1)}
+        ((_, kids),) = branches
+        return _mix((prob, sub.items()) for _, prob, sub in kids)
 
-    def explore(state: ExecState) -> dict:
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        app, sat, _u = _step(g, X, state, mode)
-        if not sat:
-            result = {state.true_atoms: Fraction(1)}
-        elif not app:
-            raise SoundnessError(state, sat)
-        else:
-            chosen = norm[policy(app, state)]
-            result = {}
-            for outcome, prob in chosen.outcomes:
-                sub = explore(apply_disjunct(state, chosen, outcome))
-                for world, p in sub.items():
-                    result[world] = result.get(world, Fraction(0)) + prob * p
-        memo[state] = result
-        return result
-
-    dist = Distribution(explore(ExecState.initial()))
-    assert dist.total() == 1
+    dist = Distribution(_fold(g, X, mode, _follow(policy), mix))
+    total = dist.total()
+    if total != 1:
+        raise ArithmeticError(f"leaf probabilities sum to {total}, not 1")
     return dist
 
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
-                     Not, Or, Theory, TheoryError, Truth, TRUE, FALSE,
-                     formula_atom_polarities, formula_atoms, substitute_atom)
+                     HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
+                     FALSE, formula_atom_polarities, formula_atoms,
+                     substitute_atom)
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,6 @@ class GroundTheory:
     exogenous_atoms: frozenset
     exogenous_predicates: frozenset
     domains: dict
-
-    def law_index_range(self):
-        return range(len(self.laws))
 
 
 def expand_formula(phi: Formula, env: dict, domains: dict) -> Formula:
@@ -58,24 +56,29 @@ def expand_formula(phi: Formula, env: dict, domains: dict) -> Formula:
     raise TypeError(f"not a formula: {phi!r}")
 
 
+def law_instances(law: CPLaw, domains: dict):
+    """Yield ``(env, ground head)`` per assignment of the law's binders.
+
+    Assignments come in domain order; the body is left to the caller, which
+    either expands its quantifiers or only substitutes ``env``.
+    """
+    for _, d in law.vars:
+        if d not in domains:
+            raise TheoryError(f"undeclared domain {d!r}")
+    names = [v for v, _ in law.vars]
+    for assignment in itertools.product(*(domains[d] for _, d in law.vars)):
+        env = dict(zip(names, assignment))
+        yield env, tuple(
+            HeadDisjunct(EffectLiteral(disj.literal.negated,
+                                       substitute_atom(disj.literal.atom, env)),
+                         disj.prob)
+            for disj in law.head)
+
+
 def ground(t: Theory) -> GroundTheory:
     """Instantiate every law over its variables' domains, in declaration order."""
-    laws: list[CPLaw] = []
-    for law in t.laws:
-        for d in (dom for _, dom in law.vars):
-            if d not in t.domains:
-                raise TheoryError(f"undeclared domain {d!r}")
-        columns = [t.domains[dom] for _, dom in law.vars]
-        names = [v for v, _ in law.vars]
-        for assignment in itertools.product(*columns):
-            env = dict(zip(names, assignment))
-            head = tuple(
-                type(disj)(EffectLiteral(disj.literal.negated,
-                                         substitute_atom(disj.literal.atom, env)),
-                           disj.prob)
-                for disj in law.head)
-            body = expand_formula(law.body, env, t.domains)
-            laws.append(CPLaw((), head, body))
+    laws = [CPLaw((), head, expand_formula(law.body, env, t.domains))
+            for law in t.laws for env, head in law_instances(law, t.domains)]
 
     endo: set = set()
     exo: set = set()

@@ -2,9 +2,12 @@
 
 ``sweep_orders`` enumerates every choice of applicable law at every node and
 collects the distribution of each complete execution model, so firing-order
-invariance can be checked rather than assumed.  ``well_founded_model`` and
-``least_model`` are classical fixpoint constructions for the deterministic
-fragments, giving the engine something external to agree with.
+invariance can be checked rather than assumed.  It is a fold over the
+engine's iterative state walk: it shares the engine's state classification,
+soundness check and mixing loop, but not its firing policy.
+``well_founded_model`` and ``least_model`` are classical fixpoint
+constructions for the deterministic fragments, giving the engine something
+external to agree with.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .engine import (Distribution, ExecState, SoundnessError, UMode,
-                     _check_exogenous, applicable, apply_disjunct, compute_U,
+from .engine import Distribution, ExecState, UMode, _fold, _mix
+# Bound here only so that bench/tracing.py can patch them at this import site.
+from .engine import (applicable, apply_disjunct, compute_U,  # noqa: F401
                      satisfied_unfired)
-from .ground import GroundTheory, normalize
+from .ground import GroundTheory
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Formula, HeadDisjunct,
                      Not, Or, Theory, Truth, TRUE)
 from .threeval import ThreeValuedInterp, holds
@@ -47,14 +51,6 @@ def _freeze(d: dict) -> FrozenDist:
 
 def _dist_key(fd: FrozenDist):
     return sorted((tuple(sorted(str(a) for a in world)), str(p)) for world, p in fd)
-
-
-def _mix(probs, dists) -> FrozenDist:
-    acc: dict = {}
-    for prob, fd in zip(probs, dists):
-        for world, p in fd:
-            acc[world] = acc.get(world, Fraction(0)) + prob * p
-    return _freeze(acc)
 
 
 @dataclass(frozen=True)
@@ -94,64 +90,47 @@ def sweep_orders(g: GroundTheory, X: frozenset,
                  max_nodes: int = 1_000_000) -> OrderSweepReport:
     """Every execution model's distribution, by exhaustive rule-choice search.
 
-    States are memoized on (I, N, fired); the budget counts memoized states
+    A fold over the engine's execution states that follows every applicable
+    law, not one: a state's value is its number of execution models and the
+    set of distributions they reach.  The budget counts distinct states
     plus distribution combinations and the sweep fails loudly when exceeded.
     A `SoundnessError` from any branch propagates.
     """
-    _check_exogenous(g, X)
-    norm = [normalize(law, i) for i, law in enumerate(g.laws)]
-    memo: dict = {}
     witness: DivergenceWitness | None = None
     work = 0
     states = 0
 
-    def bump(n: int = 1):
+    def bump():
         nonlocal work
-        work += n
+        work += 1
         if work > max_nodes:
             raise BudgetExceededError(max_nodes)
 
-    def explore(state: ExecState, path: tuple):
-        nonlocal witness, states
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
+    def expand(_state, app):
+        nonlocal states
         bump()
         states += 1
-        u = compute_U(g, X, state, mode)
-        sat = satisfied_unfired(g, X, state)
-        app = applicable(g, X, state, u)
-        if not sat:
-            result = (1, frozenset({_freeze({state.true_atoms: Fraction(1)})}))
-        elif not app:
-            raise SoundnessError(state, sat)
-        else:
-            per_rule: dict = {}
-            models = 0
-            seen: set = set()
-            for i in app:
-                law = norm[i]
-                probs, counts, sets = [], [], []
-                for outcome, prob in law.outcomes:
-                    cnt, dset = explore(apply_disjunct(state, law, outcome),
-                                        path + ((i, outcome),))
-                    probs.append(prob)
-                    counts.append(cnt)
-                    sets.append(dset)
-                combos = set()
-                for combo in itertools.product(*sets):
-                    bump()
-                    combos.add(_mix(probs, combo))
-                per_rule[i] = frozenset(combos)
-                models += prod(counts)
-                seen |= combos
-            if witness is None and len(set(per_rule.values())) > 1:
-                witness = _build_witness(path, state, per_rule)
-            result = (models, frozenset(seen))
-        memo[state] = result
-        return result
+        return app
 
-    models, dists = explore(ExecState.initial(), ())
+    def combine(state, _u, branches, path):
+        nonlocal witness
+        if not branches:
+            return 1, frozenset({_freeze({state.true_atoms: Fraction(1)})})
+        per_rule: dict = {}
+        models = 0
+        for i, kids in branches:
+            probs = [prob for _, prob, _ in kids]
+            combos = set()
+            for combo in itertools.product(*(dists for _, _, (_, dists) in kids)):
+                bump()
+                combos.add(_freeze(_mix(zip(probs, combo))))
+            per_rule[i] = frozenset(combos)
+            models += prod(count for _, _, (count, _) in kids)
+        if witness is None and len(set(per_rule.values())) > 1:
+            witness = _build_witness(tuple(path), state, per_rule)
+        return models, frozenset().union(*per_rule.values())
+
+    models, dists = _fold(g, X, mode, expand, combine)
     distributions = tuple(Distribution(dict(fd))
                           for fd in sorted(dists, key=_dist_key))
     return OrderSweepReport(models, distributions, witness, states, max_nodes)

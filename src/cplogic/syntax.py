@@ -248,10 +248,6 @@ def endogenous_signature(t: Theory) -> dict:
     return sig
 
 
-def atom_sort_key(atom: Atom):
-    return (atom.predicate, tuple(str(a) for a in atom.args))
-
-
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
@@ -614,6 +610,18 @@ def parse_theory(text: str) -> Theory:
     return _Parser(text).parse_theory()
 
 
+def _seeded_parser(text: str, theory: Theory | None) -> _Parser:
+    """A parser over ``text`` that knows the theory's domains and predicates."""
+    p = _Parser(text)
+    if theory is not None:
+        p.domains = dict(theory.domains)
+        for consts in theory.domains.values():
+            p.constants.update(consts)
+        p.arity = dict(theory.exogenous)
+        p.arity.update(endogenous_signature(theory))
+    return p
+
+
 def parse_formula(text: str, theory: Theory | None = None) -> Formula:
     """Parse a closed formula, e.g. a query.
 
@@ -621,19 +629,10 @@ def parse_formula(text: str, theory: Theory | None = None) -> Formula:
     exogenous or used in some law), arities must match, and constants must be
     drawn from its domains.
     """
-    p = _Parser("")
-    p.toks = _tokenize(text)
-    p.pos = 0
-    if theory is not None:
-        p.domains = dict(theory.domains)
-        for consts in theory.domains.values():
-            p.constants.update(consts)
-        p.arity = dict(theory.exogenous)
-        p.arity.update(endogenous_signature(theory))
-        known = dict(p.arity)
+    p = _seeded_parser(text, theory)
+    known = dict(p.arity)
     phi = p.parse_or(set())
-    tok = p.peek()
-    if tok.kind != "eof":
+    if p.peek().kind != "eof":
         p.fail("trailing input after formula")
     if theory is not None:
         for atom in formula_atoms(phi):
@@ -644,15 +643,7 @@ def parse_formula(text: str, theory: Theory | None = None) -> Formula:
 
 def parse_literal(text: str, theory: Theory | None = None) -> EffectLiteral:
     """Parse ``A`` or ``~A`` with ``A`` a ground atom."""
-    p = _Parser("")
-    p.toks = _tokenize(text)
-    p.pos = 0
-    if theory is not None:
-        p.domains = dict(theory.domains)
-        for consts in theory.domains.values():
-            p.constants.update(consts)
-        p.arity = dict(theory.exogenous)
-        p.arity.update(endogenous_signature(theory))
+    p = _seeded_parser(text, theory)
     negated = False
     if p.at_punct("~"):
         p.advance()

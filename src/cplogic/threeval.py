@@ -72,10 +72,6 @@ class ThreeValuedInterp:
         return f"t:{fmt(self.true_set)} u:{fmt(self.unknown_set)} f:{fmt(self.false_set)}"
 
 
-def approximates(nu: ThreeValuedInterp, interp: frozenset) -> bool:
-    return nu.approximates(interp)
-
-
 def kleene_eval(phi: Formula, nu: ThreeValuedInterp, X: frozenset,
                 exogenous: frozenset | None = None) -> TruthValue:
     """Kleene truth value of ground ``phi`` under ``nu``, exogenous atoms from ``X``.

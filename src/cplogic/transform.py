@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .ground import law_instances
 from .syntax import (And, Atom, CPLaw, EffectLiteral, HeadDisjunct, Not,
                      Theory, TRUE, Var, check_theory, endogenous_signature,
-                     substitute_atom, substitute_formula)
+                     substitute_formula)
 
 
 class TransformError(Exception):
@@ -51,21 +52,6 @@ def _match_head_atom(head_atom: Atom, target: Atom, law: CPLaw, domains) -> bool
     return True
 
 
-def _law_instances(law: CPLaw, domains) -> list[CPLaw]:
-    """All binder instantiations of ``law`` (body quantifiers left intact)."""
-    columns = [domains[d] for _, d in law.vars]
-    names = [v for v, _ in law.vars]
-    out = []
-    for assignment in itertools.product(*columns):
-        env = dict(zip(names, assignment))
-        head = tuple(HeadDisjunct(EffectLiteral(d.literal.negated,
-                                                substitute_atom(d.literal.atom, env)),
-                                  d.prob)
-                     for d in law.head)
-        out.append(CPLaw((), head, substitute_formula(law.body, env)))
-    return out
-
-
 def intervene(t: Theory, literal: InterventionLiteral) -> Theory:
     """Remove every causal mechanism for the literal's atom; for a positive
     intervention, add the bare fact afterwards.
@@ -94,9 +80,10 @@ def intervene(t: Theory, literal: InterventionLiteral) -> Theory:
                 "removing the whole law would also silence them")
         if not law.vars:
             continue  # ground law determining the target: drop it
-        for inst in _law_instances(law, t.domains):
-            if inst.head[0].literal.atom != target:
-                new_laws.append(inst)
+        # Substitute only: the result is a theory, so body quantifiers stay.
+        new_laws.extend(CPLaw((), head, substitute_formula(law.body, env))
+                        for env, head in law_instances(law, t.domains)
+                        if head[0].literal.atom != target)
 
     if not literal.negated:
         fact = CPLaw((), (HeadDisjunct(EffectLiteral(False, target), Fraction(1)),), TRUE)

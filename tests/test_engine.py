@@ -1,14 +1,16 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cplogic import theories
+from cplogic import cli, theories
 from cplogic.engine import (Distribution, ExecState, ExogenousError,
                             SoundnessError, UMode, applicable, apply_disjunct,
                             build_execution_model, compute_U, distribution,
                             query)
 from cplogic.ground import ground, normalize
-from cplogic.oracle import well_founded_model
+from cplogic.oracle import (BudgetExceededError, sweep_orders,
+                            well_founded_model)
 from cplogic.syntax import parse_formula, parse_theory
 from cplogic.threeval import UnboundAtomError
 
@@ -205,6 +207,47 @@ def test_query_unknown_atom_raises():
 def test_exogenous_mismatch_rejected():
     with pytest.raises(ExogenousError):
         distribution(SUZY_G, atoms("Broken"))
+
+
+# ---------------------------------------------------------------------------
+# Long firing paths
+# ---------------------------------------------------------------------------
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_firing_path_longer_than_recursion_limit(tmp_path, capsys):
+    # n unconditional facts fire one after another: every execution is a
+    # path of n steps, well past the lowered recursion limit.
+    n = 300
+    text = " ".join(f"A{i}." for i in range(n))
+    path = tmp_path / "facts.cpl"
+    path.write_text(text, encoding="utf-8")
+    g = ground(parse_theory(text))
+    every = frozenset(atom(f"A{i}") for i in range(n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        dist = distribution(g, NOTHING)
+        root = build_execution_model(g, NOTHING)
+        nodes = sum(1 for _ in root.walk())
+        ((edges, leaf),) = root.leaf_paths()
+        # Every firing order is its own model, so the sweep stops on its
+        # budget, but only after its first path has reached a leaf.
+        with pytest.raises(BudgetExceededError):
+            sweep_orders(g, NOTHING, max_nodes=2 * n)
+        code = cli.main(["query", str(path), "-q", "A0"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert dist == {every: 1}
+    assert nodes == n + 1
+    assert len(edges) == n and leaf.state.true_atoms == every
+    assert code == 0
+    assert capsys.readouterr().out == "1 (= 1.000000)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from cplogic.syntax import And, Atom, Not, Or, Truth, parse_formula
 from cplogic.threeval import (F, T, ThreeValuedInterp, U, UnboundAtomError,
-                              approximates, holds, kleene_eval)
+                              holds, kleene_eval)
 
 from helpers import atom, atoms
 
@@ -63,10 +63,10 @@ def test_unbound_atom_raises():
 def test_approximates_basics():
     all_u = interp(unknown=[A, B])
     for world in (frozenset(), frozenset({A}), frozenset({A, B})):
-        assert approximates(all_u, world)
+        assert all_u.approximates(world)
     committed = interp(true=[A])
-    assert approximates(committed, frozenset({A}))
-    assert not approximates(committed, frozenset())
+    assert committed.approximates(frozenset({A}))
+    assert not committed.approximates(frozenset())
 
 
 def _all_formulas(atoms_pool):
