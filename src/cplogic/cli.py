@@ -13,7 +13,9 @@ THEORY is a path or ``-`` for standard input, so transforms compose:
     cpl do bp.cpl --lit "~HighBloodPressure" | cpl query - -q "Fatigue"
 
 Exit codes: 0 success, 1 usage or input error, 2 unsound theory,
-3 node budget exceeded.  Output is deterministic: worlds are sorted and
+3 node budget exceeded.  An input that exhausts Python's recursion limit or
+memory is reported in one line as an input error (exit 1), never as a
+traceback.  Output is deterministic: worlds are sorted and
 every probability is printed as an exact rational with a 6-place decimal.
 """
 
@@ -300,6 +302,11 @@ def main(argv=None) -> int:
     except oracle.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (RecursionError, MemoryError) as exc:
+        # Last resort: whatever input got this far, it gets no traceback.
+        print(f"error: input too large or too deeply nested "
+              f"({type(exc).__name__})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

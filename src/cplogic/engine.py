@@ -14,6 +14,13 @@ and raises `SoundnessError`.  `build_execution_model` and `distribution`
 are folds over it that follow one law per state; `oracle.sweep_orders` is a
 fold that follows every applicable law.
 
+States are classified against a `_Program`: the ground theory compiled once
+per X, and kept on the `GroundTheory` itself.  Atoms become bits, each
+body a Kleene evaluator over a pair of bit masks with X folded in, and each
+head atom carries the laws whose bodies read it.  `compute_U` is a
+worklist fixpoint over that index; the two-valued body test and the U gate
+run the same compiled bodies.
+
 All probabilities are exact rationals; distributions sum to exactly 1.
 """
 
@@ -24,9 +31,10 @@ from enum import Enum
 from fractions import Fraction
 
 from .ground import GroundTheory, NormalizedLaw, expand_formula, normalize
-from .syntax import EffectLiteral, Formula, formula_atoms
-from .threeval import (F, T, ThreeValuedInterp, U, UnboundAtomError, holds,
-                       kleene_eval)
+from .syntax import And, Atom, EffectLiteral, Formula, Not, Or, formula_atoms
+# bench/tracing.py counts `holds` and `kleene_eval` calls at this import
+# site, so both stay bound here.
+from .threeval import ThreeValuedInterp, UnboundAtomError, holds, kleene_eval
 
 
 class UMode(Enum):
@@ -120,60 +128,259 @@ def lowest_index_policy(applicable_laws, state):
     return applicable_laws[0]
 
 
+class _Program:
+    """A ground theory's laws compiled for one X.
+
+    Endogenous atom k, in ``str`` order, is bit ``1 << k``; a set of atoms
+    is the sum of their bits, and a three-valued interpretation is a pair of
+    masks ``(t, u)`` with every other atom f.  ``bodies[i](t, u)`` is law
+    i's Kleene value, 0/1/2 for f/u/t, with X's atoms already folded in.
+    ``heads[i]`` has one ``(negated, bit, readers)`` per head disjunct,
+    ``readers`` being the laws whose compiled bodies read that atom.
+    ``live`` lists the laws whose bodies X does not make false outright.
+    ``last_U`` is the latest U built by `compute_U` with its masks.
+    """
+
+    __slots__ = ("atoms", "bit", "bodies", "heads", "live", "last_U")
+
+    def __init__(self, g: GroundTheory, X: frozenset):
+        self.atoms = tuple(sorted(g.endogenous_atoms, key=str))
+        self.bit = {a: 1 << k for k, a in enumerate(self.atoms)}
+        compiled = [_compile_body(law.body, self.bit, X, g.exogenous_atoms)
+                    for law in g.laws]
+        self.bodies = tuple(body for body, _ in compiled)
+        self.live = tuple(i for i, (body, _) in enumerate(compiled)
+                          if body is not _FALSE)
+        readers: dict = {}
+        for i, (_, reads) in enumerate(compiled):
+            for b in _bits(reads):
+                readers.setdefault(b, []).append(i)
+        self.heads = tuple(
+            tuple((d.literal.negated, self.bit[d.literal.atom],
+                   tuple(readers.get(self.bit[d.literal.atom], ())))
+                  for d in law.head)
+            for law in g.laws)
+        self.last_U = (None, 0, 0)
+
+    def mask(self, atoms) -> int:
+        return sum(map(self.bit.__getitem__, atoms))
+
+    def atoms_of(self, mask: int) -> frozenset:
+        atoms = self.atoms
+        return frozenset(atoms[b.bit_length() - 1] for b in _bits(mask))
+
+    def overestimate(self, state: ExecState, mode: UMode) -> tuple[int, int]:
+        """The ``(t, u)`` masks of U at ``state``, by worklist propagation."""
+        bodies, heads, fired = self.bodies, self.heads, state.fired
+        t, u = self.mask(state.true_atoms), 0
+        pinned = self.mask(state.negated)
+        extended = mode is UMode.EXTENDED
+        queue = []  # laws whose body is not f, heads not yet propagated
+        waiting = set()  # unfired laws whose body is f so far
+        for i in self.live:
+            if i not in fired:
+                if bodies[i](t, 0):
+                    queue.append(i)
+                else:
+                    waiting.add(i)
+        # Atoms only move towards u, and Kleene evaluation is monotone in
+        # that direction, so a body that is not f stays so and each law's
+        # heads need propagating once.
+        while queue:
+            for negated, b, readers in heads[queue.pop()]:
+                if b & pinned:
+                    continue
+                if negated:
+                    if not (extended and t & b):
+                        continue
+                    t ^= b
+                elif (t | u) & b:
+                    continue
+                u |= b
+                for j in readers:
+                    if j in waiting and bodies[j](t, u):
+                        waiting.discard(j)
+                        queue.append(j)
+        return t, u
+
+
+def _bits(mask: int):
+    """The single-bit masks whose sum is ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _compile_body(phi: Formula, bit: dict, X: frozenset, exogenous: frozenset):
+    """Kleene evaluator of ground ``phi`` over ``(t, u)`` masks, plus the
+    mask of the endogenous atoms it reads once X is folded in.
+
+    Atoms outside ``bit`` and truth constants are read by `kleene_eval`
+    itself, so X is interpreted, and an unbound atom rejected, exactly as
+    there.  A part that X alone decides is dropped from its connective or
+    decides it, and the literals of a connective are tested as two masks.
+    """
+    reads = 0
+
+    def junction(conj, pos, neg, subs):
+        nonlocal reads
+        reads |= pos | neg
+        return _junction(conj, pos, neg, subs)
+
+    def comp(phi):
+        # 0 or 2 when X decides phi; the masks (pos, neg) when phi is a
+        # single literal, A as (bit of A, 0) and ~A as (0, bit of A); else
+        # a function of (t, u)
+        match phi:
+            case Atom() if phi in bit:
+                return bit[phi], 0
+            case Not(sub):
+                e = comp(sub)
+                if isinstance(e, int):
+                    return 2 - e
+                if isinstance(e, tuple):
+                    return e[1], e[0]
+                return lambda t, u: 2 - e(t, u)
+            case And(parts) | Or(parts):
+                conj = isinstance(phi, And)
+                unit = 2 if conj else 0
+                pos = neg = 0
+                subs = []
+                for p in parts:
+                    e = comp(p)
+                    if isinstance(e, tuple):
+                        pos |= e[0]
+                        neg |= e[1]
+                    elif not isinstance(e, int):
+                        subs.append(e)
+                    elif e != unit:
+                        return e
+                lits = pos | neg
+                if subs:
+                    return subs[0] if len(subs) == 1 and not lits \
+                        else junction(conj, pos, neg, subs)
+                if not lits:
+                    return unit
+                if lits & (lits - 1) or pos & neg:  # not a single literal
+                    return junction(conj, pos, neg, [])
+                return pos, neg
+        return kleene_eval(phi, _NO_ATOMS, X, exogenous).value
+
+    body = comp(phi)
+    if isinstance(body, int):
+        return (_TRUE if body else _FALSE), 0
+    if isinstance(body, tuple):
+        body = junction(True, *body, [])
+    return body, reads
+
+
+_NO_ATOMS = ThreeValuedInterp(frozenset())
+
+
+def _TRUE(t, u):
+    return 2
+
+
+def _FALSE(t, u):
+    return 0
+
+
+def _junction(conj: bool, pos: int, neg: int, subs: list):
+    """Kleene value of the conjunction (``conj``) or disjunction of the
+    literals ``A`` for A in ``pos``, ``~A`` for A in ``neg`` and the
+    evaluators ``subs``."""
+    if conj:
+        def lits(t, u):
+            if pos & ~(t | u) or neg & t:
+                return 0
+            return 1 if pos & ~t or neg & u else 2
+    else:
+        def lits(t, u):
+            if pos & t or neg & ~(t | u):
+                return 2
+            return 1 if (pos | neg) & u else 0
+    if not subs:
+        return lits
+    if pos | neg:
+        subs = [lits, *subs]
+    if conj:
+        def ev(t, u):
+            v = 2
+            for s in subs:
+                w = s(t, u)
+                if w < v:
+                    if not w:
+                        return 0
+                    v = w
+            return v
+    else:
+        def ev(t, u):
+            v = 0
+            for s in subs:
+                w = s(t, u)
+                if w > v:
+                    if w == 2:
+                        return 2
+                    v = w
+            return v
+    return ev
+
+
+def _program(g: GroundTheory, X: frozenset) -> _Program:
+    """``g`` compiled for ``X``, memoized in ``g``'s one slot for it."""
+    memo = g._compiled
+    if memo is not None and (memo[0] is X or memo[0] == X):
+        return memo[1]
+    prog = _Program(g, X)
+    object.__setattr__(g, "_compiled", (X, prog))
+    return prog
+
+
 def compute_U(g: GroundTheory, X: frozenset, state: ExecState,
               mode: UMode = UMode.EXTENDED) -> ThreeValuedInterp:
     """Fixpoint overestimate of everything still causable below ``state``.
 
-    Starts from the current world (t on I, f elsewhere) and repeatedly
-    downgrades to u: an atom may still be caused by an unfired law whose body
-    is not yet ruled out, and (extended mode) a true atom may still be
-    retracted by an unfired law with a matching negative head literal.
-    Retracted atoms (N) stay pinned at f.
+    Starts from the current world (t on I, f elsewhere) and downgrades to
+    u: an atom may still be caused by an unfired law whose body is not yet
+    ruled out, and (extended mode) a true atom may still be retracted by an
+    unfired law with a matching negative head literal.  Retracted atoms (N)
+    stay pinned at f.  The fixpoint is reached by worklist propagation over
+    ``g``'s compiled program: every unfired body is evaluated once, each
+    law whose body is not f has its heads propagated once, and an atom that
+    changes re-evaluates only the still-f bodies that read it.
+    `oracle.reference_U` computes the same fixpoint by rescanning.
     """
-    value = {a: (T if a in state.true_atoms else F) for a in g.endogenous_atoms}
-    unfired = [i for i in range(len(g.laws)) if i not in state.fired]
-
-    def snapshot():
-        return ThreeValuedInterp(
-            g.endogenous_atoms,
-            frozenset(a for a, v in value.items() if v is T),
-            frozenset(a for a, v in value.items() if v is U))
-
-    changed = True
-    while changed:
-        changed = False
-        nu = snapshot()
-        for i in unfired:
-            law = g.laws[i]
-            if kleene_eval(law.body, nu, X, g.exogenous_atoms) is F:
-                continue
-            for disj in law.head:
-                a = disj.literal.atom
-                if a in state.negated:
-                    continue
-                if not disj.literal.negated:
-                    if value[a] is F:
-                        value[a] = U
-                        changed = True
-                elif mode is UMode.EXTENDED:
-                    if value[a] is T:
-                        value[a] = U
-                        changed = True
-    return snapshot()
+    prog = _program(g, X)
+    t, u = prog.overestimate(state, mode)
+    true_set = state.true_atoms
+    if t.bit_count() != len(true_set):  # t is I less what was downgraded
+        true_set = prog.atoms_of(t)
+    interp = ThreeValuedInterp(g.endogenous_atoms, true_set, prog.atoms_of(u))
+    prog.last_U = (interp, t, u)
+    return interp
 
 
 def satisfied_unfired(g: GroundTheory, X: frozenset, state: ExecState) -> tuple:
     """Unfired laws whose bodies hold in the current two-valued world."""
-    world = state.true_atoms | X
-    return tuple(i for i in range(len(g.laws))
-                 if i not in state.fired and holds(g.laws[i].body, world))
+    prog = _program(g, X)
+    t, bodies, fired = prog.mask(state.true_atoms), prog.bodies, state.fired
+    return tuple(i for i in prog.live
+                 if i not in fired and bodies[i](t, 0) == 2)
+
+
+def _gate(prog: _Program, laws, u: ThreeValuedInterp) -> tuple:
+    """Those of ``laws`` whose bodies are definitely true under ``u``."""
+    last, t, uu = prog.last_U
+    if last is not u:
+        t, uu = prog.mask(u.true_set), prog.mask(u.unknown_set)
+    return tuple(i for i in laws if prog.bodies[i](t, uu) == 2)
 
 
 def applicable(g: GroundTheory, X: frozenset, state: ExecState,
                u: ThreeValuedInterp) -> tuple:
     """Laws allowed to fire: body true now and definitely true under ``u``."""
-    return tuple(i for i in satisfied_unfired(g, X, state)
-                 if kleene_eval(g.laws[i].body, u, X, g.exogenous_atoms) is T)
+    return _gate(_program(g, X), satisfied_unfired(g, X, state), u)
 
 
 def apply_disjunct(state: ExecState, law: NormalizedLaw,
@@ -227,8 +434,8 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
         if state is not None:
             u = compute_U(g, X, state, mode)
             sat = satisfied_unfired(g, X, state)
-            app = tuple(i for i in sat if kleene_eval(
-                g.laws[i].body, u, X, g.exogenous_atoms) is T)
+            # compute_U compiles g on first use, so U's time includes it.
+            app = _gate(_program(g, X), sat, u)
             chosen = expand(state, app)
             if sat and not app:
                 raise SoundnessError(state, sat)

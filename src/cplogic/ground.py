@@ -8,7 +8,7 @@ everything downstream works with variable-free laws only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
@@ -30,6 +30,10 @@ class GroundTheory:
     exogenous_atoms: frozenset
     exogenous_predicates: frozenset
     domains: dict
+    # The engine's compiled form of ``laws`` for one X, as ``(X, program)``;
+    # set on first use, so it lives exactly as long as this theory.
+    _compiled: tuple | None = field(default=None, init=False, compare=False,
+                                    repr=False)
 
 
 def expand_formula(phi: Formula, env: dict, domains: dict) -> Formula:

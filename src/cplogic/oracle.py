@@ -5,9 +5,11 @@ collects the distribution of each complete execution model, so firing-order
 invariance can be checked rather than assumed.  It is a fold over the
 engine's iterative state walk: it shares the engine's state classification,
 soundness check and mixing loop, but not its firing policy.
-``well_founded_model`` and ``least_model`` are classical fixpoint
-constructions for the deterministic fragments, giving the engine something
-external to agree with.
+``reference_U`` computes the overestimate U by its definition, rescanning
+every unfired law until nothing changes, for the compiled worklist
+`engine.compute_U` to agree with.  ``well_founded_model`` and
+``least_model`` are classical fixpoint constructions for the deterministic
+fragments, giving the engine something external to agree with.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .engine import (applicable, apply_disjunct, compute_U,  # noqa: F401
 from .ground import GroundTheory
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Formula, HeadDisjunct,
                      Not, Or, Theory, Truth, TRUE)
-from .threeval import ThreeValuedInterp, holds
+from .threeval import F, T, U, ThreeValuedInterp, holds, kleene_eval
 
 
 class BudgetExceededError(Exception):
@@ -151,6 +153,53 @@ def _build_witness(path, state, per_rule) -> DivergenceWitness:
 
 
 # ---------------------------------------------------------------------------
+# Reference overestimate
+# ---------------------------------------------------------------------------
+
+def reference_U(g: GroundTheory, X: frozenset, state: ExecState,
+                mode: UMode = UMode.EXTENDED) -> ThreeValuedInterp:
+    """`engine.compute_U` by the definition: rescan every unfired law with
+    `kleene_eval` until a whole round changes nothing.
+
+    Starts from the current world (t on I, f elsewhere) and repeatedly
+    downgrades to u: an atom may still be caused by an unfired law whose body
+    is not yet ruled out, and (extended mode) a true atom may still be
+    retracted by an unfired law with a matching negative head literal.
+    Retracted atoms (N) stay pinned at f.
+    """
+    value = {a: (T if a in state.true_atoms else F) for a in g.endogenous_atoms}
+    unfired = [i for i in range(len(g.laws)) if i not in state.fired]
+
+    def snapshot():
+        return ThreeValuedInterp(
+            g.endogenous_atoms,
+            frozenset(a for a, v in value.items() if v is T),
+            frozenset(a for a, v in value.items() if v is U))
+
+    changed = True
+    while changed:
+        changed = False
+        nu = snapshot()
+        for i in unfired:
+            law = g.laws[i]
+            if kleene_eval(law.body, nu, X, g.exogenous_atoms) is F:
+                continue
+            for disj in law.head:
+                a = disj.literal.atom
+                if a in state.negated:
+                    continue
+                if not disj.literal.negated:
+                    if value[a] is F:
+                        value[a] = U
+                        changed = True
+                elif mode is UMode.EXTENDED:
+                    if value[a] is T:
+                        value[a] = U
+                        changed = True
+    return snapshot()
+
+
+# ---------------------------------------------------------------------------
 # Well-founded and least models (deterministic fragments)
 # ---------------------------------------------------------------------------
 
@@ -251,7 +300,8 @@ def _subformulas(phi: Formula):
 # Seeded random theories
 # ---------------------------------------------------------------------------
 
-_ATOM_NAMES = ("A", "B", "C", "D", "E", "F", "G", "H")
+# The first eight names are fixed: seeds must keep giving the same theories.
+_ATOM_NAMES = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 _PROB_SINGLES = (Fraction(1), Fraction(1, 2), Fraction(1, 3),
                  Fraction(2, 3), Fraction(1, 4), Fraction(3, 4))
@@ -262,12 +312,19 @@ _PROB_PAIRS = ((Fraction(1, 2), Fraction(1, 2)),
                (Fraction(2, 3), Fraction(1, 3)))
 
 
+def _atom_names(atoms: int) -> tuple:
+    if not 1 <= atoms <= len(_ATOM_NAMES):
+        raise ValueError(f"atoms must be between 1 and {len(_ATOM_NAMES)}, "
+                         f"got {atoms}")
+    return _ATOM_NAMES[:atoms]
+
+
 def random_deterministic_theory(seed: int, atoms: int = 6, laws: int = 6,
                                 negation_rate: float = 0.4) -> Theory:
     """Seeded propositional deterministic theory; bodies may use negation
     freely, so the result may well be unsound."""
     rng = random.Random(seed)
-    names = _ATOM_NAMES[:atoms]
+    names = _atom_names(atoms)
     n_laws = rng.randint(1, laws)
 
     def body(depth: int) -> Formula:
@@ -296,7 +353,7 @@ def random_stratified_theory(seed: int, atoms: int = 6, laws: int = 6,
     strictly downwards, so no cycle can carry a negative edge.
     """
     rng = random.Random(seed)
-    names = list(_ATOM_NAMES[:atoms])
+    names = list(_atom_names(atoms))
     stratum = {name: rng.randint(0, 2) for name in names}
     n_laws = rng.randint(1, laws)
 

@@ -31,6 +31,12 @@ from typing import Iterator, Union
 
 KEYWORDS = frozenset({"domain", "exogenous", "in", "true", "false"})
 
+# Deepest nesting of negations, quantifiers and parentheses in a formula.
+# Parsing, grounding, evaluation, printing and the transforms all recurse
+# once or a few times per level, and must stay well inside Python's default
+# recursion limit of 1000.
+MAX_NESTING = 100
+
 
 class ParseError(Exception):
     """Ill-formed theory text; always carries a source position."""
@@ -337,6 +343,7 @@ class _Parser:
         self.constants: set = set()
         self.laws: list[CPLaw] = []
         self.laws_started = False
+        self.depth = 0  # negations, quantifiers and parentheses now open
 
     # -- token plumbing ------------------------------------------------
 
@@ -556,6 +563,20 @@ class _Parser:
 
     def parse_unary(self, env: set) -> Formula:
         tok = self.peek()
+        if tok.kind == "punct" and tok.text in ("~", "!", "?", "("):
+            if self.depth == MAX_NESTING:
+                self.fail(f"formula nested more than {MAX_NESTING} levels deep")
+            self.depth += 1
+            phi = self.parse_nested(env)
+            self.depth -= 1
+            return phi
+        if tok.kind == "ident" and tok.text in ("true", "false"):
+            self.advance()
+            return TRUE if tok.text == "true" else FALSE
+        return self.parse_atom(env)
+
+    def parse_nested(self, env: set) -> Formula:
+        """A negation, quantifier or parenthesized formula."""
         if self.at_punct("~"):
             self.advance()
             return Not(self.parse_unary(env))
@@ -570,15 +591,10 @@ class _Parser:
             sub = self.parse_unary(env | {var_tok.text})
             cls = ForAll if kind == "!" else Exists
             return cls(var_tok.text, dom_tok.text, sub)
-        if self.at_punct("("):
-            self.advance()
-            inner = self.parse_or(env)
-            self.expect_punct(")")
-            return inner
-        if tok.kind == "ident" and tok.text in ("true", "false"):
-            self.advance()
-            return TRUE if tok.text == "true" else FALSE
-        return self.parse_atom(env)
+        self.expect_punct("(")
+        inner = self.parse_or(env)
+        self.expect_punct(")")
+        return inner
 
     def parse_atom(self, env: set) -> Atom:
         name_tok = self.expect_ident("predicate")

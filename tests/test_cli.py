@@ -158,3 +158,24 @@ def test_parse_errors_exit_one(run, tmp_path):
     code, _, err = run(["check", str(path)])
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("text", ["A <- " + "(" * 400 + "B" + ")" * 400 + ".",
+                                  "A <- " + "~" * 5000 + "B."])
+def test_deep_nesting_is_a_parse_error(run, text):
+    code, out, err = run(["dist", "-"], stdin=text)
+    assert (code, out) == (1, "")
+    assert err == ("error: formula nested more than 100 levels deep "
+                   "(line 1, column 106)\n")
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_last_resort_error_exits_one(run, suzy, monkeypatch, exc):
+    def exhausted(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr("cplogic.engine.distribution", exhausted)
+    code, out, err = run(["dist", suzy])
+    assert (code, out) == (1, "")
+    assert err == ("error: input too large or too deeply nested "
+                   f"({exc.__name__})\n")

@@ -7,7 +7,7 @@ from cplogic.oracle import (BudgetExceededError, OracleError, least_model,
                             random_deterministic_theory,
                             random_stratified_theory, sweep_orders,
                             well_founded_model)
-from cplogic.syntax import parse_theory
+from cplogic.syntax import law_atoms, parse_theory
 
 from helpers import atoms
 
@@ -135,3 +135,15 @@ def test_generators_are_seed_deterministic():
     assert random_deterministic_theory(11) == random_deterministic_theory(11)
     assert random_stratified_theory(11) == random_stratified_theory(11)
     assert random_stratified_theory(11) != random_stratified_theory(12)
+
+
+@pytest.mark.parametrize("make", [random_stratified_theory,
+                                  random_deterministic_theory])
+def test_generators_honour_the_atom_count(make):
+    names = set()
+    for seed in range(20):
+        t = make(seed, atoms=12, laws=12)
+        names.update(a.predicate for law in t.laws for a in law_atoms(law))
+    assert len(names) == 12
+    with pytest.raises(ValueError):
+        make(0, atoms=27)

@@ -1,11 +1,13 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cplogic import theories
-from cplogic.syntax import (And, Atom, ForAll, Not, Or, ParseError, TheoryError,
-                            Theory, Truth, Var, check_theory, parse_formula,
-                            parse_literal, parse_theory, print_theory, TRUE)
+from cplogic.syntax import (MAX_NESTING, And, Atom, ForAll, Not, Or, ParseError,
+                            TheoryError, Theory, Truth, Var, check_theory,
+                            parse_formula, parse_literal, parse_theory,
+                            print_theory, TRUE)
 
 GEAR_PREAMBLE = "domain gear = {gear1, gear2, gear3}.\n"
 
@@ -204,3 +206,54 @@ def test_truth_constants_in_bodies():
     t = parse_theory("A <- true. B <- false, C.")
     assert t.laws[0].body == TRUE
     assert t.laws[1].body == And((Truth(False), Atom("C")))
+
+
+def test_nesting_beyond_the_cap_is_a_parse_error():
+    # Without the cap both die of RecursionError inside the parser.
+    for opener, closer in (("(", ")"), ("~", "")):
+        for depth in (MAX_NESTING + 1, 400, 5000):
+            text = "A <- " + opener * depth + "B" + closer * depth + "."
+            with pytest.raises(ParseError) as info:
+                parse_theory(text)
+            assert "nested more than" in info.value.message
+            assert (info.value.line, info.value.col) == (1, 6 + MAX_NESTING)
+    with pytest.raises(ParseError):
+        parse_formula("~" * (MAX_NESTING + 1) + "B")
+
+
+def _deepest_theory() -> str:
+    """Bodies at the nesting cap, in every shape the grammar allows."""
+    n = MAX_NESTING
+    nots = "~" * n + "B"
+    mixed = "B"
+    for k in range(n // 2):
+        mixed = f"~(C, {mixed})" if k % 2 else f"~(C; {mixed})"
+    parens = "B"
+    for k in range(n):
+        parens = f"(C, {parens})" if k % 2 else f"(C; {parens})"
+    quants = "?x in d: " * (n - 1) + "(P(x), C)"
+    return ("domain d = {k}.\n"
+            "(B:1/2).\n(C:1/2) <- ~B.\n~C <- B.\n"
+            f"A <- {nots}.\nA <- {mixed}.\nA <- {parens}.\nP(k) <- {quants}.\n")
+
+
+def test_deepest_accepted_formula_goes_through_the_pipeline():
+    from cplogic.engine import UMode, distribution
+    from cplogic.ground import ground
+    from cplogic.transform import intervene, tau_not
+    text = _deepest_theory()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        t = parse_theory(text)
+        assert parse_theory(print_theory(t)) == t
+        dists = [distribution(ground(t), frozenset(), mode) for mode in UMode]
+        compiled, _ = tau_not(t)
+        assert parse_theory(print_theory(compiled)) == compiled
+        distribution(ground(compiled), frozenset())
+        done = intervene(t, parse_literal("~A", t))
+        assert parse_theory(print_theory(done)) == done
+        distribution(ground(done), frozenset())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert all(d.total() == 1 for d in dists)
