@@ -13,8 +13,10 @@ THEORY is a path or ``-`` for standard input, so transforms compose:
     cpl do bp.cpl --lit "~HighBloodPressure" | cpl query - -q "Fatigue"
 
 Exit codes: 0 success, 1 usage or input error, 2 unsound theory,
-3 node budget exceeded.  An input that exhausts Python's recursion limit or
-memory is reported in one line as an input error (exit 1), never as a
+3 node budget exceeded, 141 standard output closed before all output was
+written (the code a shell reports for a process killed by SIGPIPE).  An
+input that exhausts Python's recursion limit or memory, or is not UTF-8
+text, is reported in one line as an input error (exit 1), never as a
 traceback.  Output is deterministic: worlds are sorted and
 every probability is printed as an exact rational with a 6-place decimal.
 """
@@ -23,14 +25,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import engine, oracle, transform
 from .ground import ground, stratification_report
-from .syntax import (ParseError, Theory, TheoryError, parse_formula,
-                     parse_literal, parse_theory, print_theory)
+from .syntax import (ParseError, Theory, TheoryError, format_atom_set,
+                     parse_formula, parse_literal, parse_theory, print_theory)
 from .threeval import UnboundAtomError
 
 
@@ -50,23 +53,20 @@ def _fmt_prob(p: Fraction) -> str:
     return f"{p} (= {p.numerator / p.denominator:.6f})"
 
 
-def _fmt_world(world) -> str:
-    return "{" + ", ".join(sorted(str(a) for a in world)) + "}"
-
-
 def _world_list(world):
     return sorted(str(a) for a in world)
 
 
 def _read_theory(path: str) -> Theory:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "standard input" if path == "-" else path
+        raise UsageError(f"cannot read {source}: {exc}") from exc
     return parse_theory(text)
 
 
@@ -140,9 +140,9 @@ def _print_dist(dist: engine.Distribution, cfg: RunConfig):
             atoms = ",".join(_world_list(world))
             print(f"{atoms}\t{p}\t{p.numerator / p.denominator:.6f}")
     else:
-        width = max((len(_fmt_world(w)) for w, _ in rows), default=0)
+        width = max((len(format_atom_set(w)) for w, _ in rows), default=0)
         for world, p in rows:
-            print(f"{_fmt_world(world):<{width}}  {_fmt_prob(p)}")
+            print(f"{format_atom_set(world):<{width}}  {_fmt_prob(p)}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -155,7 +155,7 @@ def cmd_check(args) -> int:
     print(f"exogenous atoms: {len(g.exogenous_atoms)}")
     print(stratification_report(g).describe())
     dist = engine.distribution(g, cfg.exo, cfg.mode)
-    print(f"soundness probe (exo={_fmt_world(cfg.exo)}): ok ({len(dist)} worlds)")
+    print(f"soundness probe (exo={format_atom_set(cfg.exo)}): ok ({len(dist)} worlds)")
     return 0
 
 
@@ -218,7 +218,7 @@ def cmd_sweep(args) -> int:
     for k, dist in enumerate(report.distributions, 1):
         print(f"distribution {k}:")
         for world, p in dist.sorted_items():
-            print(f"  {_fmt_world(world)}  {_fmt_prob(p)}")
+            print(f"  {format_atom_set(world)}  {_fmt_prob(p)}")
     if report.witness is not None:
         print(f"divergence witness: {report.witness.describe()}")
     return 0
@@ -284,11 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at the null device so that the
+        # interpreter's own flush at exit finds nothing left to complain about.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

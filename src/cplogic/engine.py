@@ -31,7 +31,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .ground import GroundTheory, NormalizedLaw, expand_formula, normalize
-from .syntax import And, Atom, EffectLiteral, Formula, Not, Or, formula_atoms
+from .syntax import (And, Atom, EffectLiteral, Formula, Not, Or,
+                     format_atom_set, formula_atoms)
 # bench/tracing.py counts `holds` and `kleene_eval` calls at this import
 # site, so both stay bound here.
 from .threeval import ThreeValuedInterp, UnboundAtomError, holds, kleene_eval
@@ -81,9 +82,8 @@ class ExecState:
         return ExecState(frozenset(), frozenset(), frozenset())
 
     def describe(self) -> str:
-        def fmt(atoms):
-            return "{" + ", ".join(sorted(str(a) for a in atoms)) + "}"
-        return (f"I={fmt(self.true_atoms)} N={fmt(self.negated)} "
+        return (f"I={format_atom_set(self.true_atoms)} "
+                f"N={format_atom_set(self.negated)} "
                 f"fired={sorted(self.fired)}")
 
 

@@ -13,8 +13,8 @@ from typing import Union
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
-                     FALSE, formula_atom_polarities, formula_atoms,
-                     substitute_atom)
+                     FALSE, format_atom_set, formula_atom_polarities,
+                     formula_atoms, substitute_atom)
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,7 @@ class StratificationReport:
     def describe(self) -> str:
         if self.stratified:
             return "stratified: yes"
-        cycles = "; ".join(
-            "{" + ", ".join(sorted(str(a) for a in scc)) + "}"
-            for scc in self.offending_cycles)
+        cycles = "; ".join(format_atom_set(scc) for scc in self.offending_cycles)
         return f"stratified: no (negation cycle through {cycles})"
 
 

@@ -678,6 +678,11 @@ def format_prob(p: Fraction) -> str:
     return str(p)  # Fraction prints in lowest terms, "9/10" or "1"
 
 
+def format_atom_set(atoms) -> str:
+    """``{A, P(c)}``: the atoms' printed forms, sorted."""
+    return "{" + ", ".join(sorted(str(a) for a in atoms)) + "}"
+
+
 def print_formula(phi: Formula) -> str:
     return _fmt(phi, 0)
 

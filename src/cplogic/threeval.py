@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .syntax import And, Atom, Exists, ForAll, Formula, Not, Or, Truth
+from .syntax import (And, Atom, Exists, ForAll, Formula, Not, Or, Truth,
+                     format_atom_set)
 
 
 class UnboundAtomError(Exception):
@@ -67,9 +68,9 @@ class ThreeValuedInterp:
         return self.true_set <= interp and not (self.false_set & interp)
 
     def __str__(self) -> str:
-        def fmt(s):
-            return "{" + ", ".join(sorted(str(a) for a in s)) + "}"
-        return f"t:{fmt(self.true_set)} u:{fmt(self.unknown_set)} f:{fmt(self.false_set)}"
+        return (f"t:{format_atom_set(self.true_set)} "
+                f"u:{format_atom_set(self.unknown_set)} "
+                f"f:{format_atom_set(self.false_set)}")
 
 
 def kleene_eval(phi: Formula, nu: ThreeValuedInterp, X: frozenset,

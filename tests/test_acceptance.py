@@ -184,7 +184,7 @@ def test_criterion_08_well_founded_embedding():
 def test_criterion_09_unsoundness_exit_code(tmp_path, capsys):
     with Criterion(9, "loop over negation exits 2 and names the node", 1.0):
         path = tmp_path / "loop.cpl"
-        path.write_text(theories.NEGATION_LOOP)
+        path.write_text(theories.BUNDLED["negation_loop"].source)
         code = main(["check", str(path)])
         captured = capsys.readouterr()
         assert code == 2
@@ -198,7 +198,7 @@ def test_criterion_10_round_trip_and_determinism(tmp_path, capsys):
             t = bundle.theory()
             assert parse_theory(print_theory(t)) == t, name
         path = tmp_path / "suzy.cpl"
-        path.write_text(theories.SUZY_BILLY)
+        path.write_text(theories.BUNDLED["suzy_billy"].source)
         outputs = []
         for _ in range(2):
             assert main(["dist", str(path), "--json"]) == 0

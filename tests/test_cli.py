@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cplogic
 from cplogic import theories
 from cplogic.cli import main
 
@@ -10,7 +15,7 @@ from cplogic.cli import main
 @pytest.fixture
 def suzy(tmp_path):
     path = tmp_path / "suzy.cpl"
-    path.write_text(theories.SUZY_BILLY)
+    path.write_text(theories.BUNDLED["suzy_billy"].source)
     return str(path)
 
 
@@ -68,7 +73,7 @@ def test_repeated_runs_byte_identical(run, suzy):
 
 def test_exogenous_assignment_flag(run, tmp_path):
     path = tmp_path / "gears.cpl"
-    path.write_text(theories.GEARS)
+    path.write_text(theories.BUNDLED["gears"].source)
     code, out, _ = run(["query", str(path), "-q", "Turns(gear3)",
                         "--exo", "Crank1=true"])
     assert code == 0
@@ -77,7 +82,7 @@ def test_exogenous_assignment_flag(run, tmp_path):
 
 def test_do_pipes_into_query(run, tmp_path):
     path = tmp_path / "bp.cpl"
-    path.write_text(theories.BLOOD_PRESSURE)
+    path.write_text(theories.BUNDLED["blood_pressure"].source)
     code, transformed, _ = run(["do", str(path), "--lit", "~HighBloodPressure"])
     assert code == 0
     code, out, _ = run(["query", "-", "-q", "Fatigue"], stdin=transformed)
@@ -87,7 +92,7 @@ def test_do_pipes_into_query(run, tmp_path):
 
 def test_compile_eliminates_negative_heads(run, tmp_path):
     path = tmp_path / "sup.cpl"
-    path.write_text(theories.SUPERHERO)
+    path.write_text(theories.BUNDLED["superhero"].source)
     code, out, _ = run(["compile", str(path), "--eliminate-neg-heads"])
     assert code == 0
     assert "~" not in out.split("<-")[0]  # no negative head in the first law
@@ -108,7 +113,7 @@ def test_check_reports_and_exits_zero(run, suzy):
 
 def test_check_unsound_exits_two_and_names_node(run, tmp_path):
     path = tmp_path / "loop.cpl"
-    path.write_text(theories.NEGATION_LOOP)
+    path.write_text(theories.BUNDLED["negation_loop"].source)
     code, out, err = run(["check", str(path)])
     assert code == 2
     assert "stuck at node" in err
@@ -123,7 +128,7 @@ def test_sweep_human_output(run, suzy):
 
 def test_sweep_json_includes_witness_on_divergence(run, tmp_path):
     path = tmp_path / "lock.cpl"
-    path.write_text(theories.LOCKED_GEARS)
+    path.write_text(theories.BUNDLED["locked_gears"].source)
     code, out, _ = run(["sweep", str(path), "--mode", "literal",
                         "--exo", "Crank1=true,Locked(g1)=true", "--json"])
     assert code == 0
@@ -134,7 +139,7 @@ def test_sweep_json_includes_witness_on_divergence(run, tmp_path):
 
 def test_budget_exceeded_exits_three(run, tmp_path):
     path = tmp_path / "gears.cpl"
-    path.write_text(theories.GEARS)
+    path.write_text(theories.BUNDLED["gears"].source)
     code, _, err = run(["sweep", str(path), "--budget", "5",
                         "--exo", "Crank1=true,Crank2=true,Crank3=true"])
     assert code == 3
@@ -147,9 +152,44 @@ def test_usage_errors_exit_one(run, suzy, tmp_path):
     assert run(["query", suzy, "-q", "Broken", "--exo", "nonsense"])[0] == 1
     assert run(["query", "/no/such/file.cpl", "-q", "A"])[0] == 1
     gears = tmp_path / "gears.cpl"
-    gears.write_text(theories.GEARS)
+    gears.write_text(theories.BUNDLED["gears"].source)
     code, _, err = run(["dist", str(gears), "--exo", "Crank1=true,Crank1=false"])
     assert code == 1 and "assigned twice" in err
+
+
+def test_non_utf8_file_is_an_input_error(run, tmp_path):
+    path = tmp_path / "bad.cpl"
+    path.write_bytes(b"A <- \xff.\n")
+    code, out, err = run(["dist", str(path)])
+    assert (code, out) == (1, "")
+    assert err == (f"usage error: cannot read {path}: 'utf-8' codec can't "
+                   "decode byte 0xff in position 5: invalid start byte\n")
+
+
+def test_non_utf8_stdin_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(b"A <- \xff.\n"), encoding="utf-8", errors="strict"))
+    assert main(["dist", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: cannot read standard input: 'utf-8' "
+                            "codec can't decode byte 0xff in position 5: "
+                            "invalid start byte\n")
+
+
+def test_closed_stdout_exits_quietly():
+    """The reader of a pipe goes away before any output is written."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cplogic.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cplogic.cli", "dist", "-", "--json"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    proc.stdout.close()  # before the theory arrives, so before any output
+    proc.stdin.write(theories.BUNDLED["gears"].source.encode())
+    proc.stdin.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_parse_errors_exit_one(run, tmp_path):

@@ -1,0 +1,20 @@
+"""Every demo script runs to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cplogic
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(Path(cplogic.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(DEMOS / script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -84,7 +84,8 @@ def test_vacuous_laws_applicable_at_root():
 
 def test_body_negation_waits_for_certainty():
     # extra readers of ~Broken and ~Throws(suzy) added to the bottle story
-    t = parse_theory(theories.SUZY_BILLY + "C <- ~Broken.\nD <- ~Throws(suzy).\n")
+    t = parse_theory(theories.BUNDLED["suzy_billy"].source
+                     + "C <- ~Broken.\nD <- ~Throws(suzy).\n")
     g = ground(t)
     st = state(fired=[0])  # Suzy's event happened without a throw
     u = compute_U(g, NOTHING, st)
@@ -327,7 +328,7 @@ def test_deterministic_with_negation_matches_wfm():
         "A <- ~B. B <- C.",
         "A <- ~B. C <- A.",
         "A. B <- ~A. C <- ~B.",
-        theories.REPEAT_CLASS,
+        theories.BUNDLED["repeat_class"].source,
     ]
     for src in sources:
         t = parse_theory(src)

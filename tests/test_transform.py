@@ -162,17 +162,26 @@ def test_tau_not_equivalence_on_random_theories(seed):
     assert distribution(ground(compiled), frozenset()).project(vocab) == d
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_internalize_equivalence_on_random_theories(seed):
+def _theory_with_intervenable_atom(seed):
+    """A random theory and an atom that some law causes and that no
+    multi-outcome head mentions, so `intervene` can remove it.  Seeds
+    ``seed``, ``seed + 1000``, ... are tried until a theory has one."""
     import random as _random
     from cplogic.oracle import random_stratified_theory
-    t = random_stratified_theory(seed, atoms=5, laws=5)
-    sig = endogenous_signature(t)
-    target = Atom(_random.Random(seed).choice(sorted(sig)))
-    try:
-        removed = intervene(t, EffectLiteral(True, target))
-    except SharedHeadError:
-        pytest.skip("target shares a multi-outcome head")
+    for derived in range(seed, seed + 100_000, 1000):
+        t = random_stratified_theory(derived, atoms=5, laws=5)
+        caused = {d.literal.atom for law in t.laws for d in law.head}
+        shared = {d.literal.atom for law in t.laws if len(law.head) > 1
+                  for d in law.head}
+        if caused - shared:
+            return t, _random.Random(seed).choice(sorted(caused - shared, key=str))
+    raise AssertionError(f"no intervenable atom from seed {seed}")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_internalize_equivalence_on_random_theories(seed):
+    t, target = _theory_with_intervenable_atom(seed)
+    removed = intervene(t, EffectLiteral(True, target))
     guarded = internalize(t, target, "Zz_trigger")
     on = frozenset({Atom("Zz_trigger")})
     assert distribution(ground(guarded), on) == distribution(ground(removed), frozenset())
