@@ -60,7 +60,11 @@ def _world_list(world):
 def _read_theory(path: str) -> Theory:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # Decode the bytes strictly, as a file is; a stand-in stdin such
+            # as io.StringIO has no bytes underneath and is read as text.
+            buffer = getattr(sys.stdin, "buffer", None)
+            text = (sys.stdin.read() if buffer is None
+                    else buffer.read().decode("utf-8"))
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -68,6 +72,16 @@ def _read_theory(path: str) -> Theory:
         source = "standard input" if path == "-" else path
         raise UsageError(f"cannot read {source}: {exc}") from exc
     return parse_theory(text)
+
+
+def _budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {budget}")
+    return budget
 
 
 def _split_top_level(s: str) -> list[str]:
@@ -274,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="exhaustive firing-order sweep")
     common(p)
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--budget", type=_budget, default=1_000_000,
                    help="node budget for the sweep (default 1000000)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)

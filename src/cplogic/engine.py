@@ -21,7 +21,13 @@ head atom carries the laws whose bodies read it.  `compute_U` is a
 worklist fixpoint over that index; the two-valued body test and the U gate
 run the same compiled bodies.
 
-All probabilities are exact rationals; distributions sum to exactly 1.
+All probabilities are exact.  While the fold runs, a state's
+sub-distribution is one integer denominator ``D`` and an integer numerator
+per world, the numerators summing to ``D``; each law's outcome
+probabilities enter as integer ``(num, den)`` pairs.  Mixing children puts
+them over the ``lcm`` of their denominators, so no ``Fraction`` is built or
+normalized per edge.  `distribution` converts each world to a `Fraction`
+once, at the root, and checks that the distribution sums to exactly 1.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .ground import GroundTheory, NormalizedLaw, expand_formula, normalize
 from .syntax import (And, Atom, EffectLiteral, Formula, Not, Or,
@@ -413,8 +420,9 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     state where some body holds but no law is applicable raises
     `SoundnessError`.  Once its children are done, ``combine(state, u,
     branches, path)`` gives the state's value: ``branches`` holds one
-    ``(law index, [(outcome, prob, child value), ...])`` per expanded law,
-    and ``path`` the ``(law index, outcome)`` steps from the root.  Identical
+    ``(law index, [(outcome, num, den, child value), ...])`` per expanded
+    law, the outcome's probability being ``num / den`` in lowest terms, and
+    ``path`` the ``(law index, outcome)`` steps from the root.  Identical
     states are folded once and share their value.  The current path lives
     on an explicit stack, so its length is not bounded by the recursion
     limit.
@@ -424,8 +432,10 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
         names = ", ".join(sorted(str(a) for a in extra))
         raise ExogenousError(f"not in the exogenous universe: {names}")
     norm = [normalize(law, i) for i, law in enumerate(g.laws)]
+    weights = [tuple((outcome, p.numerator, p.denominator)
+                     for outcome, p in law.outcomes) for law in norm]
     memo: dict = {}  # finished state -> value
-    # The current path: per state, its U, the (law, outcome, prob) edges to
+    # The current path: per state, its U, the (law, outcome, num, den) edges to
     # follow, an iterator over those not yet visited, and the children so far.
     frames: list = []
     path: list = []  # (law index, outcome) steps into frames[1:]
@@ -439,11 +449,11 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
             chosen = expand(state, app)
             if sat and not app:
                 raise SoundnessError(state, sat)
-            edges = [(i, outcome, prob)
-                     for i in chosen for outcome, prob in norm[i].outcomes]
+            edges = [(i, outcome, num, den)
+                     for i in chosen for outcome, num, den in weights[i]]
             frames.append((state, u, edges, iter(edges), []))
         top, u, edges, todo, children = frames[-1]
-        for i, outcome, _ in todo:
+        for i, outcome, _, _ in todo:
             state = apply_disjunct(top, norm[i], outcome)
             children.append(state)
             if state not in memo:
@@ -452,8 +462,9 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
         else:
             frames.pop()
             branches: dict = {}
-            for (i, outcome, prob), child in zip(edges, children):
-                branches.setdefault(i, []).append((outcome, prob, memo[child]))
+            for (i, outcome, num, den), child in zip(edges, children):
+                branches.setdefault(i, []).append(
+                    (outcome, num, den, memo[child]))
             value = combine(top, u, branches.items(), path)
             if not frames:
                 return value
@@ -481,8 +492,8 @@ def build_execution_model(g: GroundTheory, X: frozenset,
     """
     def node(state, u, branches, _path):
         return ExecNode(state, u, tuple(
-            ExecEdge(prob, outcome, i, child)
-            for i, kids in branches for outcome, prob, child in kids))
+            ExecEdge(Fraction(num, den), outcome, i, child)
+            for i, kids in branches for outcome, num, den, child in kids))
 
     return _fold(g, X, mode, _follow(policy), node)
 
@@ -510,13 +521,24 @@ class Distribution(dict):
                    Fraction(0))
 
 
-def _mix(weighted) -> dict:
-    """Sum of ``prob * p`` per world over ``(prob, (world, p) pairs)`` items."""
+def _mix(weighted) -> tuple[int, dict]:
+    """Weighted sum of integer sub-distributions.
+
+    Each ``(num, den, D, pairs)`` item is the sub-distribution that gives
+    each ``(world, n)`` of ``pairs`` the probability ``n / D``, at weight
+    ``num / den``.  The result is ``(L, {world: numerator})`` over the
+    common denominator ``L``, the ``lcm`` of every ``den * D``; it is not
+    reduced.
+    """
+    weighted = [(num, den * D, pairs) for num, den, D, pairs in weighted]
+    L = lcm(*(d for _, d, _ in weighted))
     acc: dict = {}
-    for prob, pairs in weighted:
-        for world, p in pairs:
-            acc[world] = acc.get(world, Fraction(0)) + prob * p
-    return acc
+    get = acc.get
+    for num, d, pairs in weighted:
+        scale = L // d * num
+        for world, n in pairs:
+            acc[world] = get(world, 0) + scale * n
+    return L, acc
 
 
 def distribution(g: GroundTheory, X: frozenset,
@@ -526,19 +548,22 @@ def distribution(g: GroundTheory, X: frozenset,
 
     A sub-distribution depends only on its state (I, N, fired), so sharing
     identical states keeps the walk polynomial for the common
-    diamond-shaped state spaces.
+    diamond-shaped state spaces.  A state's value is ``(D, {world:
+    numerator})``; only the root's is turned into `Fraction`s.
     """
     def mix(state, _u, branches, _path):
         if not branches:
-            return {state.true_atoms: Fraction(1)}
+            return 1, {state.true_atoms: 1}
         ((_, kids),) = branches
-        return _mix((prob, sub.items()) for _, prob, sub in kids)
+        return _mix((num, den, D, nums.items())
+                    for _, num, den, (D, nums) in kids)
 
-    dist = Distribution(_fold(g, X, mode, _follow(policy), mix))
-    total = dist.total()
-    if total != 1:
-        raise ArithmeticError(f"leaf probabilities sum to {total}, not 1")
-    return dist
+    D, nums = _fold(g, X, mode, _follow(policy), mix)
+    total = sum(nums.values())
+    if total != D:
+        raise ArithmeticError(
+            f"leaf probabilities sum to {Fraction(total, D)}, not 1")
+    return Distribution({world: Fraction(n, D) for world, n in nums.items()})
 
 
 def query(g: GroundTheory, X: frozenset, phi: Formula,

@@ -7,7 +7,9 @@ engine's iterative state walk: it shares the engine's state classification,
 soundness check and mixing loop, but not its firing policy.
 ``reference_U`` computes the overestimate U by its definition, rescanning
 every unfired law until nothing changes, for the compiled worklist
-`engine.compute_U` to agree with.  ``well_founded_model`` and
+`engine.compute_U` to agree with; ``reference_distribution`` mixes with
+`Fraction` arithmetic throughout, for the integer mixing of
+`engine.distribution` to agree with.  ``well_founded_model`` and
 ``least_model`` are classical fixpoint constructions for the deterministic
 fragments, giving the engine something external to agree with.
 """
@@ -18,9 +20,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
-from .engine import Distribution, ExecState, UMode, _fold, _mix
+from .engine import (Distribution, ExecState, UMode, _fold, _follow, _mix,
+                     lowest_index_policy)
 # Bound here only so that bench/tracing.py can patch them at this import site.
 from .engine import (applicable, apply_disjunct, compute_U,  # noqa: F401
                      satisfied_unfired)
@@ -44,15 +47,29 @@ class OracleError(Exception):
 # Exhaustive firing-order sweep
 # ---------------------------------------------------------------------------
 
-FrozenDist = frozenset  # of (frozenset[Atom], Fraction) pairs
+# (D, frozenset of (frozenset[Atom], numerator) pairs), in lowest terms.
+FrozenDist = tuple
 
 
-def _freeze(d: dict) -> FrozenDist:
-    return frozenset(d.items())
+def _freeze(D: int, nums: dict) -> FrozenDist:
+    """``nums / D`` reduced by the gcd of ``D`` and every numerator, so that
+    equal distributions freeze equal."""
+    k = gcd(D, *nums.values())
+    if k > 1:
+        D //= k
+        nums = {world: n // k for world, n in nums.items()}
+    return D, frozenset(nums.items())
+
+
+def _thaw(fd: FrozenDist) -> Distribution:
+    D, pairs = fd
+    return Distribution({world: Fraction(n, D) for world, n in pairs})
 
 
 def _dist_key(fd: FrozenDist):
-    return sorted((tuple(sorted(str(a) for a in world)), str(p)) for world, p in fd)
+    D, pairs = fd
+    return sorted((tuple(sorted(str(a) for a in world)), str(Fraction(n, D)))
+                  for world, n in pairs)
 
 
 @dataclass(frozen=True)
@@ -117,24 +134,25 @@ def sweep_orders(g: GroundTheory, X: frozenset,
     def combine(state, _u, branches, path):
         nonlocal witness
         if not branches:
-            return 1, frozenset({_freeze({state.true_atoms: Fraction(1)})})
+            return 1, frozenset({(1, frozenset({(state.true_atoms, 1)}))})
         per_rule: dict = {}
         models = 0
         for i, kids in branches:
-            probs = [prob for _, prob, _ in kids]
+            weights = [(num, den) for _, num, den, _ in kids]
             combos = set()
-            for combo in itertools.product(*(dists for _, _, (_, dists) in kids)):
+            for combo in itertools.product(*(dists for *_, (_, dists) in kids)):
                 bump()
-                combos.add(_freeze(_mix(zip(probs, combo))))
+                combos.add(_freeze(*_mix(
+                    (num, den, D, pairs)
+                    for (num, den), (D, pairs) in zip(weights, combo))))
             per_rule[i] = frozenset(combos)
-            models += prod(count for _, _, (count, _) in kids)
+            models += prod(count for *_, (count, _) in kids)
         if witness is None and len(set(per_rule.values())) > 1:
             witness = _build_witness(tuple(path), state, per_rule)
         return models, frozenset().union(*per_rule.values())
 
     models, dists = _fold(g, X, mode, expand, combine)
-    distributions = tuple(Distribution(dict(fd))
-                          for fd in sorted(dists, key=_dist_key))
+    distributions = tuple(map(_thaw, sorted(dists, key=_dist_key)))
     return OrderSweepReport(models, distributions, witness, states, max_nodes)
 
 
@@ -148,12 +166,11 @@ def _build_witness(path, state, per_rule) -> DivergenceWitness:
     only_b = set_b - set_a
     fd_a = min(only_a or set_a, key=_dist_key)
     fd_b = min(only_b or set_b, key=_dist_key)
-    return DivergenceWitness(path, state, a, b,
-                             Distribution(dict(fd_a)), Distribution(dict(fd_b)))
+    return DivergenceWitness(path, state, a, b, _thaw(fd_a), _thaw(fd_b))
 
 
 # ---------------------------------------------------------------------------
-# Reference overestimate
+# Reference overestimate and reference mixing
 # ---------------------------------------------------------------------------
 
 def reference_U(g: GroundTheory, X: frozenset, state: ExecState,
@@ -197,6 +214,29 @@ def reference_U(g: GroundTheory, X: frozenset, state: ExecState,
                         value[a] = U
                         changed = True
     return snapshot()
+
+
+def reference_distribution(g: GroundTheory, X: frozenset,
+                           mode: UMode = UMode.EXTENDED,
+                           policy=lowest_index_policy) -> Distribution:
+    """`engine.distribution` with `Fraction` arithmetic at every edge.
+
+    The same fold, following the same law per state, but each state's
+    sub-distribution is a dict of `Fraction`s mixed by ``+`` and ``*``: the
+    plain rational arithmetic that the engine's integer mixing must match.
+    """
+    def mix(state, _u, branches, _path):
+        if not branches:
+            return {state.true_atoms: Fraction(1)}
+        ((_, kids),) = branches
+        acc: dict = {}
+        for _, num, den, sub in kids:
+            prob = Fraction(num, den)
+            for world, p in sub.items():
+                acc[world] = acc.get(world, Fraction(0)) + prob * p
+        return acc
+
+    return Distribution(_fold(g, X, mode, _follow(policy), mix))
 
 
 # ---------------------------------------------------------------------------

@@ -219,3 +219,26 @@ def test_last_resort_error_exits_one(run, suzy, monkeypatch, exc):
     assert (code, out) == (1, "")
     assert err == ("error: input too large or too deeply nested "
                    f"({exc.__name__})\n")
+
+
+def test_non_utf8_stdin_subprocess_is_an_input_error():
+    """The real standard input is decoded strictly, as a file is."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cplogic.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cplogic.cli", "dist", "-"],
+        input=b"A <- \xff.\n", capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == (b"usage error: cannot read standard input: 'utf-8' "
+                           b"codec can't decode byte 0xff in position 5: "
+                           b"invalid start byte\n")
+
+
+@pytest.mark.parametrize("budget", ["-3", "0"])
+def test_budget_below_one_is_a_usage_error(run, suzy, budget):
+    code, out, err = run(["sweep", suzy, "--budget", budget])
+    assert (code, out) == (1, "")
+    assert err == ("usage error: argument --budget: must be at least 1, "
+                   f"got {budget}\n")
+    code, _, err = run(["sweep", suzy, "--budget", "many"])
+    assert (code, err) == (1, "usage error: argument --budget: invalid int "
+                              "value: 'many'\n")
