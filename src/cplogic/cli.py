@@ -1,7 +1,8 @@
 """Command-line front end.
 
     cpl check THEORY [--exo ...]          parse, ground, stratify, probe soundness
-    cpl dist THEORY [--exo ...]           full endogenous world distribution
+    cpl dist THEORY [--exo ...] [--json|--tsv]
+                                          full endogenous world distribution
     cpl query THEORY -q FORMULA           probability of a formula
     cpl do THEORY --lit ~A|A              print the intervened theory
     cpl compile THEORY --eliminate-neg-heads
@@ -11,6 +12,11 @@
 THEORY is a path or ``-`` for standard input, so transforms compose:
 
     cpl do bp.cpl --lit "~HighBloodPressure" | cpl query - -q "Fatigue"
+
+The four commands that run inference take ``--mode`` and ``--exo
+"A=true,P(c)=false"`` (a trailing comma is allowed); ``do`` and ``compile``
+take neither.  The assignment and the query are read by the theory parser
+against the theory's vocabulary, so their errors carry a column.
 
 Exit codes: 0 success, 1 usage or input error, 2 unsound theory,
 3 node budget exceeded, 141 standard output closed before all output was
@@ -33,7 +39,8 @@ from fractions import Fraction
 from . import engine, oracle, transform
 from .ground import ground, stratification_report
 from .syntax import (ParseError, Theory, TheoryError, format_atom_set,
-                     parse_formula, parse_literal, parse_theory, print_theory)
+                     parse_assignment, parse_formula, parse_literal,
+                     parse_theory, print_theory)
 from .threeval import UnboundAtomError
 
 
@@ -84,54 +91,18 @@ def _budget(text: str) -> int:
     return budget
 
 
-def _split_top_level(s: str) -> list[str]:
-    parts, depth, current = [], 0, []
-    for c in s:
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        if c == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(c)
-    if current:
-        parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
-
-
-def parse_exogenous_assignment(spec: str | None, theory: Theory) -> frozenset:
+def parse_exogenous_assignment(spec: str, theory: Theory) -> frozenset:
     """Parse ``--exo "A=true,P(c)=false"``; unlisted exogenous atoms are false."""
-    if not spec:
-        return frozenset()
-    X = set()
-    seen = set()
-    for item in _split_top_level(spec):
-        if "=" not in item:
-            raise UsageError(f"bad exogenous assignment {item!r}, expected atom=true|false")
-        lhs, rhs = item.rsplit("=", 1)
-        rhs = rhs.strip()
-        if rhs not in ("true", "false"):
-            raise UsageError(f"bad truth value {rhs!r} in exogenous assignment")
-        lit = parse_literal(lhs.strip(), theory)
-        if lit.negated:
-            raise UsageError(f"use {lit.atom}=false rather than a negated atom")
-        if lit.atom.predicate not in theory.exogenous:
-            raise UsageError(f"{lit.atom} is not exogenous")
-        if not lit.atom.is_ground():
-            raise UsageError(f"exogenous assignment atom {lit.atom} is not ground")
-        if lit.atom in seen:
-            raise UsageError(f"{lit.atom} assigned twice")
-        seen.add(lit.atom)
-        if rhs == "true":
-            X.add(lit.atom)
-    return frozenset(X)
+    values = parse_assignment(spec, theory)
+    for atom in values:
+        if atom.predicate not in theory.exogenous:
+            raise UsageError(f"{atom} is not exogenous")
+    return frozenset(atom for atom, value in values.items() if value)
 
 
 def _config(args) -> tuple[Theory, RunConfig]:
     theory = _read_theory(args.path)
-    exo = parse_exogenous_assignment(getattr(args, "exo", None), theory)
+    exo = parse_exogenous_assignment(args.exo, theory)
     fmt = "json" if getattr(args, "json", False) else (
         "tsv" if getattr(args, "tsv", False) else "human")
     cfg = RunConfig(exo, engine.UMode(args.mode), fmt,
@@ -193,14 +164,14 @@ def cmd_query(args) -> int:
 
 
 def cmd_do(args) -> int:
-    theory, _cfg = _config(args)
+    theory = _read_theory(args.path)
     lit = parse_literal(args.lit, theory)
     print(print_theory(transform.intervene(theory, lit)), end="")
     return 0
 
 
 def cmd_compile(args) -> int:
-    theory, _cfg = _config(args)
+    theory = _read_theory(args.path)
     if not args.eliminate_neg_heads:
         raise UsageError("compile currently only supports --eliminate-neg-heads")
     out, _taumap = transform.tau_not(theory)
@@ -250,12 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
                              formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, exo=True):
+    def common(p, infer=True):
         p.add_argument("path", help="theory file, or - for stdin")
-        p.add_argument("--mode", choices=[m.value for m in engine.UMode],
-                       default=engine.UMode.EXTENDED.value,
-                       help="overestimate mode (default: extended)")
-        if exo:
+        if infer:
+            p.add_argument("--mode", choices=[m.value for m in engine.UMode],
+                           default=engine.UMode.EXTENDED.value,
+                           help="overestimate mode (default: extended)")
             p.add_argument("--exo", default="",
                            help='exogenous assignment, e.g. "Crank1=true,Locked(g1)=true"')
 
@@ -265,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="print the full distribution")
     common(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--tsv", action="store_true")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--tsv", action="store_true")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("query", help="probability of a formula")
@@ -276,12 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("do", help="apply an intervention and print the theory")
-    common(p, exo=False)
+    common(p, infer=False)
     p.add_argument("--lit", required=True, help="intervention literal, ~A or A")
     p.set_defaults(func=cmd_do)
 
     p = sub.add_parser("compile", help="source-to-source compilation")
-    common(p, exo=False)
+    common(p, infer=False)
     p.add_argument("--eliminate-neg-heads", action="store_true",
                    help="replace negative head literals by cause/block predicates")
     p.set_defaults(func=cmd_compile)

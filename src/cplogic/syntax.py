@@ -21,10 +21,12 @@ float ever enters the pipeline.
 
 The printer is the parser's inverse up to formatting: for any theory value
 ``t`` produced by `parse_theory`, ``parse_theory(print_theory(t)) == t``.
+`check_theory` accepts a value built in code exactly when that holds for it.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -258,8 +260,10 @@ def endogenous_signature(t: Theory) -> dict:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT2 = ("<-",)
 _PUNCT1 = "(){}:;,.~!?=/"
+_DIGITS = frozenset(string.digits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
 
 
 @dataclass(frozen=True)
@@ -304,21 +308,21 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if c.isalpha() or c == "_":
+        if c in _IDENT_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             toks.append(_Token("ident", text[i:j], start_line, start_col))
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             toks.append(_Token("number", text[i:j], start_line, start_col))
             col += j - i
@@ -344,6 +348,7 @@ class _Parser:
         self.laws: list[CPLaw] = []
         self.laws_started = False
         self.depth = 0  # negations, quantifiers and parentheses now open
+        self.closed = False  # True: every predicate must already be known
 
     # -- token plumbing ------------------------------------------------
 
@@ -446,6 +451,8 @@ class _Parser:
     def register_predicate(self, name: str, arity: int, tok: _Token):
         seen = self.arity.get(name)
         if seen is None:
+            if self.closed:
+                self.fail(f"unknown predicate {name!r}", tok)
             self.arity[name] = arity
         elif seen != arity:
             self.fail(f"predicate {name!r} used with arity {arity}, previously {seen}", tok)
@@ -646,14 +653,10 @@ def parse_formula(text: str, theory: Theory | None = None) -> Formula:
     drawn from its domains.
     """
     p = _seeded_parser(text, theory)
-    known = dict(p.arity)
+    p.closed = theory is not None
     phi = p.parse_or(set())
     if p.peek().kind != "eof":
         p.fail("trailing input after formula")
-    if theory is not None:
-        for atom in formula_atoms(phi):
-            if atom.predicate not in known:
-                raise ParseError(f"unknown predicate {atom.predicate!r}", 1, 1)
     return phi
 
 
@@ -668,6 +671,36 @@ def parse_literal(text: str, theory: Theory | None = None) -> EffectLiteral:
     if p.peek().kind != "eof":
         p.fail("trailing input after literal")
     return EffectLiteral(negated, atom)
+
+
+def parse_assignment(text: str, theory: Theory) -> dict:
+    """Parse ``A=true,P(c)=false`` into ``{atom: bool}``, in the order given.
+
+    Every atom must be ground and its predicate occur in the theory; a
+    trailing comma is allowed and the empty text is the empty assignment.
+    """
+    p = _seeded_parser(text, theory)
+    p.closed = True
+    values: dict = {}
+    while p.peek().kind != "eof":
+        tok = p.peek()
+        if p.at_punct("~"):
+            p.advance()
+            atom = p.parse_atom(set())
+            p.fail(f"write {atom}=true or {atom}=false, not ~{atom}", tok)
+        atom = p.parse_atom(set())
+        if atom in values:
+            p.fail(f"{atom} assigned twice", tok)
+        p.expect_punct("=")
+        value = p.peek()
+        if value.kind != "ident" or value.text not in ("true", "false"):
+            got = repr(value.text) if value.text else "end of input"
+            p.fail(f"expected true or false, got {got}")
+        p.advance()
+        values[atom] = value.text == "true"
+        if p.peek().kind != "eof":
+            p.expect_punct(",")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -738,73 +771,43 @@ def print_theory(t: Theory) -> str:
 # ---------------------------------------------------------------------------
 
 def check_theory(t: Theory) -> None:
-    """Raise `TheoryError` unless ``t`` satisfies all well-formedness rules.
+    """Raise `TheoryError` unless ``t`` is well formed.
 
-    `parse_theory` enforces the same rules with source positions; this is the
-    re-check used after programmatic construction (e.g. by transforms).
+    A theory value is well formed exactly when its printed text parses back
+    to it, so the parser's rules are the only ones.  A short walk first
+    catches what printing hides: unbound variables, which print like
+    constants, one-part connectives, which print like their part, and
+    values that are not formulas at all.
     """
-    constants = set()
-    for name, consts in t.domains.items():
-        if name in KEYWORDS:
-            raise TheoryError(f"domain name {name!r} is reserved")
-        if len(set(consts)) != len(consts):
-            raise TheoryError(f"domain {name!r} lists a constant twice")
-        constants.update(consts)
-    arity: dict = dict(t.exogenous)
-
-    def check_atom(atom: Atom, bound: set, where: str):
-        seen = arity.setdefault(atom.predicate, len(atom.args))
-        if seen != len(atom.args):
-            raise TheoryError(
-                f"predicate {atom.predicate!r} used with arity {len(atom.args)}, previously {seen}")
-        for a in atom.args:
-            if isinstance(a, Var):
-                if a.name not in bound:
-                    raise TheoryError(f"unbound variable {a.name!r} in {where}")
-            elif a not in constants:
-                raise TheoryError(f"undeclared constant {a!r} in {where}")
-
-    def check_formula(phi: Formula, bound: set):
-        match phi:
-            case Atom():
-                check_atom(phi, bound, "body")
-            case Truth():
-                pass
-            case Not(sub):
-                check_formula(sub, bound)
-            case And(parts) | Or(parts):
-                if len(parts) < 2:
-                    raise TheoryError("conjunction/disjunction needs at least two parts")
-                for p in parts:
-                    check_formula(p, bound)
-            case ForAll(var, dom, sub) | Exists(var, dom, sub):
-                if dom not in t.domains:
-                    raise TheoryError(f"undeclared domain {dom!r} in quantifier")
-                check_formula(sub, bound | {var})
-            case _:
-                raise TheoryError(f"not a formula: {phi!r}")
-
     for law in t.laws:
-        bound = set()
-        for v, d in law.vars:
-            if v in bound:
-                raise TheoryError(f"law variable {v!r} bound twice")
-            if d not in t.domains:
-                raise TheoryError(f"undeclared domain {d!r} in law binder")
-            bound.add(v)
-        if not law.head:
-            raise TheoryError("law has an empty head")
-        seen_atoms = set()
+        bound = {v for v, _ in law.vars}
         for d in law.head:
-            if d.prob <= 0 or d.prob > 1:
-                raise TheoryError(f"probability {d.prob} outside (0, 1]")
-            if d.literal.atom in seen_atoms:
-                raise TheoryError(
-                    f"atom {d.literal.atom} appears in two disjuncts of the same head")
-            seen_atoms.add(d.literal.atom)
-            if d.literal.atom.predicate in t.exogenous:
-                raise TheoryError(f"exogenous atom {d.literal.atom} in a head")
-            check_atom(d.literal.atom, bound, "head")
-        if law.head_sum() > 1:
-            raise TheoryError(f"head probabilities sum to {law.head_sum()} > 1")
-        check_formula(law.body, bound)
+            _check_formula(d.literal.atom, bound)
+        _check_formula(law.body, bound)
+    try:
+        parsed = parse_theory(print_theory(t))
+    except ParseError as exc:
+        raise TheoryError(exc.message) from None
+    if parsed != t:
+        raise TheoryError("theory does not print as itself")
+
+
+def _check_formula(phi: Formula, bound: set) -> None:
+    match phi:
+        case Atom(_, args):
+            for a in args:
+                if isinstance(a, Var) and a.name not in bound:
+                    raise TheoryError(f"unbound variable {a.name!r}")
+        case Truth():
+            pass
+        case Not(sub):
+            _check_formula(sub, bound)
+        case And(parts) | Or(parts):
+            if len(parts) < 2:
+                raise TheoryError("conjunction/disjunction needs at least two parts")
+            for p in parts:
+                _check_formula(p, bound)
+        case ForAll(var, _, sub) | Exists(var, _, sub):
+            _check_formula(sub, bound | {var})
+        case _:
+            raise TheoryError(f"not a formula: {phi!r}")

@@ -148,13 +148,48 @@ def test_budget_exceeded_exits_three(run, tmp_path):
 
 def test_usage_errors_exit_one(run, suzy, tmp_path):
     assert run(["frobnicate", suzy])[0] == 1
-    assert run(["query", suzy, "-q", "Broken", "--exo", "Broken=true"])[0] == 1
+    code, _, err = run(["query", suzy, "-q", "Broken", "--exo", "Broken=true"])
+    assert (code, err) == (1, "usage error: Broken is not exogenous\n")
     assert run(["query", suzy, "-q", "Broken", "--exo", "nonsense"])[0] == 1
     assert run(["query", "/no/such/file.cpl", "-q", "A"])[0] == 1
     gears = tmp_path / "gears.cpl"
     gears.write_text(theories.BUNDLED["gears"].source)
     code, _, err = run(["dist", str(gears), "--exo", "Crank1=true,Crank1=false"])
     assert code == 1 and "assigned twice" in err
+
+
+def test_exogenous_assignment_errors_carry_a_column(run, tmp_path):
+    gears = tmp_path / "gears.cpl"
+    gears.write_text(theories.BUNDLED["gears"].source)
+    code, out, err = run(["dist", str(gears), "--exo", "Crank1=maybe"])
+    assert (code, out) == (1, "")
+    assert err == "error: expected true or false, got 'maybe' (line 1, column 8)\n"
+
+
+def test_exogenous_assignment_of_atoms_with_arguments(run, tmp_path):
+    path = tmp_path / "reach.cpl"
+    path.write_text("domain node = {a, b}.\nexogenous Start/1, Edge/2.\n"
+                    "!x in node: Reach(x) <- Start(x).\n"
+                    "!x in node: !y in node: (Reach(y):1/2) <- Reach(x), Edge(x, y).\n")
+    code, out, _ = run(["query", str(path), "-q", "Reach(b)",
+                        "--exo", "Start(a)=true,Edge(a, b)=true"])
+    assert (code, out) == (0, "1/2 (= 0.500000)\n")
+
+
+def test_options_that_do_nothing_are_usage_errors(run, suzy):
+    code, out, err = run(["dist", suzy, "--json", "--tsv"])
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument --tsv: not allowed with argument --json\n"
+    for argv in (["do", suzy, "--lit", "Broken"], ["compile", suzy, "--eliminate-neg-heads"]):
+        code, out, err = run(argv + ["--mode", "literal"])
+        assert (code, out) == (1, "")
+        assert err == "usage error: unrecognized arguments: --mode literal\n"
+
+
+def test_non_ascii_input_is_a_parse_error(run):
+    code, out, err = run(["dist", "-"], stdin="(A:\u00b2).")
+    assert (code, out) == (1, "")
+    assert err == "error: unexpected character '\u00b2' (line 1, column 4)\n"
 
 
 def test_non_utf8_file_is_an_input_error(run, tmp_path):

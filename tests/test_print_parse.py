@@ -1,0 +1,140 @@
+"""print∘parse on random theory values, and `check_theory` resting on it.
+
+A theory value is well formed exactly when its printed text parses back to
+it.  The strategy below builds well-formed values directly (not through the
+parser): domains, exogenous declarations, law binders, quantifiers, negative
+heads, multi-outcome heads and connectives nested up to `MAX_NESTING`.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cplogic.syntax import (KEYWORDS, MAX_NESTING, FALSE, TRUE, And, Atom,
+                            CPLaw, EffectLiteral, Exists, ForAll,
+                            HeadDisjunct, Not, Or, Theory, TheoryError, Var,
+                            check_theory, parse_theory, print_theory)
+
+# Disjoint name pools: a variable named like a constant would capture it.
+PREDICATES = ("P", "Q", "R", "Go_2", "s")
+CONSTANTS = ("a", "b", "c1", "B_")
+VARIABLES = ("x", "y", "z_")
+DOMAINS = ("d", "e", "dom2")
+SMALL_DEPTH = 3  # depth of a random formula; each of its nodes opens ≤ 1 level
+
+
+@st.composite
+def theory_values(draw):
+    domains = {"d": tuple(draw(st.lists(st.sampled_from(CONSTANTS),
+                                        min_size=1, max_size=3, unique=True)))}
+    for name in draw(st.lists(st.sampled_from(DOMAINS[1:]), unique=True)):
+        domains[name] = tuple(draw(st.lists(st.sampled_from(CONSTANTS),
+                                            max_size=3, unique=True)))
+    arity = {p: draw(st.integers(0, 2)) for p in PREDICATES}
+    exo_names = draw(st.lists(st.sampled_from(PREDICATES), max_size=2, unique=True))
+    exogenous = {p: arity[p] for p in exo_names}
+    endogenous = [p for p in PREDICATES if p not in exogenous]
+    constants = sorted({c for consts in domains.values() for c in consts})
+
+    def atom(preds, bound):
+        pred = draw(st.sampled_from(preds))
+        terms = constants + [Var(v) for v in sorted(bound)]
+        return Atom(pred, tuple(draw(st.sampled_from(terms)) for _ in range(arity[pred])))
+
+    def formula(bound, depth):
+        kind = draw(st.sampled_from(
+            ("atom", "atom", "truth") + (("not", "and", "or", "quant") if depth else ())))
+        if kind == "atom":
+            return atom(PREDICATES, bound)
+        if kind == "truth":
+            return draw(st.sampled_from((TRUE, FALSE)))
+        if kind == "not":
+            return Not(formula(bound, depth - 1))
+        if kind == "quant":
+            var = draw(st.sampled_from(VARIABLES))
+            cls = draw(st.sampled_from((ForAll, Exists)))
+            return cls(var, draw(st.sampled_from(sorted(domains))),
+                       formula(bound | {var}, depth - 1))
+        parts = tuple(formula(bound, depth - 1) for _ in range(draw(st.integers(2, 3))))
+        return And(parts) if kind == "and" else Or(parts)
+
+    def law():
+        names = draw(st.lists(st.sampled_from(VARIABLES), max_size=2, unique=True))
+        binders = tuple((v, draw(st.sampled_from(sorted(domains)))) for v in names)
+        bound = set(names)
+        head_atoms = []
+        for _ in range(draw(st.integers(1, 3))):
+            a = atom(endogenous, bound)
+            if a not in head_atoms:
+                head_atoms.append(a)
+        nums = [draw(st.integers(1, 5)) for _ in head_atoms]
+        den = max(sum(nums), draw(st.integers(1, 12)))
+        head = tuple(HeadDisjunct(EffectLiteral(draw(st.booleans()), a), Fraction(k, den))
+                     for a, k in zip(head_atoms, nums))
+        body = draw(st.sampled_from((TRUE, None)))
+        if body is None:
+            body = formula(bound, SMALL_DEPTH)
+            # Now and then a run of negations up to the nesting cap.
+            for _ in range(draw(st.sampled_from((0, 0, MAX_NESTING - SMALL_DEPTH)))):
+                body = Not(body)
+        return CPLaw(binders, head, body)
+
+    laws = tuple(law() for _ in range(draw(st.integers(0, 4))))
+    return Theory(domains, exogenous, laws)
+
+
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@_SETTINGS
+@given(theory_values())
+def test_print_parse_round_trips(t):
+    assert parse_theory(print_theory(t)) == t
+    check_theory(t)
+
+
+def _fact(pred: str, arg=None) -> CPLaw:
+    args = () if arg is None else (arg,)
+    return CPLaw((), (HeadDisjunct(EffectLiteral(False, Atom(pred, args)), Fraction(1)),),
+                 TRUE)
+
+
+def _with_bad_name(t: Theory, bad: str, where: str) -> Theory:
+    """``t`` plus one use of ``bad`` as a name of the kind ``where``."""
+    if where == "domain":
+        return replace(t, domains={**t.domains, bad: ()})
+    if where == "constant":
+        return replace(t, domains={**t.domains, "d": t.domains["d"] + (bad,)})
+    if where == "exogenous":
+        return replace(t, exogenous={**t.exogenous, bad: 0})
+    if where == "predicate":
+        return replace(t, laws=t.laws + (_fact(bad),))
+    return replace(t, laws=t.laws + (replace(_fact("Fresh", Var(bad)), vars=((bad, "d"),)),))
+
+
+def _with_bad_body(t: Theory, k: int, kind: str) -> Theory:
+    """``t`` with law ``k``'s body made a one-part `And` or given an unbound `Var`."""
+    law = t.laws[k]
+    if kind == "two parts":
+        body = And((law.body,))
+    else:
+        body = Or((law.body, Atom("Fresh", (Var("free"),))))
+    return replace(t, laws=t.laws[:k] + (replace(law, body=body),) + t.laws[k + 1:])
+
+
+@_SETTINGS
+@given(theory_values(), st.data())
+def test_mutated_values_are_rejected(t, data):
+    bad = data.draw(st.sampled_from(sorted(KEYWORDS) + ["two words"]))
+    where = data.draw(st.sampled_from(
+        ("domain", "constant", "exogenous", "predicate", "variable")))
+    with pytest.raises(TheoryError):
+        check_theory(_with_bad_name(t, bad, where))
+    if t.laws:
+        k = data.draw(st.integers(0, len(t.laws) - 1))
+        for message in ("two parts", "unbound variable"):
+            with pytest.raises(TheoryError, match=message):
+                check_theory(_with_bad_body(t, k, message))

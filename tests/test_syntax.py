@@ -6,8 +6,8 @@ import pytest
 from cplogic import theories
 from cplogic.syntax import (MAX_NESTING, And, Atom, ForAll, Not, Or, ParseError,
                             TheoryError, Theory, Truth, Var, check_theory,
-                            parse_formula, parse_literal, parse_theory,
-                            print_theory, TRUE)
+                            parse_assignment, parse_formula, parse_literal,
+                            parse_theory, print_theory, TRUE)
 
 GEAR_PREAMBLE = "domain gear = {gear1, gear2, gear3}.\n"
 
@@ -166,6 +166,44 @@ def test_parse_formula_against_theory():
     assert phi == And((Atom("Broken"), Not(Atom("Throws", ("suzy",)))))
     with pytest.raises(ParseError, match="unknown predicate"):
         parse_formula("Nonsense", t)
+    with pytest.raises(ParseError) as info:
+        parse_formula("Turns(gear1), Foo", theories.get("locked_gears"))
+    assert info.value.message == "unknown predicate 'Foo'"
+    assert (info.value.line, info.value.col) == (1, 15)
+
+
+def test_parse_assignment():
+    t = theories.get("locked_gears")
+    assert parse_assignment("Crank1=true, Locked(g1)=false,", t) == {
+        Atom("Crank1"): True, Atom("Locked", ("g1",)): False}
+    assert parse_assignment("", t) == {}
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ("Crank1=true,Crank1=false", "Crank1 assigned twice", 13),
+    ("Crank1=maybe", "expected true or false, got 'maybe'", 8),
+    ("Crank1=", "expected true or false, got end of input", 8),
+    ("Crank1=true,Foo=true", "unknown predicate 'Foo'", 13),
+    ("~Crank1=true", "write Crank1=true or Crank1=false, not ~Crank1", 1),
+    ("Crank1=true Crank2=true", "expected ','", 13),
+    (",", "expected predicate", 1),
+])
+def test_parse_assignment_errors_name_the_token(text, message, col):
+    with pytest.raises(ParseError) as info:
+        parse_assignment(text, theories.get("locked_gears"))
+    assert (info.value.message, info.value.line, info.value.col) == (message, 1, col)
+
+
+@pytest.mark.parametrize("text, col", [
+    ("(A:\u00b2).", 4),          # superscript two passes str.isdigit
+    ("A <- B\u00e9.", 7),        # e-acute passes str.isalpha
+    ("(A:0.\u0663).", 6),        # Arabic-Indic three passes str.isdigit
+])
+def test_identifiers_and_numbers_are_ascii(text, col):
+    with pytest.raises(ParseError) as info:
+        parse_theory(text)
+    assert info.value.message == f"unexpected character {text[col - 1]!r}"
+    assert (info.value.line, info.value.col) == (1, col)
 
 
 def test_parse_literal():
@@ -190,6 +228,23 @@ def test_check_theory_rejects_unbound_variable():
                 Atom("P", (Var("x"),)))
     with pytest.raises(TheoryError, match="unbound variable"):
         check_theory(Theory({}, {}, (law,)))
+
+
+@pytest.mark.parametrize("domains, message", [
+    ({"d": ("in",)}, "'in' is a reserved word"),
+    ({"exogenous": ("a",)}, "'exogenous' is a reserved word"),
+    ({"d": ("a b",)}, "expected '}'"),
+    ({"d": ("a", "a")}, "listed twice"),
+])
+def test_check_theory_is_the_grammar(domains, message):
+    with pytest.raises(TheoryError, match=message):
+        check_theory(Theory(domains, {}, ()))
+
+
+def test_check_theory_rejects_a_value_that_prints_as_another():
+    law = parse_theory("A <- B.").laws[0]
+    with pytest.raises(TheoryError, match="does not print as itself"):
+        check_theory(Theory({"d": ["a"]}, {}, (law,)))  # a list, not a tuple
 
 
 def test_fraction_probability_parses():

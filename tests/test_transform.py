@@ -3,8 +3,9 @@ import pytest
 from cplogic import theories
 from cplogic.engine import distribution
 from cplogic.ground import ground
-from cplogic.syntax import (Atom, EffectLiteral, endogenous_signature,
-                            parse_literal, parse_theory, print_theory)
+from cplogic.syntax import (Atom, EffectLiteral, TheoryError,
+                            endogenous_signature, parse_literal, parse_theory,
+                            print_theory)
 from cplogic.transform import (NameClashError, SharedHeadError, TransformError,
                                intervene, internalize, negative_head_predicates,
                                tau_not)
@@ -79,6 +80,13 @@ def test_internalize_rejects_name_clash():
         internalize(BP, atom("HighBloodPressure"), "Genetics")
     with pytest.raises(NameClashError):
         internalize(BP, atom("HighBloodPressure"), "Fatigue")
+
+
+@pytest.mark.parametrize("trigger", ["in", "Go now"])
+def test_internalize_rejects_a_trigger_the_grammar_rejects(trigger):
+    # Such a theory would print as text that does not parse.
+    with pytest.raises(TheoryError):
+        internalize(theories.get("suzy_billy"), Atom("Broken"), trigger)
 
 
 def test_internalize_off_equals_original():
