@@ -15,8 +15,8 @@ THEORY is a path or ``-`` for standard input, so transforms compose:
 
 The four commands that run inference take ``--mode`` and ``--exo
 "A=true,P(c)=false"`` (a trailing comma is allowed); ``do`` and ``compile``
-take neither.  The assignment and the query are read by the theory parser
-against the theory's vocabulary, so their errors carry a column.
+take neither.  The assignment, the query and the literal are read by the
+theory parser against the theory's vocabulary, so their errors carry a column.
 
 Exit codes: 0 success, 1 usage or input error, 2 unsound theory,
 3 node budget exceeded, 141 standard output closed before all output was

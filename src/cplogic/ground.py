@@ -13,8 +13,8 @@ from typing import Union
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
-                     FALSE, format_atom_set, formula_atom_polarities,
-                     formula_atoms, substitute_atom)
+                     FALSE, check_law, format_atom_set,
+                     formula_atom_polarities, formula_atoms, substitute_atom)
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,8 @@ def law_instances(law: CPLaw, domains: dict):
 
 def ground(t: Theory) -> GroundTheory:
     """Instantiate every law over its variables' domains, in declaration order."""
+    for law in t.laws:
+        check_law(law)
     laws = [CPLaw((), head, expand_formula(law.body, env, t.domains))
             for law in t.laws for env, head in law_instances(law, t.domains)]
 

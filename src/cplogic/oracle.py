@@ -246,7 +246,7 @@ def reference_distribution(g: GroundTheory, X: frozenset,
 def _deterministic_rules(g: GroundTheory, what: str):
     rules = []
     for law in g.laws:
-        if len(law.head) != 1 or law.head[0].prob != 1:
+        if not law.is_deterministic():
             raise OracleError(f"{what} needs deterministic laws, got {law.head}")
         if law.head[0].literal.negated:
             raise OracleError(f"{what} does not accept negative head literals")

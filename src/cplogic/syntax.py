@@ -5,6 +5,7 @@ laws:
 
     % three gear wheels, the first one lockable
     domain gear = {gear1, gear2, gear3}.
+    domain lock = {g1}.
     exogenous Crank1/0.
     exogenous Locked/1.
 
@@ -19,6 +20,12 @@ and ``.`` terminates a statement.  Probabilities are decimal or ``p/q``
 literals and are kept as exact `fractions.Fraction` values throughout; no
 float ever enters the pipeline.
 
+A `ParseError` carries the line and column of the offending character.
+Formulas, literals and ``--exo`` assignments read against a theory
+(`parse_formula`, `parse_literal`, `parse_assignment`) use its closed
+vocabulary: a predicate the theory does not mention is an error at its
+token.
+
 The printer is the parser's inverse up to formatting: for any theory value
 ``t`` produced by `parse_theory`, ``parse_theory(print_theory(t)) == t``.
 `check_theory` accepts a value built in code exactly when that holds for it.
@@ -26,10 +33,10 @@ The printer is the parser's inverse up to formatting: for any theory value
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 KEYWORDS = frozenset({"domain", "exogenous", "in", "true", "false"})
 
@@ -260,76 +267,36 @@ def endogenous_signature(t: Theory) -> dict:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT1 = "(){}:;,.~!?=/"
-_DIGITS = frozenset(string.digits)
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | _DIGITS
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+ | %[^\n]*                      # whitespace and comments: skipped
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<number>[0-9]+(?:\.[0-9]+)?)
+  | (?P<punct><-|[(){}:;,.~!?=/])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "number" | "punct" | "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # offset of the first character in the source text
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of the character at offset ``pos``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(msg):
-        raise ParseError(msg, line, col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if text.startswith("<-", i):
-            toks.append(_Token("punct", "<-", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            toks.append(_Token("punct", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            toks.append(_Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            toks.append(_Token("number", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        err(f"unexpected character {c!r}")
-    toks.append(_Token("eof", "", line, col))
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             *_line_col(text, m.start()))
+        if kind is not None:
+            toks.append(_Token(kind, m.group(), m.start()))
+    toks.append(_Token("eof", "", len(text)))
     return toks
 
 
@@ -339,27 +306,27 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
-        self.pos = 0
+        self.i = 0  # index of the next token
         self.domains: dict = {}
         self.exogenous: dict = {}
         self.arity: dict = {}  # every predicate seen so far -> arity
         self.constants: set = set()
         self.laws: list[CPLaw] = []
-        self.laws_started = False
         self.depth = 0  # negations, quantifiers and parentheses now open
         self.closed = False  # True: every predicate must already be known
 
     # -- token plumbing ------------------------------------------------
 
     def peek(self, offset: int = 0) -> _Token:
-        k = min(self.pos + offset, len(self.toks) - 1)
+        k = min(self.i + offset, len(self.toks) - 1)
         return self.toks[k]
 
     def advance(self) -> _Token:
-        tok = self.toks[self.pos]
+        tok = self.toks[self.i]
         if tok.kind != "eof":
-            self.pos += 1
+            self.i += 1
         return tok
 
     def at_punct(self, text: str) -> bool:
@@ -381,72 +348,69 @@ class _Parser:
 
     def fail(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, *_line_col(self.text, tok.pos))
+
+    def parse_list(self, sep: str, item, *args) -> list:
+        """``item {sep item}``, calling ``item(*args)`` for each item."""
+        items = [item(*args)]
+        while self.at_punct(sep):
+            self.advance()
+            items.append(item(*args))
+        return items
 
     # -- statements -----------------------------------------------------
 
     def parse_theory(self) -> Theory:
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind == "ident" and tok.text == "domain":
-                self.parse_domain_decl()
-            elif tok.kind == "ident" and tok.text == "exogenous":
-                self.parse_exogenous_decl()
+            if tok.kind == "ident" and tok.text in ("domain", "exogenous"):
+                if self.laws:
+                    self.fail("declarations must precede laws")
+                self.advance()
+                if tok.text == "domain":
+                    self.parse_domain_decl()
+                else:
+                    self.parse_list(",", self.parse_signature)
+                self.expect_punct(".")
             else:
                 self.laws.append(self.parse_law())
-                self.laws_started = True
         return Theory(dict(self.domains), dict(self.exogenous), tuple(self.laws))
 
-    def decl_guard(self, tok: _Token):
-        if self.laws_started:
-            self.fail("declarations must precede laws", tok)
-
     def parse_domain_decl(self):
-        kw = self.advance()
-        self.decl_guard(kw)
         name_tok = self.expect_ident("domain name")
         if name_tok.text in self.domains:
             self.fail(f"domain {name_tok.text!r} declared twice", name_tok)
         self.expect_punct("=")
         self.expect_punct("{")
         consts: list[str] = []
+
+        def constant():
+            c = self.expect_ident("constant")
+            if c.text in consts:
+                self.fail(f"constant {c.text!r} listed twice in domain {name_tok.text!r}", c)
+            consts.append(c.text)
+
         if not self.at_punct("}"):
-            while True:
-                c = self.expect_ident("constant")
-                if c.text in consts:
-                    self.fail(f"constant {c.text!r} listed twice in domain {name_tok.text!r}", c)
-                consts.append(c.text)
-                if self.at_punct(","):
-                    self.advance()
-                    continue
-                break
+            self.parse_list(",", constant)
         self.expect_punct("}")
-        self.expect_punct(".")
         self.domains[name_tok.text] = tuple(consts)
         self.constants.update(consts)
 
-    def parse_exogenous_decl(self):
-        kw = self.advance()
-        self.decl_guard(kw)
-        while True:
-            name_tok = self.expect_ident("predicate name")
-            arity = 0
-            if self.at_punct("/"):
-                self.advance()
-                num = self.peek()
-                if num.kind != "number" or not num.text.isdigit():
-                    self.fail("expected arity (a plain integer)")
-                self.advance()
-                arity = int(num.text)
-            if name_tok.text in self.exogenous:
-                self.fail(f"exogenous predicate {name_tok.text!r} declared twice", name_tok)
-            self.register_predicate(name_tok.text, arity, name_tok)
-            self.exogenous[name_tok.text] = arity
-            if self.at_punct(","):
-                self.advance()
-                continue
-            break
-        self.expect_punct(".")
+    def parse_signature(self):
+        """One ``name[/arity]`` of an exogenous declaration."""
+        name_tok = self.expect_ident("predicate name")
+        arity = 0
+        if self.at_punct("/"):
+            self.advance()
+            num = self.peek()
+            if num.kind != "number" or not num.text.isdigit():
+                self.fail("expected arity (a plain integer)")
+            self.advance()
+            arity = int(num.text)
+        if name_tok.text in self.exogenous:
+            self.fail(f"exogenous predicate {name_tok.text!r} declared twice", name_tok)
+        self.register_predicate(name_tok.text, arity, name_tok)
+        self.exogenous[name_tok.text] = arity
 
     def register_predicate(self, name: str, arity: int, tok: _Token):
         seen = self.arity.get(name)
@@ -465,42 +429,43 @@ class _Parser:
         env: set = set()
         while self.at_punct("!") and self.is_binder_ahead():
             self.advance()
-            var_tok = self.expect_ident("variable")
-            self.expect_keyword("in")
-            dom_tok = self.expect_ident("domain name")
-            self.expect_punct(":")
+            var_tok, dom = self.parse_binder()
             if var_tok.text in env:
                 self.fail(f"law variable {var_tok.text!r} bound twice", var_tok)
-            if dom_tok.text not in self.domains:
-                self.fail(f"undeclared domain {dom_tok.text!r}", dom_tok)
-            binders.append((var_tok.text, dom_tok.text))
+            binders.append((var_tok.text, dom))
             env.add(var_tok.text)
 
-        head = [self.parse_head_disjunct(env)]
-        while self.at_punct(";"):
-            self.advance()
-            head.append(self.parse_head_disjunct(env))
-
+        head = self.parse_list(";", self.parse_head_disjunct, env)
         seen_atoms = set()
         for d in head:
             if d.literal.atom in seen_atoms:
                 self.fail(f"atom {d.literal.atom} appears in two disjuncts of the same head", start)
             seen_atoms.add(d.literal.atom)
-        total = sum((d.prob for d in head), Fraction(0))
-        if total > 1:
-            self.fail(f"head probabilities sum to {total} > 1", start)
-
         body: Formula = TRUE
         if self.at_punct("<-"):
             self.advance()
             body = self.parse_or(env)
+        law = CPLaw(tuple(binders), tuple(head), body)
+        total = law.head_sum()
+        if total > 1:
+            self.fail(f"head probabilities sum to {total} > 1", start)
         self.expect_punct(".")
-        return CPLaw(tuple(binders), tuple(head), body)
+        return law
 
     def is_binder_ahead(self) -> bool:
         # at a law's start "!" can only open a binder, but double-check shape
         return (self.peek(1).kind == "ident"
                 and self.peek(2).kind == "ident" and self.peek(2).text == "in")
+
+    def parse_binder(self) -> tuple[_Token, str]:
+        """``x in d :`` after a ``!`` or ``?``: the variable and its domain."""
+        var_tok = self.expect_ident("variable")
+        self.expect_keyword("in")
+        dom_tok = self.expect_ident("domain name")
+        self.expect_punct(":")
+        if dom_tok.text not in self.domains:
+            self.fail(f"undeclared domain {dom_tok.text!r}", dom_tok)
+        return var_tok, dom_tok.text
 
     def expect_keyword(self, kw: str):
         tok = self.peek()
@@ -555,17 +520,11 @@ class _Parser:
     # -- formulas -----------------------------------------------------------
 
     def parse_or(self, env: set) -> Formula:
-        parts = [self.parse_and(env)]
-        while self.at_punct(";"):
-            self.advance()
-            parts.append(self.parse_and(env))
+        parts = self.parse_list(";", self.parse_and, env)
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def parse_and(self, env: set) -> Formula:
-        parts = [self.parse_unary(env)]
-        while self.at_punct(","):
-            self.advance()
-            parts.append(self.parse_unary(env))
+        parts = self.parse_list(",", self.parse_unary, env)
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_unary(self, env: set) -> Formula:
@@ -588,16 +547,9 @@ class _Parser:
             self.advance()
             return Not(self.parse_unary(env))
         if self.at_punct("!") or self.at_punct("?"):
-            kind = self.advance().text
-            var_tok = self.expect_ident("variable")
-            self.expect_keyword("in")
-            dom_tok = self.expect_ident("domain name")
-            if dom_tok.text not in self.domains:
-                self.fail(f"undeclared domain {dom_tok.text!r}", dom_tok)
-            self.expect_punct(":")
-            sub = self.parse_unary(env | {var_tok.text})
-            cls = ForAll if kind == "!" else Exists
-            return cls(var_tok.text, dom_tok.text, sub)
+            cls = ForAll if self.advance().text == "!" else Exists
+            var_tok, dom = self.parse_binder()
+            return cls(var_tok.text, dom, self.parse_unary(env | {var_tok.text}))
         self.expect_punct("(")
         inner = self.parse_or(env)
         self.expect_punct(")")
@@ -608,24 +560,21 @@ class _Parser:
         args: list[Term] = []
         if self.at_punct("("):
             self.advance()
-            while True:
-                arg_tok = self.expect_ident("argument")
-                if arg_tok.text in env:
-                    args.append(Var(arg_tok.text))
-                else:
-                    if arg_tok.text not in self.constants:
-                        self.fail(
-                            f"undeclared constant {arg_tok.text!r} "
-                            "(not in any domain; law variables need a '!x in d:' binder)",
-                            arg_tok)
-                    args.append(arg_tok.text)
-                if self.at_punct(","):
-                    self.advance()
-                    continue
-                break
+            args = self.parse_list(",", self.parse_term, env)
             self.expect_punct(")")
         self.register_predicate(name_tok.text, len(args), name_tok)
         return Atom(name_tok.text, tuple(args))
+
+    def parse_term(self, env: set) -> Term:
+        """A variable if ``env`` binds it, else a declared constant."""
+        tok = self.expect_ident("argument")
+        if tok.text in env:
+            return Var(tok.text)
+        if tok.text not in self.constants:
+            # theory text is the only place where a binder can be written
+            hint = "" if self.closed else "; law variables need a '!x in d:' binder"
+            self.fail(f"undeclared constant {tok.text!r} (not in any domain{hint})", tok)
+        return tok.text
 
 
 def parse_theory(text: str) -> Theory:
@@ -634,9 +583,10 @@ def parse_theory(text: str) -> Theory:
 
 
 def _seeded_parser(text: str, theory: Theory | None) -> _Parser:
-    """A parser over ``text`` that knows the theory's domains and predicates."""
+    """A parser over ``text`` closed over the theory's domains and predicates."""
     p = _Parser(text)
     if theory is not None:
+        p.closed = True
         p.domains = dict(theory.domains)
         for consts in theory.domains.values():
             p.constants.update(consts)
@@ -653,7 +603,6 @@ def parse_formula(text: str, theory: Theory | None = None) -> Formula:
     drawn from its domains.
     """
     p = _seeded_parser(text, theory)
-    p.closed = theory is not None
     phi = p.parse_or(set())
     if p.peek().kind != "eof":
         p.fail("trailing input after formula")
@@ -661,7 +610,8 @@ def parse_formula(text: str, theory: Theory | None = None) -> Formula:
 
 
 def parse_literal(text: str, theory: Theory | None = None) -> EffectLiteral:
-    """Parse ``A`` or ``~A`` with ``A`` a ground atom."""
+    """Parse ``A`` or ``~A`` with ``A`` a ground atom, which must occur in
+    ``theory`` if one is given."""
     p = _seeded_parser(text, theory)
     negated = False
     if p.at_punct("~"):
@@ -680,7 +630,6 @@ def parse_assignment(text: str, theory: Theory) -> dict:
     trailing comma is allowed and the empty text is the empty assignment.
     """
     p = _seeded_parser(text, theory)
-    p.closed = True
     values: dict = {}
     while p.peek().kind != "eof":
         tok = p.peek()
@@ -706,10 +655,6 @@ def parse_assignment(text: str, theory: Theory) -> dict:
 # ---------------------------------------------------------------------------
 # Printer
 # ---------------------------------------------------------------------------
-
-def format_prob(p: Fraction) -> str:
-    return str(p)  # Fraction prints in lowest terms, "9/10" or "1"
-
 
 def format_atom_set(atoms) -> str:
     """``{A, P(c)}``: the atoms' printed forms, sorted."""
@@ -742,10 +687,11 @@ def _fmt(phi: Formula, level: int) -> str:
 
 def print_law(law: CPLaw) -> str:
     prefix = "".join(f"!{v} in {d}: " for v, d in law.vars)
-    if len(law.head) == 1 and law.head[0].prob == 1:
+    if law.is_deterministic():
         head = str(law.head[0].literal)
     else:
-        head = "; ".join(f"({d.literal}:{format_prob(d.prob)})" for d in law.head)
+        # a Fraction prints in lowest terms, "9/10" or "1"
+        head = "; ".join(f"({d.literal}:{d.prob})" for d in law.head)
     if law.body == TRUE:
         return f"{prefix}{head}."
     return f"{prefix}{head} <- {print_formula(law.body)}."
@@ -774,22 +720,30 @@ def check_theory(t: Theory) -> None:
     """Raise `TheoryError` unless ``t`` is well formed.
 
     A theory value is well formed exactly when its printed text parses back
-    to it, so the parser's rules are the only ones.  A short walk first
-    catches what printing hides: unbound variables, which print like
-    constants, one-part connectives, which print like their part, and
-    values that are not formulas at all.
+    to it, so the parser's rules are the only ones.  `check_law` first
+    catches what printing hides.
     """
     for law in t.laws:
-        bound = {v for v, _ in law.vars}
-        for d in law.head:
-            _check_formula(d.literal.atom, bound)
-        _check_formula(law.body, bound)
+        check_law(law)
     try:
         parsed = parse_theory(print_theory(t))
     except ParseError as exc:
         raise TheoryError(exc.message) from None
     if parsed != t:
         raise TheoryError("theory does not print as itself")
+
+
+def check_law(law: CPLaw) -> None:
+    """Raise `TheoryError` for what printing hides in ``law``.
+
+    Those are variables that no binder or quantifier binds, which print like
+    constants, `And`/`Or` nodes with fewer than two parts, which print like
+    their part, and values that are not formulas at all.
+    """
+    bound = {v for v, _ in law.vars}
+    for d in law.head:
+        _check_formula(d.literal.atom, bound)
+    _check_formula(law.body, bound)
 
 
 def _check_formula(phi: Formula, bound: set) -> None:

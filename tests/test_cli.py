@@ -176,6 +176,24 @@ def test_exogenous_assignment_of_atoms_with_arguments(run, tmp_path):
     assert (code, out) == (0, "1/2 (= 0.500000)\n")
 
 
+def test_do_rejects_an_unknown_predicate(run, suzy):
+    for lit, col in (("Brokn", 1), ("~Brokn", 2)):
+        code, out, err = run(["do", suzy, "--lit", lit])
+        assert (code, out) == (1, "")
+        assert err == f"error: unknown predicate 'Brokn' (line 1, column {col})\n"
+
+
+def test_undeclared_constant_outside_theory_text_has_no_binder_hint(run, tmp_path):
+    gears = str(tmp_path / "gears.cpl")
+    Path(gears).write_text(theories.BUNDLED["gears"].source)
+    for argv in (["dist", gears, "--exo", "Turns(gear9)=true"],
+                 ["query", gears, "-q", "Turns(gear9)"]):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err == ("error: undeclared constant 'gear9' (not in any domain) "
+                       "(line 1, column 7)\n")
+
+
 def test_options_that_do_nothing_are_usage_errors(run, suzy):
     code, out, err = run(["dist", suzy, "--json", "--tsv"])
     assert (code, out) == (1, "")

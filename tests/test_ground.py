@@ -4,7 +4,8 @@ import pytest
 
 from cplogic import theories
 from cplogic.ground import ground, normalize, stratification_report
-from cplogic.syntax import (Atom, Or, TheoryError, parse_theory)
+from cplogic.syntax import (TRUE, And, Atom, CPLaw, EffectLiteral, HeadDisjunct,
+                            Or, Theory, TheoryError, Var, parse_theory)
 
 from helpers import atom, atoms
 
@@ -15,6 +16,17 @@ def test_singleton_domain_expands_to_one_law():
     g = ground(t)
     assert len(g.laws) == 1
     assert g.laws[0].head[0].literal.atom == atom("Flies(tweety)")
+
+
+@pytest.mark.parametrize("head, body, message", [
+    (Atom("A", (Var("x"),)), TRUE, "unbound variable 'x'"),
+    (Atom("A"), Atom("P", (Var("y"),)), "unbound variable 'y'"),
+    (Atom("A"), And((Atom("B"),)), "two parts"),
+])
+def test_ground_rejects_what_printing_hides(head, body, message):
+    law = CPLaw((), (HeadDisjunct(EffectLiteral(False, head), Fraction(1)),), body)
+    with pytest.raises(TheoryError, match=message):
+        ground(Theory({"d": ("a",)}, {}, (law,)))
 
 
 def test_penguin_rules_ground_to_four_laws():

@@ -1,13 +1,17 @@
+import re
+import string
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cplogic import theories
 from cplogic.syntax import (MAX_NESTING, And, Atom, ForAll, Not, Or, ParseError,
-                            TheoryError, Theory, Truth, Var, check_theory,
-                            parse_assignment, parse_formula, parse_literal,
-                            parse_theory, print_theory, TRUE)
+                            TheoryError, Theory, Truth, Var, _tokenize,
+                            check_theory, parse_assignment, parse_formula,
+                            parse_literal, parse_theory, print_theory, TRUE)
 
 GEAR_PREAMBLE = "domain gear = {gear1, gear2, gear3}.\n"
 
@@ -210,6 +214,85 @@ def test_parse_literal():
     t = theories.get("blood_pressure")
     lit = parse_literal("~HighBloodPressure", t)
     assert lit.negated and lit.atom == Atom("HighBloodPressure")
+
+
+def test_parse_literal_against_theory_is_closed():
+    t = theories.get("suzy_billy")
+    for text, col in (("Brokn", 1), ("~Brokn", 2)):
+        with pytest.raises(ParseError) as info:
+            parse_literal(text, t)
+        assert (info.value.message, info.value.line, info.value.col) == (
+            "unknown predicate 'Brokn'", 1, col)
+    assert parse_literal("Brokn").atom == Atom("Brokn")  # no theory: open
+
+
+def test_binder_hint_only_where_a_binder_can_be_written():
+    with pytest.raises(ParseError) as info:
+        parse_theory("domain d = {a}. A(x).")
+    assert info.value.message == ("undeclared constant 'x' "
+                                  "(not in any domain; law variables need a '!x in d:' binder)")
+    t = theories.get("gears")
+    for parse, text in ((parse_formula, "Turns(gear9)"), (parse_literal, "Turns(gear9)"),
+                        (parse_assignment, "Turns(gear9)=true")):
+        with pytest.raises(ParseError) as info:
+            parse(text, t)
+        assert (info.value.message, info.value.line, info.value.col) == (
+            "undeclared constant 'gear9' (not in any domain)", 1, 7)
+
+
+# Pieces of every token class, ``<`` and ``-`` apart, whitespace, comments
+# and two characters outside the language's alphabet.
+_PIECES = ("A", "z", "_", "x1", "7", "0.5", "1.", *"(){}:;,.~!?=/", "<-", "<", "-",
+           " ", "\t", "\r", "\n", "% note", "%", "\u00b2", "\u00e9")
+_ALPHABET = frozenset(string.ascii_letters + string.digits + "_(){}:;,.~!?=/ \t\r\n")
+_GAP = re.compile(r"(?:[ \t\r\n]|%[^\n]*)*")
+
+
+def _first_outside_alphabet(text: str):
+    """Offset of the first character outside comments that no token covers."""
+    i = 0
+    while i < len(text):
+        if text[i] == "%":
+            i = text.find("\n", i)
+            if i < 0:
+                return None
+        elif text.startswith("<-", i):
+            i += 2
+        elif text[i] in _ALPHABET:
+            i += 1
+        else:
+            return i
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+def test_token_positions(text):
+    bad = _first_outside_alphabet(text)
+    try:
+        toks = _tokenize(text)
+    except ParseError as exc:
+        assert bad is not None
+        before = text[:bad]
+        assert exc.message == f"unexpected character {text[bad]!r}"
+        assert (exc.line, exc.col) == (before.count("\n") + 1,
+                                       len(before.rsplit("\n", 1)[-1]) + 1)
+        return
+    assert bad is None
+    assert toks[-1] == ("eof", "", len(text))
+    end = 0
+    for tok in toks:
+        assert tok.pos >= end
+        assert text[tok.pos:tok.pos + len(tok.text)] == tok.text
+        assert _GAP.fullmatch(text, end, tok.pos)
+        end = tok.pos + len(tok.text)
+
+
+def test_error_position_after_tab_and_carriage_return():
+    with pytest.raises(ParseError) as info:
+        parse_theory("A.\n% a comment\n\t\r\u00e9 <- B.")
+    assert (info.value.message, info.value.line, info.value.col) == (
+        "unexpected character '\u00e9'", 3, 3)
 
 
 def test_check_theory_rejects_degenerate_connectives():
