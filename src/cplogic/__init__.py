@@ -10,8 +10,8 @@ oracles in `cplogic.oracle`.
 from .engine import (Distribution, ExecNode, ExecState, SoundnessError, UMode,
                      applicable, apply_disjunct, build_execution_model,
                      compute_U, distribution, query)
-from .ground import (GroundTheory, NormalizedLaw, StratificationReport, ground,
-                     normalize, stratification_report)
+from .ground import (GroundTheory, StratificationReport, ground,
+                     stratification_report)
 from .oracle import (BudgetExceededError, OrderSweepReport, least_model,
                      sweep_orders, well_founded_model)
 from .syntax import (Atom, CPLaw, EffectLiteral, Formula, HeadDisjunct,
@@ -26,12 +26,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom", "BudgetExceededError", "CPLaw", "Distribution", "EffectLiteral",
     "ExecNode", "ExecState", "Formula", "GroundTheory", "HeadDisjunct",
-    "NormalizedLaw", "OrderSweepReport", "ParseError", "SharedHeadError",
+    "OrderSweepReport", "ParseError", "SharedHeadError",
     "SoundnessError", "StratificationReport", "Theory", "TheoryError",
     "ThreeValuedInterp", "TransformError", "TruthValue", "UMode", "Var",
     "applicable", "apply_disjunct", "build_execution_model",
     "check_theory", "compute_U", "distribution", "ground", "holds",
-    "intervene", "internalize", "kleene_eval", "least_model", "normalize",
+    "intervene", "internalize", "kleene_eval", "least_model",
     "parse_formula", "parse_literal", "parse_theory", "print_theory", "query",
     "stratification_report", "sweep_orders", "tau_not", "well_founded_model",
 ]

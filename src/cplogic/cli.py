@@ -33,7 +33,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import engine, oracle, transform
@@ -48,20 +47,16 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    exo: frozenset
-    mode: engine.UMode
-    fmt: str  # "human" | "json" | "tsv"
-    budget: int
-
-
 def _fmt_prob(p: Fraction) -> str:
     return f"{p} (= {p.numerator / p.denominator:.6f})"
 
 
 def _world_list(world):
     return sorted(str(a) for a in world)
+
+
+def _json_rows(dist: engine.Distribution) -> list:
+    return [{"world": _world_list(w), "p": str(p)} for w, p in dist.sorted_items()]
 
 
 def _read_theory(path: str) -> Theory:
@@ -100,26 +95,36 @@ def parse_exogenous_assignment(spec: str, theory: Theory) -> frozenset:
     return frozenset(atom for atom, value in values.items() if value)
 
 
-def _config(args) -> tuple[Theory, RunConfig]:
+def _inference_input(args) -> tuple[Theory, frozenset, engine.UMode]:
+    """The theory, X and U mode of a command that runs inference."""
     theory = _read_theory(args.path)
-    exo = parse_exogenous_assignment(args.exo, theory)
-    fmt = "json" if getattr(args, "json", False) else (
-        "tsv" if getattr(args, "tsv", False) else "human")
-    cfg = RunConfig(exo, engine.UMode(args.mode), fmt,
-                    getattr(args, "budget", 1_000_000))
-    return theory, cfg
+    X = parse_exogenous_assignment(args.exo, theory)
+    return theory, X, engine.UMode(args.mode)
 
 
-def _print_dist(dist: engine.Distribution, cfg: RunConfig):
+# -- subcommands -------------------------------------------------------------
+
+def cmd_check(args) -> int:
+    theory, X, mode = _inference_input(args)
+    g = ground(theory)
+    print(f"laws: {len(theory.laws)} ({len(g.laws)} ground instances)")
+    print(f"endogenous atoms: {len(g.endogenous_atoms)}")
+    print(f"exogenous atoms: {len(g.exogenous_atoms)}")
+    print(stratification_report(g).describe())
+    dist = engine.distribution(g, X, mode)
+    print(f"soundness probe (exo={format_atom_set(X)}): ok ({len(dist)} worlds)")
+    return 0
+
+
+def cmd_dist(args) -> int:
+    theory, X, mode = _inference_input(args)
+    dist = engine.distribution(ground(theory), X, mode)
+    if args.json:
+        print(json.dumps({"distribution": _json_rows(dist), "mode": mode.value,
+                          "exo": _world_list(X)}, indent=2))
+        return 0
     rows = dist.sorted_items()
-    if cfg.fmt == "json":
-        payload = {
-            "distribution": [{"world": _world_list(w), "p": str(p)} for w, p in rows],
-            "mode": cfg.mode.value,
-            "exo": _world_list(cfg.exo),
-        }
-        print(json.dumps(payload, indent=2))
-    elif cfg.fmt == "tsv":
+    if args.tsv:
         print("world\tp\tdecimal")
         for world, p in rows:
             atoms = ",".join(_world_list(world))
@@ -128,36 +133,16 @@ def _print_dist(dist: engine.Distribution, cfg: RunConfig):
         width = max((len(format_atom_set(w)) for w, _ in rows), default=0)
         for world, p in rows:
             print(f"{format_atom_set(world):<{width}}  {_fmt_prob(p)}")
-
-
-# -- subcommands -------------------------------------------------------------
-
-def cmd_check(args) -> int:
-    theory, cfg = _config(args)
-    g = ground(theory)
-    print(f"laws: {len(theory.laws)} ({len(g.laws)} ground instances)")
-    print(f"endogenous atoms: {len(g.endogenous_atoms)}")
-    print(f"exogenous atoms: {len(g.exogenous_atoms)}")
-    print(stratification_report(g).describe())
-    dist = engine.distribution(g, cfg.exo, cfg.mode)
-    print(f"soundness probe (exo={format_atom_set(cfg.exo)}): ok ({len(dist)} worlds)")
-    return 0
-
-
-def cmd_dist(args) -> int:
-    theory, cfg = _config(args)
-    dist = engine.distribution(ground(theory), cfg.exo, cfg.mode)
-    _print_dist(dist, cfg)
     return 0
 
 
 def cmd_query(args) -> int:
-    theory, cfg = _config(args)
+    theory, X, mode = _inference_input(args)
     phi = parse_formula(args.query, theory)
-    p = engine.query(ground(theory), cfg.exo, phi, cfg.mode)
-    if cfg.fmt == "json":
+    p = engine.query(ground(theory), X, phi, mode)
+    if args.json:
         print(json.dumps({"query": args.query, "p": str(p),
-                          "mode": cfg.mode.value, "exo": _world_list(cfg.exo)}))
+                          "mode": mode.value, "exo": _world_list(X)}))
     else:
         print(_fmt_prob(p))
     return 0
@@ -180,20 +165,18 @@ def cmd_compile(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    theory, cfg = _config(args)
-    report = oracle.sweep_orders(ground(theory), cfg.exo, cfg.mode, cfg.budget)
-    if cfg.fmt == "json":
+    theory, X, mode = _inference_input(args)
+    report = oracle.sweep_orders(ground(theory), X, mode, args.budget)
+    if args.json:
         payload = {
             "models": report.models_explored,
             "states": report.states_explored,
             "budget": report.budget,
             "distinct": len(report.distributions),
-            "distributions": [
-                [{"world": _world_list(w), "p": str(p)} for w, p in d.sorted_items()]
-                for d in report.distributions],
+            "distributions": [_json_rows(d) for d in report.distributions],
             "witness": report.witness.describe() if report.witness else None,
-            "mode": cfg.mode.value,
-            "exo": _world_list(cfg.exo),
+            "mode": mode.value,
+            "exo": _world_list(X),
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -260,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="exhaustive firing-order sweep")
     common(p)
-    p.add_argument("--budget", type=_budget, default=1_000_000,
-                   help="node budget for the sweep (default 1000000)")
+    p.add_argument("--budget", type=_budget, default=oracle.DEFAULT_BUDGET,
+                   help="node budget for the sweep (default %(default)s)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -9,10 +9,11 @@ now".  When a body holds in the current world but the overestimate cannot
 decide it, the process is stuck and the theory has no semantics.
 
 One iterative fold, `_fold`, walks the reachable execution states children
-first: it checks X, normalizes heads, classifies each distinct state once
-and raises `SoundnessError`.  `build_execution_model` and `distribution`
-are folds over it that follow one law per state; `oracle.sweep_orders` is a
-fold that follows every applicable law.
+first: it checks X, turns each law's head into its outcome table (a head
+that sums below 1 gains the no-op outcome), classifies each distinct state
+once and raises `SoundnessError`.  `build_execution_model` and
+`distribution` are folds over it that follow one law per state;
+`oracle.sweep_orders` is a fold that follows every applicable law.
 
 States are classified against a `_Program`: the ground theory compiled once
 per X, and kept on the `GroundTheory` itself.  Atoms become bits, each
@@ -37,8 +38,8 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .ground import GroundTheory, NormalizedLaw, expand_formula, normalize
-from .syntax import (And, Atom, EffectLiteral, Formula, Not, Or,
+from .ground import GroundTheory, expand_formula
+from .syntax import (And, Atom, CPLaw, EffectLiteral, Formula, Not, Or,
                      format_atom_set, formula_atoms)
 # bench/tracing.py counts `holds` and `kleene_eval` calls at this import
 # site, so both stay bound here.
@@ -390,17 +391,15 @@ def applicable(g: GroundTheory, X: frozenset, state: ExecState,
     return _gate(_program(g, X), satisfied_unfired(g, X, state), u)
 
 
-def apply_disjunct(state: ExecState, law: NormalizedLaw,
+def apply_disjunct(state: ExecState, index: int,
                    outcome: EffectLiteral | None) -> ExecState:
-    """Successor state after ``law`` fires with the given outcome.
+    """Successor state after law ``index`` fires with the given outcome.
 
     A negative effect literal retracts the atom and pins it; a positive one
     makes the atom true unless it was pinned; the no-op outcome only marks
     the law as fired.
     """
-    if law.index is None:
-        raise ValueError("normalized law carries no index")
-    fired = state.fired | {law.index}
+    fired = state.fired | {index}
     if outcome is None:
         return ExecState(state.true_atoms, state.negated, fired)
     a = outcome.atom
@@ -409,6 +408,17 @@ def apply_disjunct(state: ExecState, law: NormalizedLaw,
     if a in state.negated:
         return ExecState(state.true_atoms, state.negated, fired)
     return ExecState(state.true_atoms | {a}, state.negated, fired)
+
+
+def _outcomes(law: CPLaw) -> tuple:
+    """The law's outcome table: one ``(outcome, num, den)`` per head
+    disjunct, the probability ``num / den`` in lowest terms, plus the no-op
+    outcome ``None`` with the remainder when the head sums below 1."""
+    probs = [(d.literal, d.prob) for d in law.head]
+    total = law.head_sum()
+    if total < 1:
+        probs.append((None, 1 - total))
+    return tuple((outcome, p.numerator, p.denominator) for outcome, p in probs)
 
 
 def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
@@ -431,9 +441,7 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     if extra:
         names = ", ".join(sorted(str(a) for a in extra))
         raise ExogenousError(f"not in the exogenous universe: {names}")
-    norm = [normalize(law, i) for i, law in enumerate(g.laws)]
-    weights = [tuple((outcome, p.numerator, p.denominator)
-                     for outcome, p in law.outcomes) for law in norm]
+    weights = [_outcomes(law) for law in g.laws]
     memo: dict = {}  # finished state -> value
     # The current path: per state, its U, the (law, outcome, num, den) edges to
     # follow, an iterator over those not yet visited, and the children so far.
@@ -454,7 +462,7 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
             frames.append((state, u, edges, iter(edges), []))
         top, u, edges, todo, children = frames[-1]
         for i, outcome, _, _ in todo:
-            state = apply_disjunct(top, norm[i], outcome)
+            state = apply_disjunct(top, i, outcome)
             children.append(state)
             if state not in memo:
                 path.append((i, outcome))
@@ -484,8 +492,8 @@ def build_execution_model(g: GroundTheory, X: frozenset,
     """Construct the canonical execution tree under firing policy ``policy``.
 
     At each node the policy picks one applicable law; the node gets one child
-    per outcome of the normalized head.  A node with no satisfied unfired law
-    is a leaf.  Identical states share one subtree object; `ExecNode.walk`
+    per outcome of its head, the no-op outcome included.  A node with no
+    satisfied unfired law is a leaf.  Identical states share one subtree object; `ExecNode.walk`
     and `ExecNode.leaf_paths` still read the result as a tree.  Raises
     `SoundnessError` when some body holds but every such law is undecidable
     under U.

@@ -1,15 +1,16 @@
-"""Grounding over declared finite domains, head normalization, stratification.
+"""Grounding over declared finite domains and a stratification diagnostic.
 
 Grounding replaces each law by one instance per assignment of its variables
 and expands body quantifiers into finite conjunctions/disjunctions, so that
-everything downstream works with variable-free laws only.
+everything downstream works with variable-free laws only.  Laws built in
+code are checked first, for what printing hides (`syntax.check_law`) and
+for a head whose probabilities sum above 1.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Union
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
@@ -83,6 +84,9 @@ def ground(t: Theory) -> GroundTheory:
     """Instantiate every law over its variables' domains, in declaration order."""
     for law in t.laws:
         check_law(law)
+        total = law.head_sum()
+        if total > 1:
+            raise TheoryError(f"head probabilities sum to {total} > 1")
     laws = [CPLaw((), head, expand_formula(law.body, env, t.domains))
             for law in t.laws for env, head in law_instances(law, t.domains)]
 
@@ -101,34 +105,6 @@ def ground(t: Theory) -> GroundTheory:
             exo.add(Atom(pred, combo))
     return GroundTheory(tuple(laws), frozenset(endo), frozenset(exo),
                         frozenset(t.exogenous), dict(t.domains))
-
-
-# ---------------------------------------------------------------------------
-# Head normalization
-# ---------------------------------------------------------------------------
-
-# In a normalized head the probabilities sum to exactly 1; when the source
-# head summed below 1 the remainder goes to a final no-op outcome whose
-# literal is None.
-
-@dataclass(frozen=True)
-class NormalizedLaw:
-    outcomes: tuple  # of (EffectLiteral | None, Fraction)
-    body: Formula
-    index: int | None = None
-
-
-def normalize(law: Union[CPLaw, NormalizedLaw], index: int | None = None) -> NormalizedLaw:
-    """Pad the head with a no-op outcome so that outcome probabilities sum to 1."""
-    if isinstance(law, NormalizedLaw):
-        return law
-    outcomes = [(d.literal, d.prob) for d in law.head]
-    total = law.head_sum()
-    if total > 1:
-        raise TheoryError(f"head probabilities sum to {total} > 1")
-    if total < 1:
-        outcomes.append((None, 1 - total))
-    return NormalizedLaw(tuple(outcomes), law.body, index)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,14 @@ from .engine import (applicable, apply_disjunct, compute_U,  # noqa: F401
                      satisfied_unfired)
 from .ground import GroundTheory
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Formula, HeadDisjunct,
-                     Not, Or, Theory, Truth, TRUE)
+                     Not, Or, Theory, Truth, TRUE, formula_atom_polarities)
 from .threeval import F, T, U, ThreeValuedInterp, holds, kleene_eval
+
+
+# Default node budget of `sweep_orders` and of `cpl sweep --budget`.  The
+# sweep's memo holds about 5 KB per unit on a wide random theory, so this
+# default stops a sweep at about 0.5 GB.
+DEFAULT_BUDGET = 100_000
 
 
 class BudgetExceededError(Exception):
@@ -106,7 +112,7 @@ class OrderSweepReport:
 
 def sweep_orders(g: GroundTheory, X: frozenset,
                  mode: UMode = UMode.EXTENDED,
-                 max_nodes: int = 1_000_000) -> OrderSweepReport:
+                 max_nodes: int = DEFAULT_BUDGET) -> OrderSweepReport:
     """Every execution model's distribution, by exhaustive rule-choice search.
 
     A fold over the engine's execution states that follows every applicable
@@ -308,11 +314,12 @@ def well_founded_model(g: GroundTheory, X: frozenset = frozenset()) -> ThreeValu
 
 
 def least_model(g: GroundTheory, X: frozenset = frozenset()) -> frozenset:
-    """Immediate-consequence fixpoint of a positive deterministic theory."""
+    """Immediate-consequence fixpoint of a positive deterministic theory:
+    no atom of a body may occur under an odd number of negations."""
     rules = _deterministic_rules(g, "least_model")
     for _, body in rules:
-        if any(isinstance(part, Not) for part in _subformulas(body)):
-            raise OracleError("least_model needs a negation-free theory")
+        if any(negated for _, negated in formula_atom_polarities(body)):
+            raise OracleError("least_model needs bodies without negated atoms")
     model: set = set()
     changed = True
     while changed:
@@ -322,18 +329,6 @@ def least_model(g: GroundTheory, X: frozenset = frozenset()) -> frozenset:
                 model.add(head)
                 changed = True
     return frozenset(model)
-
-
-def _subformulas(phi: Formula):
-    yield phi
-    match phi:
-        case Not(sub):
-            yield from _subformulas(sub)
-        case And(parts) | Or(parts):
-            for p in parts:
-                yield from _subformulas(p)
-        case _:
-            pass
 
 
 # ---------------------------------------------------------------------------

@@ -213,26 +213,9 @@ def substitute_formula(phi: Formula, env: dict) -> Formula:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def formula_atoms(phi: Formula) -> Iterator[Atom]:
-    """All atom occurrences in ``phi``, in textual order."""
-    match phi:
-        case Atom():
-            yield phi
-        case Truth():
-            return
-        case Not(sub):
-            yield from formula_atoms(sub)
-        case And(parts) | Or(parts):
-            for p in parts:
-                yield from formula_atoms(p)
-        case ForAll(_, _, sub) | Exists(_, _, sub):
-            yield from formula_atoms(sub)
-        case _:
-            raise TypeError(f"not a formula: {phi!r}")
-
-
 def formula_atom_polarities(phi: Formula, negated: bool = False) -> Iterator[tuple[Atom, bool]]:
-    """Atom occurrences paired with whether they sit under an odd number of negations."""
+    """Atom occurrences in textual order, each paired with whether it sits
+    under an odd number of negations."""
     match phi:
         case Atom():
             yield phi, negated
@@ -245,6 +228,13 @@ def formula_atom_polarities(phi: Formula, negated: bool = False) -> Iterator[tup
                 yield from formula_atom_polarities(p, negated)
         case ForAll(_, _, sub) | Exists(_, _, sub):
             yield from formula_atom_polarities(sub, negated)
+        case _:
+            raise TypeError(f"not a formula: {phi!r}")
+
+
+def formula_atoms(phi: Formula) -> Iterator[Atom]:
+    """All atom occurrences in ``phi``, in textual order."""
+    return (atom for atom, _ in formula_atom_polarities(phi))
 
 
 def law_atoms(law: CPLaw) -> Iterator[Atom]:

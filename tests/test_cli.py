@@ -104,6 +104,13 @@ def test_compile_eliminates_negative_heads(run, tmp_path):
     assert p == "3/10 (= 0.300000)\n"
 
 
+def test_compile_without_a_transform_is_a_usage_error(run, suzy):
+    code, out, err = run(["compile", suzy])
+    assert (code, out) == (1, "")
+    assert err == ("usage error: compile currently only supports "
+                   "--eliminate-neg-heads\n")
+
+
 def test_check_reports_and_exits_zero(run, suzy):
     code, out, _ = run(["check", suzy])
     assert code == 0
@@ -135,6 +142,27 @@ def test_sweep_json_includes_witness_on_divergence(run, tmp_path):
     payload = json.loads(out)
     assert payload["distinct"] >= 2
     assert payload["witness"]
+
+
+def test_sweep_human_output_names_the_divergence_witness(run, tmp_path):
+    path = tmp_path / "lock.cpl"
+    path.write_text(theories.BUNDLED["locked_gears"].source)
+    code, out, _ = run(["sweep", str(path), "--mode", "literal",
+                        "--exo", "Crank1=true,Locked(g1)=true"])
+    assert code == 0
+    assert "distinct distributions: 2\n" in out
+    assert out.splitlines()[-1] == (
+        "divergence witness: at node [I={Turns(gear1)} N={} fired=[0]] "
+        "reached via fire 0 (Turns(gear1)): law 4 and law 7 admit different "
+        "distributions")
+
+
+def test_sweep_reports_the_default_budget(run, suzy):
+    code, out, _ = run(["sweep", suzy, "--json"])
+    assert code == 0
+    assert json.loads(out)["budget"] == cplogic.oracle.DEFAULT_BUDGET == 100_000
+    code, out, _ = run(["sweep", suzy])
+    assert "(budget 100000)\n" in out
 
 
 def test_budget_exceeded_exits_three(run, tmp_path):

@@ -8,7 +8,7 @@ from cplogic.engine import (Distribution, ExecState, ExogenousError,
                             SoundnessError, UMode, applicable, apply_disjunct,
                             build_execution_model, compute_U, distribution,
                             query)
-from cplogic.ground import ground, normalize
+from cplogic.ground import ground
 from cplogic.oracle import (BudgetExceededError, sweep_orders,
                             well_founded_model)
 from cplogic.syntax import parse_formula, parse_theory
@@ -94,25 +94,39 @@ def test_body_negation_waits_for_certainty():
     assert 4 not in app  # ~Broken is still undecided
 
 
+def test_applicable_gates_on_the_u_it_is_given():
+    # U at a second state replaces the one the program keeps from the last
+    # compute_U; asking about the first state must still gate on its own U
+    t = parse_theory(theories.BUNDLED["suzy_billy"].source + "C <- ~Broken.\n")
+    g = ground(t)
+    st1 = state(fired=[0])  # Billy may still break the bottle
+    st2 = state(true=atoms("Throws(billy)"), fired=[0, 1, 3])  # he missed
+    u1 = compute_U(g, NOTHING, st1)
+    assert applicable(g, NOTHING, st1, u1) == (1,)  # ~Broken is undecided
+    u2 = compute_U(g, NOTHING, st2)
+    assert applicable(g, NOTHING, st2, u2) == (4,)  # ~Broken is settled
+    assert applicable(g, NOTHING, st1, u1) == (1,)
+
+
 def test_apply_disjunct_negative_retracts_and_pins():
-    law = normalize(parse_theory("~A <- B.").laws[0], index=0)
-    st = apply_disjunct(state(true=atoms("A")), law, law.outcomes[0][0])
+    law = parse_theory("~A <- B.").laws[0]
+    st = apply_disjunct(state(true=atoms("A")), 0, law.head[0].literal)
     assert st.true_atoms == frozenset()
     assert st.negated == atoms("A")
     assert st.fired == {0}
 
 
 def test_apply_disjunct_positive_respects_pin():
-    law = normalize(parse_theory("A <- B.").laws[0], index=3)
-    st = apply_disjunct(state(negated=atoms("A")), law, law.outcomes[0][0])
+    law = parse_theory("A <- B.").laws[0]
+    st = apply_disjunct(state(negated=atoms("A")), 3, law.head[0].literal)
     assert st.true_atoms == frozenset()
     assert st.negated == atoms("A")
+    assert st.fired == {3}
 
 
 def test_apply_disjunct_noop_only_marks_fired():
-    law = normalize(parse_theory("(A:1/2) <- B.").laws[0], index=2)
     st0 = state(true=atoms("B"))
-    st = apply_disjunct(st0, law, None)
+    st = apply_disjunct(st0, 2, None)
     assert (st.true_atoms, st.negated) == (st0.true_atoms, st0.negated)
     assert st.fired == {2}
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from cplogic import theories
-from cplogic.ground import ground, normalize, stratification_report
+from cplogic.engine import _outcomes
+from cplogic.ground import ground, stratification_report
 from cplogic.syntax import (TRUE, And, Atom, CPLaw, EffectLiteral, HeadDisjunct,
                             Or, Theory, TheoryError, Var, parse_theory)
 
@@ -67,27 +68,32 @@ def test_universe_split_by_predicate_classification():
 
 def test_normalize_pads_with_noop_outcome():
     law = parse_theory("(Broken:4/5) <- T.").laws[0]
-    n = normalize(law)
-    assert n.outcomes == ((law.head[0].literal, Fraction(4, 5)),
-                          (None, Fraction(1, 5)))
+    assert _outcomes(law) == ((law.head[0].literal, 4, 5), (None, 1, 5))
 
 
 def test_normalize_keeps_full_heads():
     law1 = parse_theory("A <- B.").laws[0]
-    assert normalize(law1).outcomes == ((law1.head[0].literal, Fraction(1)),)
+    assert _outcomes(law1) == ((law1.head[0].literal, 1, 1),)
     law2 = parse_theory("(A:1/2); (B:1/2) <- C.").laws[0]
-    n2 = normalize(law2)
-    assert [p for _, p in n2.outcomes] == [Fraction(1, 2), Fraction(1, 2)]
-    assert all(lit is not None for lit, _ in n2.outcomes)
+    n2 = _outcomes(law2)
+    assert [(num, den) for _, num, den in n2] == [(1, 2), (1, 2)]
+    assert all(lit is not None for lit, _, _ in n2)
 
 
-def test_normalize_idempotent_and_verbatim():
+def test_normalize_keeps_head_verbatim():
     law = parse_theory("(A:1/3); (B:1/3) <- C.").laws[0]
-    n = normalize(law, index=7)
-    assert normalize(n) is n
-    assert n.index == 7
-    assert n.outcomes[:2] == tuple((d.literal, d.prob) for d in law.head)
-    assert n.outcomes[-1] == (None, Fraction(1, 3))
+    n = _outcomes(law)
+    assert n[:2] == tuple((d.literal, d.prob.numerator, d.prob.denominator)
+                          for d in law.head)
+    assert n[-1] == (None, 1, 3)
+
+
+def test_ground_rejects_a_head_summing_above_one():
+    # the parser rejects this text; a law built in code reaches ground
+    head = tuple(HeadDisjunct(EffectLiteral(False, Atom(name)), Fraction(2, 3))
+                 for name in ("A", "B"))
+    with pytest.raises(TheoryError, match=r"^head probabilities sum to 4/3 > 1$"):
+        ground(Theory({}, {}, (CPLaw((), head, TRUE),)))
 
 
 def test_stratified_when_acyclic():
@@ -109,6 +115,15 @@ def test_negative_head_edges_count_as_negative():
     report = stratification_report(g)
     assert not report.stratified
     assert report.offending_cycles == (atoms("A", "B"),)
+
+
+@pytest.mark.parametrize("text", ["A <- B, ~C. C <- A.",
+                                  "A <- (B ; ~C). C <- A."])
+def test_negation_inside_a_connective_is_negative(text):
+    report = stratification_report(ground(parse_theory(text)))
+    assert not report.stratified
+    assert report.offending_cycles == (atoms("A", "C"),)
+    assert report.negative_edges == ((atom("A"), atom("C")),)
 
 
 def test_positive_cycle_is_fine():

@@ -100,6 +100,16 @@ def test_least_model_rejects_negation():
         least_model(ground(parse_theory("A <- ~B.")))
 
 
+@pytest.mark.parametrize("text", ["A <- B, ~C.", "A <- (B ; ~C)."])
+def test_least_model_rejects_negation_inside_connectives(text):
+    with pytest.raises(OracleError, match="without negated atoms"):
+        least_model(ground(parse_theory(text)))
+
+
+def test_least_model_accepts_double_negation():
+    assert least_model(ground(parse_theory("B. A <- ~~B."))) == atoms("A", "B")
+
+
 def test_engine_leaf_matches_least_model():
     g = ground(theories.deterministic_gears())
     X = atoms("Crank1")

@@ -55,6 +55,17 @@ def test_intervention_is_instance_exact():
     assert distribution(g, X) == {atoms("Flies(pingu)"): 1}
 
 
+def test_intervention_substitutes_through_connectives_and_quantifiers():
+    # the inner !x rebinds the law variable, so its body keeps x
+    t = parse_theory("domain d = {a, b}.\nexogenous E/1.\n"
+                     "!x in d: P(x) <- (E(x) ; ?y in d: Q(x, y)), "
+                     "!x in d: ~R(x).\n")
+    out = intervene(t, parse_literal("~P(a)", t))
+    assert print_theory(out).splitlines()[-1] == \
+        "P(b) <- (E(b); ?y in d: Q(b,y)), !x in d: ~R(x)."
+    assert distribution(ground(out), atoms("E(b)")) == {atoms("P(b)"): 1}
+
+
 def test_negative_intervention_idempotent():
     lit = parse_literal("~HighBloodPressure", BP)
     once = intervene(BP, lit)
