@@ -33,6 +33,7 @@ once, at the root, and checks that the distribution sums to exactly 1.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -220,14 +221,15 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _compile_body(phi: Formula, bit: dict, X: frozenset, exogenous: frozenset):
+def _compile_body(phi: Formula, bit: dict, X: frozenset, exogenous: Set):
     """Kleene evaluator of ground ``phi`` over ``(t, u)`` masks, plus the
     mask of the endogenous atoms it reads once X is folded in.
 
-    Atoms outside ``bit`` and truth constants are read by `kleene_eval`
-    itself, so X is interpreted, and an unbound atom rejected, exactly as
-    there.  A part that X alone decides is dropped from its connective or
-    decides it, and the literals of a connective are tested as two masks.
+    An exogenous atom is decided by X.  Truth constants and unbound atoms
+    are read by `kleene_eval` itself, so they are interpreted, and an
+    unbound atom rejected, exactly as there.  A part that X alone decides
+    is dropped from its connective or decides it, and the literals of a
+    connective are tested as two masks.
     """
     reads = 0
 
@@ -241,8 +243,12 @@ def _compile_body(phi: Formula, bit: dict, X: frozenset, exogenous: frozenset):
         # single literal, A as (bit of A, 0) and ~A as (0, bit of A); else
         # a function of (t, u)
         match phi:
-            case Atom() if phi in bit:
-                return bit[phi], 0
+            case Atom():
+                b = bit.get(phi)
+                if b:
+                    return b, 0
+                if phi in exogenous:
+                    return 2 if phi in X else 0
             case Not(sub):
                 e = comp(sub)
                 if isinstance(e, int):
@@ -437,7 +443,7 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     on an explicit stack, so its length is not bounded by the recursion
     limit.
     """
-    extra = X - g.exogenous_atoms
+    extra = [a for a in X if a not in g.exogenous_atoms]
     if extra:
         names = ", ".join(sorted(str(a) for a in extra))
         raise ExogenousError(f"not in the exogenous universe: {names}")

@@ -2,20 +2,75 @@
 
 Grounding replaces each law by one instance per assignment of its variables
 and expands body quantifiers into finite conjunctions/disjunctions, so that
-everything downstream works with variable-free laws only.  Laws built in
-code are checked first, for what printing hides (`syntax.check_law`) and
-for a head whose probabilities sum above 1.
+everything downstream works with variable-free laws only.  Each law is
+compiled once into a template, a tree of small closures over an
+environment (variable name -> constant), and the template is instantiated
+per assignment; a quantifier binds its variable in that environment in
+place and restores it afterwards.  Every ground atom is interned as it is
+built, in one table keyed by predicate and arguments, so equal atoms of a
+ground theory are one object and the atom universes fall out of the table.
+Laws built in code are checked first for what printing hides
+(`syntax.check_law`), and a ground theory rejects a head that sums above 1.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Set
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
-                     FALSE, check_law, format_atom_set,
-                     formula_atom_polarities, formula_atoms, substitute_atom)
+                     FALSE, Var, check_law, format_atom_set,
+                     formula_atom_polarities)
+
+
+class ExogenousUniverse(Set):
+    """Every ground exogenous atom that an interpretation X may set.
+
+    That is each declared exogenous predicate applied to every tuple of
+    constants of the theory's domains, plus any other exogenous atom that a
+    law built in code mentions.  The universe is counted, not listed:
+    membership is tested against the declarations, and iteration builds the
+    atoms one at a time, so ``exogenous R/3`` over 100 constants costs no
+    memory for its million atoms.
+    """
+
+    __slots__ = ("_arity", "_constants", "_extra", "_size")
+
+    def __init__(self, arity: dict, domains: dict, mentioned=()):
+        self._arity = arity = dict(arity)
+        self._constants = constants = frozenset(
+            itertools.chain.from_iterable(domains.values()))
+        self._extra = frozenset(a for a in mentioned
+                                if arity.get(a.predicate) != len(a.args)
+                                or not constants.issuperset(a.args))
+        self._size = (sum(len(constants) ** n for n in arity.values())
+                      + len(self._extra))
+
+    def __contains__(self, atom) -> bool:
+        declared = (isinstance(atom, Atom)
+                    and self._arity.get(atom.predicate) == len(atom.args)
+                    and self._constants.issuperset(atom.args))
+        return declared or atom in self._extra
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        constants = sorted(self._constants)
+        for pred, n in self._arity.items():
+            for args in itertools.product(constants, repeat=n):
+                yield Atom(pred, args)
+        yield from self._extra
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)  # the result of a set operation is listed
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} exogenous atoms>"
 
 
 @dataclass(frozen=True)
@@ -24,11 +79,14 @@ class GroundTheory:
 
     Law indices (positions in ``laws``) are the stable identifiers used for
     rule selection and for the fired-set of execution states.
+    ``exogenous_atoms`` is an `ExogenousUniverse` when built by `ground`;
+    any set of atoms will do.  A head whose probabilities sum above 1 is
+    rejected with `TheoryError`.
     """
 
     laws: tuple[CPLaw, ...]
     endogenous_atoms: frozenset
-    exogenous_atoms: frozenset
+    exogenous_atoms: Set
     exogenous_predicates: frozenset
     domains: dict
     # The engine's compiled form of ``laws`` for one X, as ``(X, program)``;
@@ -36,29 +94,115 @@ class GroundTheory:
     _compiled: tuple | None = field(default=None, init=False, compare=False,
                                     repr=False)
 
+    def __post_init__(self):
+        # The parser rejects such a head at its token; a law built in code
+        # is caught here, before any inference can mix its outcomes.
+        for law in self.laws:
+            total = law.head_sum()
+            if total > 1:
+                raise TheoryError(f"head probabilities sum to {total} > 1")
+
+
+def _template(phi: Formula, domains: dict, table: dict, bound: frozenset):
+    """``phi`` compiled into a function of ``env`` that returns its
+    expansion: variables in ``bound`` replaced by their constants in
+    ``env``, quantifiers expanded over their domains.  Atoms are interned in
+    ``table``."""
+    match phi:
+        case Atom():
+            return _atom_template(phi, table, bound)
+        case Truth():
+            return lambda env: phi
+        case Not(sub):
+            sub = _template(sub, domains, table, bound)
+            return lambda env: Not(sub(env))
+        case And(parts) | Or(parts):
+            node = type(phi)
+            subs = [_template(p, domains, table, bound) for p in parts]
+            return lambda env: node(tuple([s(env) for s in subs]))
+        case ForAll(var, dom, sub) | Exists(var, dom, sub):
+            if dom not in domains:
+                def undeclared(env):
+                    raise TheoryError(f"undeclared domain {dom!r}")
+                return undeclared
+            consts = domains[dom]
+            universal = isinstance(phi, ForAll)
+            if not consts:
+                empty = TRUE if universal else FALSE
+                return lambda env: empty
+            sub = _template(sub, domains, table, bound | {var})
+            node = And if universal else Or
+
+            def quantified(env):
+                saved = env.get(var, _UNBOUND)
+                parts = []
+                for c in consts:
+                    env[var] = c
+                    parts.append(sub(env))
+                if saved is _UNBOUND:
+                    del env[var]
+                else:
+                    env[var] = saved
+                return parts[0] if len(parts) == 1 else node(tuple(parts))
+            return quantified
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+_UNBOUND = object()
+
+
+def _atom_template(atom: Atom, table: dict, bound: frozenset):
+    """The atom with the variables in ``bound`` replaced from ``env``, as a
+    function of ``env``, interned in ``table``."""
+    pred, args = atom.predicate, atom.args
+    names = [a.name if isinstance(a, Var) and a.name in bound else None
+             for a in args]
+    interned = table.setdefault(pred, {})
+    if all(n is None for n in names):
+        def constant(env):
+            a = interned.get(args)
+            if a is None:
+                a = interned[args] = atom
+            return a
+        return constant
+    if None in names:
+        def key(env):
+            return tuple([a if n is None else env[n] for a, n in zip(args, names)])
+    elif len(names) > 1:
+        key = itemgetter(*names)
+    else:
+        name = names[0]
+
+        def key(env):
+            return (env[name],)
+
+    def instance(env):
+        k = key(env)
+        a = interned.get(k)
+        if a is None:
+            a = interned[k] = Atom(pred, k)
+        return a
+    return instance
+
 
 def expand_formula(phi: Formula, env: dict, domains: dict) -> Formula:
     """Substitute ``env`` and expand quantifiers to finite connectives."""
-    match phi:
-        case Atom():
-            return substitute_atom(phi, env)
-        case Truth():
-            return phi
-        case Not(sub):
-            return Not(expand_formula(sub, env, domains))
-        case And(parts):
-            return And(tuple(expand_formula(p, env, domains) for p in parts))
-        case Or(parts):
-            return Or(tuple(expand_formula(p, env, domains) for p in parts))
-        case ForAll(var, dom, sub) | Exists(var, dom, sub):
-            if dom not in domains:
-                raise TheoryError(f"undeclared domain {dom!r}")
-            parts = tuple(expand_formula(sub, {**env, var: c}, domains)
-                          for c in domains[dom])
-            if isinstance(phi, ForAll):
-                return TRUE if not parts else (parts[0] if len(parts) == 1 else And(parts))
-            return FALSE if not parts else (parts[0] if len(parts) == 1 else Or(parts))
-    raise TypeError(f"not a formula: {phi!r}")
+    return _template(phi, domains, {}, frozenset(env))(dict(env))
+
+
+def _instances(law: CPLaw, domains: dict, table: dict):
+    """`law_instances`, interning the head atoms in ``table``."""
+    for _, d in law.vars:
+        if d not in domains:
+            raise TheoryError(f"undeclared domain {d!r}")
+    names = [v for v, _ in law.vars]
+    bound = frozenset(names)
+    head = [(d.literal.negated, _atom_template(d.literal.atom, table, bound), d.prob)
+            for d in law.head]
+    for assignment in itertools.product(*(domains[d] for _, d in law.vars)):
+        env = dict(zip(names, assignment))
+        yield env, tuple(HeadDisjunct(EffectLiteral(negated, atom(env)), prob)
+                         for negated, atom, prob in head)
 
 
 def law_instances(law: CPLaw, domains: dict):
@@ -67,43 +211,41 @@ def law_instances(law: CPLaw, domains: dict):
     Assignments come in domain order; the body is left to the caller, which
     either expands its quantifiers or only substitutes ``env``.
     """
-    for _, d in law.vars:
-        if d not in domains:
-            raise TheoryError(f"undeclared domain {d!r}")
-    names = [v for v, _ in law.vars]
-    for assignment in itertools.product(*(domains[d] for _, d in law.vars)):
-        env = dict(zip(names, assignment))
-        yield env, tuple(
-            HeadDisjunct(EffectLiteral(disj.literal.negated,
-                                       substitute_atom(disj.literal.atom, env)),
-                         disj.prob)
-            for disj in law.head)
+    return _instances(law, domains, {})
 
 
 def ground(t: Theory) -> GroundTheory:
-    """Instantiate every law over its variables' domains, in declaration order."""
+    """Instantiate every law over its variables' domains, in declaration order.
+
+    A head atom is endogenous, and so is a body atom unless its predicate is
+    declared exogenous.  The exogenous universe comes from the declarations,
+    not from mentions: an interpretation X may set any ground exogenous
+    atom, mentioned or not.
+    """
     for law in t.laws:
         check_law(law)
-        total = law.head_sum()
-        if total > 1:
-            raise TheoryError(f"head probabilities sum to {total} > 1")
-    laws = [CPLaw((), head, expand_formula(law.body, env, t.domains))
-            for law in t.laws for env, head in law_instances(law, t.domains)]
+    table: dict = {}  # predicate -> {args: atom}, every atom the laws mention
+    # The head atoms of a law with an exogenous head, which only code can
+    # build, are endogenous; unlike body atoms they do not widen the
+    # exogenous universe, so they are interned apart.
+    odd_heads: dict = {}
+    laws = []
+    for law in t.laws:
+        body = _template(law.body, t.domains, table,
+                         frozenset(v for v, _ in law.vars))
+        exogenous_head = any(d.literal.atom.predicate in t.exogenous for d in law.head)
+        for env, head in _instances(law, t.domains,
+                                    odd_heads if exogenous_head else table):
+            laws.append(CPLaw((), head, body(env)))
 
-    endo: set = set()
-    exo: set = set()
-    for law in laws:
-        for disj in law.head:
-            endo.add(disj.literal.atom)
-        for atom in formula_atoms(law.body):
-            (exo if atom.predicate in t.exogenous else endo).add(atom)
-    # The exogenous universe comes from the declarations, not from mentions:
-    # an interpretation X may set any ground exogenous atom, mentioned or not.
-    constants = sorted(set(itertools.chain.from_iterable(t.domains.values())))
-    for pred, arity in t.exogenous.items():
-        for combo in itertools.product(constants, repeat=arity):
-            exo.add(Atom(pred, combo))
-    return GroundTheory(tuple(laws), frozenset(endo), frozenset(exo),
+    endo: list = []
+    exo: list = []
+    for pred, atoms in table.items():
+        (exo if pred in t.exogenous else endo).extend(atoms.values())
+    for atoms in odd_heads.values():
+        endo.extend(atoms.values())
+    return GroundTheory(tuple(laws), frozenset(endo),
+                        ExogenousUniverse(t.exogenous, t.domains, exo),
                         frozenset(t.exogenous), dict(t.domains))
 
 
@@ -120,7 +262,7 @@ class StratificationReport:
     """
 
     stratified: bool
-    offending_cycles: tuple  # of frozenset[Atom]
+    offending_cycles: tuple  # of frozenset[Atom], in printed order
     negative_edges: tuple  # of (Atom, Atom)
 
     def describe(self) -> str:
@@ -132,68 +274,82 @@ class StratificationReport:
 
 def stratification_report(g: GroundTheory) -> StratificationReport:
     """Ground dependency graph: head atom -> body atom, negative when the body
-    occurrence is negated or the head literal is a negative effect literal."""
-    edges: dict = {}  # (A, B) -> negative?
-    nodes: set = set()
-    for law in g.laws:
-        body_occ = list(formula_atom_polarities(law.body))
-        for disj in law.head:
-            a = disj.literal.atom
-            nodes.add(a)
-            for b, occ_negated in body_occ:
-                nodes.add(b)
-                negative = occ_negated or disj.literal.negated
-                edges[(a, b)] = edges.get((a, b), False) or negative
+    occurrence is negated or the head literal is a negative effect literal.
 
-    adj: dict = {n: [] for n in nodes}
-    radj: dict = {n: [] for n in nodes}
-    for (a, b) in edges:
-        adj[a].append(b)
-        radj[b].append(a)
+    ``negative_edges`` lists the negative pairs in the order of their first
+    occurrence, and ``offending_cycles`` is sorted by printed form.  An
+    atom in no head has no out-edges and lies on no cycle, so the strongly
+    connected components are found over head atoms only.
+    """
+    node: dict = {}  # atom -> node number, head atoms first
+    for law in g.laws:
+        for disj in law.head:
+            node.setdefault(disj.literal.atom, len(node))
+    heads = len(node)
+    deps: list = [{} for _ in range(heads)]  # per head: body node -> rank
+    negative: dict = {}  # rank of a pair's first occurrence -> negative pair
+    rank = 0
+    for law in g.laws:
+        body = []
+        for b, negated in formula_atom_polarities(law.body):
+            j = node.get(b)
+            if j is None:
+                j = node[b] = len(node)
+            body.append((j, negated))
+        for disj in law.head:
+            i, negated_head = node[disj.literal.atom], disj.literal.negated
+            out = deps[i]
+            for j, negated in body:
+                r = out.get(j)
+                if r is None:
+                    r = out[j] = rank
+                    rank += 1
+                if (negated or negated_head) and r not in negative:
+                    negative[r] = (i, j)
+
+    adj = [[j for j in out if j < heads] for out in deps]
+    radj: list = [[] for _ in range(heads)]
+    for i, js in enumerate(adj):
+        for j in js:
+            radj[j].append(i)
 
     # Kosaraju
     order: list = []
-    seen: set = set()
-    for start in nodes:
-        if start in seen:
+    seen = [False] * heads
+    for start in range(heads):
+        if seen[start]:
             continue
         stack = [(start, iter(adj[start]))]
-        seen.add(start)
+        seen[start] = True
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
+            i, it = stack[-1]
+            for j in it:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append((j, iter(adj[j])))
                     break
-            if not advanced:
-                order.append(node)
+            else:
+                order.append(i)
                 stack.pop()
-    comp: dict = {}
+    comp = [-1] * heads
     for start in reversed(order):
-        if start in comp:
+        if comp[start] >= 0:
             continue
         stack = [start]
         comp[start] = start
         while stack:
-            node = stack.pop()
-            for nxt in radj[node]:
-                if nxt not in comp:
-                    comp[nxt] = start
-                    stack.append(nxt)
+            for j in radj[stack.pop()]:
+                if comp[j] < 0:
+                    comp[j] = start
+                    stack.append(j)
 
+    atoms = list(node)
+    pairs = [negative[r] for r in sorted(negative)]
+    bad = {comp[i] for i, j in pairs if j < heads and comp[j] == comp[i]}
     members: dict = {}
-    for node, root in comp.items():
-        members.setdefault(root, set()).add(node)
-
-    bad_roots = set()
-    neg_edges = []
-    for (a, b), negative in edges.items():
-        if negative:
-            neg_edges.append((a, b))
-            if comp[a] == comp[b]:
-                bad_roots.add(comp[a])
-    offending = tuple(frozenset(members[r]) for r in sorted(bad_roots, key=str))
-    return StratificationReport(not offending, offending, tuple(neg_edges))
+    for i in range(heads):
+        if comp[i] in bad:
+            members.setdefault(comp[i], set()).add(atoms[i])
+    offending = tuple(sorted(map(frozenset, members.values()), key=format_atom_set))
+    return StratificationReport(not offending, offending,
+                                tuple((atoms[i], atoms[j]) for i, j in pairs))

@@ -34,7 +34,7 @@ The printer is the parser's inverse up to formatting: for any theory value
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
@@ -177,6 +177,10 @@ class Theory:
     domains: dict  # name -> tuple of constants, declaration order kept
     exogenous: dict  # predicate -> arity
     laws: tuple[CPLaw, ...]
+    # Every predicate's arity, for parsers closed over this theory; set on
+    # first use, so it is worked out once per theory value.
+    _arity: dict | None = field(default=None, init=False, compare=False,
+                                repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +220,22 @@ def substitute_formula(phi: Formula, env: dict) -> Formula:
 def formula_atom_polarities(phi: Formula, negated: bool = False) -> Iterator[tuple[Atom, bool]]:
     """Atom occurrences in textual order, each paired with whether it sits
     under an odd number of negations."""
-    match phi:
-        case Atom():
-            yield phi, negated
-        case Truth():
-            return
-        case Not(sub):
-            yield from formula_atom_polarities(sub, not negated)
-        case And(parts) | Or(parts):
-            for p in parts:
-                yield from formula_atom_polarities(p, negated)
-        case ForAll(_, _, sub) | Exists(_, _, sub):
-            yield from formula_atom_polarities(sub, negated)
-        case _:
-            raise TypeError(f"not a formula: {phi!r}")
+    stack = [(phi, negated)]  # subformulas still to visit, the next one last
+    while stack:
+        phi, negated = stack.pop()
+        match phi:
+            case Atom():
+                yield phi, negated
+            case Truth():
+                pass
+            case Not(sub):
+                stack.append((sub, not negated))
+            case And(parts) | Or(parts):
+                stack.extend((p, negated) for p in reversed(parts))
+            case ForAll(_, _, sub) | Exists(_, _, sub):
+                stack.append((sub, negated))
+            case _:
+                raise TypeError(f"not a formula: {phi!r}")
 
 
 def formula_atoms(phi: Formula) -> Iterator[Atom]:
@@ -580,8 +586,10 @@ def _seeded_parser(text: str, theory: Theory | None) -> _Parser:
         p.domains = dict(theory.domains)
         for consts in theory.domains.values():
             p.constants.update(consts)
-        p.arity = dict(theory.exogenous)
-        p.arity.update(endogenous_signature(theory))
+        if theory._arity is None:
+            object.__setattr__(theory, "_arity",
+                               {**theory.exogenous, **endogenous_signature(theory)})
+        p.arity = dict(theory._arity)
     return p
 
 

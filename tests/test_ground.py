@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cplogic
 from cplogic import theories
+from cplogic.cli import main
 from cplogic.engine import _outcomes
-from cplogic.ground import ground, stratification_report
-from cplogic.syntax import (TRUE, And, Atom, CPLaw, EffectLiteral, HeadDisjunct,
-                            Or, Theory, TheoryError, Var, parse_theory)
+from cplogic.ground import (GroundTheory, expand_formula, ground,
+                            stratification_report)
+from cplogic.syntax import (FALSE, TRUE, And, Atom, CPLaw, EffectLiteral,
+                            Exists, ForAll, HeadDisjunct, Or, Theory,
+                            TheoryError, Var, formula_atoms, parse_theory)
 
 from helpers import atom, atoms
 
@@ -152,3 +160,78 @@ def test_declared_exogenous_predicates_always_in_universe():
     # even when no law mentions them, declared exogenous atoms are settable
     t = parse_theory("exogenous E/0.\nA <- B.")
     assert atom("E") in ground(t).exogenous_atoms
+
+
+def test_a_ground_theory_built_in_code_rejects_a_head_summing_above_one():
+    head = tuple(HeadDisjunct(EffectLiteral(False, Atom(name)), Fraction(2, 3))
+                 for name in ("A", "B"))
+    with pytest.raises(TheoryError, match=r"^head probabilities sum to 4/3 > 1$"):
+        GroundTheory((CPLaw((), head, TRUE),), atoms("A", "B"), frozenset(),
+                     frozenset(), {})
+
+
+def test_equal_ground_atoms_are_one_object():
+    g = ground(parse_theory("domain d = {a, b}.\n!y in d: P(y) <- ?x in d: P(x)."))
+    pa = [x for law in g.laws for x in formula_atoms(law.body) if x == atom("P(a)")]
+    assert len(pa) == 2
+    (interned,) = (x for x in g.endogenous_atoms if x == atom("P(a)"))
+    assert all(x is interned for x in pa)
+    assert g.laws[0].head[0].literal.atom is interned
+
+
+def test_expansion_reaches_an_undeclared_domain_only_when_it_must():
+    ghost = ForAll("y", "ghost", Atom("P", (Var("y"),)))
+    assert expand_formula(Exists("x", "none", ghost), {}, {"none": ()}) == FALSE
+    with pytest.raises(TheoryError, match="undeclared domain 'ghost'"):
+        expand_formula(Exists("x", "one", ghost), {}, {"one": ("a",)})
+
+
+def test_offending_cycles_come_in_printed_order():
+    report = stratification_report(ground(parse_theory(
+        "A <- ~D. D <- ~A. B <- ~C. C <- ~B.")))
+    assert report.offending_cycles == (atoms("A", "D"), atoms("B", "C"))
+    assert report.describe() == \
+        "stratified: no (negation cycle through {A, D}; {B, C})"
+
+
+BIG_UNIVERSE = ("domain d = {" + ", ".join(f"c{i}" for i in range(100)) + "}.\n"
+                "exogenous R/3.\nA <- R(c0, c1, c2).\n")
+
+
+def test_the_exogenous_universe_is_counted_not_listed():
+    t = parse_theory(BIG_UNIVERSE)
+    universe = ground(t).exogenous_atoms
+    assert len(universe) == 100 ** 3
+    assert atom("R(c99,c0,c7)") in universe
+    assert atom("R(c0,c1)") not in universe and atom("R(c0,c1,zz)") not in universe
+    assert "R" not in universe
+    assert frozenset({atom("R(c0,c1,c2)"), atom("Q")}) - universe == {atom("Q")}
+    small = ground(parse_theory("domain d = {a, b}.\nexogenous E/0, R/2.\nA."))
+    assert sorted(map(str, small.exogenous_atoms)) == \
+        ["E", "R(a,a)", "R(a,b)", "R(b,a)", "R(b,b)"]
+
+
+def test_grounding_a_large_exogenous_universe_takes_little_memory():
+    script = ("import resource, sys\n"
+              "from cplogic import ground, parse_theory\n"
+              "t = parse_theory(sys.stdin.read())\n"
+              "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "g = ground(t)\n"
+              "print(len(g.exogenous_atoms),\n"
+              "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cplogic.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], input=BIG_UNIVERSE,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    size, grown_kb = map(int, proc.stdout.split())
+    assert size == 100 ** 3
+    assert grown_kb < 8 * 1024  # listing the universe took over 200 MB
+
+
+def test_check_prints_the_size_of_a_large_exogenous_universe(tmp_path, capsys):
+    path = tmp_path / "big.cpl"
+    path.write_text(BIG_UNIVERSE)
+    assert main(["check", str(path), "--exo", "R(c0,c1,c2)=true"]) == 0
+    out = capsys.readouterr().out
+    assert "exogenous atoms: 1000000\n" in out
+    assert "ok (1 worlds)" in out

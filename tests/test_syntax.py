@@ -395,3 +395,23 @@ def test_deepest_accepted_formula_goes_through_the_pipeline():
     finally:
         sys.setrecursionlimit(limit)
     assert all(d.total() == 1 for d in dists)
+
+
+def test_a_theory_vocabulary_is_worked_out_once_per_theory_value(monkeypatch):
+    from cplogic import syntax
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+    real = syntax.endogenous_signature
+    monkeypatch.setattr(syntax, "endogenous_signature", counted)
+    t = theories.get("gears")
+    parse_literal("Turns(gear1)", t)
+    parse_formula("Turns(gear2), ~Crank1", t)
+    assert parse_assignment("Crank1=true", t) == {Atom("Crank1"): True}
+    assert calls == [t]
+    with pytest.raises(ParseError, match="unknown predicate 'Spins'"):
+        parse_literal("Spins(gear1)", t)
+    parse_literal("Turns(gear1)", theories.get("gears"))
+    assert len(calls) == 2
