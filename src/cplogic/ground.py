@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Set
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
@@ -158,26 +157,9 @@ def _atom_template(atom: Atom, table: dict, bound: frozenset):
     names = [a.name if isinstance(a, Var) and a.name in bound else None
              for a in args]
     interned = table.setdefault(pred, {})
-    if all(n is None for n in names):
-        def constant(env):
-            a = interned.get(args)
-            if a is None:
-                a = interned[args] = atom
-            return a
-        return constant
-    if None in names:
-        def key(env):
-            return tuple([a if n is None else env[n] for a, n in zip(args, names)])
-    elif len(names) > 1:
-        key = itemgetter(*names)
-    else:
-        name = names[0]
-
-        def key(env):
-            return (env[name],)
 
     def instance(env):
-        k = key(env)
+        k = tuple([a if n is None else env[n] for a, n in zip(args, names)])
         a = interned.get(k)
         if a is None:
             a = interned[k] = Atom(pred, k)

@@ -177,10 +177,12 @@ class Theory:
     domains: dict  # name -> tuple of constants, declaration order kept
     exogenous: dict  # predicate -> arity
     laws: tuple[CPLaw, ...]
-    # Every predicate's arity, for parsers closed over this theory; set on
-    # first use, so it is worked out once per theory value.
-    _arity: dict | None = field(default=None, init=False, compare=False,
-                                repr=False)
+    # (the exogenous declarations it was worked out from, every predicate's
+    # arity), for parsers closed over this theory; set on first use and
+    # worked out again only if ``exogenous`` has changed since (``laws`` is
+    # immutable).
+    _arity: tuple | None = field(default=None, init=False, compare=False,
+                                 repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -220,22 +222,20 @@ def substitute_formula(phi: Formula, env: dict) -> Formula:
 def formula_atom_polarities(phi: Formula, negated: bool = False) -> Iterator[tuple[Atom, bool]]:
     """Atom occurrences in textual order, each paired with whether it sits
     under an odd number of negations."""
-    stack = [(phi, negated)]  # subformulas still to visit, the next one last
-    while stack:
-        phi, negated = stack.pop()
-        match phi:
-            case Atom():
-                yield phi, negated
-            case Truth():
-                pass
-            case Not(sub):
-                stack.append((sub, not negated))
-            case And(parts) | Or(parts):
-                stack.extend((p, negated) for p in reversed(parts))
-            case ForAll(_, _, sub) | Exists(_, _, sub):
-                stack.append((sub, negated))
-            case _:
-                raise TypeError(f"not a formula: {phi!r}")
+    match phi:
+        case Atom():
+            yield phi, negated
+        case Truth():
+            return
+        case Not(sub):
+            yield from formula_atom_polarities(sub, not negated)
+        case And(parts) | Or(parts):
+            for p in parts:
+                yield from formula_atom_polarities(p, negated)
+        case ForAll(_, _, sub) | Exists(_, _, sub):
+            yield from formula_atom_polarities(sub, negated)
+        case _:
+            raise TypeError(f"not a formula: {phi!r}")
 
 
 def formula_atoms(phi: Formula) -> Iterator[Atom]:
@@ -586,10 +586,12 @@ def _seeded_parser(text: str, theory: Theory | None) -> _Parser:
         p.domains = dict(theory.domains)
         for consts in theory.domains.values():
             p.constants.update(consts)
-        if theory._arity is None:
-            object.__setattr__(theory, "_arity",
-                               {**theory.exogenous, **endogenous_signature(theory)})
-        p.arity = dict(theory._arity)
+        memo = theory._arity
+        if memo is None or memo[0] != theory.exogenous:
+            memo = (dict(theory.exogenous),
+                    {**theory.exogenous, **endogenous_signature(theory)})
+            object.__setattr__(theory, "_arity", memo)
+        p.arity = dict(memo[1])
     return p
 
 

@@ -415,3 +415,14 @@ def test_a_theory_vocabulary_is_worked_out_once_per_theory_value(monkeypatch):
         parse_literal("Spins(gear1)", t)
     parse_literal("Turns(gear1)", theories.get("gears"))
     assert len(calls) == 2
+
+
+def test_a_theory_vocabulary_follows_a_change_to_its_exogenous_declarations():
+    t = parse_theory("domain d = {c}. A <- B.")
+    with pytest.raises(ParseError, match="unknown predicate 'E'"):
+        parse_literal("E(c)", t)
+    t.exogenous["E"] = 1
+    assert parse_literal("E(c)", t).atom == Atom("E", ("c",))
+    del t.exogenous["E"]
+    with pytest.raises(ParseError, match="unknown predicate 'E'"):
+        parse_literal("E(c)", t)
