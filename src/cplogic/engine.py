@@ -9,11 +9,11 @@ now".  When a body holds in the current world but the overestimate cannot
 decide it, the process is stuck and the theory has no semantics.
 
 One iterative fold, `_fold`, walks the reachable execution states children
-first: it checks X, turns each law's head into its outcome table (a head
-that sums below 1 gains the no-op outcome), classifies each distinct state
-once and raises `SoundnessError`.  `build_execution_model` and
-`distribution` are folds over it that follow one law per state;
-`oracle.sweep_orders` is a fold that follows every applicable law.
+first: it checks X, follows the outcome tables that the ground theory
+built for its laws, classifies each distinct state once and raises
+`SoundnessError`.  `build_execution_model` and `distribution` are folds
+over it that follow one law per state; `oracle.sweep_orders` is a fold
+that follows every applicable law.
 
 States are classified against a `_Program`: the ground theory compiled once
 per X, and kept on the `GroundTheory` itself.  Atoms become bits, each
@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 
 from .ground import GroundTheory, expand_formula
-from .syntax import (And, Atom, CPLaw, EffectLiteral, Formula, Not, Or,
+from .syntax import (And, Atom, EffectLiteral, Formula, Not, Or,
                      format_atom_set, formula_atoms)
 # bench/tracing.py counts `holds` and `kleene_eval` calls at this import
 # site, so both stay bound here.
@@ -363,7 +363,7 @@ def compute_U(g: GroundTheory, X: frozenset, state: ExecState,
     ``g``'s compiled program: every unfired body is evaluated once, each
     law whose body is not f has its heads propagated once, and an atom that
     changes re-evaluates only the still-f bodies that read it.
-    `oracle.reference_U` computes the same fixpoint by rescanning.
+    ``tests/reference_engine.py`` computes the same fixpoint by rescanning.
     """
     prog = _program(g, X)
     t, u = prog.overestimate(state, mode)
@@ -416,17 +416,6 @@ def apply_disjunct(state: ExecState, index: int,
     return ExecState(state.true_atoms | {a}, state.negated, fired)
 
 
-def _outcomes(law: CPLaw) -> tuple:
-    """The law's outcome table: one ``(outcome, num, den)`` per head
-    disjunct, the probability ``num / den`` in lowest terms, plus the no-op
-    outcome ``None`` with the remainder when the head sums below 1."""
-    probs = [(d.literal, d.prob) for d in law.head]
-    total = law.head_sum()
-    if total < 1:
-        probs.append((None, 1 - total))
-    return tuple((outcome, p.numerator, p.denominator) for outcome, p in probs)
-
-
 def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     """Fold the execution states reachable from the root, children first.
 
@@ -447,7 +436,7 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     if extra:
         names = ", ".join(sorted(str(a) for a in extra))
         raise ExogenousError(f"not in the exogenous universe: {names}")
-    weights = [_outcomes(law) for law in g.laws]
+    weights = g._outcomes
     memo: dict = {}  # finished state -> value
     # The current path: per state, its U, the (law, outcome, num, den) edges to
     # follow, an iterator over those not yet visited, and the children so far.

@@ -8,9 +8,12 @@ environment (variable name -> constant), and the template is instantiated
 per assignment; a quantifier binds its variable in that environment in
 place and restores it afterwards.  Every ground atom is interned as it is
 built, in one table keyed by predicate and arguments, so equal atoms of a
-ground theory are one object and the atom universes fall out of the table.
-Laws built in code are checked first for what printing hides
-(`syntax.check_law`), and a ground theory rejects a head that sums above 1.
+ground theory are one object and the endogenous atoms fall out of the
+table.
+Laws are checked first for what printing hides and for what breaks the
+theory's vocabulary (`syntax.check_law`), and a ground theory builds each
+law's outcome table once, rejecting a probability outside (0, 1] and a head
+that sums above 1.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Set
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd, lcm
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
@@ -29,30 +34,24 @@ class ExogenousUniverse(Set):
     """Every ground exogenous atom that an interpretation X may set.
 
     That is each declared exogenous predicate applied to every tuple of
-    constants of the theory's domains, plus any other exogenous atom that a
-    law built in code mentions.  The universe is counted, not listed:
-    membership is tested against the declarations, and iteration builds the
-    atoms one at a time, so ``exogenous R/3`` over 100 constants costs no
-    memory for its million atoms.
+    constants of the theory's domains.  The universe is counted, not
+    listed: membership is tested against the declarations, and iteration
+    builds the atoms one at a time, so ``exogenous R/3`` over 100 constants
+    costs no memory for its million atoms.
     """
 
-    __slots__ = ("_arity", "_constants", "_extra", "_size")
+    __slots__ = ("_arity", "_constants", "_size")
 
-    def __init__(self, arity: dict, domains: dict, mentioned=()):
+    def __init__(self, arity: dict, domains: dict):
         self._arity = arity = dict(arity)
         self._constants = constants = frozenset(
             itertools.chain.from_iterable(domains.values()))
-        self._extra = frozenset(a for a in mentioned
-                                if arity.get(a.predicate) != len(a.args)
-                                or not constants.issuperset(a.args))
-        self._size = (sum(len(constants) ** n for n in arity.values())
-                      + len(self._extra))
+        self._size = sum(len(constants) ** n for n in arity.values())
 
     def __contains__(self, atom) -> bool:
-        declared = (isinstance(atom, Atom)
-                    and self._arity.get(atom.predicate) == len(atom.args)
-                    and self._constants.issuperset(atom.args))
-        return declared or atom in self._extra
+        return (isinstance(atom, Atom)
+                and self._arity.get(atom.predicate) == len(atom.args)
+                and self._constants.issuperset(atom.args))
 
     def __len__(self) -> int:
         return self._size
@@ -62,7 +61,6 @@ class ExogenousUniverse(Set):
         for pred, n in self._arity.items():
             for args in itertools.product(constants, repeat=n):
                 yield Atom(pred, args)
-        yield from self._extra
 
     @classmethod
     def _from_iterable(cls, it):
@@ -79,27 +77,43 @@ class GroundTheory:
     Law indices (positions in ``laws``) are the stable identifiers used for
     rule selection and for the fired-set of execution states.
     ``exogenous_atoms`` is an `ExogenousUniverse` when built by `ground`;
-    any set of atoms will do.  A head whose probabilities sum above 1 is
-    rejected with `TheoryError`.
+    any set of atoms will do.  A probability outside (0, 1], or a head
+    whose probabilities sum above 1, is rejected with `TheoryError`.
     """
 
     laws: tuple[CPLaw, ...]
     endogenous_atoms: frozenset
     exogenous_atoms: Set
-    exogenous_predicates: frozenset
     domains: dict
+    # Per law, its outcome table: one ``(outcome, num, den)`` per head
+    # disjunct, the probability ``num / den`` in lowest terms, plus the
+    # no-op outcome ``None`` with the remainder when the head sums below 1.
+    _outcomes: tuple = field(default=(), init=False, compare=False, repr=False)
     # The engine's compiled form of ``laws`` for one X, as ``(X, program)``;
     # set on first use, so it lives exactly as long as this theory.
     _compiled: tuple | None = field(default=None, init=False, compare=False,
                                     repr=False)
 
     def __post_init__(self):
-        # The parser rejects such a head at its token; a law built in code
+        # The parser rejects such heads at their tokens; a law built in code
         # is caught here, before any inference can mix its outcomes.
-        for law in self.laws:
-            total = law.head_sum()
-            if total > 1:
-                raise TheoryError(f"head probabilities sum to {total} > 1")
+        object.__setattr__(self, "_outcomes",
+                           tuple(_outcome_table(law) for law in self.laws))
+
+
+def _outcome_table(law: CPLaw) -> tuple:
+    table = [(d.literal, d.prob.numerator, d.prob.denominator) for d in law.head]
+    for _, n, q in table:
+        if not 0 < n <= q:
+            raise TheoryError(f"probability {Fraction(n, q)} is not in (0, 1]")
+    den = lcm(*(q for _, _, q in table))
+    rest = den - sum(n * (den // q) for _, n, q in table)
+    if rest < 0:
+        raise TheoryError(f"head probabilities sum to {Fraction(den - rest, den)} > 1")
+    if rest:
+        k = gcd(rest, den)
+        table.append((None, rest // k, den // k))
+    return tuple(table)
 
 
 def _template(phi: Formula, domains: dict, table: dict, bound: frozenset):
@@ -121,15 +135,13 @@ def _template(phi: Formula, domains: dict, table: dict, bound: frozenset):
             return lambda env: node(tuple([s(env) for s in subs]))
         case ForAll(var, dom, sub) | Exists(var, dom, sub):
             if dom not in domains:
-                def undeclared(env):
-                    raise TheoryError(f"undeclared domain {dom!r}")
-                return undeclared
+                raise TheoryError(f"undeclared domain {dom!r}")
             consts = domains[dom]
             universal = isinstance(phi, ForAll)
+            sub = _template(sub, domains, table, bound | {var})
             if not consts:
                 empty = TRUE if universal else FALSE
                 return lambda env: empty
-            sub = _template(sub, domains, table, bound | {var})
             node = And if universal else Or
 
             def quantified(env):
@@ -199,36 +211,28 @@ def law_instances(law: CPLaw, domains: dict):
 def ground(t: Theory) -> GroundTheory:
     """Instantiate every law over its variables' domains, in declaration order.
 
-    A head atom is endogenous, and so is a body atom unless its predicate is
-    declared exogenous.  The exogenous universe comes from the declarations,
-    not from mentions: an interpretation X may set any ground exogenous
-    atom, mentioned or not.
+    Every atom of a predicate not declared exogenous is endogenous.  The
+    exogenous universe comes from the declarations, not from mentions: an
+    interpretation X may set any ground exogenous atom, mentioned or not.
+    A law that breaks the theory's vocabulary (`syntax.check_law`) or
+    quantifies over an undeclared domain is rejected with `TheoryError`,
+    whether or not it has instances.
     """
+    arity = dict(t.exogenous)
     for law in t.laws:
-        check_law(law)
+        check_law(law, t, arity)
     table: dict = {}  # predicate -> {args: atom}, every atom the laws mention
-    # The head atoms of a law with an exogenous head, which only code can
-    # build, are endogenous; unlike body atoms they do not widen the
-    # exogenous universe, so they are interned apart.
-    odd_heads: dict = {}
     laws = []
     for law in t.laws:
         body = _template(law.body, t.domains, table,
                          frozenset(v for v, _ in law.vars))
-        exogenous_head = any(d.literal.atom.predicate in t.exogenous for d in law.head)
-        for env, head in _instances(law, t.domains,
-                                    odd_heads if exogenous_head else table):
+        for env, head in _instances(law, t.domains, table):
             laws.append(CPLaw((), head, body(env)))
-
-    endo: list = []
-    exo: list = []
-    for pred, atoms in table.items():
-        (exo if pred in t.exogenous else endo).extend(atoms.values())
-    for atoms in odd_heads.values():
-        endo.extend(atoms.values())
+    endo = [a for pred, atoms in table.items() if pred not in t.exogenous
+            for a in atoms.values()]
     return GroundTheory(tuple(laws), frozenset(endo),
-                        ExogenousUniverse(t.exogenous, t.domains, exo),
-                        frozenset(t.exogenous), dict(t.domains))
+                        ExogenousUniverse(t.exogenous, t.domains),
+                        dict(t.domains))
 
 
 # ---------------------------------------------------------------------------

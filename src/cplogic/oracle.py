@@ -5,13 +5,12 @@ collects the distribution of each complete execution model, so firing-order
 invariance can be checked rather than assumed.  It is a fold over the
 engine's iterative state walk: it shares the engine's state classification,
 soundness check and mixing loop, but not its firing policy.
-``reference_U`` computes the overestimate U by its definition, rescanning
-every unfired law until nothing changes, for the compiled worklist
-`engine.compute_U` to agree with; ``reference_distribution`` mixes with
-`Fraction` arithmetic throughout, for the integer mixing of
-`engine.distribution` to agree with.  ``well_founded_model`` and
-``least_model`` are classical fixpoint constructions for the deterministic
-fragments, giving the engine something external to agree with.
+``well_founded_model`` and ``least_model`` are classical fixpoint
+constructions for the deterministic fragments, giving the engine something
+external to agree with.  ``random_stratified_theory`` generates seeded
+theories that have one distribution whatever the firing order.  The
+references that only the tests use, a rescanning U and a `Fraction`
+distribution, are kept in ``tests/reference_engine.py``.
 """
 
 from __future__ import annotations
@@ -22,15 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .engine import (Distribution, ExecState, UMode, _fold, _follow, _mix,
-                     lowest_index_policy)
+from .engine import Distribution, ExecState, UMode, _fold, _mix
 # Bound here only so that bench/tracing.py can patch them at this import site.
 from .engine import (applicable, apply_disjunct, compute_U,  # noqa: F401
                      satisfied_unfired)
 from .ground import GroundTheory
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Formula, HeadDisjunct,
                      Not, Or, Theory, Truth, TRUE, formula_atom_polarities)
-from .threeval import F, T, U, ThreeValuedInterp, holds, kleene_eval
+from .threeval import ThreeValuedInterp, holds
 
 
 # Default node budget of `sweep_orders` and of `cpl sweep --budget`.  The
@@ -176,76 +174,6 @@ def _build_witness(path, state, per_rule) -> DivergenceWitness:
 
 
 # ---------------------------------------------------------------------------
-# Reference overestimate and reference mixing
-# ---------------------------------------------------------------------------
-
-def reference_U(g: GroundTheory, X: frozenset, state: ExecState,
-                mode: UMode = UMode.EXTENDED) -> ThreeValuedInterp:
-    """`engine.compute_U` by the definition: rescan every unfired law with
-    `kleene_eval` until a whole round changes nothing.
-
-    Starts from the current world (t on I, f elsewhere) and repeatedly
-    downgrades to u: an atom may still be caused by an unfired law whose body
-    is not yet ruled out, and (extended mode) a true atom may still be
-    retracted by an unfired law with a matching negative head literal.
-    Retracted atoms (N) stay pinned at f.
-    """
-    value = {a: (T if a in state.true_atoms else F) for a in g.endogenous_atoms}
-    unfired = [i for i in range(len(g.laws)) if i not in state.fired]
-
-    def snapshot():
-        return ThreeValuedInterp(
-            g.endogenous_atoms,
-            frozenset(a for a, v in value.items() if v is T),
-            frozenset(a for a, v in value.items() if v is U))
-
-    changed = True
-    while changed:
-        changed = False
-        nu = snapshot()
-        for i in unfired:
-            law = g.laws[i]
-            if kleene_eval(law.body, nu, X, g.exogenous_atoms) is F:
-                continue
-            for disj in law.head:
-                a = disj.literal.atom
-                if a in state.negated:
-                    continue
-                if not disj.literal.negated:
-                    if value[a] is F:
-                        value[a] = U
-                        changed = True
-                elif mode is UMode.EXTENDED:
-                    if value[a] is T:
-                        value[a] = U
-                        changed = True
-    return snapshot()
-
-
-def reference_distribution(g: GroundTheory, X: frozenset,
-                           mode: UMode = UMode.EXTENDED,
-                           policy=lowest_index_policy) -> Distribution:
-    """`engine.distribution` with `Fraction` arithmetic at every edge.
-
-    The same fold, following the same law per state, but each state's
-    sub-distribution is a dict of `Fraction`s mixed by ``+`` and ``*``: the
-    plain rational arithmetic that the engine's integer mixing must match.
-    """
-    def mix(state, _u, branches, _path):
-        if not branches:
-            return {state.true_atoms: Fraction(1)}
-        ((_, kids),) = branches
-        acc: dict = {}
-        for _, num, den, sub in kids:
-            prob = Fraction(num, den)
-            for world, p in sub.items():
-                acc[world] = acc.get(world, Fraction(0)) + prob * p
-        return acc
-
-    return Distribution(_fold(g, X, mode, _follow(policy), mix))
-
-
-# ---------------------------------------------------------------------------
 # Well-founded and least models (deterministic fragments)
 # ---------------------------------------------------------------------------
 
@@ -261,22 +189,22 @@ def _deterministic_rules(g: GroundTheory, what: str):
 
 
 def _dual_eval(phi: Formula, inner: frozenset, outer: frozenset,
-               X: frozenset, exo_preds: frozenset, positive: bool) -> bool:
+               X: frozenset, exogenous, positive: bool) -> bool:
     """Evaluate with positive atom occurrences read from ``inner`` and
     occurrences under an odd number of negations read from ``outer``."""
     match phi:
         case Atom():
-            if phi.predicate in exo_preds:
+            if phi in exogenous:
                 return phi in X
             return phi in (inner if positive else outer)
         case Truth(v):
             return v
         case Not(sub):
-            return not _dual_eval(sub, inner, outer, X, exo_preds, not positive)
+            return not _dual_eval(sub, inner, outer, X, exogenous, not positive)
         case And(parts):
-            return all(_dual_eval(p, inner, outer, X, exo_preds, positive) for p in parts)
+            return all(_dual_eval(p, inner, outer, X, exogenous, positive) for p in parts)
         case Or(parts):
-            return any(_dual_eval(p, inner, outer, X, exo_preds, positive) for p in parts)
+            return any(_dual_eval(p, inner, outer, X, exogenous, positive) for p in parts)
     raise OracleError(f"cannot evaluate {phi!r}; ground the theory first")
 
 
@@ -288,7 +216,7 @@ def well_founded_model(g: GroundTheory, X: frozenset = frozenset()) -> ThreeValu
     underestimates and overestimates; atoms in neither limit set are unknown.
     """
     rules = _deterministic_rules(g, "well_founded_model")
-    exo = g.exogenous_predicates
+    exo = g.exogenous_atoms
 
     def gamma(assumed: frozenset) -> frozenset:
         derived: set = set()
@@ -352,29 +280,6 @@ def _atom_names(atoms: int) -> tuple:
         raise ValueError(f"atoms must be between 1 and {len(_ATOM_NAMES)}, "
                          f"got {atoms}")
     return _ATOM_NAMES[:atoms]
-
-
-def random_deterministic_theory(seed: int, atoms: int = 6, laws: int = 6,
-                                negation_rate: float = 0.4) -> Theory:
-    """Seeded propositional deterministic theory; bodies may use negation
-    freely, so the result may well be unsound."""
-    rng = random.Random(seed)
-    names = _atom_names(atoms)
-    n_laws = rng.randint(1, laws)
-
-    def body(depth: int) -> Formula:
-        if depth == 0 or rng.random() < 0.45:
-            atom = Atom(rng.choice(names))
-            return Not(atom) if rng.random() < negation_rate else atom
-        op = rng.choice((And, Or))
-        return op(tuple(body(depth - 1) for _ in range(rng.randint(2, 3))))
-
-    out = []
-    for _ in range(n_laws):
-        head_atom = Atom(rng.choice(names))
-        phi = TRUE if rng.random() < 0.15 else body(2)
-        out.append(CPLaw((), (HeadDisjunct(EffectLiteral(False, head_atom), Fraction(1)),), phi))
-    return Theory({}, {}, tuple(out))
 
 
 def random_stratified_theory(seed: int, atoms: int = 6, laws: int = 6,

@@ -165,9 +165,6 @@ class CPLaw:
     head: tuple[HeadDisjunct, ...]
     body: Formula
 
-    def head_sum(self) -> Fraction:
-        return sum((d.prob for d in self.head), Fraction(0))
-
     def is_deterministic(self) -> bool:
         return len(self.head) == 1 and self.head[0].prob == 1
 
@@ -441,12 +438,11 @@ class _Parser:
         if self.at_punct("<-"):
             self.advance()
             body = self.parse_or(env)
-        law = CPLaw(tuple(binders), tuple(head), body)
-        total = law.head_sum()
+        total = sum((d.prob for d in head), Fraction(0))
         if total > 1:
             self.fail(f"head probabilities sum to {total} > 1", start)
         self.expect_punct(".")
-        return law
+        return CPLaw(tuple(binders), tuple(head), body)
 
     def is_binder_ahead(self) -> bool:
         # at a law's start "!" can only open a binder, but double-check shape
@@ -721,10 +717,11 @@ def check_theory(t: Theory) -> None:
 
     A theory value is well formed exactly when its printed text parses back
     to it, so the parser's rules are the only ones.  `check_law` first
-    catches what printing hides.
+    catches what printing hides and what breaks the theory's vocabulary.
     """
+    arity = dict(t.exogenous)
     for law in t.laws:
-        check_law(law)
+        check_law(law, t, arity)
     try:
         parsed = parse_theory(print_theory(t))
     except ParseError as exc:
@@ -733,35 +730,54 @@ def check_theory(t: Theory) -> None:
         raise TheoryError("theory does not print as itself")
 
 
-def check_law(law: CPLaw) -> None:
-    """Raise `TheoryError` for what printing hides in ``law``.
+def check_law(law: CPLaw, t: Theory, arity: dict) -> None:
+    """Raise `TheoryError` for what printing hides in ``law``, a law of
+    ``t``, and for what breaks the vocabulary of ``t``.
 
-    Those are variables that no binder or quantifier binds, which print like
-    constants, `And`/`Or` nodes with fewer than two parts, which print like
-    their part, and values that are not formulas at all.
+    Printing hides variables that no binder or quantifier binds, which print
+    like constants, `And`/`Or` nodes with fewer than two parts, which print
+    like their part, and values that are not formulas at all.  The
+    vocabulary is broken by an exogenous predicate in a head, a constant in
+    no domain and a predicate used with two arities: ``arity`` holds each
+    predicate declared exogenous or used in an earlier law, and gains those
+    that ``law`` uses first.
     """
     bound = {v for v, _ in law.vars}
     for d in law.head:
-        _check_formula(d.literal.atom, bound)
-    _check_formula(law.body, bound)
+        atom = d.literal.atom
+        _check_formula(atom, bound, t.domains, arity)
+        if atom.predicate in t.exogenous:
+            raise TheoryError(f"exogenous atom {atom} may not occur in a head")
+    _check_formula(law.body, bound, t.domains, arity)
 
 
-def _check_formula(phi: Formula, bound: set) -> None:
+def _check_formula(phi: Formula, bound: set, domains: dict, arity: dict) -> None:
     match phi:
-        case Atom(_, args):
+        case Atom(pred, args):
             for a in args:
-                if isinstance(a, Var) and a.name not in bound:
-                    raise TheoryError(f"unbound variable {a.name!r}")
+                if isinstance(a, Var):
+                    if a.name not in bound:
+                        raise TheoryError(f"unbound variable {a.name!r}")
+                else:
+                    for consts in domains.values():
+                        if a in consts:
+                            break
+                    else:
+                        raise TheoryError(
+                            f"undeclared constant {a!r} (not in any domain)")
+            if arity.setdefault(pred, len(args)) != len(args):
+                raise TheoryError(f"predicate {pred!r} used with arity "
+                                  f"{len(args)}, previously {arity[pred]}")
         case Truth():
             pass
         case Not(sub):
-            _check_formula(sub, bound)
+            _check_formula(sub, bound, domains, arity)
         case And(parts) | Or(parts):
             if len(parts) < 2:
                 raise TheoryError("conjunction/disjunction needs at least two parts")
             for p in parts:
-                _check_formula(p, bound)
+                _check_formula(p, bound, domains, arity)
         case ForAll(var, _, sub) | Exists(var, _, sub):
-            _check_formula(sub, bound | {var})
+            _check_formula(sub, bound | {var}, domains, arity)
         case _:
             raise TheoryError(f"not a formula: {phi!r}")

@@ -7,10 +7,9 @@ with a few representative exogenous worlds to run it under.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib.resources import files
 
-from ..syntax import CPLaw, HeadDisjunct, Theory, parse_literal, parse_theory
+from ..syntax import Theory, parse_literal, parse_theory
 
 
 @dataclass(frozen=True)
@@ -58,13 +57,3 @@ BUNDLED = {
 def get(name: str) -> Theory:
     return BUNDLED[name].theory()
 
-
-def deterministic_gears() -> Theory:
-    """The gear train with every transfer made certain (probabilities 1)."""
-    t = get("gears")
-    laws = tuple(
-        CPLaw(law.vars,
-              tuple(HeadDisjunct(d.literal, Fraction(1)) for d in law.head),
-              law.body)
-        for law in t.laws)
-    return Theory(dict(t.domains), dict(t.exogenous), laws)

@@ -31,9 +31,6 @@ class NameClashError(TransformError):
     pass
 
 
-InterventionLiteral = EffectLiteral  # ground, endogenous; ~A forces false, A forces true
-
-
 def _match_head_atom(head_atom: Atom, target: Atom, law: CPLaw, domains) -> bool:
     """Can ``head_atom`` instantiate to ``target`` under the law's binders?"""
     if head_atom.predicate != target.predicate or len(head_atom.args) != len(target.args):
@@ -52,9 +49,10 @@ def _match_head_atom(head_atom: Atom, target: Atom, law: CPLaw, domains) -> bool
     return True
 
 
-def intervene(t: Theory, literal: InterventionLiteral) -> Theory:
+def intervene(t: Theory, literal: EffectLiteral) -> Theory:
     """Remove every causal mechanism for the literal's atom; for a positive
-    intervention, add the bare fact afterwards.
+    intervention, add the bare fact afterwards.  The atom is ground and
+    endogenous: ``~A`` forces it false, ``A`` forces it true.
 
     Removal is instance-exact: a law whose binders cover other instances as
     well is first instantiated, and only the instances whose head mentions the

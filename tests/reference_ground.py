@@ -1,21 +1,23 @@
 """Straightforward grounding and stratification, kept as test references.
 
 `cplogic.ground` compiles each law into a template of closures, interns
-atoms, counts the exogenous universe and finds cycles over head atoms only.
-The functions here do the same work the plain way: `expand_formula`
-substitutes and expands node by node with a fresh environment per constant,
-`ground` lists the exogenous universe in full, and `stratification_report`
-runs Kosaraju over every atom of the dependency graph.  The tests check
-that both give equal values.
+atoms, counts the exogenous universe, builds each law's outcome table with
+integers and finds cycles over head atoms only.  The functions here do the
+same work the plain way: `expand_formula` substitutes and expands node by
+node with a fresh environment per constant, `ground` lists the exogenous
+universe in full, `outcomes` adds up a head with `Fraction`s, and
+`stratification_report` runs Kosaraju over every atom of the dependency
+graph.  The tests check that both give equal values.
 """
 
 import itertools
+from fractions import Fraction
 
 from cplogic.ground import GroundTheory, StratificationReport
 from cplogic.syntax import (FALSE, TRUE, And, Atom, CPLaw, EffectLiteral,
                             Exists, ForAll, HeadDisjunct, Not, Or, Truth,
                             TheoryError, check_law, formula_atom_polarities,
-                            formula_atoms, substitute_atom)
+                            law_atoms, substitute_atom)
 
 
 def expand_formula(phi, env, domains):
@@ -56,27 +58,28 @@ def law_instances(law, domains):
 
 
 def ground(t):
+    arity = dict(t.exogenous)
     for law in t.laws:
-        check_law(law)
-        total = law.head_sum()
-        if total > 1:
-            raise TheoryError(f"head probabilities sum to {total} > 1")
+        check_law(law, t, arity)
     laws = [CPLaw((), head, expand_formula(law.body, env, t.domains))
             for law in t.laws for env, head in law_instances(law, t.domains)]
 
-    endo: set = set()
-    exo: set = set()
-    for law in laws:
-        for disj in law.head:
-            endo.add(disj.literal.atom)
-        for atom in formula_atoms(law.body):
-            (exo if atom.predicate in t.exogenous else endo).add(atom)
+    endo = {atom for law in laws for atom in law_atoms(law)
+            if atom.predicate not in t.exogenous}
     constants = sorted(set(itertools.chain.from_iterable(t.domains.values())))
-    for pred, arity in t.exogenous.items():
-        for combo in itertools.product(constants, repeat=arity):
-            exo.add(Atom(pred, combo))
+    exo = {Atom(pred, combo) for pred, n in t.exogenous.items()
+           for combo in itertools.product(constants, repeat=n)}
     return GroundTheory(tuple(laws), frozenset(endo), frozenset(exo),
-                        frozenset(t.exogenous), dict(t.domains))
+                        dict(t.domains))
+
+
+def outcomes(law):
+    """The outcome table of a ground law, with `Fraction` arithmetic."""
+    probs = [(d.literal, d.prob) for d in law.head]
+    total = sum((d.prob for d in law.head), Fraction(0))
+    if total < 1:
+        probs.append((None, 1 - total))
+    return tuple((outcome, p.numerator, p.denominator) for outcome, p in probs)
 
 
 def stratification_report(g):

@@ -2,7 +2,7 @@
 
 Every state that the engine's fold classifies, through `distribution` and
 through `sweep_orders`, in both modes, must get exactly the overestimate
-that `oracle.reference_U` computes by the definition.
+that `reference_engine.reference_U` computes by the definition.
 """
 
 import pytest
@@ -11,12 +11,12 @@ from cplogic import engine, theories
 from cplogic.engine import (SoundnessError, UMode, compute_U, distribution,
                             satisfied_unfired)
 from cplogic.ground import ground
-from cplogic.oracle import (BudgetExceededError, random_deterministic_theory,
-                            random_stratified_theory, reference_U,
+from cplogic.oracle import (BudgetExceededError, random_stratified_theory,
                             sweep_orders)
 from cplogic.syntax import parse_theory
 
-from helpers import atom, atoms
+from helpers import atom, atoms, random_deterministic_theory
+from reference_engine import reference_U
 
 NOTHING = frozenset()
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 import cplogic
 from cplogic import theories
 from cplogic.cli import main
-from cplogic.engine import _outcomes
+from cplogic.engine import distribution
 from cplogic.ground import (GroundTheory, expand_formula, ground,
                             stratification_report)
 from cplogic.syntax import (FALSE, TRUE, And, Atom, CPLaw, EffectLiteral,
@@ -74,26 +75,35 @@ def test_universe_split_by_predicate_classification():
     assert all(a.predicate.startswith("Crank") for a in g.exogenous_atoms)
 
 
+def _outcomes(text: str):
+    """The one law of ``text`` and its outcome table in the ground theory."""
+    g = ground(parse_theory(text))
+    return g.laws[0], g._outcomes[0]
+
+
 def test_normalize_pads_with_noop_outcome():
-    law = parse_theory("(Broken:4/5) <- T.").laws[0]
-    assert _outcomes(law) == ((law.head[0].literal, 4, 5), (None, 1, 5))
+    law, table = _outcomes("(Broken:4/5) <- T.")
+    assert table == ((law.head[0].literal, 4, 5), (None, 1, 5))
 
 
 def test_normalize_keeps_full_heads():
-    law1 = parse_theory("A <- B.").laws[0]
-    assert _outcomes(law1) == ((law1.head[0].literal, 1, 1),)
-    law2 = parse_theory("(A:1/2); (B:1/2) <- C.").laws[0]
-    n2 = _outcomes(law2)
+    law1, table1 = _outcomes("A <- B.")
+    assert table1 == ((law1.head[0].literal, 1, 1),)
+    _, n2 = _outcomes("(A:1/2); (B:1/2) <- C.")
     assert [(num, den) for _, num, den in n2] == [(1, 2), (1, 2)]
     assert all(lit is not None for lit, _, _ in n2)
 
 
 def test_normalize_keeps_head_verbatim():
-    law = parse_theory("(A:1/3); (B:1/3) <- C.").laws[0]
-    n = _outcomes(law)
+    law, n = _outcomes("(A:1/3); (B:1/3) <- C.")
     assert n[:2] == tuple((d.literal, d.prob.numerator, d.prob.denominator)
                           for d in law.head)
     assert n[-1] == (None, 1, 3)
+
+
+def test_the_remainder_is_in_lowest_terms():
+    _, table = _outcomes("(A:1/6); (B:1/3); (C:1/4) <- D.")
+    assert [(num, den) for _, num, den in table] == [(1, 6), (1, 3), (1, 4), (1, 4)]
 
 
 def test_ground_rejects_a_head_summing_above_one():
@@ -156,6 +166,18 @@ def test_ground_rejects_undeclared_domain():
         ground(Theory({}, {}, (law,)))
 
 
+@pytest.mark.parametrize("binders, body", [
+    ((), ForAll("x", "none", Exists("y", "ghost", Atom("B")))),
+    ((("x", "none"),), Exists("y", "ghost", Atom("B"))),
+])
+def test_ground_rejects_an_undeclared_domain_it_never_expands(binders, body):
+    # under an empty quantifier, and in a law with no instances
+    law = CPLaw(binders, (HeadDisjunct(EffectLiteral(False, Atom("A")), Fraction(1)),),
+                body)
+    with pytest.raises(TheoryError, match="^undeclared domain 'ghost'$"):
+        ground(Theory({"none": ()}, {}, (law,)))
+
+
 def test_declared_exogenous_predicates_always_in_universe():
     # even when no law mentions them, declared exogenous atoms are settable
     t = parse_theory("exogenous E/0.\nA <- B.")
@@ -166,8 +188,38 @@ def test_a_ground_theory_built_in_code_rejects_a_head_summing_above_one():
     head = tuple(HeadDisjunct(EffectLiteral(False, Atom(name)), Fraction(2, 3))
                  for name in ("A", "B"))
     with pytest.raises(TheoryError, match=r"^head probabilities sum to 4/3 > 1$"):
-        GroundTheory((CPLaw((), head, TRUE),), atoms("A", "B"), frozenset(),
-                     frozenset(), {})
+        GroundTheory((CPLaw((), head, TRUE),), atoms("A", "B"), frozenset(), {})
+    halves = tuple(HeadDisjunct(EffectLiteral(False, Atom(name)), Fraction(1, 2))
+                   for name in "ABCD")
+    with pytest.raises(TheoryError, match=r"^head probabilities sum to 2 > 1$"):
+        GroundTheory((CPLaw((), halves, TRUE),), atoms(*"ABCD"), frozenset(), {})
+
+
+@pytest.mark.parametrize("prob, message", [
+    (Fraction(-1, 2), r"probability -1/2 is not in \(0, 1\]"),
+    (Fraction(0), r"probability 0 is not in \(0, 1\]"),
+    (Fraction(3, 2), r"probability 3/2 is not in \(0, 1\]"),
+], ids=["negative", "zero", "above one"])
+def test_a_ground_theory_rejects_a_probability_outside_zero_to_one(prob, message):
+    # (A:-1/2); B once grounded and gave a world of probability -1/2
+    head = (HeadDisjunct(EffectLiteral(False, Atom("A")), prob),
+            HeadDisjunct(EffectLiteral(False, Atom("B")), Fraction(1)))
+    t = Theory({}, {}, (CPLaw((), head, TRUE),))
+    with pytest.raises(TheoryError, match=f"^{message}$"):
+        ground(t)
+    with pytest.raises(TheoryError, match=f"^{message}$"):
+        GroundTheory(t.laws, atoms("A", "B"), frozenset(), {})
+
+
+def test_an_exogenous_head_is_rejected():
+    # (E(a):1/2) once made E(a) both endogenous and exogenous, and X = {E(a)}
+    # was then ignored
+    t = parse_theory("domain d = {a}.\nexogenous E/1.\nA <- E(a).")
+    head = (HeadDisjunct(EffectLiteral(False, atom("E(a)")), Fraction(1, 2)),)
+    odd = replace(t, laws=t.laws + (CPLaw((), head, TRUE),))
+    with pytest.raises(TheoryError, match=r"^exogenous atom E\(a\) may not occur in a head$"):
+        ground(odd)
+    assert distribution(ground(t), atoms("E(a)")) == {atoms("A"): 1}
 
 
 def test_equal_ground_atoms_are_one_object():
@@ -179,9 +231,11 @@ def test_equal_ground_atoms_are_one_object():
     assert g.laws[0].head[0].literal.atom is interned
 
 
-def test_expansion_reaches_an_undeclared_domain_only_when_it_must():
+def test_expansion_rejects_every_undeclared_domain():
     ghost = ForAll("y", "ghost", Atom("P", (Var("y"),)))
-    assert expand_formula(Exists("x", "none", ghost), {}, {"none": ()}) == FALSE
+    assert expand_formula(Exists("x", "none", TRUE), {}, {"none": ()}) == FALSE
+    with pytest.raises(TheoryError, match="undeclared domain 'ghost'"):
+        expand_formula(Exists("x", "none", ghost), {}, {"none": ()})
     with pytest.raises(TheoryError, match="undeclared domain 'ghost'"):
         expand_formula(Exists("x", "one", ghost), {}, {"one": ("a",)})
 

@@ -1,25 +1,29 @@
 """Template grounding and the head-only cycle check against plain references.
 
 `reference_ground` keeps the node-by-node expansion, the listed exogenous
-universe and the full-graph Kosaraju.  On random quantified theories (the
-print∘parse strategy, plus a hand-written one with every tricky binder
-shape) and on random propositional programs full of negation cycles, the
-ground theories must be equal and the stratification reports equal field
-by field.  The reference sorts offending cycles by a hash-seed dependent
-root, so those are compared in printed order.
+universe, the `Fraction` outcome tables and the full-graph Kosaraju.  On
+random quantified theories (the print∘parse strategy, plus a hand-written
+one with every tricky binder shape), on random propositional programs full
+of negation cycles and on the bundled theories, the ground theories and
+their outcome tables must be equal and the stratification reports equal
+field by field.  The reference sorts offending cycles by a hash-seed
+dependent root, so those are compared in printed order.
 """
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 
+from cplogic import theories
 from cplogic.ground import (expand_formula, ground, law_instances,
                             stratification_report)
-from cplogic.oracle import random_deterministic_theory, random_stratified_theory
-from cplogic.syntax import (TRUE, And, Atom, EffectLiteral, format_atom_set,
-                            parse_theory)
+from cplogic.oracle import random_stratified_theory
+from cplogic.syntax import (TRUE, And, Atom, EffectLiteral, TheoryError,
+                            format_atom_set, parse_theory)
 
 import reference_ground as ref
+from helpers import random_deterministic_theory
 from test_print_parse import theory_values
 
 # Nested law binders, a quantifier that shadows a law variable (the inner
@@ -45,6 +49,7 @@ def assert_same_report(g):
 def assert_same_ground(t):
     g, old = ground(t), ref.ground(t)
     assert g == old
+    assert g._outcomes == tuple(map(ref.outcomes, g.laws))
     assert len(g.exogenous_atoms) == len(old.exogenous_atoms)
     assert all(a in g.exogenous_atoms for a in old.exogenous_atoms)
     return g
@@ -83,17 +88,25 @@ def test_propositional_programs_stratify_as_the_reference():
     assert several  # the order of several offending cycles is exercised
 
 
-def test_code_built_oddities_ground_as_the_reference():
+@pytest.mark.parametrize("name", sorted(theories.BUNDLED))
+def test_bundled_theories_ground_and_stratify_as_the_references(name):
+    assert_same_report(assert_same_ground(theories.get(name)))
+
+
+def test_code_built_oddities_are_rejected():
     # Only code can build these: an exogenous predicate in a head, and
     # exogenous body atoms of the wrong arity or with an undeclared constant.
     wrong_arity, unknown = Atom("E", ("a", "a")), Atom("E", ("zz",))
     t = parse_theory("domain d = {a}.\nexogenous E/1.\nA <- E(a).")
-    odd = (replace(t.laws[0], head=(replace(t.laws[0].head[0], literal=EffectLiteral(
-               False, wrong_arity)),), body=TRUE),
-           replace(t.laws[0], body=And((wrong_arity, unknown))))
-    g = assert_same_ground(replace(t, laws=t.laws + odd))
-    assert_same_report(g)
-    assert wrong_arity in g.endogenous_atoms
-    assert wrong_arity in g.exogenous_atoms and unknown in g.exogenous_atoms
-    assert Atom("E", ("yy",)) not in g.exogenous_atoms
-    assert len(g.exogenous_atoms) == 3
+    law = t.laws[0]
+    for odd, message in [
+            (replace(law, head=(replace(law.head[0], literal=EffectLiteral(
+                False, Atom("E", ("a",)))),), body=TRUE),
+             r"exogenous atom E\(a\) may not occur in a head"),
+            (replace(law, body=wrong_arity),
+             "predicate 'E' used with arity 2, previously 1"),
+            (replace(law, body=And((law.body, unknown))),
+             r"undeclared constant 'zz' \(not in any domain\)")]:
+        for grounding in (ground, ref.ground):
+            with pytest.raises(TheoryError, match=f"^{message}$"):
+                grounding(replace(t, laws=t.laws + (odd,)))

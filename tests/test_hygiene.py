@@ -1,12 +1,17 @@
 """Static checks over the package sources, standing in for a linter.
 
-Every imported name must be used, and every module-level ``_private``
-function, class or constant must be referenced somewhere in the package.
-An import statement carrying ``# noqa: F401`` binds names on purpose, and
-a name that ``__init__`` lists in ``__all__`` is a re-export.
+Every imported name must be used.  Every module-level ``_private``
+function, class or constant must be read somewhere in the package outside
+its own definition, and so must every public one, unless ``__init__``
+exports it in ``__all__`` or the README, ``docs/`` or ``demos/`` name it:
+code that only the tests read belongs with the tests.  An import statement
+carrying ``# noqa: F401`` binds names on purpose, and a name that
+``__init__`` lists in ``__all__`` is a re-export.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,7 @@ import cplogic
 
 PACKAGE = Path(cplogic.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
+ROOT = PACKAGE.parents[1]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -65,21 +71,39 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"unused imports in {path.name}: {unused}"
 
 
-def test_every_private_module_name_is_referenced():
-    trees = {path: _tree(path) for path in SOURCES}
-    referenced = set().union(*(_variables_read(t) | _attributes_read(t)
-                               for t in trees.values()))
-    dead = []
-    for path, tree in trees.items():
-        for node in tree.body:
+def _unread(public: bool) -> list:
+    """``module: name`` for each private (or public) module-level function,
+    class and assigned name that no statement of the package reads, other
+    than the one that defines it."""
+    found = []  # (module, names the statement defines, names it reads)
+    for path in SOURCES:
+        for node in _tree(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
-                continue
-            dead += [f"{path.name}: {name}" for name in names
-                     if name.startswith("_") and not name.startswith("__")
-                     and name not in referenced]
+                names = []
+            found.append((path.relative_to(PACKAGE), names,
+                          _variables_read(node) | _attributes_read(node)))
+    readers = Counter(name for _, _, reads in found for name in reads)
+    return [f"{module}: {name}" for module, names, reads in found for name in names
+            if not name.startswith("__") and name.startswith("_") != public
+            and readers[name] == (name in reads)]
+
+
+def test_every_private_module_name_is_referenced():
+    dead = _unread(public=False)
     assert not dead, f"private names nothing refers to: {dead}"
+
+
+def test_every_public_module_name_is_read_exported_or_documented():
+    documents = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+                 *sorted((ROOT / "demos").glob("*.py"))]
+    named = set(re.findall(r"\w+", "\n".join(
+        p.read_text(encoding="utf-8") for p in documents)))
+    named |= _exports(_tree(PACKAGE / "__init__.py"))
+    unused = [entry for entry in _unread(public=True)
+              if entry.split(": ")[1] not in named]
+    assert not unused, f"public names only the tests can use: {unused}"

@@ -2,7 +2,7 @@
 
 `engine.distribution` and `oracle.sweep_orders` hold each state's
 sub-distribution as one integer denominator and integer numerators.
-`oracle.reference_distribution` folds the same states with `Fraction` ``+``
+`reference_engine.reference_distribution` folds the same states with `Fraction` ``+``
 and ``*`` at every edge; the two must agree exactly, and the sweep must
 freeze equal distributions equal.
 """
@@ -18,9 +18,10 @@ from cplogic import theories
 from cplogic.engine import SoundnessError, UMode, _mix, distribution
 from cplogic.ground import ground
 from cplogic.oracle import (BudgetExceededError, _freeze, _thaw,
-                            random_deterministic_theory,
-                            random_stratified_theory, reference_distribution,
-                            sweep_orders)
+                            random_stratified_theory, sweep_orders)
+
+from helpers import random_deterministic_theory
+from reference_engine import reference_distribution
 
 NOTHING = frozenset()
 

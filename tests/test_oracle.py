@@ -4,12 +4,11 @@ from cplogic import theories
 from cplogic.engine import SoundnessError, UMode, distribution
 from cplogic.ground import ground
 from cplogic.oracle import (BudgetExceededError, OracleError, least_model,
-                            random_deterministic_theory,
                             random_stratified_theory, sweep_orders,
                             well_founded_model)
 from cplogic.syntax import law_atoms, parse_theory
 
-from helpers import atoms
+from helpers import atoms, deterministic_gears, random_deterministic_theory
 
 NOTHING = frozenset()
 
@@ -90,7 +89,7 @@ def test_least_model_two_step_closure():
 
 
 def test_least_model_gears_all_turn():
-    g = ground(theories.deterministic_gears())
+    g = ground(deterministic_gears())
     model = least_model(g, atoms("Crank1"))
     assert model == atoms("Turns(gear1)", "Turns(gear2)", "Turns(gear3)")
 
@@ -111,7 +110,7 @@ def test_least_model_accepts_double_negation():
 
 
 def test_engine_leaf_matches_least_model():
-    g = ground(theories.deterministic_gears())
+    g = ground(deterministic_gears())
     X = atoms("Crank1")
     (leaf,) = distribution(g, X)
     assert leaf == least_model(g, X)

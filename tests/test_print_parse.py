@@ -4,6 +4,8 @@ A theory value is well formed exactly when its printed text parses back to
 it.  The strategy below builds well-formed values directly (not through the
 parser): domains, exogenous declarations, law binders, quantifiers, negative
 heads, multi-outcome heads and connectives nested up to `MAX_NESTING`.
+`ground` must reject what `check_theory` rejects for the theory's
+vocabulary and probabilities, and name the culprit.
 """
 
 from dataclasses import replace
@@ -13,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cplogic.ground import ground
 from cplogic.syntax import (KEYWORDS, MAX_NESTING, FALSE, TRUE, And, Atom,
                             CPLaw, EffectLiteral, Exists, ForAll,
                             HeadDisjunct, Not, Or, Theory, TheoryError, Var,
-                            check_theory, parse_theory, print_theory)
+                            check_theory, endogenous_signature, parse_theory,
+                            print_theory)
 
 # Disjoint name pools: a variable named like a constant would capture it.
 PREDICATES = ("P", "Q", "R", "Go_2", "s")
@@ -122,12 +126,71 @@ def _with_bad_body(t: Theory, k: int, kind: str) -> Theory:
         body = And((law.body,))
     else:
         body = Or((law.body, Atom("Fresh", (Var("free"),))))
-    return replace(t, laws=t.laws[:k] + (replace(law, body=body),) + t.laws[k + 1:])
+    return _put(t, k, replace(law, body=body))
+
+
+def _insert(t: Theory, data, law: CPLaw, **changes) -> Theory:
+    """``t`` with ``law`` put in at a drawn position, and ``changes``."""
+    k = data.draw(st.integers(0, len(t.laws)))
+    return replace(t, laws=t.laws[:k] + (law,) + t.laws[k:], **changes)
+
+
+def _put(t: Theory, k: int, law: CPLaw, **changes) -> Theory:
+    """``t`` with its law ``k`` replaced by ``law``, and ``changes``."""
+    return replace(t, laws=t.laws[:k] + (law,) + t.laws[k + 1:], **changes)
+
+
+def _with_defect(t: Theory, data, defect: str) -> tuple[Theory, str]:
+    """``t`` with one ``defect`` put in, and the name `ground` must report."""
+    c = t.domains["d"][0]
+    if defect == "exogenous head":
+        exogenous = t.exogenous or {"Exo": 0}
+        pred = data.draw(st.sampled_from(sorted(exogenous)))
+        lit = EffectLiteral(data.draw(st.booleans()), Atom(pred, (c,) * exogenous[pred]))
+        if not t.laws:
+            law = CPLaw((), (HeadDisjunct(lit, Fraction(1)),), TRUE)
+            return _insert(t, data, law, exogenous=exogenous), pred
+        k = data.draw(st.integers(0, len(t.laws) - 1))
+        head = t.laws[k].head
+        law = replace(t.laws[k], head=(replace(head[0], literal=lit),) + head[1:])
+        return _put(t, k, law, exogenous=exogenous), pred
+    if defect == "arity":
+        pred = data.draw(st.sampled_from(PREDICATES))
+        n = {**endogenous_signature(t), **t.exogenous}.get(pred, 0)
+        body = And((Atom(pred, (c,) * n), Atom(pred, (c,) * (n + 1))))
+        return _insert(t, data, replace(_fact("Fresh"), body=body)), pred
+    if defect == "constant":
+        law = _fact("Gone", "zz") if data.draw(st.booleans()) else \
+            replace(_fact("Fresh"), body=Not(Atom("Gone", ("zz",))))
+        return _insert(t, data, law), "zz"
+    if defect == "domain":
+        if data.draw(st.booleans()):
+            law = replace(_fact("Fresh", Var("v")), vars=(("v", "ghost"),))
+        else:
+            body = Exists("w", "ghost", Atom("Fresh"))
+            if data.draw(st.booleans()):
+                body = ForAll("u", "none", body)
+            binders = (("v", "none"),) if data.draw(st.booleans()) else ()
+            law = CPLaw(binders, _fact("Fresh").head, body)
+        return _insert(t, data, law, domains={**t.domains, "none": ()}), "ghost"
+    prob = data.draw(st.sampled_from((Fraction(0), Fraction(-1, 2), Fraction(-1))))
+    live = [k for k, law in enumerate(t.laws) if all(t.domains[d] for _, d in law.vars)]
+    if not live:  # a law with no instances never reaches a ground theory
+        law = _fact("Fresh")
+        return _insert(t, data, replace(law, head=(replace(law.head[0], prob=prob),))), \
+            "probability"
+    k = data.draw(st.sampled_from(live))
+    head = t.laws[k].head
+    j = data.draw(st.integers(0, len(head) - 1))
+    head = head[:j] + (replace(head[j], prob=prob),) + head[j + 1:]
+    return _put(t, k, replace(t.laws[k], head=head)), "probability"
 
 
 @_SETTINGS
 @given(theory_values(), st.data())
 def test_mutated_values_are_rejected(t, data):
+    ground(t)
+    check_theory(t)
     bad = data.draw(st.sampled_from(sorted(KEYWORDS) + ["two words"]))
     where = data.draw(st.sampled_from(
         ("domain", "constant", "exogenous", "predicate", "variable")))
@@ -138,3 +201,13 @@ def test_mutated_values_are_rejected(t, data):
         for message in ("two parts", "unbound variable"):
             with pytest.raises(TheoryError, match=message):
                 check_theory(_with_bad_body(t, k, message))
+    # One break of the vocabulary or of a probability, which `ground` must
+    # catch as well and name.
+    defect = data.draw(st.sampled_from(
+        ("exogenous head", "arity", "constant", "domain", "probability")))
+    bad_t, name = _with_defect(t, data, defect)
+    with pytest.raises(TheoryError) as exc:
+        ground(bad_t)
+    assert name in str(exc.value)
+    with pytest.raises(TheoryError):
+        check_theory(bad_t)
