@@ -9,7 +9,7 @@ now".  When a body holds in the current world but the overestimate cannot
 decide it, the process is stuck and the theory has no semantics.
 
 One iterative fold, `_fold`, walks the reachable execution states children
-first: it checks X, follows the outcome tables that the ground theory
+first: it follows the outcome tables that the ground theory
 built for its laws, classifies each distinct state once and raises
 `SoundnessError`.  `build_execution_model` and `distribution` are folds
 over it that follow one law per state; `oracle.sweep_orders` is a fold
@@ -18,9 +18,10 @@ that follows every applicable law.
 States are classified against a `_Program`: the ground theory compiled once
 per X, and kept on the `GroundTheory` itself.  Atoms become bits, each
 body a Kleene evaluator over a pair of bit masks with X folded in, and each
-head atom carries the laws whose bodies read it.  `compute_U` is a
-worklist fixpoint over that index; the two-valued body test and the U gate
-run the same compiled bodies.
+head atom carries the laws whose bodies read it; a dormant law that X
+does not wake is not walked.  `compute_U` is a worklist fixpoint over that
+index; the two-valued body test and the U gate run the same compiled
+bodies.
 
 All probabilities are exact.  While the fold runs, a state's
 sub-distribution is one integer denominator ``D`` and an integer numerator
@@ -122,16 +123,6 @@ class ExecNode:
             yield node
             stack.extend(edge.child for edge in reversed(node.children))
 
-    def leaf_paths(self):
-        """Yield (edges-from-root, leaf node) pairs, left to right."""
-        stack = [((), self)]
-        while stack:
-            prefix, node = stack.pop()
-            if node.is_leaf:
-                yield prefix, node
-            stack.extend((prefix + (edge,), edge.child)
-                         for edge in reversed(node.children))
-
 
 def lowest_index_policy(applicable_laws, state):
     return applicable_laws[0]
@@ -148,15 +139,25 @@ class _Program:
     ``readers`` being the laws whose compiled bodies read that atom.
     ``live`` lists the laws whose bodies X does not make false outright.
     ``last_U`` is the latest U built by `compute_U` with its masks.
+    A dormant law (`ground._at_rest`) that no atom of X wakes gets `_FALSE`
+    and reads nothing, as its compile would give, without being walked.
+    An X outside the exogenous universe raises `ExogenousError`.
     """
 
     __slots__ = ("atoms", "bit", "bodies", "heads", "live", "last_U")
 
     def __init__(self, g: GroundTheory, X: frozenset):
+        extra = [a for a in X if a not in g.exogenous_atoms]
+        if extra:
+            names = ", ".join(sorted(str(a) for a in extra))
+            raise ExogenousError(f"not in the exogenous universe: {names}")
         self.atoms = tuple(sorted(g.endogenous_atoms, key=str))
         self.bit = {a: 1 << k for k, a in enumerate(self.atoms)}
+        dormant, wakers = g._wake or ((), {})
+        woken = {i for a in X for i in wakers.get(a.predicate, {}).get(a.args, ())}
         compiled = [_compile_body(law.body, self.bit, X, g.exogenous_atoms)
-                    for law in g.laws]
+                    if i in woken or i not in dormant else (_FALSE, 0)
+                    for i, law in enumerate(g.laws)]
         self.bodies = tuple(body for body, _ in compiled)
         self.live = tuple(i for i, (body, _) in enumerate(compiled)
                           if body is not _FALSE)
@@ -432,10 +433,6 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     on an explicit stack, so its length is not bounded by the recursion
     limit.
     """
-    extra = [a for a in X if a not in g.exogenous_atoms]
-    if extra:
-        names = ", ".join(sorted(str(a) for a in extra))
-        raise ExogenousError(f"not in the exogenous universe: {names}")
     weights = g._outcomes
     memo: dict = {}  # finished state -> value
     # The current path: per state, its U, the (law, outcome, num, den) edges to
@@ -488,8 +485,8 @@ def build_execution_model(g: GroundTheory, X: frozenset,
 
     At each node the policy picks one applicable law; the node gets one child
     per outcome of its head, the no-op outcome included.  A node with no
-    satisfied unfired law is a leaf.  Identical states share one subtree object; `ExecNode.walk`
-    and `ExecNode.leaf_paths` still read the result as a tree.  Raises
+    satisfied unfired law is a leaf.  Identical states share one subtree
+    object; `ExecNode.walk` still reads the result as a tree.  Raises
     `SoundnessError` when some body holds but every such law is undecidable
     under U.
     """
@@ -503,9 +500,6 @@ def build_execution_model(g: GroundTheory, X: frozenset,
 
 class Distribution(dict):
     """Exact distribution over endogenous worlds (frozenset[Atom] -> Fraction)."""
-
-    def total(self) -> Fraction:
-        return sum(self.values(), Fraction(0))
 
     def sorted_items(self):
         return sorted(self.items(),

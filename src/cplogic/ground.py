@@ -9,7 +9,8 @@ per assignment; a quantifier binds its variable in that environment in
 place and restores it afterwards.  Every ground atom is interned as it is
 built, in one table keyed by predicate and arguments, so equal atoms of a
 ground theory are one object and the endogenous atoms fall out of the
-table.
+table.  A second table lists the dormant laws (`_at_rest`) under each
+exogenous atom they mention, so the engine compiles only those X wakes.
 Laws are checked first for what printing hides and for what breaks the
 theory's vocabulary (`syntax.check_law`), and a ground theory builds each
 law's outcome table once, rejecting a probability outside (0, 1] and a head
@@ -23,6 +24,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
@@ -93,6 +95,11 @@ class GroundTheory:
     # set on first use, so it lives exactly as long as this theory.
     _compiled: tuple | None = field(default=None, init=False, compare=False,
                                     repr=False)
+    # Set by `ground`: the dormant laws and per exogenous predicate ``{args:
+    # [dormant laws that mention the atom]}``.  None makes no law dormant,
+    # also in a copy made by `dataclasses.replace`, which may change ``laws``.
+    _wake: tuple | None = field(default=None, init=False, compare=False,
+                                repr=False)
 
     def __post_init__(self):
         # The parser rejects such heads at their tokens; a law built in code
@@ -116,29 +123,30 @@ def _outcome_table(law: CPLaw) -> tuple:
     return tuple(table)
 
 
-def _template(phi: Formula, domains: dict, table: dict, bound: frozenset):
+def _template(phi: Formula, domains: dict, table: dict, bound: frozenset,
+              wake=None):
     """``phi`` compiled into a function of ``env`` that returns its
     expansion: variables in ``bound`` replaced by their constants in
     ``env``, quantifiers expanded over their domains.  Atoms are interned in
-    ``table``."""
+    ``table``, and listed in ``wake`` as `_atom_template` says."""
     match phi:
         case Atom():
-            return _atom_template(phi, table, bound)
+            return _atom_template(phi, table, bound, wake)
         case Truth():
             return lambda env: phi
         case Not(sub):
-            sub = _template(sub, domains, table, bound)
+            sub = _template(sub, domains, table, bound, wake)
             return lambda env: Not(sub(env))
         case And(parts) | Or(parts):
             node = type(phi)
-            subs = [_template(p, domains, table, bound) for p in parts]
+            subs = [_template(p, domains, table, bound, wake) for p in parts]
             return lambda env: node(tuple([s(env) for s in subs]))
         case ForAll(var, dom, sub) | Exists(var, dom, sub):
             if dom not in domains:
                 raise TheoryError(f"undeclared domain {dom!r}")
             consts = domains[dom]
             universal = isinstance(phi, ForAll)
-            sub = _template(sub, domains, table, bound | {var})
+            sub = _template(sub, domains, table, bound | {var}, wake)
             if not consts:
                 empty = TRUE if universal else FALSE
                 return lambda env: empty
@@ -160,23 +168,56 @@ def _template(phi: Formula, domains: dict, table: dict, bound: frozenset):
 
 
 _UNBOUND = object()
+_LAW = object()  # the key of ``env`` that holds the index of the law being built
 
 
-def _atom_template(atom: Atom, table: dict, bound: frozenset):
+def _atom_template(atom: Atom, table: dict, bound: frozenset, wake=None):
     """The atom with the variables in ``bound`` replaced from ``env``, as a
-    function of ``env``, interned in ``table``."""
+    function of ``env``, interned in ``table`` and, if ``wake`` has the
+    predicate, listed there under the law ``env[_LAW]``."""
     pred, args = atom.predicate, atom.args
     names = [a.name if isinstance(a, Var) and a.name in bound else None
              for a in args]
     interned = table.setdefault(pred, {})
+    waking = None if wake is None else wake.get(pred)
+    if not any(names):  # no bound variable: one key
+        key = lambda env: args
+    elif None in names:
+        key = lambda env: tuple([env[n] if n else a for a, n in zip(args, names)])
+    else:  # every argument a bound variable
+        key = (itemgetter(*names) if len(names) > 1
+               else lambda env, n=names[0]: (env[n],))
 
     def instance(env):
-        k = tuple([a if n is None else env[n] for a, n in zip(args, names)])
+        k = key(env)
         a = interned.get(k)
         if a is None:
             a = interned[k] = Atom(pred, k)
+        if waking is not None:
+            waking.setdefault(k, []).append(env[_LAW])
         return a
     return instance
+
+
+def _at_rest(phi: Formula, t: Theory) -> int:
+    """Kleene value, 0/1/2 for f/u/t, of every expansion of ``phi`` with each
+    exogenous atom f and each other atom u.  A law whose body is f here is
+    dormant: f in every state unless X sets one of its exogenous atoms."""
+    match phi:
+        case Atom(pred):
+            return 0 if pred in t.exogenous else 1
+        case Truth(value):
+            return 2 * value
+        case Not(sub):
+            return 2 - _at_rest(sub, t)
+        case And(parts):
+            return min(_at_rest(p, t) for p in parts)
+        case Or(parts):
+            return max(_at_rest(p, t) for p in parts)
+        case ForAll(_, dom, sub) | Exists(_, dom, sub):
+            empty = 2 * isinstance(phi, ForAll)
+            return _at_rest(sub, t) if t.domains.get(dom) else empty
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def expand_formula(phi: Formula, env: dict, domains: dict) -> Formula:
@@ -222,17 +263,26 @@ def ground(t: Theory) -> GroundTheory:
     for law in t.laws:
         check_law(law, t, arity)
     table: dict = {}  # predicate -> {args: atom}, every atom the laws mention
+    wakers: dict = {pred: {} for pred in t.exogenous}
+    dormant: list = []
     laws = []
     for law in t.laws:
+        # no exogenous predicate: a dormant body is false outright and rare
+        asleep = bool(t.exogenous) and not _at_rest(law.body, t)
         body = _template(law.body, t.domains, table,
-                         frozenset(v for v, _ in law.vars))
+                         frozenset(v for v, _ in law.vars),
+                         wakers if asleep else None)
         for env, head in _instances(law, t.domains, table):
+            if asleep:
+                env[_LAW] = len(laws)
+                dormant.append(len(laws))
             laws.append(CPLaw((), head, body(env)))
     endo = [a for pred, atoms in table.items() if pred not in t.exogenous
             for a in atoms.values()]
-    return GroundTheory(tuple(laws), frozenset(endo),
-                        ExogenousUniverse(t.exogenous, t.domains),
-                        dict(t.domains))
+    g = GroundTheory(tuple(laws), frozenset(endo),
+                     ExogenousUniverse(t.exogenous, t.domains), dict(t.domains))
+    object.__setattr__(g, "_wake", (frozenset(dormant), wakers))
+    return g
 
 
 # ---------------------------------------------------------------------------

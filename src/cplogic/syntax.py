@@ -736,14 +736,17 @@ def check_law(law: CPLaw, t: Theory, arity: dict) -> None:
 
     Printing hides variables that no binder or quantifier binds, which print
     like constants, `And`/`Or` nodes with fewer than two parts, which print
-    like their part, and values that are not formulas at all.  The
-    vocabulary is broken by an exogenous predicate in a head, a constant in
-    no domain and a predicate used with two arities: ``arity`` holds each
-    predicate declared exogenous or used in an earlier law, and gains those
-    that ``law`` uses first.
+    like their part, values that are not formulas at all, and
+    probabilities that are not an `int` or a `Fraction` (``0.5`` prints as
+    the `Fraction` 1/2).  The vocabulary is broken by an exogenous predicate
+    in a head, a constant in no domain and a predicate used with two
+    arities: ``arity`` holds each predicate declared exogenous or used in an
+    earlier law, and gains those that ``law`` uses first.
     """
     bound = {v for v, _ in law.vars}
     for d in law.head:
+        if type(d.prob) not in (int, Fraction):
+            raise TheoryError(f"probability {d.prob!r} is not an int or a Fraction")
         atom = d.literal.atom
         _check_formula(atom, bound, t.domains, arity)
         if atom.predicate in t.exogenous:

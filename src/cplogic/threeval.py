@@ -63,10 +63,6 @@ class ThreeValuedInterp:
             return F
         raise UnboundAtomError(f"atom {atom} not in the universe")
 
-    def approximates(self, interp: frozenset) -> bool:
-        """True iff every committed value agrees with the two-valued ``interp``."""
-        return self.true_set <= interp and not (self.false_set & interp)
-
     def __str__(self) -> str:
         return (f"t:{format_atom_set(self.true_set)} "
                 f"u:{format_atom_set(self.unknown_set)} "

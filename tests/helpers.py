@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from cplogic import theories
 from cplogic.oracle import _atom_names
-from cplogic.syntax import (And, Atom, CPLaw, EffectLiteral, Formula,
-                            HeadDisjunct, Not, Or, Theory, TRUE)
+from cplogic.syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll,
+                            Formula, HeadDisjunct, Not, Or, Theory, FALSE,
+                            TRUE, Var, formula_atoms)
 
 
 def atom(spec: str) -> Atom:
@@ -57,3 +60,89 @@ def random_deterministic_theory(seed: int, atoms: int = 6, laws: int = 6,
         phi = TRUE if rng.random() < 0.15 else body(2)
         out.append(CPLaw((), (HeadDisjunct(EffectLiteral(False, head_atom), Fraction(1)),), phi))
     return Theory({}, {}, tuple(out))
+
+
+def mentioned_exogenous(g) -> list:
+    """The exogenous atoms that some body of the ground theory ``g``
+    mentions, in printed order."""
+    return sorted({a for law in g.laws for a in formula_atoms(law.body)
+                   if a in g.exogenous_atoms}, key=str)
+
+
+def leaf_paths(node):
+    """Yield (edges-from-root, leaf node) pairs of an execution tree, left
+    to right."""
+    stack = [((), node)]
+    while stack:
+        prefix, node = stack.pop()
+        if node.is_leaf:
+            yield prefix, node
+        stack.extend((prefix + (edge,), edge.child)
+                     for edge in reversed(node.children))
+
+
+def total(dist) -> Fraction:
+    return sum(dist.values(), Fraction(0))
+
+
+def approximates(u, interp: frozenset) -> bool:
+    """True iff every committed value of the three-valued ``u`` agrees with
+    the two-valued ``interp``."""
+    return u.true_set <= interp and not (u.false_set & interp)
+
+
+@st.composite
+def quantified_theories(draw, max_laws: int = 4) -> Theory:
+    """Small quantified theories over exogenous ``E/1`` and ``F/0`` and
+    endogenous ``P/1`` and ``Q/0``: positive and negated exogenous
+    literals, truth constants, quantifiers nested up to depth 3, one domain
+    that may be empty, and heads with negative literals."""
+    constants = ("a", "b", "c")
+    domains = {"d": tuple(draw(st.lists(st.sampled_from(constants), min_size=1,
+                                        max_size=2, unique=True))),
+               "e": tuple(draw(st.lists(st.sampled_from(constants), max_size=2,
+                                        unique=True)))}
+    exogenous = {"E": 1, "F": 0}
+    arity = {**exogenous, "P": 1, "Q": 0}
+    terms = sorted({c for consts in domains.values() for c in consts})
+
+    def atom(preds, bound):
+        pred = draw(st.sampled_from(preds))
+        choices = terms + [Var(v) for v in sorted(bound)]
+        return Atom(pred, tuple(draw(st.sampled_from(choices))
+                                for _ in range(arity[pred])))
+
+    def formula(bound, depth):
+        kind = draw(st.sampled_from(("exo", "exo", "endo", "truth") + (
+            ("not", "and", "or", "quant") if depth else ())))
+        if kind == "exo":
+            return atom(("E", "F"), bound)
+        if kind == "endo":
+            return atom(("P", "Q"), bound)
+        if kind == "truth":
+            return draw(st.sampled_from((TRUE, FALSE)))
+        if kind == "not":
+            return Not(formula(bound, depth - 1))
+        if kind == "quant":
+            var = draw(st.sampled_from(("x", "y")))
+            return draw(st.sampled_from((ForAll, Exists)))(
+                var, draw(st.sampled_from(sorted(domains))),
+                formula(bound | {var}, depth - 1))
+        parts = tuple(formula(bound, depth - 1) for _ in range(draw(st.integers(2, 3))))
+        return And(parts) if kind == "and" else Or(parts)
+
+    def law():
+        names = draw(st.lists(st.sampled_from(("x", "y")), max_size=1))
+        binders = tuple((v, draw(st.sampled_from(sorted(domains)))) for v in names)
+        heads = []
+        for _ in range(draw(st.integers(1, 2))):
+            a = atom(("P", "Q"), set(names))
+            if a not in heads:
+                heads.append(a)
+        den = draw(st.integers(len(heads), 4))
+        head = tuple(HeadDisjunct(EffectLiteral(draw(st.booleans()), a), Fraction(1, den))
+                     for a in heads)
+        return CPLaw(binders, head, formula(set(names), 3))
+
+    return Theory(domains, exogenous,
+                  tuple(law() for _ in range(draw(st.integers(1, max_laws)))))

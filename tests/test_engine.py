@@ -2,19 +2,22 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cplogic import cli, theories
 from cplogic.engine import (Distribution, ExecState, ExogenousError,
                             SoundnessError, UMode, applicable, apply_disjunct,
                             build_execution_model, compute_U, distribution,
                             query)
-from cplogic.ground import ground
-from cplogic.oracle import (BudgetExceededError, sweep_orders,
-                            well_founded_model)
+from cplogic.ground import ground, stratification_report
+from cplogic.oracle import (BudgetExceededError, random_stratified_theory,
+                            sweep_orders, well_founded_model)
 from cplogic.syntax import parse_formula, parse_theory
 from cplogic.threeval import UnboundAtomError
 
-from helpers import atom, atoms
+from helpers import (approximates, atom, atoms, leaf_paths,
+                     mentioned_exogenous, quantified_theories, total)
 
 SUZY = theories.get("suzy_billy")
 SUZY_G = ground(SUZY)
@@ -184,7 +187,7 @@ def test_distribution_total_is_one_exactly():
         b = theories.BUNDLED[name]
         g = ground(b.theory())
         for X in b.exo_cases:
-            assert distribution(g, X).total() == 1
+            assert total(distribution(g, X)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +225,11 @@ def test_query_unknown_atom_raises():
 def test_exogenous_mismatch_rejected():
     with pytest.raises(ExogenousError):
         distribution(SUZY_G, atoms("Broken"))
+    # every entry point that compiles for X checks it, also for a value
+    # that is not an atom at all
+    for X in (atoms("Broken"), frozenset({"Broken"})):
+        with pytest.raises(ExogenousError, match="not in the exogenous universe: Broken"):
+            compute_U(ground(SUZY), X, state())
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +258,7 @@ def test_firing_path_longer_than_recursion_limit(tmp_path, capsys):
         dist = distribution(g, NOTHING)
         root = build_execution_model(g, NOTHING)
         nodes = sum(1 for _ in root.walk())
-        ((edges, leaf),) = root.leaf_paths()
+        ((edges, leaf),) = leaf_paths(root)
         # Every firing order is its own model, so the sweep stops on its
         # budget, but only after its first path has reached a leaf.
         with pytest.raises(BudgetExceededError):
@@ -279,7 +287,7 @@ def test_u_approximates_every_descendant():
 
     def walk(node):
         for descendant in node.walk():
-            assert node.u.approximates(descendant.state.true_atoms)
+            assert approximates(node.u, descendant.state.true_atoms)
         for edge in node.children:
             walk(edge.child)
 
@@ -293,7 +301,7 @@ def test_overestimate_false_is_final():
         for X in b.exo_cases:
             g, root = _tree_nodes(name, X)
             def walk(node):
-                for leaf_edges, leaf in node.leaf_paths():
+                for leaf_edges, leaf in leaf_paths(node):
                     assert not (node.u.false_set & leaf.state.true_atoms)
                 for edge in node.children:
                     walk(edge.child)
@@ -306,7 +314,7 @@ def test_final_state_law_extended_mode():
         b = theories.BUNDLED[name]
         for X in b.exo_cases:
             g, root = _tree_nodes(name, X)
-            for edges, leaf in root.leaf_paths():
+            for edges, leaf in leaf_paths(root):
                 fired = [e.outcome for e in edges if e.outcome is not None]
                 caused = {o.atom for o in fired if not o.negated}
                 blocked = {o.atom for o in fired if o.negated}
@@ -384,8 +392,22 @@ def test_u_literal_mode_keeps_current_atoms_true():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_modes_agree_without_negative_heads(seed):
-    from cplogic.oracle import random_stratified_theory
     t = random_stratified_theory(seed, atoms=5, laws=5, negative_heads=False)
     g = ground(t)
     assert distribution(g, frozenset(), UMode.LITERAL) \
         == distribution(g, frozenset(), UMode.EXTENDED)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(0, 10 ** 6).map(random_stratified_theory),
+                 quantified_theories(max_laws=3)), st.data())
+def test_a_theory_reported_stratified_never_gets_stuck(t, data):
+    # What slicing a stratified theory would rest on: the report is only a
+    # sufficient condition, and it must be sufficient in both modes.
+    g = ground(t)
+    assume(stratification_report(g).stratified)
+    mentioned = mentioned_exogenous(g)
+    X = frozenset(data.draw(st.lists(st.sampled_from(mentioned), unique=True))
+                  if mentioned else ())
+    for mode in UMode:
+        distribution(g, X, mode)

@@ -15,7 +15,8 @@ from cplogic.ground import (GroundTheory, expand_formula, ground,
                             stratification_report)
 from cplogic.syntax import (FALSE, TRUE, And, Atom, CPLaw, EffectLiteral,
                             Exists, ForAll, HeadDisjunct, Or, Theory,
-                            TheoryError, Var, formula_atoms, parse_theory)
+                            TheoryError, Var, check_theory, formula_atoms,
+                            parse_theory)
 
 from helpers import atom, atoms
 
@@ -209,6 +210,19 @@ def test_a_ground_theory_rejects_a_probability_outside_zero_to_one(prob, message
         ground(t)
     with pytest.raises(TheoryError, match=f"^{message}$"):
         GroundTheory(t.laws, atoms("A", "B"), frozenset(), {})
+
+
+@pytest.mark.parametrize("prob", [0.5, True, 1.0], ids=["float", "bool", "float one"])
+def test_a_probability_that_is_not_an_int_or_a_fraction_is_rejected(prob):
+    # (A:0.5) built in code printed as 1/2 and passed check_theory, then
+    # crashed ground with AttributeError
+    t = Theory({}, {}, (CPLaw((), (HeadDisjunct(EffectLiteral(False, Atom("A")), prob),),
+                              TRUE),))
+    message = rf"^probability {prob!r} is not an int or a Fraction$"
+    with pytest.raises(TheoryError, match=message):
+        check_theory(t)
+    with pytest.raises(TheoryError, match=message):
+        ground(t)
 
 
 def test_an_exogenous_head_is_rejected():

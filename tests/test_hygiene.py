@@ -4,7 +4,9 @@ Every imported name must be used.  Every module-level ``_private``
 function, class or constant must be read somewhere in the package outside
 its own definition, and so must every public one, unless ``__init__``
 exports it in ``__all__`` or the README, ``docs/`` or ``demos/`` name it:
-code that only the tests read belongs with the tests.  An import statement
+code that only the tests read belongs with the tests.  The same holds for
+every public method and property of a class that ``__all__`` exports: the
+package must read it outside its own definition, or the documents name it.  An import statement
 carrying ``# noqa: F401`` binds names on purpose, and a name that
 ``__init__`` lists in ``__all__`` is a re-export.
 """
@@ -34,6 +36,12 @@ def _variables_read(tree: ast.AST) -> set:
 
 def _attributes_read(tree: ast.AST) -> set:
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _attribute_reads(*trees: ast.AST) -> list:
+    """The name of every attribute that ``trees`` read, once per read."""
+    return [node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)]
 
 
 def _exports(tree: ast.Module) -> set:
@@ -98,12 +106,31 @@ def test_every_private_module_name_is_referenced():
     assert not dead, f"private names nothing refers to: {dead}"
 
 
-def test_every_public_module_name_is_read_exported_or_documented():
+def _documented() -> set:
+    """Every word of the README, ``docs/`` and ``demos/``."""
     documents = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
                  *sorted((ROOT / "demos").glob("*.py"))]
-    named = set(re.findall(r"\w+", "\n".join(
+    return set(re.findall(r"\w+", "\n".join(
         p.read_text(encoding="utf-8") for p in documents)))
-    named |= _exports(_tree(PACKAGE / "__init__.py"))
+
+
+def test_every_public_module_name_is_read_exported_or_documented():
+    named = _documented() | _exports(_tree(PACKAGE / "__init__.py"))
     unused = [entry for entry in _unread(public=True)
               if entry.split(": ")[1] not in named]
     assert not unused, f"public names only the tests can use: {unused}"
+
+
+def test_every_public_method_of_an_exported_class_is_read_or_documented():
+    exported = _exports(_tree(PACKAGE / "__init__.py"))
+    trees = [_tree(path) for path in SOURCES]
+    reads = Counter(_attribute_reads(*trees))
+    named = _documented()
+    unused = [f"{cls.name}.{node.name}"
+              for tree in trees for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name in exported
+              for node in cls.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and reads[node.name] == _attribute_reads(node).count(node.name)
+              and node.name not in named]
+    assert not unused, f"public methods only the tests can use: {unused}"

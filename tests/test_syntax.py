@@ -13,6 +13,8 @@ from cplogic.syntax import (MAX_NESTING, And, Atom, ForAll, Not, Or, ParseError,
                             check_theory, parse_assignment, parse_formula,
                             parse_literal, parse_theory, print_theory, TRUE)
 
+from helpers import total
+
 GEAR_PREAMBLE = "domain gear = {gear1, gear2, gear3}.\n"
 
 
@@ -394,7 +396,7 @@ def test_deepest_accepted_formula_goes_through_the_pipeline():
         distribution(ground(done), frozenset())
     finally:
         sys.setrecursionlimit(limit)
-    assert all(d.total() == 1 for d in dists)
+    assert all(total(d) == 1 for d in dists)
 
 
 def test_a_theory_vocabulary_is_worked_out_once_per_theory_value(monkeypatch):

@@ -6,7 +6,7 @@ from cplogic.syntax import And, Atom, Not, Or, Truth, parse_formula
 from cplogic.threeval import (F, T, ThreeValuedInterp, U, UnboundAtomError,
                               holds, kleene_eval)
 
-from helpers import atom, atoms
+from helpers import approximates, atom, atoms
 
 A, B = Atom("A"), Atom("B")
 UNIVERSE = frozenset({A, B})
@@ -63,10 +63,10 @@ def test_unbound_atom_raises():
 def test_approximates_basics():
     all_u = interp(unknown=[A, B])
     for world in (frozenset(), frozenset({A}), frozenset({A, B})):
-        assert all_u.approximates(world)
+        assert approximates(all_u, world)
     committed = interp(true=[A])
-    assert committed.approximates(frozenset({A}))
-    assert not committed.approximates(frozenset())
+    assert approximates(committed, frozenset({A}))
+    assert not approximates(committed, frozenset())
 
 
 def _all_formulas(atoms_pool):
