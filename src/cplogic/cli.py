@@ -86,19 +86,11 @@ def _budget(text: str) -> int:
     return budget
 
 
-def parse_exogenous_assignment(spec: str, theory: Theory) -> frozenset:
-    """Parse ``--exo "A=true,P(c)=false"``; unlisted exogenous atoms are false."""
-    values = parse_assignment(spec, theory)
-    for atom in values:
-        if atom.predicate not in theory.exogenous:
-            raise UsageError(f"{atom} is not exogenous")
-    return frozenset(atom for atom, value in values.items() if value)
-
-
 def _inference_input(args) -> tuple[Theory, frozenset, engine.UMode]:
-    """The theory, X and U mode of a command that runs inference."""
+    """The theory, X and U mode of a command that runs inference; the
+    exogenous atoms that ``--exo`` does not set true are false."""
     theory = _read_theory(args.path)
-    X = parse_exogenous_assignment(args.exo, theory)
+    X = frozenset(a for a, value in parse_assignment(args.exo, theory).items() if value)
     return theory, X, engine.UMode(args.mode)
 
 

@@ -12,8 +12,9 @@ One iterative fold, `_fold`, walks the reachable execution states children
 first: it follows the outcome tables that the ground theory
 built for its laws, classifies each distinct state once and raises
 `SoundnessError`.  `build_execution_model` and `distribution` are folds
-over it that follow one law per state; `oracle.sweep_orders` is a fold
-that follows every applicable law.
+over it that follow the lowest-index applicable law per state;
+`oracle.sweep_orders` is a fold that follows every applicable law, and so
+checks that the firing order does not change the distribution.
 
 States are classified against a `_Program`: the ground theory compiled once
 per X, and kept on the `GroundTheory` itself.  Atoms become bits, each
@@ -122,10 +123,6 @@ class ExecNode:
             node = stack.pop()
             yield node
             stack.extend(edge.child for edge in reversed(node.children))
-
-
-def lowest_index_policy(applicable_laws, state):
-    return applicable_laws[0]
 
 
 class _Program:
@@ -473,18 +470,17 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
             state = None
 
 
-def _follow(policy):
-    """Expand only the applicable law that ``policy`` picks."""
-    return lambda state, app: (policy(app, state),) if app else ()
+def _lowest(_state, app):
+    """`_fold`'s expand for one execution model: the lowest-index applicable law."""
+    return app[:1]
 
 
 def build_execution_model(g: GroundTheory, X: frozenset,
-                          mode: UMode = UMode.EXTENDED,
-                          policy=lowest_index_policy) -> ExecNode:
-    """Construct the canonical execution tree under firing policy ``policy``.
+                          mode: UMode = UMode.EXTENDED) -> ExecNode:
+    """Construct the canonical execution tree.
 
-    At each node the policy picks one applicable law; the node gets one child
-    per outcome of its head, the no-op outcome included.  A node with no
+    At each node the lowest-index applicable law fires; the node gets one
+    child per outcome of its head, the no-op outcome included.  A node with no
     satisfied unfired law is a leaf.  Identical states share one subtree
     object; `ExecNode.walk` still reads the result as a tree.  Raises
     `SoundnessError` when some body holds but every such law is undecidable
@@ -495,7 +491,7 @@ def build_execution_model(g: GroundTheory, X: frozenset,
             ExecEdge(Fraction(num, den), outcome, i, child)
             for i, kids in branches for outcome, num, den, child in kids))
 
-    return _fold(g, X, mode, _follow(policy), node)
+    return _fold(g, X, mode, _lowest, node)
 
 
 class Distribution(dict):
@@ -539,9 +535,8 @@ def _mix(weighted) -> tuple[int, dict]:
 
 
 def distribution(g: GroundTheory, X: frozenset,
-                 mode: UMode = UMode.EXTENDED,
-                 policy=lowest_index_policy) -> Distribution:
-    """Exact leaf distribution of the execution model under ``policy``.
+                 mode: UMode = UMode.EXTENDED) -> Distribution:
+    """Exact leaf distribution of the canonical execution model.
 
     A sub-distribution depends only on its state (I, N, fired), so sharing
     identical states keeps the walk polynomial for the common
@@ -555,7 +550,7 @@ def distribution(g: GroundTheory, X: frozenset,
         return _mix((num, den, D, nums.items())
                     for _, num, den, (D, nums) in kids)
 
-    D, nums = _fold(g, X, mode, _follow(policy), mix)
+    D, nums = _fold(g, X, mode, _lowest, mix)
     total = sum(nums.values())
     if total != D:
         raise ArithmeticError(

@@ -299,7 +299,6 @@ class StratificationReport:
 
     stratified: bool
     offending_cycles: tuple  # of frozenset[Atom], in printed order
-    negative_edges: tuple  # of (Atom, Atom)
 
     def describe(self) -> str:
         if self.stratified:
@@ -312,38 +311,26 @@ def stratification_report(g: GroundTheory) -> StratificationReport:
     """Ground dependency graph: head atom -> body atom, negative when the body
     occurrence is negated or the head literal is a negative effect literal.
 
-    ``negative_edges`` lists the negative pairs in the order of their first
-    occurrence, and ``offending_cycles`` is sorted by printed form.  An
-    atom in no head has no out-edges and lies on no cycle, so the strongly
-    connected components are found over head atoms only.
+    A strongly connected component is offending when one of its internal
+    edges is negative; ``offending_cycles`` is sorted by printed form.  An
+    atom in no head has no out-edges and lies on no cycle, so the graph has
+    head atoms only.
     """
-    node: dict = {}  # atom -> node number, head atoms first
+    node: dict = {}  # head atom -> node number
     for law in g.laws:
         for disj in law.head:
             node.setdefault(disj.literal.atom, len(node))
     heads = len(node)
-    deps: list = [{} for _ in range(heads)]  # per head: body node -> rank
-    negative: dict = {}  # rank of a pair's first occurrence -> negative pair
-    rank = 0
+    deps: list = [{} for _ in range(heads)]  # per head: {body head: negative}
     for law in g.laws:
-        body = []
-        for b, negated in formula_atom_polarities(law.body):
-            j = node.get(b)
-            if j is None:
-                j = node[b] = len(node)
-            body.append((j, negated))
+        body = [(node[b], negated)
+                for b, negated in formula_atom_polarities(law.body) if b in node]
         for disj in law.head:
-            i, negated_head = node[disj.literal.atom], disj.literal.negated
-            out = deps[i]
+            out, negated_head = deps[node[disj.literal.atom]], disj.literal.negated
             for j, negated in body:
-                r = out.get(j)
-                if r is None:
-                    r = out[j] = rank
-                    rank += 1
-                if (negated or negated_head) and r not in negative:
-                    negative[r] = (i, j)
+                out[j] = negated or negated_head or out.get(j, False)
 
-    adj = [[j for j in out if j < heads] for out in deps]
+    adj = [list(out) for out in deps]
     radj: list = [[] for _ in range(heads)]
     for i, js in enumerate(adj):
         for j in js:
@@ -379,13 +366,11 @@ def stratification_report(g: GroundTheory) -> StratificationReport:
                     comp[j] = start
                     stack.append(j)
 
-    atoms = list(node)
-    pairs = [negative[r] for r in sorted(negative)]
-    bad = {comp[i] for i, j in pairs if j < heads and comp[j] == comp[i]}
+    bad = {comp[i] for i, out in enumerate(deps)
+           for j, negative in out.items() if negative and comp[j] == comp[i]}
     members: dict = {}
-    for i in range(heads):
+    for i, a in enumerate(node):
         if comp[i] in bad:
-            members.setdefault(comp[i], set()).add(atoms[i])
+            members.setdefault(comp[i], set()).add(a)
     offending = tuple(sorted(map(frozenset, members.values()), key=format_atom_set))
-    return StratificationReport(not offending, offending,
-                                tuple((atoms[i], atoms[j]) for i, j in pairs))
+    return StratificationReport(not offending, offending)

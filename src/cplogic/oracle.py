@@ -1,10 +1,10 @@
-"""Brute-force validators, independent of the engine's canonical policy.
+"""Brute-force validators, independent of the engine's canonical firing order.
 
 ``sweep_orders`` enumerates every choice of applicable law at every node and
 collects the distribution of each complete execution model, so firing-order
 invariance can be checked rather than assumed.  It is a fold over the
 engine's iterative state walk: it shares the engine's state classification,
-soundness check and mixing loop, but not its firing policy.
+soundness check and mixing loop, but not its one law per state.
 ``well_founded_model`` and ``least_model`` are classical fixpoint
 constructions for the deterministic fragments, giving the engine something
 external to agree with.  ``random_stratified_theory`` generates seeded
@@ -51,13 +51,10 @@ class OracleError(Exception):
 # Exhaustive firing-order sweep
 # ---------------------------------------------------------------------------
 
-# (D, frozenset of (frozenset[Atom], numerator) pairs), in lowest terms.
-FrozenDist = tuple
-
-
-def _freeze(D: int, nums: dict) -> FrozenDist:
-    """``nums / D`` reduced by the gcd of ``D`` and every numerator, so that
-    equal distributions freeze equal."""
+def _freeze(D: int, nums: dict) -> tuple:
+    """``nums / D`` as ``(D, frozenset of (frozenset[Atom], numerator)
+    pairs)``, reduced by the gcd of ``D`` and every numerator, so that equal
+    distributions freeze equal."""
     k = gcd(D, *nums.values())
     if k > 1:
         D //= k
@@ -65,12 +62,12 @@ def _freeze(D: int, nums: dict) -> FrozenDist:
     return D, frozenset(nums.items())
 
 
-def _thaw(fd: FrozenDist) -> Distribution:
+def _thaw(fd: tuple) -> Distribution:
     D, pairs = fd
     return Distribution({world: Fraction(n, D) for world, n in pairs})
 
 
-def _dist_key(fd: FrozenDist):
+def _dist_key(fd: tuple):
     D, pairs = fd
     return sorted((tuple(sorted(str(a) for a in world)), str(Fraction(n, D)))
                   for world, n in pairs)
@@ -283,14 +280,13 @@ def _atom_names(atoms: int) -> tuple:
 
 
 def random_stratified_theory(seed: int, atoms: int = 6, laws: int = 6,
-                             negation_rate: float = 0.4,
-                             head_width: int = 2,
                              negative_heads: bool = True) -> Theory:
     """Seeded propositional theory that is stratified by construction.
 
     Atoms live on strata; negative dependencies (negated body occurrences,
     and every body edge of a law with a negative head literal) only point
-    strictly downwards, so no cycle can carry a negative edge.
+    strictly downwards, so no cycle can carry a negative edge.  A head has
+    one or two disjuncts, and a body literal is negated with probability 0.4.
     """
     rng = random.Random(seed)
     names = list(_atom_names(atoms))
@@ -299,7 +295,7 @@ def random_stratified_theory(seed: int, atoms: int = 6, laws: int = 6,
 
     out = []
     for _ in range(n_laws):
-        width = rng.randint(1, head_width)
+        width = rng.randint(1, 2)
         head_names = rng.sample(names, min(width, len(names)))
         literals = []
         has_neg_head = False
@@ -314,7 +310,7 @@ def random_stratified_theory(seed: int, atoms: int = 6, laws: int = 6,
         floor = min(stratum[n] for n in head_names)
         parts = []
         for _ in range(rng.randint(0, 2)):
-            negated = rng.random() < negation_rate
+            negated = rng.random() < 0.4
             strict = negated or has_neg_head
             pool = [n for n in names
                     if (stratum[n] < floor if strict else stratum[n] <= floor)]

@@ -34,7 +34,7 @@ The printer is the parser's inverse up to formatting: for any theory value
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
@@ -174,12 +174,6 @@ class Theory:
     domains: dict  # name -> tuple of constants, declaration order kept
     exogenous: dict  # predicate -> arity
     laws: tuple[CPLaw, ...]
-    # (the exogenous declarations it was worked out from, every predicate's
-    # arity), for parsers closed over this theory; set on first use and
-    # worked out again only if ``exogenous`` has changed since (``laws`` is
-    # immutable).
-    _arity: tuple | None = field(default=None, init=False, compare=False,
-                                 repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +306,8 @@ class _Parser:
 
     # -- token plumbing ------------------------------------------------
 
-    def peek(self, offset: int = 0) -> _Token:
-        k = min(self.i + offset, len(self.toks) - 1)
-        return self.toks[k]
+    def peek(self) -> _Token:
+        return self.toks[self.i]
 
     def advance(self) -> _Token:
         tok = self.toks[self.i]
@@ -420,7 +413,7 @@ class _Parser:
         start = self.peek()
         binders: list[tuple[str, str]] = []
         env: set = set()
-        while self.at_punct("!") and self.is_binder_ahead():
+        while self.at_punct("!"):
             self.advance()
             var_tok, dom = self.parse_binder()
             if var_tok.text in env:
@@ -443,11 +436,6 @@ class _Parser:
             self.fail(f"head probabilities sum to {total} > 1", start)
         self.expect_punct(".")
         return CPLaw(tuple(binders), tuple(head), body)
-
-    def is_binder_ahead(self) -> bool:
-        # at a law's start "!" can only open a binder, but double-check shape
-        return (self.peek(1).kind == "ident"
-                and self.peek(2).kind == "ident" and self.peek(2).text == "in")
 
     def parse_binder(self) -> tuple[_Token, str]:
         """``x in d :`` after a ``!`` or ``?``: the variable and its domain."""
@@ -582,12 +570,7 @@ def _seeded_parser(text: str, theory: Theory | None) -> _Parser:
         p.domains = dict(theory.domains)
         for consts in theory.domains.values():
             p.constants.update(consts)
-        memo = theory._arity
-        if memo is None or memo[0] != theory.exogenous:
-            memo = (dict(theory.exogenous),
-                    {**theory.exogenous, **endogenous_signature(theory)})
-            object.__setattr__(theory, "_arity", memo)
-        p.arity = dict(memo[1])
+        p.arity = {**theory.exogenous, **endogenous_signature(theory)}
     return p
 
 
@@ -622,8 +605,8 @@ def parse_literal(text: str, theory: Theory | None = None) -> EffectLiteral:
 def parse_assignment(text: str, theory: Theory) -> dict:
     """Parse ``A=true,P(c)=false`` into ``{atom: bool}``, in the order given.
 
-    Every atom must be ground and its predicate occur in the theory; a
-    trailing comma is allowed and the empty text is the empty assignment.
+    Every atom must be ground and exogenous in the theory; a trailing comma
+    is allowed and the empty text is the empty assignment.
     """
     p = _seeded_parser(text, theory)
     values: dict = {}
@@ -634,6 +617,8 @@ def parse_assignment(text: str, theory: Theory) -> dict:
             atom = p.parse_atom(set())
             p.fail(f"write {atom}=true or {atom}=false, not ~{atom}", tok)
         atom = p.parse_atom(set())
+        if atom.predicate not in theory.exogenous:
+            p.fail(f"{atom} is not exogenous", tok)
         if atom in values:
             p.fail(f"{atom} assigned twice", tok)
         p.expect_punct("=")

@@ -31,33 +31,16 @@ class NameClashError(TransformError):
     pass
 
 
-def _match_head_atom(head_atom: Atom, target: Atom, law: CPLaw, domains) -> bool:
-    """Can ``head_atom`` instantiate to ``target`` under the law's binders?"""
-    if head_atom.predicate != target.predicate or len(head_atom.args) != len(target.args):
-        return False
-    var_domains = dict(law.vars)
-    binding: dict = {}
-    for pattern, value in zip(head_atom.args, target.args):
-        if isinstance(pattern, Var):
-            if pattern.name in binding and binding[pattern.name] != value:
-                return False
-            if value not in domains.get(var_domains[pattern.name], ()):
-                return False
-            binding[pattern.name] = value
-        elif pattern != value:
-            return False
-    return True
-
-
 def intervene(t: Theory, literal: EffectLiteral) -> Theory:
     """Remove every causal mechanism for the literal's atom; for a positive
     intervention, add the bare fact afterwards.  The atom is ground and
     endogenous: ``~A`` forces it false, ``A`` forces it true.
 
-    Removal is instance-exact: a law whose binders cover other instances as
-    well is first instantiated, and only the instances whose head mentions the
-    target atom are dropped.  Raises `SharedHeadError` when the atom shares a
-    multi-outcome head with another atom, where removal has no clear meaning.
+    Removal is instance-exact: a law with an instance whose head mentions the
+    target atom is instantiated, and only those instances are dropped; any
+    other law is kept as written.  Raises `SharedHeadError` when the atom
+    shares a multi-outcome head with another atom, where removal has no clear
+    meaning.
     """
     target = literal.atom
     if not target.is_ground():
@@ -67,21 +50,18 @@ def intervene(t: Theory, literal: EffectLiteral) -> Theory:
 
     new_laws: list[CPLaw] = []
     for law in t.laws:
-        hits = [d for d in law.head
-                if _match_head_atom(d.literal.atom, target, law, t.domains)]
-        if not hits:
+        instances = (list(law_instances(law, t.domains))
+                     if any(d.literal.atom.predicate == target.predicate for d in law.head)
+                     else [])
+        if not any(d.literal.atom == target for _, head in instances for d in head):
             new_laws.append(law)
-            continue
-        if len(law.head) > 1:
+        elif len(law.head) > 1:
             raise SharedHeadError(
                 f"atom {target} shares a multi-outcome head with other atoms; "
                 "removing the whole law would also silence them")
-        if not law.vars:
-            continue  # ground law determining the target: drop it
-        # Substitute only: the result is a theory, so body quantifiers stay.
-        new_laws.extend(CPLaw((), head, substitute_formula(law.body, env))
-                        for env, head in law_instances(law, t.domains)
-                        if head[0].literal.atom != target)
+        else:  # substitute only: the result is a theory, so body quantifiers stay
+            new_laws.extend(CPLaw((), head, substitute_formula(law.body, env))
+                            for env, head in instances if head[0].literal.atom != target)
 
     if not literal.negated:
         fact = CPLaw((), (HeadDisjunct(EffectLiteral(False, target), Fraction(1)),), TRUE)

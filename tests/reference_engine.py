@@ -9,8 +9,7 @@ for the integer mixing of `engine.distribution` to agree with.
 
 from fractions import Fraction
 
-from cplogic.engine import (Distribution, ExecState, UMode, _fold, _follow,
-                            lowest_index_policy)
+from cplogic.engine import Distribution, ExecState, UMode, _fold, _lowest
 from cplogic.ground import GroundTheory
 from cplogic.threeval import F, T, U, ThreeValuedInterp, kleene_eval
 
@@ -59,8 +58,7 @@ def reference_U(g: GroundTheory, X: frozenset, state: ExecState,
 
 
 def reference_distribution(g: GroundTheory, X: frozenset,
-                           mode: UMode = UMode.EXTENDED,
-                           policy=lowest_index_policy) -> Distribution:
+                           mode: UMode = UMode.EXTENDED) -> Distribution:
     """`engine.distribution` with `Fraction` arithmetic at every edge.
 
     The same fold, following the same law per state, but each state's
@@ -78,4 +76,4 @@ def reference_distribution(g: GroundTheory, X: frozenset,
                 acc[world] = acc.get(world, Fraction(0)) + prob * p
         return acc
 
-    return Distribution(_fold(g, X, mode, _follow(policy), mix))
+    return Distribution(_fold(g, X, mode, _lowest, mix))

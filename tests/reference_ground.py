@@ -140,12 +140,7 @@ def stratification_report(g):
     for node, root in comp.items():
         members.setdefault(root, set()).add(node)
 
-    bad_roots = set()
-    neg_edges = []
-    for (a, b), negative in edges.items():
-        if negative:
-            neg_edges.append((a, b))
-            if comp[a] == comp[b]:
-                bad_roots.add(comp[a])
+    bad_roots = {comp[a] for (a, b), negative in edges.items()
+                 if negative and comp[a] == comp[b]}
     offending = tuple(frozenset(members[r]) for r in sorted(bad_roots, key=str))
-    return StratificationReport(not offending, offending, tuple(neg_edges))
+    return StratificationReport(not offending, offending)

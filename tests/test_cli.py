@@ -177,13 +177,16 @@ def test_budget_exceeded_exits_three(run, tmp_path):
 def test_usage_errors_exit_one(run, suzy, tmp_path):
     assert run(["frobnicate", suzy])[0] == 1
     code, _, err = run(["query", suzy, "-q", "Broken", "--exo", "Broken=true"])
-    assert (code, err) == (1, "usage error: Broken is not exogenous\n")
+    assert (code, err) == (1, "error: Broken is not exogenous (line 1, column 1)\n")
     assert run(["query", suzy, "-q", "Broken", "--exo", "nonsense"])[0] == 1
     assert run(["query", "/no/such/file.cpl", "-q", "A"])[0] == 1
     gears = tmp_path / "gears.cpl"
     gears.write_text(theories.BUNDLED["gears"].source)
     code, _, err = run(["dist", str(gears), "--exo", "Crank1=true,Crank1=false"])
     assert code == 1 and "assigned twice" in err
+    code, out, err = run(["dist", str(gears), "--exo", "Crank1=true,Turns(gear1)=false"])
+    assert (code, out) == (1, "")
+    assert err == "error: Turns(gear1) is not exogenous (line 1, column 13)\n"
 
 
 def test_exogenous_assignment_errors_carry_a_column(run, tmp_path):

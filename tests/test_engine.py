@@ -321,30 +321,6 @@ def test_final_state_law_extended_mode():
                 assert leaf.state.true_atoms == frozenset(caused - blocked)
 
 
-def test_policy_choice_does_not_change_distribution():
-    def highest(app, state):
-        return app[-1]
-    for name in ("suzy_billy", "gears", "locked_gears", "superhero"):
-        b = theories.BUNDLED[name]
-        g = ground(b.theory())
-        for X in b.exo_cases:
-            assert distribution(g, X) == distribution(g, X, policy=highest)
-
-
-def test_literal_mode_locked_gears_is_order_dependent():
-    g = ground(theories.get("locked_gears"))
-    X = atoms("Crank1", "Locked(g1)")
-
-    def lock_first(app, state):
-        return 7 if 7 in app else app[0]
-
-    default = distribution(g, X, UMode.LITERAL)
-    locked = distribution(g, X, UMode.LITERAL, policy=lock_first)
-    assert default != locked
-    # whereas extended mode agrees with itself under both policies
-    assert distribution(g, X) == distribution(g, X, policy=lock_first)
-
-
 def test_deterministic_with_negation_matches_wfm():
     sources = [
         "A <- ~B. B <- C.",

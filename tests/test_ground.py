@@ -142,7 +142,6 @@ def test_negation_inside_a_connective_is_negative(text):
     report = stratification_report(ground(parse_theory(text)))
     assert not report.stratified
     assert report.offending_cycles == (atoms("A", "C"),)
-    assert report.negative_edges == ((atom("A"), atom("C")),)
 
 
 def test_positive_cycle_is_fine():

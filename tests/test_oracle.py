@@ -32,6 +32,7 @@ def test_locked_gears_literal_mode_diverges():
     X = atoms("Crank1", "Locked(g1)")
     report = sweep_orders(g, X, UMode.LITERAL)
     assert len(report.distributions) >= 2
+    assert distribution(g, X, UMode.LITERAL) in report.distributions
     assert report.witness is not None
     assert report.witness.dist_a != report.witness.dist_b
     assert "law" in report.witness.describe()

@@ -190,6 +190,8 @@ def test_parse_assignment():
     ("Crank1=maybe", "expected true or false, got 'maybe'", 8),
     ("Crank1=", "expected true or false, got end of input", 8),
     ("Crank1=true,Foo=true", "unknown predicate 'Foo'", 13),
+    ("Turns(gear1)=false", "Turns(gear1) is not exogenous", 1),
+    ("Crank1=true, Turns(gear1)=true", "Turns(gear1) is not exogenous", 14),
     ("~Crank1=true", "write Crank1=true or Crank1=false, not ~Crank1", 1),
     ("Crank1=true Crank2=true", "expected ','", 13),
     (",", "expected predicate", 1),
@@ -226,6 +228,14 @@ def test_parse_literal_against_theory_is_closed():
         assert (info.value.message, info.value.line, info.value.col) == (
             "unknown predicate 'Brokn'", 1, col)
     assert parse_literal("Brokn").atom == Atom("Brokn")  # no theory: open
+
+
+@pytest.mark.parametrize("text, col", [("!A.", 3), ("domain d = {a}. !x P(x).", 20)])
+def test_a_law_opening_with_a_bang_needs_a_binder(text, col):
+    # at the start of a law "!" can only open a binder
+    with pytest.raises(ParseError) as info:
+        parse_theory(text)
+    assert (info.value.message, info.value.line, info.value.col) == ("expected 'in'", 1, col)
 
 
 def test_binder_hint_only_where_a_binder_can_be_written():
@@ -397,26 +407,6 @@ def test_deepest_accepted_formula_goes_through_the_pipeline():
     finally:
         sys.setrecursionlimit(limit)
     assert all(total(d) == 1 for d in dists)
-
-
-def test_a_theory_vocabulary_is_worked_out_once_per_theory_value(monkeypatch):
-    from cplogic import syntax
-    calls = []
-
-    def counted(t):
-        calls.append(t)
-        return real(t)
-    real = syntax.endogenous_signature
-    monkeypatch.setattr(syntax, "endogenous_signature", counted)
-    t = theories.get("gears")
-    parse_literal("Turns(gear1)", t)
-    parse_formula("Turns(gear2), ~Crank1", t)
-    assert parse_assignment("Crank1=true", t) == {Atom("Crank1"): True}
-    assert calls == [t]
-    with pytest.raises(ParseError, match="unknown predicate 'Spins'"):
-        parse_literal("Spins(gear1)", t)
-    parse_literal("Turns(gear1)", theories.get("gears"))
-    assert len(calls) == 2
 
 
 def test_a_theory_vocabulary_follows_a_change_to_its_exogenous_declarations():

@@ -5,7 +5,7 @@ from cplogic.engine import distribution
 from cplogic.ground import ground
 from cplogic.syntax import (Atom, EffectLiteral, TheoryError,
                             endogenous_signature, parse_literal, parse_theory,
-                            print_theory)
+                            print_law, print_theory)
 from cplogic.transform import (NameClashError, SharedHeadError, TransformError,
                                intervene, internalize, negative_head_predicates,
                                tau_not)
@@ -53,6 +53,32 @@ def test_intervention_is_instance_exact():
     g = ground(out)
     X = atoms("Bird(tweety)", "Bird(pingu)")
     assert distribution(g, X) == {atoms("Flies(pingu)"): 1}
+
+
+@pytest.mark.parametrize("law, target, kept", [
+    # a repeated variable matches only equal constants
+    ("!x in d: P(x, x) <- Q(x).", "P(a, b)", None),
+    ("!x in d: P(x, x) <- Q(x).", "P(a, a)", ["P(b,b) <- Q(b)."]),
+    ("!x in d: P(x, b) <- Q(x).", "P(a, a)", None),
+    # e = {b}: no instance of the binder has the target's constant
+    ("!x in e: P(x, a) <- Q(x).", "P(a, a)", None),
+    ("P(a, a) <- Q(b).", "P(a, a)", []),
+    ("!x in d: (P(x, x):1/2); (Q(x):1/2).", "P(a, a)", SharedHeadError),
+])
+def test_intervention_matches_head_instances_exactly(law, target, kept):
+    t = parse_theory("domain d = {a, b}.\ndomain e = {b}.\n"
+                     f"P(b, a) <- Q(a).\n{law}\n")
+    lit = parse_literal(f"~{target}", t)
+    if kept is SharedHeadError:
+        with pytest.raises(SharedHeadError):
+            intervene(t, lit)
+        return
+    out = intervene(t, lit)
+    assert out.laws[0] == t.laws[0]
+    if kept is None:
+        assert out == t
+    else:
+        assert [print_law(law) for law in out.laws[1:]] == kept
 
 
 def test_intervention_substitutes_through_connectives_and_quantifiers():
