@@ -17,7 +17,7 @@ from .oracle import (BudgetExceededError, OrderSweepReport, least_model,
 from .syntax import (Atom, CPLaw, EffectLiteral, Formula, HeadDisjunct,
                      ParseError, Theory, TheoryError, Var, check_theory,
                      parse_formula, parse_literal, parse_theory, print_theory)
-from .threeval import ThreeValuedInterp, TruthValue, holds, kleene_eval
+from .threeval import ThreeValuedInterp, holds, kleene_eval
 from .transform import (SharedHeadError, TransformError, intervene,
                         internalize, tau_not)
 
@@ -28,7 +28,7 @@ __all__ = [
     "ExecNode", "ExecState", "Formula", "GroundTheory", "HeadDisjunct",
     "OrderSweepReport", "ParseError", "SharedHeadError",
     "SoundnessError", "StratificationReport", "Theory", "TheoryError",
-    "ThreeValuedInterp", "TransformError", "TruthValue", "UMode", "Var",
+    "ThreeValuedInterp", "TransformError", "UMode", "Var",
     "applicable", "apply_disjunct", "build_execution_model",
     "check_theory", "compute_U", "distribution", "ground", "holds",
     "intervene", "internalize", "kleene_eval", "least_model",

@@ -37,9 +37,9 @@ from fractions import Fraction
 
 from . import engine, oracle, transform
 from .ground import ground, stratification_report
-from .syntax import (ParseError, Theory, TheoryError, format_atom_set,
-                     parse_assignment, parse_formula, parse_literal,
-                     parse_theory, print_theory)
+from .syntax import (ParseError, Theory, TheoryError, atom_names,
+                     format_atom_set, parse_assignment, parse_formula,
+                     parse_literal, parse_theory, print_theory)
 from .threeval import UnboundAtomError
 
 
@@ -51,12 +51,8 @@ def _fmt_prob(p: Fraction) -> str:
     return f"{p} (= {p.numerator / p.denominator:.6f})"
 
 
-def _world_list(world):
-    return sorted(str(a) for a in world)
-
-
 def _json_rows(dist: engine.Distribution) -> list:
-    return [{"world": _world_list(w), "p": str(p)} for w, p in dist.sorted_items()]
+    return [{"world": atom_names(w), "p": str(p)} for w, p in dist.sorted_items()]
 
 
 def _read_theory(path: str) -> Theory:
@@ -113,13 +109,13 @@ def cmd_dist(args) -> int:
     dist = engine.distribution(ground(theory), X, mode)
     if args.json:
         print(json.dumps({"distribution": _json_rows(dist), "mode": mode.value,
-                          "exo": _world_list(X)}, indent=2))
+                          "exo": atom_names(X)}, indent=2))
         return 0
     rows = dist.sorted_items()
     if args.tsv:
         print("world\tp\tdecimal")
         for world, p in rows:
-            atoms = ",".join(_world_list(world))
+            atoms = ",".join(atom_names(world))
             print(f"{atoms}\t{p}\t{p.numerator / p.denominator:.6f}")
     else:
         width = max((len(format_atom_set(w)) for w, _ in rows), default=0)
@@ -134,7 +130,7 @@ def cmd_query(args) -> int:
     p = engine.query(ground(theory), X, phi, mode)
     if args.json:
         print(json.dumps({"query": args.query, "p": str(p),
-                          "mode": mode.value, "exo": _world_list(X)}))
+                          "mode": mode.value, "exo": atom_names(X)}))
     else:
         print(_fmt_prob(p))
     return 0
@@ -168,7 +164,7 @@ def cmd_sweep(args) -> int:
             "distributions": [_json_rows(d) for d in report.distributions],
             "witness": report.witness.describe() if report.witness else None,
             "mode": mode.value,
-            "exo": _world_list(X),
+            "exo": atom_names(X),
         }
         print(json.dumps(payload, indent=2))
         return 0

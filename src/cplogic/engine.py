@@ -42,11 +42,12 @@ from fractions import Fraction
 from math import lcm
 
 from .ground import GroundTheory, expand_formula
-from .syntax import (And, Atom, EffectLiteral, Formula, Not, Or,
+from .syntax import (And, Atom, EffectLiteral, Formula, Not, Or, atom_names,
                      format_atom_set, formula_atoms)
 # bench/tracing.py counts `holds` and `kleene_eval` calls at this import
 # site, so both stay bound here.
-from .threeval import ThreeValuedInterp, UnboundAtomError, holds, kleene_eval
+from .threeval import (ThreeValuedInterp, UnboundAtomError, holds,
+                       kleene_eval, kleene_junction)
 
 
 class UMode(Enum):
@@ -146,7 +147,7 @@ class _Program:
     def __init__(self, g: GroundTheory, X: frozenset):
         extra = [a for a in X if a not in g.exogenous_atoms]
         if extra:
-            names = ", ".join(sorted(str(a) for a in extra))
+            names = ", ".join(atom_names(extra))
             raise ExogenousError(f"not in the exogenous universe: {names}")
         self.atoms = tuple(sorted(g.endogenous_atoms, key=str))
         self.bit = {a: 1 << k for k, a in enumerate(self.atoms)}
@@ -277,7 +278,7 @@ def _compile_body(phi: Formula, bit: dict, X: frozenset, exogenous: Set):
                 if lits & (lits - 1) or pos & neg:  # not a single literal
                     return junction(conj, pos, neg, [])
                 return pos, neg
-        return kleene_eval(phi, _NO_ATOMS, X, exogenous).value
+        return kleene_eval(phi, _NO_ATOMS, X, exogenous)
 
     body = comp(phi)
     if isinstance(body, int):
@@ -316,27 +317,7 @@ def _junction(conj: bool, pos: int, neg: int, subs: list):
         return lits
     if pos | neg:
         subs = [lits, *subs]
-    if conj:
-        def ev(t, u):
-            v = 2
-            for s in subs:
-                w = s(t, u)
-                if w < v:
-                    if not w:
-                        return 0
-                    v = w
-            return v
-    else:
-        def ev(t, u):
-            v = 0
-            for s in subs:
-                w = s(t, u)
-                if w > v:
-                    if w == 2:
-                        return 2
-                    v = w
-            return v
-    return ev
+    return lambda t, u: kleene_junction(conj, (s(t, u) for s in subs))
 
 
 def _program(g: GroundTheory, X: frozenset) -> _Program:
@@ -498,8 +479,7 @@ class Distribution(dict):
     """Exact distribution over endogenous worlds (frozenset[Atom] -> Fraction)."""
 
     def sorted_items(self):
-        return sorted(self.items(),
-                      key=lambda kv: tuple(sorted(str(a) for a in kv[0])))
+        return sorted(self.items(), key=lambda kv: atom_names(kv[0]))
 
     def project(self, predicates) -> "Distribution":
         """Marginalize onto worlds restricted to the given predicate names."""
@@ -560,9 +540,14 @@ def distribution(g: GroundTheory, X: frozenset,
 
 def query(g: GroundTheory, X: frozenset, phi: Formula,
           mode: UMode = UMode.EXTENDED) -> Fraction:
-    """Probability mass of the worlds satisfying ground-expanded ``phi``."""
+    """Probability mass of the worlds satisfying ground-expanded ``phi``, an
+    atom of the theory's vocabulary that no law mentions being false."""
     phi = expand_formula(phi, {}, g.domains)
+    arity = {a.predicate: len(a.args) for a in g.endogenous_atoms}
+    constants = set().union(*g.domains.values())
     for atom in formula_atoms(phi):
-        if atom not in g.endogenous_atoms and atom not in g.exogenous_atoms:
+        if atom not in g.endogenous_atoms and atom not in g.exogenous_atoms and (
+                arity.get(atom.predicate) != len(atom.args)
+                or not constants.issuperset(atom.args)):
             raise UnboundAtomError(f"unknown atom {atom}")
     return distribution(g, X, mode).prob(phi, X)

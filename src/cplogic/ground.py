@@ -11,10 +11,10 @@ built, in one table keyed by predicate and arguments, so equal atoms of a
 ground theory are one object and the endogenous atoms fall out of the
 table.  A second table lists the dormant laws (`_at_rest`) under each
 exogenous atom they mention, so the engine compiles only those X wakes.
-Laws are checked first for what printing hides and for what breaks the
-theory's vocabulary (`syntax.check_law`), and a ground theory builds each
-law's outcome table once, rejecting a probability outside (0, 1] and a head
-that sums above 1.
+Domains and laws are checked first against the parser's rules (a law by
+`syntax.check_law`), and a ground theory builds each law's outcome table
+once, rejecting a probability outside (0, 1] and a head that sums above
+1.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
                      FALSE, Var, check_law, format_atom_set,
                      formula_atom_polarities)
+from .threeval import kleene_junction
 
 
 class ExogenousUniverse(Set):
@@ -210,10 +211,8 @@ def _at_rest(phi: Formula, t: Theory) -> int:
             return 2 * value
         case Not(sub):
             return 2 - _at_rest(sub, t)
-        case And(parts):
-            return min(_at_rest(p, t) for p in parts)
-        case Or(parts):
-            return max(_at_rest(p, t) for p in parts)
+        case And(parts) | Or(parts):
+            return kleene_junction(isinstance(phi, And), (_at_rest(p, t) for p in parts))
         case ForAll(_, dom, sub) | Exists(_, dom, sub):
             empty = 2 * isinstance(phi, ForAll)
             return _at_rest(sub, t) if t.domains.get(dom) else empty
@@ -255,10 +254,14 @@ def ground(t: Theory) -> GroundTheory:
     Every atom of a predicate not declared exogenous is endogenous.  The
     exogenous universe comes from the declarations, not from mentions: an
     interpretation X may set any ground exogenous atom, mentioned or not.
-    A law that breaks the theory's vocabulary (`syntax.check_law`) or
-    quantifies over an undeclared domain is rejected with `TheoryError`,
-    whether or not it has instances.
+    A domain that lists a constant twice, and a law that `syntax.check_law`
+    rejects or that quantifies over an undeclared domain, are rejected
+    with `TheoryError`, whether or not the law has instances.
     """
+    for name, consts in t.domains.items():
+        if len(set(consts)) < len(consts):
+            c = next(c for k, c in enumerate(consts) if c in consts[:k])
+            raise TheoryError(f"constant {c!r} listed twice in domain {name!r}")
     arity = dict(t.exogenous)
     for law in t.laws:
         check_law(law, t, arity)

@@ -27,7 +27,8 @@ from .engine import (applicable, apply_disjunct, compute_U,  # noqa: F401
                      satisfied_unfired)
 from .ground import GroundTheory
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Formula, HeadDisjunct,
-                     Not, Or, Theory, Truth, TRUE, formula_atom_polarities)
+                     Not, Or, Theory, Truth, TRUE, atom_names,
+                     formula_atom_polarities)
 from .threeval import ThreeValuedInterp, holds
 
 
@@ -69,8 +70,7 @@ def _thaw(fd: tuple) -> Distribution:
 
 def _dist_key(fd: tuple):
     D, pairs = fd
-    return sorted((tuple(sorted(str(a) for a in world)), str(Fraction(n, D)))
-                  for world, n in pairs)
+    return sorted((atom_names(world), str(Fraction(n, D))) for world, n in pairs)
 
 
 @dataclass(frozen=True)

@@ -562,24 +562,22 @@ def parse_theory(text: str) -> Theory:
     return _Parser(text).parse_theory()
 
 
-def _seeded_parser(text: str, theory: Theory | None) -> _Parser:
+def _seeded_parser(text: str, theory: Theory) -> _Parser:
     """A parser over ``text`` closed over the theory's domains and predicates."""
     p = _Parser(text)
-    if theory is not None:
-        p.closed = True
-        p.domains = dict(theory.domains)
-        for consts in theory.domains.values():
-            p.constants.update(consts)
-        p.arity = {**theory.exogenous, **endogenous_signature(theory)}
+    p.closed = True
+    p.domains = dict(theory.domains)
+    for consts in theory.domains.values():
+        p.constants.update(consts)
+    p.arity = {**theory.exogenous, **endogenous_signature(theory)}
     return p
 
 
-def parse_formula(text: str, theory: Theory | None = None) -> Formula:
-    """Parse a closed formula, e.g. a query.
+def parse_formula(text: str, theory: Theory) -> Formula:
+    """Parse a closed formula, e.g. a query, against ``theory``.
 
-    With ``theory`` given, predicates must occur in the theory (declared
-    exogenous or used in some law), arities must match, and constants must be
-    drawn from its domains.
+    Predicates must occur in the theory (declared exogenous or used in some
+    law), arities must match, and constants must be drawn from its domains.
     """
     p = _seeded_parser(text, theory)
     phi = p.parse_or(set())
@@ -588,9 +586,9 @@ def parse_formula(text: str, theory: Theory | None = None) -> Formula:
     return phi
 
 
-def parse_literal(text: str, theory: Theory | None = None) -> EffectLiteral:
-    """Parse ``A`` or ``~A`` with ``A`` a ground atom, which must occur in
-    ``theory`` if one is given."""
+def parse_literal(text: str, theory: Theory) -> EffectLiteral:
+    """Parse ``A`` or ``~A`` with ``A`` a ground atom of ``theory``'s
+    vocabulary, as `parse_formula` reads it."""
     p = _seeded_parser(text, theory)
     negated = False
     if p.at_punct("~"):
@@ -637,9 +635,14 @@ def parse_assignment(text: str, theory: Theory) -> dict:
 # Printer
 # ---------------------------------------------------------------------------
 
+def atom_names(atoms) -> list:
+    """The atoms' printed forms, sorted: the order of every printed world."""
+    return sorted(str(a) for a in atoms)
+
+
 def format_atom_set(atoms) -> str:
     """``{A, P(c)}``: the atoms' printed forms, sorted."""
-    return "{" + ", ".join(sorted(str(a) for a in atoms)) + "}"
+    return "{" + ", ".join(atom_names(atoms)) + "}"
 
 
 def print_formula(phi: Formula) -> str:
@@ -717,7 +720,8 @@ def check_theory(t: Theory) -> None:
 
 def check_law(law: CPLaw, t: Theory, arity: dict) -> None:
     """Raise `TheoryError` for what printing hides in ``law``, a law of
-    ``t``, and for what breaks the vocabulary of ``t``.
+    ``t``, for what breaks the vocabulary of ``t``, and for the law rules
+    of the parser that grounding relies on.
 
     Printing hides variables that no binder or quantifier binds, which print
     like constants, `And`/`Or` nodes with fewer than two parts, which print
@@ -726,9 +730,18 @@ def check_law(law: CPLaw, t: Theory, arity: dict) -> None:
     the `Fraction` 1/2).  The vocabulary is broken by an exogenous predicate
     in a head, a constant in no domain and a predicate used with two
     arities: ``arity`` holds each predicate declared exogenous or used in an
-    earlier law, and gains those that ``law`` uses first.
+    earlier law, and gains those that ``law`` uses first.  The law rules
+    are a head with at least one disjunct, no atom in two disjuncts of one
+    head, and no law variable bound twice.
     """
-    bound = {v for v, _ in law.vars}
+    bound: set = set()
+    for v, _ in law.vars:
+        if v in bound:
+            raise TheoryError(f"law variable {v!r} bound twice")
+        bound.add(v)
+    if not law.head:
+        raise TheoryError("law has an empty head")
+    heads: set = set()
     for d in law.head:
         if type(d.prob) not in (int, Fraction):
             raise TheoryError(f"probability {d.prob!r} is not an int or a Fraction")
@@ -736,6 +749,9 @@ def check_law(law: CPLaw, t: Theory, arity: dict) -> None:
         _check_formula(atom, bound, t.domains, arity)
         if atom.predicate in t.exogenous:
             raise TheoryError(f"exogenous atom {atom} may not occur in a head")
+        if atom in heads:
+            raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
+        heads.add(atom)
     _check_formula(law.body, bound, t.domains, arity)
 
 

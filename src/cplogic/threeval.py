@@ -1,15 +1,15 @@
 """Kleene three-valued interpretations and formula evaluation.
 
 Endogenous atoms take one of three values; exogenous atoms are always
-two-valued and are read from a separate interpretation.  Conjunction is
-minimum and disjunction maximum in the truth order f < u < t, and negation
-swaps t/f while fixing u.
+two-valued and are read from a separate interpretation.  The values are
+the ints ``F, U, T = 0, 1, 2``, in the truth order f < u < t: negation is
+``2 - v``, and `kleene_junction` states conjunction and disjunction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .syntax import (And, Atom, Exists, ForAll, Formula, Not, Or, Truth,
                      format_atom_set)
@@ -19,18 +19,7 @@ class UnboundAtomError(Exception):
     """Atom outside both the endogenous and the exogenous universe."""
 
 
-class TruthValue(Enum):
-    FALSE = 0
-    UNKNOWN = 1
-    TRUE = 2
-
-    def __str__(self) -> str:
-        return {0: "f", 1: "u", 2: "t"}[self.value]
-
-
-F, U, T = TruthValue.FALSE, TruthValue.UNKNOWN, TruthValue.TRUE
-
-_NOT = {F: T, U: U, T: F}
+F, U, T = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -54,7 +43,7 @@ class ThreeValuedInterp:
     def false_set(self) -> frozenset:
         return self.universe - self.true_set - self.unknown_set
 
-    def value(self, atom: Atom) -> TruthValue:
+    def value(self, atom: Atom) -> int:
         if atom in self.true_set:
             return T
         if atom in self.unknown_set:
@@ -70,42 +59,46 @@ class ThreeValuedInterp:
 
 
 def kleene_eval(phi: Formula, nu: ThreeValuedInterp, X: frozenset,
-                exogenous: frozenset | None = None) -> TruthValue:
+                exogenous: Set) -> int:
     """Kleene truth value of ground ``phi`` under ``nu``, exogenous atoms from ``X``.
 
-    Atoms outside ``nu``'s universe must belong to ``exogenous`` (when given)
-    and are read two-valued from ``X``; otherwise they are unbound.
+    Atoms outside ``nu``'s universe must belong to ``exogenous`` and are
+    read two-valued from ``X``; otherwise they are unbound.
     """
     match phi:
         case Atom():
             if phi in nu.universe:
                 return nu.value(phi)
-            if exogenous is not None and phi not in exogenous:
+            if phi not in exogenous:
                 raise UnboundAtomError(f"atom {phi} not in the endogenous or exogenous universe")
-            if exogenous is None:
-                raise UnboundAtomError(f"atom {phi} not in the universe")
             return T if phi in X else F
         case Truth(v):
             return T if v else F
         case Not(sub):
-            return _NOT[kleene_eval(sub, nu, X, exogenous)]
-        case And(parts):
-            value = T
-            for p in parts:
-                value = min(value, kleene_eval(p, nu, X, exogenous), key=lambda t: t.value)
-                if value is F:
-                    return F
-            return value
-        case Or(parts):
-            value = F
-            for p in parts:
-                value = max(value, kleene_eval(p, nu, X, exogenous), key=lambda t: t.value)
-                if value is T:
-                    return T
-            return value
+            return 2 - kleene_eval(sub, nu, X, exogenous)
+        case And(parts) | Or(parts):
+            return kleene_junction(isinstance(phi, And),
+                                   (kleene_eval(p, nu, X, exogenous) for p in parts))
         case ForAll() | Exists():
             raise ValueError("quantifier in a formula handed to kleene_eval; ground it first")
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def kleene_junction(conj: bool, values) -> int:
+    """Kleene value of the conjunction (``conj``) or disjunction of ``values``.
+
+    f decides a conjunction and t a disjunction, and ``values`` is read no
+    further.  Otherwise any u gives u, and with none the result is the
+    unit, t for a conjunction and f for a disjunction.
+    """
+    decisive = F if conj else T
+    result = 2 - decisive
+    for v in values:
+        if v == decisive:
+            return v
+        if v == U:
+            result = U
+    return result
 
 
 def holds(phi: Formula, true_atoms) -> bool:

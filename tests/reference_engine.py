@@ -31,8 +31,8 @@ def reference_U(g: GroundTheory, X: frozenset, state: ExecState,
     def snapshot():
         return ThreeValuedInterp(
             g.endogenous_atoms,
-            frozenset(a for a, v in value.items() if v is T),
-            frozenset(a for a, v in value.items() if v is U))
+            frozenset(a for a, v in value.items() if v == T),
+            frozenset(a for a, v in value.items() if v == U))
 
     changed = True
     while changed:
@@ -40,18 +40,18 @@ def reference_U(g: GroundTheory, X: frozenset, state: ExecState,
         nu = snapshot()
         for i in unfired:
             law = g.laws[i]
-            if kleene_eval(law.body, nu, X, g.exogenous_atoms) is F:
+            if kleene_eval(law.body, nu, X, g.exogenous_atoms) == F:
                 continue
             for disj in law.head:
                 a = disj.literal.atom
                 if a in state.negated:
                     continue
                 if not disj.literal.negated:
-                    if value[a] is F:
+                    if value[a] == F:
                         value[a] = U
                         changed = True
                 elif mode is UMode.EXTENDED:
-                    if value[a] is T:
+                    if value[a] == T:
                         value[a] = U
                         changed = True
     return snapshot()

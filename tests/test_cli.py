@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -207,6 +208,13 @@ def test_exogenous_assignment_of_atoms_with_arguments(run, tmp_path):
     assert (code, out) == (0, "1/2 (= 0.500000)\n")
 
 
+def test_query_ranges_over_the_theory_vocabulary(run):
+    text = "domain d = {a, b}. P(a).\n"
+    assert run(["query", "-", "-q", "P(b)"], stdin=text) == (0, "0 (= 0.000000)\n", "")
+    assert run(["query", "-", "-q", "?x in d: P(x)"], stdin=text) == (
+        0, "1 (= 1.000000)\n", "")
+
+
 def test_do_rejects_an_unknown_predicate(run, suzy):
     for lit, col in (("Brokn", 1), ("~Brokn", 2)):
         code, out, err = run(["do", suzy, "--lit", lit])
@@ -326,3 +334,51 @@ def test_budget_below_one_is_a_usage_error(run, suzy, budget):
     code, _, err = run(["sweep", suzy, "--budget", "many"])
     assert (code, err) == (1, "usage error: argument --budget: invalid int "
                               "value: 'many'\n")
+
+
+def _matrix(name: str) -> list:
+    """Every CLI request over one bundled theory, its path written ``-``:
+    each inference command under each representative world in both modes,
+    a query of every endogenous ground atom, ``do`` on every endogenous
+    ground atom in both polarities, and ``compile``."""
+    bundled = theories.BUNDLED[name]
+    atoms = sorted(str(a) for a in cplogic.ground(bundled.theory()).endogenous_atoms)
+    argvs = []
+    for case in bundled.exo_cases:
+        exo = ",".join(f"{a}=true" for a in sorted(str(a) for a in case))
+        for mode in ("extended", "literal"):
+            infer = ["-", "--mode", mode, "--exo", exo]
+            argvs += [["check", *infer], ["dist", *infer],
+                      ["dist", *infer, "--json"], ["dist", *infer, "--tsv"],
+                      ["sweep", *infer], ["sweep", *infer, "--json"]]
+            argvs += [["query", *infer, "-q", a] for a in atoms]
+    argvs += [["do", "-", "--lit", sign + a] for a in atoms for sign in ("", "~")]
+    argvs.append(["compile", "-", "--eliminate-neg-heads"])
+    return argvs
+
+
+# SHA-256 over (argv with the theory's name for its path, exit code, stdout,
+# stderr) of every request of `_matrix`, in order.  A change to any byte the
+# CLI writes, or to its exit code, on a bundled theory shows here.
+CLI_DIGESTS = {
+    "blood_pressure": "0250401728bf961baf4b85115ec77f866358bfb184f2f135966fdb2f58554e12",
+    "gears": "0e8a1b3298a1d35a5810df32db40781083e6921ffe0ee999a1aec7c1665cc9e8",
+    "locked_gears": "ef25a83f2d3dad8d93b5c228ca014435d53aa88e45496492760689f055a61e5b",
+    "negation_loop": "91c427aa196758ef49e0ebbe5fde1d9a982c82d0a9355e72be0be10ba259b5df",
+    "penguins": "31d3f4fe84b496c9cc8bd4bd716c347e134574a72f23be06a950dda3d07aeef1",
+    "probabilistic_birds": "f297bbf01313e5fb466cfb072ae80e1ec0aa5e5af4890003761246e3b07cdbca",
+    "repeat_class": "cda1864258cf15657206793fd903433a0252baeb2ebef37a0a08d0ca11b82fd8",
+    "superhero": "04e74949641bdb6a30d214ee93eb00a15102a1152adc1034506eaa1ce4ded58c",
+    "suzy_billy": "34174844983fc686331c27fe857511fd1c990a971ffd4206f94c0ffb85b04a8b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(theories.BUNDLED))
+def test_cli_output_matrix_is_unchanged(run, name):
+    source = theories.BUNDLED[name].source
+    digest = hashlib.sha256()
+    for argv in _matrix(name):
+        code, out, err = run(argv, stdin=source)
+        shown = [name if arg == "-" else arg for arg in argv]
+        digest.update(json.dumps([shown, code, out, err]).encode())
+    assert digest.hexdigest() == CLI_DIGESTS[name]

@@ -13,7 +13,7 @@ from cplogic.engine import (Distribution, ExecState, ExogenousError,
 from cplogic.ground import ground, stratification_report
 from cplogic.oracle import (BudgetExceededError, random_stratified_theory,
                             sweep_orders, well_founded_model)
-from cplogic.syntax import parse_formula, parse_theory
+from cplogic.syntax import Atom, parse_formula, parse_theory
 from cplogic.threeval import UnboundAtomError
 
 from helpers import (approximates, atom, atoms, leaf_paths,
@@ -218,8 +218,22 @@ def test_query_can_read_exogenous_atoms():
 
 
 def test_query_unknown_atom_raises():
+    # the parser rejects an unknown predicate; a formula built in code reaches
+    # the engine's own check
     with pytest.raises(UnboundAtomError):
-        query(SUZY_G, NOTHING, parse_formula("Zilch"))
+        query(SUZY_G, NOTHING, Atom("Zilch"))
+
+
+def test_query_ranges_over_the_theory_vocabulary():
+    # the parser accepts P(b), which no ground law mentions: it is false
+    t = parse_theory("domain d = {a, b}. P(a).")
+    g = ground(t)
+    assert query(g, NOTHING, parse_formula("P(b)", t)) == 0
+    assert query(g, NOTHING, parse_formula("?x in d: P(x)", t)) == 1
+    for phi in (Atom("Zilch"), Atom("P"), Atom("P", ("a", "a")), Atom("P", ("c",))):
+        with pytest.raises(UnboundAtomError) as info:
+            query(g, NOTHING, phi)
+        assert str(info.value) == f"unknown atom {phi}"
 
 
 def test_exogenous_mismatch_rejected():

@@ -6,6 +6,8 @@ that `reference_engine.reference_U` computes by the definition.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cplogic import engine, theories
 from cplogic.engine import (SoundnessError, UMode, compute_U, distribution,
@@ -13,7 +15,8 @@ from cplogic.engine import (SoundnessError, UMode, compute_U, distribution,
 from cplogic.ground import ground
 from cplogic.oracle import (BudgetExceededError, random_stratified_theory,
                             sweep_orders)
-from cplogic.syntax import parse_theory
+from cplogic.syntax import FALSE, TRUE, And, Atom, Not, Or, parse_theory
+from cplogic.threeval import ThreeValuedInterp, kleene_eval
 
 from helpers import atom, atoms, random_deterministic_theory
 from reference_engine import reference_U
@@ -131,3 +134,46 @@ def test_program_lives_on_its_ground_theory():
     assert other is not prog
     assert g._compiled == (atoms("Crank1", "Locked(g1)"), other)
     assert g == ground(theories.get("locked_gears"))
+
+
+_ENDO = tuple(Atom(name) for name in "ABCD")  # bit k is _ENDO[k]
+_EXO = (Atom("E"), Atom("F"))
+
+
+def _ground_formulas(depth: int):
+    """Ground bodies over `_ENDO` and `_EXO`: literals, truth constants,
+    negations and connectives of 2 to 4 parts, nested up to ``depth``
+    deep."""
+    leaves = st.sampled_from(_ENDO + _EXO + (TRUE, FALSE))
+    if depth == 0:
+        return leaves
+    sub = _ground_formulas(depth - 1)
+    parts = st.lists(sub, min_size=2, max_size=4).map(tuple)
+    return st.one_of(leaves, sub.map(Not), parts.map(And), parts.map(Or))
+
+
+_A, _B, _C, _D = _ENDO
+_E, _F = _EXO
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_ground_formulas(4), st.integers(0, 15), st.integers(0, 15),
+       st.frozensets(st.sampled_from(_EXO)))
+# connectives nested in connectives, each junction rule outcome once: u,
+# the unit f, a deciding f and a deciding t
+@example(And((_A, Or((_B, _C)))), 0b0001, 0b0010, frozenset())
+@example(Or((Not(And((_A, _B))), And((_C, _D)))), 0b0011, 0, frozenset())
+@example(And((Or((_A, _B)), Or((_C, _D, _E)))), 0, 0b1100, frozenset())
+@example(Or((_A, And((_B, _C)), Not(_F))), 0b0110, 0, frozenset({_F}))
+def test_compiled_bodies_agree_with_kleene_eval(phi, t, u, X):
+    # the literal masks, the nested evaluators and X folded in at compile
+    # time, against the evaluator that reads the formula itself
+    u &= ~t
+    bit = {a: 1 << k for k, a in enumerate(_ENDO)}
+    body, reads = engine._compile_body(phi, bit, X, frozenset(_EXO))
+    nu = ThreeValuedInterp(frozenset(_ENDO),
+                           frozenset(a for a in _ENDO if t & bit[a]),
+                           frozenset(a for a in _ENDO if u & bit[a]))
+    assert body(t, u) == kleene_eval(phi, nu, X, frozenset(_EXO))
+    # an atom that the body does not read cannot change its value
+    assert body(t & reads, u & reads) == body(t, u)

@@ -235,6 +235,30 @@ def test_an_exogenous_head_is_rejected():
     assert distribution(ground(t), atoms("E(a)")) == {atoms("A"): 1}
 
 
+def _half(name: str, *args) -> HeadDisjunct:
+    return HeadDisjunct(EffectLiteral(False, Atom(name, args)), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("t, message", [
+    # P(a) came out at 3/4, not 1/2: the one law grounded twice
+    (Theory({"d": ("a", "a")}, {}, (CPLaw((("x", "d"),), (_half("P", Var("x")),), TRUE),)),
+     "constant 'a' listed twice in domain 'd'"),
+    # A came out at probability 1
+    (Theory({}, {}, (CPLaw((), (_half("A"), _half("A")), TRUE),)),
+     "atom A appears in two disjuncts of the same head"),
+    # each instance grounded twice
+    (Theory({"d": ("a",)}, {}, (CPLaw((("x", "d"), ("x", "d")), (_half("P", Var("x")),), TRUE),)),
+     "law variable 'x' bound twice"),
+    # grounded to a law whose only outcome is the no-op
+    (Theory({}, {}, (CPLaw((), (), TRUE),)), "law has an empty head"),
+], ids=["constant twice", "head atom twice", "variable twice", "empty head"])
+def test_ground_rejects_what_the_parser_rejects(t, message):
+    with pytest.raises(TheoryError, match=f"^{message}$"):
+        ground(t)
+    with pytest.raises(TheoryError):
+        check_theory(t)
+
+
 def test_equal_ground_atoms_are_one_object():
     g = ground(parse_theory("domain d = {a, b}.\n!y in d: P(y) <- ?x in d: P(x)."))
     pa = [x for law in g.laws for x in formula_atoms(law.body) if x == atom("P(a)")]

@@ -227,7 +227,6 @@ def test_parse_literal_against_theory_is_closed():
             parse_literal(text, t)
         assert (info.value.message, info.value.line, info.value.col) == (
             "unknown predicate 'Brokn'", 1, col)
-    assert parse_literal("Brokn").atom == Atom("Brokn")  # no theory: open
 
 
 @pytest.mark.parametrize("text, col", [("!A.", 3), ("domain d = {a}. !x P(x).", 20)])
@@ -368,7 +367,7 @@ def test_nesting_beyond_the_cap_is_a_parse_error():
             assert "nested more than" in info.value.message
             assert (info.value.line, info.value.col) == (1, 6 + MAX_NESTING)
     with pytest.raises(ParseError):
-        parse_formula("~" * (MAX_NESTING + 1) + "B")
+        parse_formula("~" * (MAX_NESTING + 1) + "Broken", theories.get("suzy_billy"))
 
 
 def _deepest_theory() -> str:

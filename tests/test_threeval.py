@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cplogic.syntax import And, Atom, Not, Or, Truth, parse_formula
+from cplogic.syntax import And, Atom, Not, Or, Truth, parse_formula, parse_theory
 from cplogic.threeval import (F, T, ThreeValuedInterp, U, UnboundAtomError,
                               holds, kleene_eval)
 
@@ -10,6 +10,7 @@ from helpers import approximates, atom, atoms
 
 A, B = Atom("A"), Atom("B")
 UNIVERSE = frozenset({A, B})
+NO_EXO = frozenset()
 
 
 def interp(true=(), unknown=()):
@@ -17,24 +18,24 @@ def interp(true=(), unknown=()):
 
 
 def test_kleene_negation_of_unknown():
-    assert kleene_eval(Not(A), interp(unknown=[A]), frozenset()) is U
+    assert kleene_eval(Not(A), interp(unknown=[A]), frozenset(), NO_EXO) == U
 
 
 def test_kleene_conjunction_true_and_unknown():
     nu = interp(true=[A], unknown=[B])
-    assert kleene_eval(And((A, B)), nu, frozenset()) is U
+    assert kleene_eval(And((A, B)), nu, frozenset(), NO_EXO) == U
 
 
 @pytest.mark.parametrize("va,vb,expect_and,expect_or", [
     (T, T, T, T), (T, U, U, T), (T, F, F, T),
     (U, U, U, U), (U, F, F, U), (F, F, F, F),
-])
+], ids="fut".__getitem__)
 def test_kleene_tables(va, vb, expect_and, expect_or):
-    true = [a for a, v in ((A, va), (B, vb)) if v is T]
-    unknown = [a for a, v in ((A, va), (B, vb)) if v is U]
+    true = [a for a, v in ((A, va), (B, vb)) if v == T]
+    unknown = [a for a, v in ((A, va), (B, vb)) if v == U]
     nu = interp(true, unknown)
-    assert kleene_eval(And((A, B)), nu, frozenset()) is expect_and
-    assert kleene_eval(Or((A, B)), nu, frozenset()) is expect_or
+    assert kleene_eval(And((A, B)), nu, frozenset(), NO_EXO) == expect_and
+    assert kleene_eval(Or((A, B)), nu, frozenset(), NO_EXO) == expect_or
 
 
 def test_body_negation_settles_once_atom_is_final():
@@ -42,22 +43,21 @@ def test_body_negation_settles_once_atom_is_final():
     univ = atoms("Throws(suzy)", "Throws(billy)", "Broken")
     nu = ThreeValuedInterp(univ, frozenset(),
                            atoms("Throws(billy)", "Broken"))
-    assert kleene_eval(Not(atom("Throws(suzy)")), nu, frozenset()) is T
-    assert kleene_eval(Not(atom("Broken")), nu, frozenset()) is U
+    assert kleene_eval(Not(atom("Throws(suzy)")), nu, frozenset(), NO_EXO) == T
+    assert kleene_eval(Not(atom("Broken")), nu, frozenset(), NO_EXO) == U
 
 
 def test_exogenous_atoms_read_two_valued():
     E = Atom("E")
     nu = interp(unknown=[A, B])
-    assert kleene_eval(E, nu, frozenset({E}), exogenous=frozenset({E})) is T
-    assert kleene_eval(E, nu, frozenset(), exogenous=frozenset({E})) is F
+    assert kleene_eval(E, nu, frozenset({E}), frozenset({E})) == T
+    assert kleene_eval(E, nu, frozenset(), frozenset({E})) == F
 
 
 def test_unbound_atom_raises():
-    with pytest.raises(UnboundAtomError):
-        kleene_eval(Atom("Z"), interp(), frozenset())
-    with pytest.raises(UnboundAtomError):
-        kleene_eval(Atom("Z"), interp(), frozenset(), exogenous=frozenset())
+    for exogenous in (NO_EXO, frozenset({Atom("E")})):
+        with pytest.raises(UnboundAtomError, match="not in the endogenous or exogenous"):
+            kleene_eval(Atom("Z"), interp(), frozenset(), exogenous)
 
 
 def test_approximates_basics():
@@ -86,8 +86,8 @@ def _all_interps(universe):
         pairs = list(zip(sorted(universe, key=str), assignment))
         yield ThreeValuedInterp(
             frozenset(universe),
-            frozenset(a for a, v in pairs if v is T),
-            frozenset(a for a, v in pairs if v is U))
+            frozenset(a for a, v in pairs if v == T),
+            frozenset(a for a, v in pairs if v == U))
 
 
 def _approximated_worlds(nu):
@@ -101,27 +101,27 @@ def test_approximation_soundness_exhaustive():
     universe = [Atom(n) for n in "ABC"]
     for nu in _all_interps(universe):
         for phi in _all_formulas(universe):
-            v = kleene_eval(phi, nu, frozenset())
-            if v is U:
+            v = kleene_eval(phi, nu, frozenset(), NO_EXO)
+            if v == U:
                 continue
             for world in _approximated_worlds(nu):
-                assert holds(phi, world) == (v is T)
+                assert holds(phi, world) == (v == T)
 
 
 def test_monotone_towards_unknown_exhaustive():
     universe = [Atom(n) for n in "AB"]
     for nu in _all_interps(universe):
         for phi in _all_formulas(universe):
-            before = kleene_eval(phi, nu, frozenset())
+            before = kleene_eval(phi, nu, frozenset(), NO_EXO)
             for a in sorted(nu.true_set | nu.false_set, key=str):
                 blurred = ThreeValuedInterp(nu.universe, nu.true_set - {a},
                                             nu.unknown_set | {a})
-                after = kleene_eval(phi, blurred, frozenset())
+                after = kleene_eval(phi, blurred, frozenset(), NO_EXO)
                 assert after in (before, U)
 
 
 def test_holds_two_valued():
-    t = parse_formula("A, ~B")
+    t = parse_formula("A, ~B", parse_theory("A. B."))
     assert holds(t, {A})
     assert not holds(t, {A, B})
 
