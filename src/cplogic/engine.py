@@ -19,10 +19,12 @@ checks that the firing order does not change the distribution.
 States are classified against a `_Program`: the ground theory compiled once
 per X, and kept on the `GroundTheory` itself.  Atoms become bits, each
 body a Kleene evaluator over a pair of bit masks with X folded in, and each
-head atom carries the laws whose bodies read it; a dormant law that X
-does not wake is not walked.  `compute_U` is a worklist fixpoint over that
-index; the two-valued body test and the U gate run the same compiled
-bodies.
+head atom carries the laws whose bodies read it.  A dormant law that X
+does not wake is neither walked nor has its body built: X's atoms are
+matched against the grounding's wake record, one entry per exogenous
+atom occurrence of a dormant schema, and the woken instances follow from
+the binder domains.  `compute_U` is a worklist fixpoint over that index;
+the two-valued body test and the U gate run the same compiled bodies.
 
 All probabilities are exact.  While the fold runs, a state's
 sub-distribution is one integer denominator ``D`` and an integer numerator
@@ -41,7 +43,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .ground import GroundTheory, expand_formula
+from .ground import GroundTheory, _woken, expand_formula
 from .syntax import (And, Atom, EffectLiteral, Formula, Not, Or, atom_names,
                      format_atom_set, formula_atoms)
 # bench/tracing.py counts `holds` and `kleene_eval` calls at this import
@@ -137,8 +139,9 @@ class _Program:
     ``readers`` being the laws whose compiled bodies read that atom.
     ``live`` lists the laws whose bodies X does not make false outright.
     ``last_U`` is the latest U built by `compute_U` with its masks.
-    A dormant law (`ground._at_rest`) that no atom of X wakes gets `_FALSE`
-    and reads nothing, as its compile would give, without being walked.
+    A dormant law (`ground._at_rest`) that no atom of X wakes (`ground._woken`)
+    gets `_FALSE` and reads nothing, as its compile would give, without its
+    body being built or walked.
     An X outside the exogenous universe raises `ExogenousError`.
     """
 
@@ -151,8 +154,7 @@ class _Program:
             raise ExogenousError(f"not in the exogenous universe: {names}")
         self.atoms = tuple(sorted(g.endogenous_atoms, key=str))
         self.bit = {a: 1 << k for k, a in enumerate(self.atoms)}
-        dormant, wakers = g._wake or ((), {})
-        woken = {i for a in X for i in wakers.get(a.predicate, {}).get(a.args, ())}
+        dormant, woken = (g._wake[0], _woken(g, X)) if g._wake else ((), ())
         compiled = [_compile_body(law.body, self.bit, X, g.exogenous_atoms)
                     if i in woken or i not in dormant else (_FALSE, 0)
                     for i, law in enumerate(g.laws)]
@@ -543,7 +545,7 @@ def query(g: GroundTheory, X: frozenset, phi: Formula,
     """Probability mass of the worlds satisfying ground-expanded ``phi``, an
     atom of the theory's vocabulary that no law mentions being false."""
     phi = expand_formula(phi, {}, g.domains)
-    arity = {a.predicate: len(a.args) for a in g.endogenous_atoms}
+    arity = g._arity or {a.predicate: len(a.args) for a in g.endogenous_atoms}
     constants = set().union(*g.domains.values())
     for atom in formula_atoms(phi):
         if atom not in g.endogenous_atoms and atom not in g.exogenous_atoms and (

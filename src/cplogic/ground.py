@@ -9,12 +9,21 @@ per assignment; a quantifier binds its variable in that environment in
 place and restores it afterwards.  Every ground atom is interned as it is
 built, in one table keyed by predicate and arguments, so equal atoms of a
 ground theory are one object and the endogenous atoms fall out of the
-table.  A second table lists the dormant laws (`_at_rest`) under each
-exogenous atom they mention, so the engine compiles only those X wakes.
-Domains and laws are checked first against the parser's rules (a law by
-`syntax.check_law`), and a ground theory builds each law's outcome table
-once, rejecting a probability outside (0, 1] and a head that sums above
-1.
+table.
+
+A dormant law (`_at_rest`) has a body that is f in every state unless X
+sets one of its exogenous atoms, so its instances get their heads at once
+but their bodies only when first read (`_DormantLaw`), from the same
+template and intern table.  Its schema's endogenous body atoms are
+interned without building a body, and each of its exogenous atom
+occurrences is listed in a wake record that names every argument a
+constant, a law binder or a quantified variable (`_occurrences`), from
+which `_woken` finds the instances an X wakes.  The stratification report
+reads its edges off the law schemas in the same way.  Domains and laws
+are checked first against the parser's rules (a law by
+`syntax.check_law`), a head that grounds to one atom in two disjuncts is
+rejected, and a ground theory builds each law's outcome table once,
+rejecting a probability outside (0, 1] and a head that sums above 1.
 """
 
 from __future__ import annotations
@@ -28,8 +37,7 @@ from operator import itemgetter
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
-                     FALSE, Var, check_law, format_atom_set,
-                     formula_atom_polarities)
+                     FALSE, Var, check_law, format_atom_set)
 from .threeval import kleene_junction
 
 
@@ -96,10 +104,17 @@ class GroundTheory:
     # set on first use, so it lives exactly as long as this theory.
     _compiled: tuple | None = field(default=None, init=False, compare=False,
                                     repr=False)
-    # Set by `ground`: the dormant laws and per exogenous predicate ``{args:
-    # [dormant laws that mention the atom]}``.  None makes no law dormant,
-    # also in a copy made by `dataclasses.replace`, which may change ``laws``.
+    # Set by `ground`, and None in a copy made by `dataclasses.replace`,
+    # which may change ``laws``: the dormant laws and, per exogenous
+    # predicate, one ``(first law, binder domains, args)`` per occurrence in
+    # a dormant schema (`_occurrences`, `_woken`), None making no law
+    # dormant; the laws that ``laws`` instantiates, in order; the arity of
+    # each predicate of the theory.
     _wake: tuple | None = field(default=None, init=False, compare=False,
+                                repr=False)
+    _schemas: tuple | None = field(default=None, init=False, compare=False,
+                                   repr=False)
+    _arity: dict | None = field(default=None, init=False, compare=False,
                                 repr=False)
 
     def __post_init__(self):
@@ -124,30 +139,29 @@ def _outcome_table(law: CPLaw) -> tuple:
     return tuple(table)
 
 
-def _template(phi: Formula, domains: dict, table: dict, bound: frozenset,
-              wake=None):
+def _template(phi: Formula, domains: dict, table: dict, bound: frozenset):
     """``phi`` compiled into a function of ``env`` that returns its
     expansion: variables in ``bound`` replaced by their constants in
     ``env``, quantifiers expanded over their domains.  Atoms are interned in
-    ``table``, and listed in ``wake`` as `_atom_template` says."""
+    ``table``."""
     match phi:
         case Atom():
-            return _atom_template(phi, table, bound, wake)
+            return _atom_template(phi, table, bound)
         case Truth():
             return lambda env: phi
         case Not(sub):
-            sub = _template(sub, domains, table, bound, wake)
+            sub = _template(sub, domains, table, bound)
             return lambda env: Not(sub(env))
         case And(parts) | Or(parts):
             node = type(phi)
-            subs = [_template(p, domains, table, bound, wake) for p in parts]
+            subs = [_template(p, domains, table, bound) for p in parts]
             return lambda env: node(tuple([s(env) for s in subs]))
         case ForAll(var, dom, sub) | Exists(var, dom, sub):
             if dom not in domains:
                 raise TheoryError(f"undeclared domain {dom!r}")
             consts = domains[dom]
             universal = isinstance(phi, ForAll)
-            sub = _template(sub, domains, table, bound | {var}, wake)
+            sub = _template(sub, domains, table, bound | {var})
             if not consts:
                 empty = TRUE if universal else FALSE
                 return lambda env: empty
@@ -169,18 +183,15 @@ def _template(phi: Formula, domains: dict, table: dict, bound: frozenset,
 
 
 _UNBOUND = object()
-_LAW = object()  # the key of ``env`` that holds the index of the law being built
 
 
-def _atom_template(atom: Atom, table: dict, bound: frozenset, wake=None):
+def _atom_template(atom: Atom, table: dict, bound: frozenset):
     """The atom with the variables in ``bound`` replaced from ``env``, as a
-    function of ``env``, interned in ``table`` and, if ``wake`` has the
-    predicate, listed there under the law ``env[_LAW]``."""
+    function of ``env``, interned in ``table``."""
     pred, args = atom.predicate, atom.args
     names = [a.name if isinstance(a, Var) and a.name in bound else None
              for a in args]
     interned = table.setdefault(pred, {})
-    waking = None if wake is None else wake.get(pred)
     if not any(names):  # no bound variable: one key
         key = lambda env: args
     elif None in names:
@@ -194,10 +205,92 @@ def _atom_template(atom: Atom, table: dict, bound: frozenset, wake=None):
         a = interned.get(k)
         if a is None:
             a = interned[k] = Atom(pred, k)
-        if waking is not None:
-            waking.setdefault(k, []).append(env[_LAW])
         return a
     return instance
+
+
+def _occurrences(law: CPLaw, domains: dict):
+    """The atom occurrences in ``law``'s body that some instance keeps, as
+    ``(atom, negated, args)``: ``negated`` when it sits under an odd number
+    of negations, and per argument ``(None, constant)`` or ``(slot,
+    domain)``.  Slot j < ``len(law.vars)`` is law binder j; a quantified
+    variable gets the next slot up.  An occurrence under a quantifier over
+    an empty domain is in no instance and is skipped."""
+    found: list = []
+
+    def walk(phi, scope, negated, slot):
+        match phi:
+            case Atom(_, args):
+                found.append((phi, negated, tuple([
+                    scope[a.name] if isinstance(a, Var) else (None, a) for a in args])))
+            case Not(sub):
+                walk(sub, scope, not negated, slot)
+            case And(parts) | Or(parts):
+                for p in parts:
+                    walk(p, scope, negated, slot)
+            case ForAll(var, dom, sub) | Exists(var, dom, sub):
+                if domains[dom]:
+                    walk(sub, {**scope, var: (slot, domains[dom])}, negated, slot + 1)
+
+    walk(law.body, {v: (j, domains[d]) for j, (v, d) in enumerate(law.vars)},
+         False, len(law.vars))
+    return found
+
+
+def _keys(args: tuple, env: dict):
+    """Every argument tuple of an occurrence's ``args`` (`_occurrences`),
+    with the slots in ``env`` set to its constants and every other slot
+    ranging over its domain."""
+    free = {s: dom for s, dom in args if s is not None and s not in env}
+    env = dict(env)
+    for combo in itertools.product(*free.values()):
+        env.update(zip(free, combo))
+        yield tuple(c if s is None else env[s] for s, c in args)
+
+
+def _woken(g: GroundTheory, X) -> set:
+    """The indices of the dormant laws of ``g`` whose bodies mention an
+    atom of ``X``, found from ``g._wake`` without building a body: an
+    atom matches an occurrence when it fixes each slot to one constant of
+    its domain, and wakes the instances that agree on the binders fixed."""
+    woken: set = set()
+    for a in X:
+        for first, doms, args in g._wake[1].get(a.predicate, ()):
+            env: dict = {}
+            for c, (s, d) in zip(a.args, args):
+                if (c != d) if s is None else (c not in d or env.setdefault(s, c) != c):
+                    break
+            else:
+                ranks = [0]  # of the binder assignments, in `_instances` order
+                for j, d in enumerate(doms):
+                    ranks = [r * len(d) + p for r in ranks for p in (
+                        [d.index(env[j])] if j in env else range(len(d)))]
+                woken.update(first + r for r in ranks)
+    return woken
+
+
+class _DormantLaw(CPLaw):
+    """A ground law whose body is built from its schema's template, through
+    the grounding's intern table, the first time it is read.  It equals and
+    hashes as the `CPLaw` with the same fields."""
+
+    def __init__(self, head: tuple, template, env: dict):
+        object.__setattr__(self, "vars", ())
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "_build", lambda: template(env))
+
+    def __getattr__(self, name):
+        if name != "body":
+            raise AttributeError(name)
+        object.__setattr__(self, "body", self._build())
+        return self.body
+
+    def __eq__(self, other):
+        if not isinstance(other, CPLaw):
+            return NotImplemented
+        return (self.vars, self.head, self.body) == (other.vars, other.head, other.body)
+
+    __hash__ = CPLaw.__hash__
 
 
 def _at_rest(phi: Formula, t: Theory) -> int:
@@ -260,32 +353,54 @@ def ground(t: Theory) -> GroundTheory:
     """
     for name, consts in t.domains.items():
         if len(set(consts)) < len(consts):
-            c = next(c for k, c in enumerate(consts) if c in consts[:k])
-            raise TheoryError(f"constant {c!r} listed twice in domain {name!r}")
+            raise TheoryError(
+                f"constant {_repeated(consts)!r} listed twice in domain {name!r}")
     arity = dict(t.exogenous)
     for law in t.laws:
         check_law(law, t, arity)
     table: dict = {}  # predicate -> {args: atom}, every atom the laws mention
-    wakers: dict = {pred: {} for pred in t.exogenous}
+    expanded: set = set()  # (predicate, args) of the dormant occurrences interned
+    wakers: dict = {pred: [] for pred in t.exogenous}
     dormant: list = []
-    laws = []
+    laws: list = []
     for law in t.laws:
-        # no exogenous predicate: a dormant body is false outright and rare
-        asleep = bool(t.exogenous) and not _at_rest(law.body, t)
         body = _template(law.body, t.domains, table,
-                         frozenset(v for v, _ in law.vars),
-                         wakers if asleep else None)
+                         frozenset(v for v, _ in law.vars))
+        doms = [t.domains.get(d) for _, d in law.vars]  # `_instances` rejects None
+        # no exogenous predicate: a dormant body is false outright and rare
+        asleep = bool(t.exogenous) and all(doms) and not _at_rest(law.body, t)
+        if asleep:  # its body atoms are interned, or listed in the wake record
+            for atom, _, args in _occurrences(law, t.domains):
+                if atom.predicate in wakers:
+                    wakers[atom.predicate].append((len(laws), doms, args))
+                elif (atom.predicate, args) not in expanded:
+                    expanded.add((atom.predicate, args))
+                    interned = table[atom.predicate]
+                    for k in _keys(args, {}):
+                        if k not in interned:
+                            interned[k] = Atom(atom.predicate, k)
         for env, head in _instances(law, t.domains, table):
+            if len(head) > 1 and len({d.literal.atom for d in head}) < len(head):
+                atom = _repeated([d.literal.atom for d in head])
+                raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
             if asleep:
-                env[_LAW] = len(laws)
                 dormant.append(len(laws))
-            laws.append(CPLaw((), head, body(env)))
+                laws.append(_DormantLaw(head, body, env))
+            else:
+                laws.append(CPLaw((), head, body(env)))
     endo = [a for pred, atoms in table.items() if pred not in t.exogenous
             for a in atoms.values()]
     g = GroundTheory(tuple(laws), frozenset(endo),
                      ExogenousUniverse(t.exogenous, t.domains), dict(t.domains))
-    object.__setattr__(g, "_wake", (frozenset(dormant), wakers))
+    for name, value in (("_wake", (frozenset(dormant), wakers)),
+                        ("_schemas", t.laws), ("_arity", arity)):
+        object.__setattr__(g, name, value)
     return g
+
+
+def _repeated(items: list):
+    """The first item of ``items`` that an earlier one equals."""
+    return next(x for k, x in enumerate(items) if x in items[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +433,40 @@ def stratification_report(g: GroundTheory) -> StratificationReport:
     edges is negative; ``offending_cycles`` is sorted by printed form.  An
     atom in no head has no out-edges and lies on no cycle, so the graph has
     head atoms only.
+
+    The edges come from the law schemas that `ground` kept, so no body is
+    built: each occurrence of an atom that heads a law is expanded per
+    binder assignment, once per assignment of the binders it mentions.  A
+    ground theory built in code is its own schemas.
     """
     node: dict = {}  # head atom -> node number
     for law in g.laws:
         for disj in law.head:
             node.setdefault(disj.literal.atom, len(node))
     heads = len(node)
+    numbers: dict = {}  # predicate -> {args: node number}
+    for a, j in node.items():
+        numbers.setdefault(a.predicate, {})[a.args] = j
     deps: list = [{} for _ in range(heads)]  # per head: {body head: negative}
-    for law in g.laws:
-        body = [(node[b], negated)
-                for b, negated in formula_atom_polarities(law.body) if b in node]
-        for disj in law.head:
-            out, negated_head = deps[node[disj.literal.atom]], disj.literal.negated
-            for j, negated in body:
-                out[j] = negated or negated_head or out.get(j, False)
+    laws = iter(g.laws)
+    for schema in g.laws if g._schemas is None else g._schemas:
+        body = [(numbers[a.predicate], negated, args, {}, sorted(
+                    {s for s, _ in args if s is not None and s < len(schema.vars)}))
+                for a, negated, args in _occurrences(schema, g.domains)
+                if a.predicate in numbers]
+        for assignment in itertools.product(*(g.domains[d] for _, d in schema.vars)):
+            edges = []
+            for number, negated, args, memo, slots in body:
+                fixed = tuple(assignment[s] for s in slots)
+                if fixed not in memo:
+                    env = dict(zip(slots, fixed))
+                    memo[fixed] = [j for j in map(number.get, _keys(args, env))
+                                   if j is not None]
+                edges.extend((j, negated) for j in memo[fixed])
+            for disj in next(laws).head:
+                out, negated_head = deps[node[disj.literal.atom]], disj.literal.negated
+                for j, negated in edges:
+                    out[j] = negated or negated_head or out.get(j, False)
 
     adj = [list(out) for out in deps]
     radj: list = [[] for _ in range(heads)]

@@ -14,9 +14,9 @@ import itertools
 from fractions import Fraction
 
 from .ground import law_instances
-from .syntax import (And, Atom, CPLaw, EffectLiteral, HeadDisjunct, Not,
-                     Theory, TRUE, Var, check_theory, endogenous_signature,
-                     substitute_formula)
+from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
+                     HeadDisjunct, Not, Or, Theory, TRUE, Var, check_theory,
+                     endogenous_signature, substitute_formula)
 
 
 class TransformError(Exception):
@@ -41,6 +41,11 @@ def intervene(t: Theory, literal: EffectLiteral) -> Theory:
     other law is kept as written.  Raises `SharedHeadError` when the atom
     shares a multi-outcome head with another atom, where removal has no clear
     meaning.
+
+    The result is checked as one theory of the kept laws, the laws whose
+    instances it holds and the added fact: an instance of a checked law is
+    checked, unless a constant it substitutes is captured by a quantifier
+    of the same name, so such instances are checked themselves.
     """
     target = literal.atom
     if not target.is_ground():
@@ -49,26 +54,46 @@ def intervene(t: Theory, literal: EffectLiteral) -> Theory:
         raise TransformError(f"cannot intervene on exogenous atom {target}")
 
     new_laws: list[CPLaw] = []
+    checked: list[CPLaw] = []
     for law in t.laws:
         instances = (list(law_instances(law, t.domains))
                      if any(d.literal.atom.predicate == target.predicate for d in law.head)
                      else [])
         if not any(d.literal.atom == target for _, head in instances for d in head):
             new_laws.append(law)
+            checked.append(law)
         elif len(law.head) > 1:
             raise SharedHeadError(
                 f"atom {target} shares a multi-outcome head with other atoms; "
                 "removing the whole law would also silence them")
         else:  # substitute only: the result is a theory, so body quantifiers stay
-            new_laws.extend(CPLaw((), head, substitute_formula(law.body, env))
-                            for env, head in instances if head[0].literal.atom != target)
+            kept = [CPLaw((), head, substitute_formula(law.body, env))
+                    for env, head in instances if head[0].literal.atom != target]
+            new_laws.extend(kept)
+            if _quantified(law.body).intersection(
+                    c for _, d in law.vars for c in t.domains[d]):
+                checked.extend(kept)
+            elif kept:
+                checked.append(law)
 
     if not literal.negated:
         fact = CPLaw((), (HeadDisjunct(EffectLiteral(False, target), Fraction(1)),), TRUE)
         new_laws.append(fact)
-    result = Theory(dict(t.domains), dict(t.exogenous), tuple(new_laws))
-    check_theory(result)
-    return result
+        checked.append(fact)
+    check_theory(Theory(t.domains, t.exogenous, tuple(checked)))
+    return Theory(dict(t.domains), dict(t.exogenous), tuple(new_laws))
+
+
+def _quantified(phi: Formula) -> set:
+    """The variables that quantifiers in ``phi`` bind."""
+    match phi:
+        case Not(sub):
+            return _quantified(sub)
+        case And(parts) | Or(parts):
+            return set().union(*map(_quantified, parts))
+        case ForAll(var, _, sub) | Exists(var, _, sub):
+            return {var} | _quantified(sub)
+    return set()
 
 
 def internalize(t: Theory, atom: Atom, trigger: str) -> Theory:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ from cplogic import theories
 from cplogic.oracle import _atom_names
 from cplogic.syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll,
                             Formula, HeadDisjunct, Not, Or, Theory, FALSE,
-                            TRUE, Var, formula_atoms)
+                            TRUE, Var, formula_atoms, substitute_atom)
 
 
 def atom(spec: str) -> Atom:
@@ -91,6 +92,16 @@ def approximates(u, interp: frozenset) -> bool:
     return u.true_set <= interp and not (u.false_set & interp)
 
 
+def apart_when_ground(atoms: list, binders: tuple, domains: dict) -> bool:
+    """Whether ``atoms``, the head atoms of a law with ``binders``, are
+    distinct and stay so in every instance of the law, as `ground` demands."""
+    names = [v for v, _ in binders]
+    envs = [{}] + [dict(zip(names, values))
+                   for values in product(*(domains[d] for _, d in binders))]
+    return all(len({substitute_atom(a, env) for a in atoms}) == len(atoms)
+               for env in envs)
+
+
 @st.composite
 def quantified_theories(draw, max_laws: int = 4) -> Theory:
     """Small quantified theories over exogenous ``E/1`` and ``F/0`` and
@@ -137,7 +148,7 @@ def quantified_theories(draw, max_laws: int = 4) -> Theory:
         heads = []
         for _ in range(draw(st.integers(1, 2))):
             a = atom(("P", "Q"), set(names))
-            if a not in heads:
+            if apart_when_ground(heads + [a], binders, domains):
                 heads.append(a)
         den = draw(st.integers(len(heads), 4))
         head = tuple(HeadDisjunct(EffectLiteral(draw(st.booleans()), a), Fraction(1, den))

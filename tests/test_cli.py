@@ -213,6 +213,17 @@ def test_query_ranges_over_the_theory_vocabulary(run):
     assert run(["query", "-", "-q", "P(b)"], stdin=text) == (0, "0 (= 0.000000)\n", "")
     assert run(["query", "-", "-q", "?x in d: P(x)"], stdin=text) == (
         0, "1 (= 1.000000)\n", "")
+    # P's only law ranges over an empty domain: P has no ground atom at all
+    text = "domain d = {}. domain e = {c}. !x in d: P(x). Q.\n"
+    assert run(["query", "-", "-q", "P(c)"], stdin=text) == (0, "0 (= 0.000000)\n", "")
+
+
+def test_a_head_that_grounds_to_one_atom_twice_is_rejected(run):
+    for text in ("domain d = {a}.\n!x in d: !y in d: (P(x):1/2); (P(y):1/2).\n",
+                 "domain d = {a}.\n(P(a):1/2); (P(a):1/2).\n"):
+        code, out, err = run(["dist", "-"], stdin=text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: atom P(a) appears in two disjuncts of the same head")
 
 
 def test_do_rejects_an_unknown_predicate(run, suzy):

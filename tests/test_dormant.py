@@ -1,11 +1,12 @@
 """Dormant laws: the per-X compile skips what X cannot wake.
 
 `ground` marks a law dormant when its body is f with every exogenous atom
-f and every endogenous atom u, and records which exogenous atoms each
-dormant instance mentions.  `engine._Program` compiles only the laws that
-X wakes and the laws that are not dormant.  The result must be the program
-that compiling every law gives; a `GroundTheory` built in code carries no
-record, so it is that full compile.
+f and every endogenous atom u, builds a dormant law's body only when it is
+first read, and records each exogenous atom occurrence of each dormant
+schema.  `engine._Program` compiles only the laws that X wakes and the laws
+that are not dormant.  The result must be the program that compiling
+every law gives; a `GroundTheory` built in code carries no record, so it
+is that full compile.
 """
 
 from dataclasses import replace
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from cplogic import engine
 from cplogic.engine import _Program, distribution, query
-from cplogic.ground import GroundTheory, ground
+from cplogic.ground import (GroundTheory, _DormantLaw, _woken, ground,
+                            stratification_report)
 from cplogic.syntax import formula_atoms, parse_theory
 
 from helpers import atom, atoms, mentioned_exogenous, quantified_theories
@@ -35,7 +37,11 @@ def test_the_sparse_compile_equals_the_full_compile(t, data):
     mentioned = mentioned_exogenous(g)
     X = frozenset(data.draw(st.lists(st.sampled_from(mentioned), unique=True))
                   if mentioned else ())
-    sparse, full = _Program(g, X), _Program(_full(g), X)
+    # a fresh grounding, so that no dormant body has been read
+    fresh = ground(t)
+    assert _woken(fresh, X) == {i for i in g._wake[0]
+                                if X.intersection(formula_atoms(g.laws[i].body))}
+    sparse, full = _Program(fresh, X), _Program(_full(g), X)
     assert sparse.atoms == full.atoms
     assert sparse.live == full.live
     assert sparse.heads == full.heads
@@ -61,8 +67,12 @@ def test_dormancy_follows_kleene_values_at_rest():
         "I <- false.\n"))                    # 7: f and never woken
     dormant, wakers = g._wake
     assert dormant == {0, 2, 5, 7}
-    assert wakers == {"E": {("a",): [0, 2], ("b",): [2]}}
-    for X in (atoms(), atoms("E(a)"), atoms("E(b)"), atoms("E(a)", "E(b)")):
+    # one entry per dormant schema and exogenous occurrence: E(a) in law 0,
+    # E(x) with x quantified over d in law 2, nothing under the empty ?
+    assert wakers == {"E": [(0, [], ((None, "a"),)), (2, [], ((0, ("a", "b")),))]}
+    for X, woken in ((atoms(), set()), (atoms("E(a)"), {0, 2}),
+                     (atoms("E(b)"), {2}), (atoms("E(a)", "E(b)"), {0, 2})):
+        assert _woken(g, X) == woken
         full = _Program(_full(g), X)
         sparse = _Program(g, X)
         assert (sparse.live, sparse.heads) == (full.live, full.heads)
@@ -101,6 +111,41 @@ def test_a_request_compiles_only_the_laws_its_evidence_touches(monkeypatch):
 def test_a_copy_with_other_laws_forgets_which_laws_were_dormant():
     g = _reachability(3)
     swapped = replace(g, laws=g.laws[::-1])
-    assert swapped._wake is None
+    assert swapped._wake is swapped._schemas is None
+    # the report of a copy reads its laws, not the schemas of the original
+    assert stratification_report(swapped) == stratification_report(g)
     X = atoms("Start(v0)")
     assert _Program(swapped, X).live == _Program(_full(swapped), X).live
+
+
+def _count_built_bodies(monkeypatch) -> list:
+    """The laws whose bodies are built from here on, as they are built."""
+    built = []
+    real = _DormantLaw.__getattr__
+
+    def counted(law, name):
+        if name == "body":
+            built.append(law)
+        return real(law, name)
+
+    monkeypatch.setattr(_DormantLaw, "__getattr__", counted)
+    return built
+
+
+def test_only_what_x_wakes_has_its_body_built(monkeypatch):
+    built = _count_built_bodies(monkeypatch)
+    g = _reachability(12)
+    dormant = g._wake[0]
+    assert len(dormant) == len(g.laws) == 24
+    assert stratification_report(g).stratified
+    assert distribution(g, frozenset()) == {frozenset(): 1}
+    assert built == []
+    X = atoms("Start(v0)", "Edge(v0,v1)", "Edge(v1,v2)")
+    assert query(g, X, atom("Reach(v2)")) == Fraction(9, 10) ** 3
+    assert 0 < len(built) == len(set(map(id, built))) <= len(_woken(g, X)) == 3
+    # bodies built late equal those of another grounding, and their atoms
+    # are the objects of the intern table
+    assert g == _reachability(12)
+    endo = {a: a for a in g.endogenous_atoms}
+    assert all(endo[a] is a for law in g.laws for a in formula_atoms(law.body)
+               if a in endo)

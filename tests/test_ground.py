@@ -259,6 +259,16 @@ def test_ground_rejects_what_the_parser_rejects(t, message):
         check_theory(t)
 
 
+def test_a_head_must_stay_apart_in_every_instance():
+    t = parse_theory("domain d = {a, b}.\ndomain e = {b}.\n"
+                     "!x in d: !y in e: (P(x):1/2); (P(y):1/2).")
+    with pytest.raises(TheoryError,
+                       match=r"^atom P\(b\) appears in two disjuncts of the same head$"):
+        ground(t)
+    # x over {a} alone never meets y: the head is fine
+    ground(replace(t, domains={"d": ("a",), "e": ("b",)}))
+
+
 def test_equal_ground_atoms_are_one_object():
     g = ground(parse_theory("domain d = {a, b}.\n!y in d: P(y) <- ?x in d: P(x)."))
     pa = [x for law in g.laws for x in formula_atoms(law.body) if x == atom("P(a)")]

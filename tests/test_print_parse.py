@@ -22,6 +22,8 @@ from cplogic.syntax import (KEYWORDS, MAX_NESTING, FALSE, TRUE, And, Atom,
                             check_theory, endogenous_signature, parse_theory,
                             print_theory)
 
+from helpers import apart_when_ground
+
 # Disjoint name pools: a variable named like a constant would capture it.
 PREDICATES = ("P", "Q", "R", "Go_2", "s")
 CONSTANTS = ("a", "b", "c1", "B_")
@@ -72,7 +74,7 @@ def theory_values(draw):
         head_atoms = []
         for _ in range(draw(st.integers(1, 3))):
             a = atom(endogenous, bound)
-            if a not in head_atoms:
+            if apart_when_ground(head_atoms + [a], binders, domains):
                 head_atoms.append(a)
         nums = [draw(st.integers(1, 5)) for _ in head_atoms]
         den = max(sum(nums), draw(st.integers(1, 12)))

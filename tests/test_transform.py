@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from cplogic import theories
 from cplogic.engine import distribution
 from cplogic.ground import ground
-from cplogic.syntax import (Atom, EffectLiteral, TheoryError,
+from cplogic.syntax import (Atom, CPLaw, EffectLiteral, TheoryError,
                             endogenous_signature, parse_literal, parse_theory,
                             print_law, print_theory)
 from cplogic.transform import (NameClashError, SharedHeadError, TransformError,
@@ -90,6 +92,28 @@ def test_intervention_substitutes_through_connectives_and_quantifiers():
     assert print_theory(out).splitlines()[-1] == \
         "P(b) <- (E(b); ?y in d: Q(b,y)), !x in d: ~R(x)."
     assert distribution(ground(out), atoms("E(b)")) == {atoms("P(b)"): 1}
+
+
+def test_intervention_checks_an_instance_whose_constant_a_quantifier_captures():
+    # P(a)'s instance would print Q(b, b) inside ?b, which reads back as the
+    # quantified variable twice
+    t = parse_theory("domain d = {a, b}.\n"
+                     "!y in d: P(y) <- ?b in d: Q(b, y).\n!y in d: Q(y, y).\n")
+    with pytest.raises(TheoryError, match="^theory does not print as itself$"):
+        intervene(t, parse_literal("~P(a)", t))
+    renamed = parse_theory("domain d = {a, b}.\n"
+                           "!y in d: P(y) <- ?z in d: Q(z, y).\n!y in d: Q(y, y).\n")
+    assert print_law(intervene(renamed, parse_literal("~P(a)", renamed)).laws[0]) == \
+        "P(b) <- ?z in d: Q(z,b)."
+
+
+def test_intervention_checks_the_laws_it_keeps_and_the_fact_it_adds():
+    t = parse_theory("domain d = {a, b}.\n!y in d: P(y) <- Q(y).\nQ(a).\n")
+    wrong_arity = replace(t, laws=(t.laws[0], CPLaw((), t.laws[1].head, Atom("Q"))))
+    with pytest.raises(TheoryError, match="arity"):
+        intervene(wrong_arity, parse_literal("~P(a)", t))
+    with pytest.raises(TheoryError, match="arity"):
+        intervene(t, EffectLiteral(False, Atom("P", ("a", "b"))))
 
 
 def test_negative_intervention_idempotent():
