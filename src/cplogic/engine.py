@@ -22,9 +22,9 @@ body a Kleene evaluator over a pair of bit masks with X folded in, and each
 head atom carries the laws whose bodies read it.  A dormant law that X
 does not wake is neither walked nor has its body built: X's atoms are
 matched against the grounding's wake record, one entry per exogenous
-atom occurrence of a dormant schema, and the woken instances follow from
-the binder domains.  `compute_U` is a worklist fixpoint over that index;
-the two-valued body test and the U gate run the same compiled bodies.
+atom occurrence of a dormant schema (`ground._woken`).  `compute_U` is a
+worklist fixpoint over that index; the two-valued body test and the U
+gate run the same compiled bodies.
 
 All probabilities are exact.  While the fold runs, a state's
 sub-distribution is one integer denominator ``D`` and an integer numerator

@@ -14,13 +14,15 @@ table.
 A dormant law (`_at_rest`) has a body that is f in every state unless X
 sets one of its exogenous atoms, so its instances get their heads at once
 but their bodies only when first read (`_DormantLaw`), from the same
-template and intern table.  Its schema's endogenous body atoms are
-interned without building a body, and each of its exogenous atom
-occurrences is listed in a wake record that names every argument a
-constant, a law binder or a quantified variable (`_occurrences`), from
-which `_woken` finds the instances an X wakes.  The stratification report
-reads its edges off the law schemas in the same way.  Domains and laws
-are checked first against the parser's rules (a law by
+template and intern table.  Its schema's body atoms are found without
+building a body (`_occurrences`), each argument a constant, a law binder
+or a quantified variable.  The endogenous ones are interned over their
+domains (`_keys`); each exogenous one is listed in a wake record under
+its constants, with the schema's instances by binder values, from which
+`_woken` finds the instances an X wakes.  The stratification report
+reads its edges off the law schemas, pairing each binder assignment with
+its instance by the one instance order (`_assignments`).  Domains and
+laws are checked first against the parser's rules (a law by
 `syntax.check_law`), a head that grounds to one atom in two disjuncts is
 rejected, and a ground theory builds each law's outcome table once,
 rejecting a probability outside (0, 1] and a head that sums above 1.
@@ -105,11 +107,11 @@ class GroundTheory:
     _compiled: tuple | None = field(default=None, init=False, compare=False,
                                     repr=False)
     # Set by `ground`, and None in a copy made by `dataclasses.replace`,
-    # which may change ``laws``: the dormant laws and, per exogenous
-    # predicate, one ``(first law, binder domains, args)`` per occurrence in
-    # a dormant schema (`_occurrences`, `_woken`), None making no law
-    # dormant; the laws that ``laws`` instantiates, in order; the arity of
-    # each predicate of the theory.
+    # which may change ``laws``: the dormant laws and per exogenous
+    # predicate ``{constants: [(binders, {binder values: law}, args)]}``,
+    # one entry per occurrence in a dormant schema (`ground`, `_woken`),
+    # None making no law dormant; the laws that ``laws`` instantiates, in
+    # order; the arity of each predicate of the theory.
     _wake: tuple | None = field(default=None, init=False, compare=False,
                                 repr=False)
     _schemas: tuple | None = field(default=None, init=False, compare=False,
@@ -209,31 +211,31 @@ def _atom_template(atom: Atom, table: dict, bound: frozenset):
     return instance
 
 
-def _occurrences(law: CPLaw, domains: dict):
+def _occurrences(law: CPLaw, domains: dict) -> list:
     """The atom occurrences in ``law``'s body that some instance keeps, as
     ``(atom, negated, args)``: ``negated`` when it sits under an odd number
     of negations, and per argument ``(None, constant)`` or ``(slot,
-    domain)``.  Slot j < ``len(law.vars)`` is law binder j; a quantified
-    variable gets the next slot up.  An occurrence under a quantifier over
-    an empty domain is in no instance and is skipped."""
+    domain)``.  Slot j < ``len(law.vars)`` is law binder j; each quantifier
+    gets a slot of its own above those.  An occurrence under a quantifier
+    over an empty domain is in no instance and is skipped."""
     found: list = []
-
-    def walk(phi, scope, negated, slot):
+    slots = itertools.count(len(law.vars))
+    todo = [(law.body, {v: (j, domains[d]) for j, (v, d) in enumerate(law.vars)},
+             False)]
+    while todo:
+        phi, scope, negated = todo.pop()
         match phi:
             case Atom(_, args):
                 found.append((phi, negated, tuple([
                     scope[a.name] if isinstance(a, Var) else (None, a) for a in args])))
             case Not(sub):
-                walk(sub, scope, not negated, slot)
+                todo.append((sub, scope, not negated))
             case And(parts) | Or(parts):
-                for p in parts:
-                    walk(p, scope, negated, slot)
+                todo.extend((p, scope, negated) for p in parts)
             case ForAll(var, dom, sub) | Exists(var, dom, sub):
                 if domains[dom]:
-                    walk(sub, {**scope, var: (slot, domains[dom])}, negated, slot + 1)
-
-    walk(law.body, {v: (j, domains[d]) for j, (v, d) in enumerate(law.vars)},
-         False, len(law.vars))
+                    todo.append((sub, {**scope, var: (next(slots), domains[dom])},
+                                 negated))
     return found
 
 
@@ -250,22 +252,19 @@ def _keys(args: tuple, env: dict):
 
 def _woken(g: GroundTheory, X) -> set:
     """The indices of the dormant laws of ``g`` whose bodies mention an
-    atom of ``X``, found from ``g._wake`` without building a body: an
-    atom matches an occurrence when it fixes each slot to one constant of
-    its domain, and wakes the instances that agree on the binders fixed."""
+    atom of ``X``, found from ``g._wake`` without building a body.  An
+    atom meets the occurrences that have its constants where they have
+    constants, matches one when it gives each slot one constant of the
+    slot's domain, and wakes the instances whose binders agree."""
     woken: set = set()
     for a in X:
-        for first, doms, args in g._wake[1].get(a.predicate, ()):
-            env: dict = {}
-            for c, (s, d) in zip(a.args, args):
-                if (c != d) if s is None else (c not in d or env.setdefault(s, c) != c):
-                    break
-            else:
-                ranks = [0]  # of the binder assignments, in `_instances` order
-                for j, d in enumerate(doms):
-                    ranks = [r * len(d) + p for r in ranks for p in (
-                        [d.index(env[j])] if j in env else range(len(d)))]
-                woken.update(first + r for r in ranks)
+        record = g._wake[1].get(a.predicate, {})
+        for constants in itertools.product(*[(c, None) for c in a.args]):
+            for binders, instance, args in record.get(constants, ()):
+                env: dict = {}
+                if all(s is None or (c in d and env.setdefault(s, c) == c)
+                       for c, (s, d) in zip(a.args, args)):
+                    woken.update(map(instance.__getitem__, _keys(binders, env)))
     return woken
 
 
@@ -277,12 +276,13 @@ class _DormantLaw(CPLaw):
     def __init__(self, head: tuple, template, env: dict):
         object.__setattr__(self, "vars", ())
         object.__setattr__(self, "head", head)
-        object.__setattr__(self, "_build", lambda: template(env))
+        object.__setattr__(self, "_build", (template, env))
 
     def __getattr__(self, name):
         if name != "body":
             raise AttributeError(name)
-        object.__setattr__(self, "body", self._build())
+        template, env = self._build
+        object.__setattr__(self, "body", template(env))
         return self.body
 
     def __eq__(self, other):
@@ -317,6 +317,12 @@ def expand_formula(phi: Formula, env: dict, domains: dict) -> Formula:
     return _template(phi, domains, {}, frozenset(env))(dict(env))
 
 
+# Called with the domains of a law's binders, in binder order: the binder
+# values of each ground instance of the law, in the order of its instances.
+# `_instances` and `stratification_report` both take the order from here.
+_assignments = itertools.product
+
+
 def _instances(law: CPLaw, domains: dict, table: dict):
     """`law_instances`, interning the head atoms in ``table``."""
     for _, d in law.vars:
@@ -326,7 +332,7 @@ def _instances(law: CPLaw, domains: dict, table: dict):
     bound = frozenset(names)
     head = [(d.literal.negated, _atom_template(d.literal.atom, table, bound), d.prob)
             for d in law.head]
-    for assignment in itertools.product(*(domains[d] for _, d in law.vars)):
+    for assignment in _assignments(*(domains[d] for _, d in law.vars)):
         env = dict(zip(names, assignment))
         yield env, tuple(HeadDisjunct(EffectLiteral(negated, atom(env)), prob)
                          for negated, atom, prob in head)
@@ -360,34 +366,40 @@ def ground(t: Theory) -> GroundTheory:
         check_law(law, t, arity)
     table: dict = {}  # predicate -> {args: atom}, every atom the laws mention
     expanded: set = set()  # (predicate, args) of the dormant occurrences interned
-    wakers: dict = {pred: [] for pred in t.exogenous}
+    wakers: dict = {pred: {} for pred in t.exogenous}  # the wake record
     dormant: list = []
     laws: list = []
     for law in t.laws:
         body = _template(law.body, t.domains, table,
                          frozenset(v for v, _ in law.vars))
-        doms = [t.domains.get(d) for _, d in law.vars]  # `_instances` rejects None
+        several = len(law.head) > 1  # disjuncts whose atoms may meet
         # no exogenous predicate: a dormant body is false outright and rare
-        asleep = bool(t.exogenous) and all(doms) and not _at_rest(law.body, t)
-        if asleep:  # its body atoms are interned, or listed in the wake record
+        asleep = bool(t.exogenous) and not _at_rest(law.body, t)
+        first = len(laws)
+        for env, head in _instances(law, t.domains, table):
+            if several and len({d.literal.atom for d in head}) < len(head):
+                atom = _repeated([d.literal.atom for d in head])
+                raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
+            laws.append(_DormantLaw(head, body, env) if asleep
+                        else CPLaw((), head, body(env)))
+        if asleep and len(laws) > first:
+            # its exogenous body atoms are listed, the others interned
+            dormant.extend(range(first, len(laws)))
+            binders = tuple(enumerate(t.domains[d] for _, d in law.vars))
+            instance = dict(zip(_assignments(*(d for _, d in binders)),
+                                range(first, len(laws))))  # binder values -> law
             for atom, _, args in _occurrences(law, t.domains):
                 if atom.predicate in wakers:
-                    wakers[atom.predicate].append((len(laws), doms, args))
+                    # filed under its constants, None for each slot
+                    constants = tuple([c if s is None else None for s, c in args])
+                    wakers[atom.predicate].setdefault(constants, []).append(
+                        (binders, instance, args))
                 elif (atom.predicate, args) not in expanded:
                     expanded.add((atom.predicate, args))
                     interned = table[atom.predicate]
                     for k in _keys(args, {}):
                         if k not in interned:
                             interned[k] = Atom(atom.predicate, k)
-        for env, head in _instances(law, t.domains, table):
-            if len(head) > 1 and len({d.literal.atom for d in head}) < len(head):
-                atom = _repeated([d.literal.atom for d in head])
-                raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
-            if asleep:
-                dormant.append(len(laws))
-                laws.append(_DormantLaw(head, body, env))
-            else:
-                laws.append(CPLaw((), head, body(env)))
     endo = [a for pred, atoms in table.items() if pred not in t.exogenous
             for a in atoms.values()]
     g = GroundTheory(tuple(laws), frozenset(endo),
@@ -454,7 +466,7 @@ def stratification_report(g: GroundTheory) -> StratificationReport:
                     {s for s, _ in args if s is not None and s < len(schema.vars)}))
                 for a, negated, args in _occurrences(schema, g.domains)
                 if a.predicate in numbers]
-        for assignment in itertools.product(*(g.domains[d] for _, d in schema.vars)):
+        for assignment in _assignments(*(g.domains[d] for _, d in schema.vars)):
             edges = []
             for number, negated, args, memo, slots in body:
                 fixed = tuple(assignment[s] for s in slots)

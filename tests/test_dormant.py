@@ -67,9 +67,11 @@ def test_dormancy_follows_kleene_values_at_rest():
         "I <- false.\n"))                    # 7: f and never woken
     dormant, wakers = g._wake
     assert dormant == {0, 2, 5, 7}
-    # one entry per dormant schema and exogenous occurrence: E(a) in law 0,
-    # E(x) with x quantified over d in law 2, nothing under the empty ?
-    assert wakers == {"E": [(0, [], ((None, "a"),)), (2, [], ((0, ("a", "b")),))]}
+    # one entry per dormant schema and exogenous occurrence, filed under its
+    # constants: E(a) in law 0, and E(x) with x quantified over d (slot 0,
+    # as law 2 has no binder) in law 2; nothing under the empty ?
+    assert wakers == {"E": {("a",): [((), {(): 0}, ((None, "a"),))],
+                            (None,): [((), {(): 2}, ((0, ("a", "b")),))]}}
     for X, woken in ((atoms(), set()), (atoms("E(a)"), {0, 2}),
                      (atoms("E(b)"), {2}), (atoms("E(a)", "E(b)"), {0, 2})):
         assert _woken(g, X) == woken
@@ -77,6 +79,19 @@ def test_dormancy_follows_kleene_values_at_rest():
         sparse = _Program(g, X)
         assert (sparse.live, sparse.heads) == (full.live, full.heads)
         assert distribution(g, X) == distribution(_full(g), X)
+
+
+def test_an_atom_wakes_the_instances_whose_binders_it_fixes():
+    g = ground(parse_theory(
+        "domain d = {a, b, c}.\ndomain e = {a, c}.\nexogenous R/3.\n"
+        "!x in d: !y in e: P(x, y) <- ?z in d: R(y, z, a).\n"  # 0..5
+        "!x in d: Q(x) <- R(x, x, b).\n"))                     # 6..8
+    for X, woken in ((atoms("R(c,b,a)"), {1, 3, 5}), (atoms("R(b,a,a)"), set()),
+                     (atoms("R(a,b,c)"), set()), (atoms("R(b,b,b)"), {7}),
+                     (atoms("R(a,b,b)"), set()), (atoms("R(a,a,a)", "R(c,c,b)"), {0, 2, 4, 8})):
+        assert _woken(g, X) == woken
+        assert woken == {i for i in g._wake[0]
+                         if X.intersection(formula_atoms(g.laws[i].body))}
 
 
 def _reachability(k: int):

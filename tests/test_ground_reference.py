@@ -64,7 +64,7 @@ def assert_same_ground(t):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @example(SHAPES)
-@given(theory_values())
+@given(theory_values(apart=True))
 def test_quantified_theories_ground_and_stratify_as_the_references(t):
     assert_same_ground(t)
     for law in t.laws:
