@@ -108,10 +108,10 @@ class GroundTheory:
                                     repr=False)
     # Set by `ground`, and None in a copy made by `dataclasses.replace`,
     # which may change ``laws``: the dormant laws and per exogenous
-    # predicate ``{constants: [(binders, {binder values: law}, args)]}``,
-    # one entry per occurrence in a dormant schema (`ground`, `_woken`),
-    # None making no law dormant; the laws that ``laws`` instantiates, in
-    # order; the arity of each predicate of the theory.
+    # predicate ``{constants: [(binder domains, {binder values: law},
+    # args)]}``, one entry per occurrence in a dormant schema (`ground`,
+    # `_woken`), None making no law dormant; the laws that ``laws``
+    # instantiates, in order; the arity of each predicate of the theory.
     _wake: tuple | None = field(default=None, init=False, compare=False,
                                 repr=False)
     _schemas: tuple | None = field(default=None, init=False, compare=False,
@@ -131,8 +131,12 @@ def _outcome_table(law: CPLaw) -> tuple:
     for _, n, q in table:
         if not 0 < n <= q:
             raise TheoryError(f"probability {Fraction(n, q)} is not in (0, 1]")
-    den = lcm(*(q for _, _, q in table))
-    rest = den - sum(n * (den // q) for _, n, q in table)
+    if len(table) == 1:  # the no-op takes the rest of the one denominator
+        _, n, den = table[0]
+        rest = den - n
+    else:
+        den = lcm(*(q for _, _, q in table))
+        rest = den - sum(n * (den // q) for _, n, q in table)
     if rest < 0:
         raise TheoryError(f"head probabilities sum to {Fraction(den - rest, den)} > 1")
     if rest:
@@ -219,7 +223,7 @@ def _occurrences(law: CPLaw, domains: dict) -> list:
     gets a slot of its own above those.  An occurrence under a quantifier
     over an empty domain is in no instance and is skipped."""
     found: list = []
-    slots = itertools.count(len(law.vars))
+    slot = len(law.vars)
     todo = [(law.body, {v: (j, domains[d]) for j, (v, d) in enumerate(law.vars)},
              False)]
     while todo:
@@ -234,8 +238,8 @@ def _occurrences(law: CPLaw, domains: dict) -> list:
                 todo.extend((p, scope, negated) for p in parts)
             case ForAll(var, dom, sub) | Exists(var, dom, sub):
                 if domains[dom]:
-                    todo.append((sub, {**scope, var: (next(slots), domains[dom])},
-                                 negated))
+                    todo.append((sub, {**scope, var: (slot, domains[dom])}, negated))
+                    slot += 1
     return found
 
 
@@ -260,10 +264,11 @@ def _woken(g: GroundTheory, X) -> set:
     for a in X:
         record = g._wake[1].get(a.predicate, {})
         for constants in itertools.product(*[(c, None) for c in a.args]):
-            for binders, instance, args in record.get(constants, ()):
+            for doms, instance, args in record.get(constants, ()):
                 env: dict = {}
                 if all(s is None or (c in d and env.setdefault(s, c) == c)
                        for c, (s, d) in zip(a.args, args)):
+                    binders = tuple(enumerate(doms))  # as slots 0, 1, ...
                     woken.update(map(instance.__getitem__, _keys(binders, env)))
     return woken
 
@@ -372,12 +377,11 @@ def ground(t: Theory) -> GroundTheory:
     for law in t.laws:
         body = _template(law.body, t.domains, table,
                          frozenset(v for v, _ in law.vars))
-        several = len(law.head) > 1  # disjuncts whose atoms may meet
         # no exogenous predicate: a dormant body is false outright and rare
         asleep = bool(t.exogenous) and not _at_rest(law.body, t)
         first = len(laws)
         for env, head in _instances(law, t.domains, table):
-            if several and len({d.literal.atom for d in head}) < len(head):
+            if len(head) > 1 and len({d.literal.atom for d in head}) < len(head):
                 atom = _repeated([d.literal.atom for d in head])
                 raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
             laws.append(_DormantLaw(head, body, env) if asleep
@@ -385,15 +389,14 @@ def ground(t: Theory) -> GroundTheory:
         if asleep and len(laws) > first:
             # its exogenous body atoms are listed, the others interned
             dormant.extend(range(first, len(laws)))
-            binders = tuple(enumerate(t.domains[d] for _, d in law.vars))
-            instance = dict(zip(_assignments(*(d for _, d in binders)),
-                                range(first, len(laws))))  # binder values -> law
+            doms = [t.domains[d] for _, d in law.vars]
+            instance = dict(zip(_assignments(*doms), range(first, len(laws))))
             for atom, _, args in _occurrences(law, t.domains):
                 if atom.predicate in wakers:
                     # filed under its constants, None for each slot
                     constants = tuple([c if s is None else None for s, c in args])
                     wakers[atom.predicate].setdefault(constants, []).append(
-                        (binders, instance, args))
+                        (doms, instance, args))
                 elif (atom.predicate, args) not in expanded:
                     expanded.add((atom.predicate, args))
                     interned = table[atom.predicate]

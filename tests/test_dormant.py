@@ -70,8 +70,8 @@ def test_dormancy_follows_kleene_values_at_rest():
     # one entry per dormant schema and exogenous occurrence, filed under its
     # constants: E(a) in law 0, and E(x) with x quantified over d (slot 0,
     # as law 2 has no binder) in law 2; nothing under the empty ?
-    assert wakers == {"E": {("a",): [((), {(): 0}, ((None, "a"),))],
-                            (None,): [((), {(): 2}, ((0, ("a", "b")),))]}}
+    assert wakers == {"E": {("a",): [([], {(): 0}, ((None, "a"),))],
+                            (None,): [([], {(): 2}, ((0, ("a", "b")),))]}}
     for X, woken in ((atoms(), set()), (atoms("E(a)"), {0, 2}),
                      (atoms("E(b)"), {2}), (atoms("E(a)", "E(b)"), {0, 2})):
         assert _woken(g, X) == woken
@@ -88,7 +88,8 @@ def test_an_atom_wakes_the_instances_whose_binders_it_fixes():
         "!x in d: Q(x) <- R(x, x, b).\n"))                     # 6..8
     for X, woken in ((atoms("R(c,b,a)"), {1, 3, 5}), (atoms("R(b,a,a)"), set()),
                      (atoms("R(a,b,c)"), set()), (atoms("R(b,b,b)"), {7}),
-                     (atoms("R(a,b,b)"), set()), (atoms("R(a,a,a)", "R(c,c,b)"), {0, 2, 4, 8})):
+                     (atoms("R(a,b,b)"), set()),
+                     (atoms("R(a,a,a)", "R(c,c,b)"), {0, 2, 4, 8})):
         assert _woken(g, X) == woken
         assert woken == {i for i in g._wake[0]
                          if X.intersection(formula_atoms(g.laws[i].body))}
