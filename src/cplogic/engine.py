@@ -139,9 +139,9 @@ class _Program:
     ``readers`` being the laws whose compiled bodies read that atom.
     ``live`` lists the laws whose bodies X does not make false outright.
     ``last_U`` is the latest U built by `compute_U` with its masks.
-    A dormant law (`ground._at_rest`) that no atom of X wakes (`ground._woken`)
-    gets `_FALSE` and reads nothing, as its compile would give, without its
-    body being built or walked.
+    A dormant law, whose body `ground` found f at rest, that no atom of X
+    wakes (`ground._woken`) gets `_FALSE` and reads nothing, as its compile
+    would give, without its body being built or walked.
     An X outside the exogenous universe raises `ExogenousError`.
     """
 
@@ -232,62 +232,57 @@ def _compile_body(phi: Formula, bit: dict, X: frozenset, exogenous: Set):
     is dropped from its connective or decides it, and the literals of a
     connective are tested as two masks.
     """
-    reads = 0
-
-    def junction(conj, pos, neg, subs):
-        nonlocal reads
-        reads |= pos | neg
-        return _junction(conj, pos, neg, subs)
-
-    def comp(phi):
-        # 0 or 2 when X decides phi; the masks (pos, neg) when phi is a
-        # single literal, A as (bit of A, 0) and ~A as (0, bit of A); else
-        # a function of (t, u)
-        match phi:
-            case Atom():
-                b = bit.get(phi)
-                if b:
-                    return b, 0
-                if phi in exogenous:
-                    return 2 if phi in X else 0
-            case Not(sub):
-                e = comp(sub)
-                if isinstance(e, int):
-                    return 2 - e
-                if isinstance(e, tuple):
-                    return e[1], e[0]
-                return lambda t, u: 2 - e(t, u)
-            case And(parts) | Or(parts):
-                conj = isinstance(phi, And)
-                unit = 2 if conj else 0
-                pos = neg = 0
-                subs = []
-                for p in parts:
-                    e = comp(p)
-                    if isinstance(e, tuple):
-                        pos |= e[0]
-                        neg |= e[1]
-                    elif not isinstance(e, int):
-                        subs.append(e)
-                    elif e != unit:
-                        return e
-                lits = pos | neg
-                if subs:
-                    return subs[0] if len(subs) == 1 and not lits \
-                        else junction(conj, pos, neg, subs)
-                if not lits:
-                    return unit
-                if lits & (lits - 1) or pos & neg:  # not a single literal
-                    return junction(conj, pos, neg, [])
-                return pos, neg
-        return kleene_eval(phi, _NO_ATOMS, X, exogenous)
-
-    body = comp(phi)
+    reads = [0]
+    body = _comp(phi, bit, X, exogenous, reads)
     if isinstance(body, int):
         return (_TRUE if body else _FALSE), 0
     if isinstance(body, tuple):
-        body = junction(True, *body, [])
-    return body, reads
+        body = _junction(True, *body, [], reads)
+    return body, reads[0]
+
+
+def _comp(phi: Formula, bit: dict, X: frozenset, exogenous: Set, reads: list):
+    """`_compile_body`'s walk: 0 or 2 when X decides ``phi``; the masks
+    ``(pos, neg)`` when ``phi`` is a single literal, A as ``(bit of A, 0)``
+    and ~A as ``(0, bit of A)``; else a function of ``(t, u)``."""
+    match phi:
+        case Atom():
+            b = bit.get(phi)
+            if b:
+                return b, 0
+            if phi in exogenous:
+                return 2 if phi in X else 0
+        case Not(sub):
+            e = _comp(sub, bit, X, exogenous, reads)
+            if isinstance(e, int):
+                return 2 - e
+            if isinstance(e, tuple):
+                return e[1], e[0]
+            return lambda t, u: 2 - e(t, u)
+        case And(parts) | Or(parts):
+            conj = isinstance(phi, And)
+            unit = 2 if conj else 0
+            pos = neg = 0
+            subs = []
+            for p in parts:
+                e = _comp(p, bit, X, exogenous, reads)
+                if isinstance(e, tuple):
+                    pos |= e[0]
+                    neg |= e[1]
+                elif not isinstance(e, int):
+                    subs.append(e)
+                elif e != unit:
+                    return e
+            lits = pos | neg
+            if subs:
+                return subs[0] if len(subs) == 1 and not lits \
+                    else _junction(conj, pos, neg, subs, reads)
+            if not lits:
+                return unit
+            if lits & (lits - 1) or pos & neg:  # not a single literal
+                return _junction(conj, pos, neg, [], reads)
+            return pos, neg
+    return kleene_eval(phi, _NO_ATOMS, X, exogenous)
 
 
 _NO_ATOMS = ThreeValuedInterp(frozenset())
@@ -301,10 +296,11 @@ def _FALSE(t, u):
     return 0
 
 
-def _junction(conj: bool, pos: int, neg: int, subs: list):
+def _junction(conj: bool, pos: int, neg: int, subs: list, reads: list):
     """Kleene value of the conjunction (``conj``) or disjunction of the
     literals ``A`` for A in ``pos``, ``~A`` for A in ``neg`` and the
-    evaluators ``subs``."""
+    evaluators ``subs``; the literals' atoms are added to ``reads[0]``."""
+    reads[0] |= pos | neg
     if conj:
         def lits(t, u):
             if pos & ~(t | u) or neg & t:

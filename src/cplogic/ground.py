@@ -1,31 +1,30 @@
 """Grounding over declared finite domains and a stratification diagnostic.
 
-Grounding replaces each law by one instance per assignment of its variables
-and expands body quantifiers into finite conjunctions/disjunctions, so that
-everything downstream works with variable-free laws only.  Each law is
-compiled once into a template, a tree of small closures over an
-environment (variable name -> constant), and the template is instantiated
-per assignment; a quantifier binds its variable in that environment in
-place and restores it afterwards.  Every ground atom is interned as it is
-built, in one table keyed by predicate and arguments, so equal atoms of a
-ground theory are one object and the endogenous atoms fall out of the
-table.
+Grounding replaces each law by one instance per assignment of its binders
+and expands body quantifiers into finite conjunctions and disjunctions, so
+that everything downstream works with variable-free laws only.  One walk
+over each law body (`_Compiler`) gives its template, a tree of small
+closures over an environment from slots to constants that is instantiated
+per binder assignment; its Kleene value at rest, with every exogenous atom
+f and every other atom u; and its occurrence list, one ``(atom, negated,
+args)`` per body atom that some instance keeps, each argument ``(None,
+constant)`` or ``(slot, domain)``, slot j < ``len(law.vars)`` being binder
+j.  Every ground atom is interned as it is built, in one table keyed by
+predicate and arguments, so equal atoms are one object and the endogenous
+atoms fall out of the table.
 
-A dormant law (`_at_rest`) has a body that is f in every state unless X
-sets one of its exogenous atoms, so its instances get their heads at once
-but their bodies only when first read (`_DormantLaw`), from the same
-template and intern table.  Its schema's body atoms are found without
-building a body (`_occurrences`), each argument a constant, a law binder
-or a quantified variable.  The endogenous ones are interned over their
-domains (`_keys`); each exogenous one is listed in a wake record under
-its constants, with the schema's instances by binder values, from which
-`_woken` finds the instances an X wakes.  The stratification report
-reads its edges off the law schemas, pairing each binder assignment with
-its instance by the one instance order (`_assignments`).  Domains and
-laws are checked first against the parser's rules (a law by
-`syntax.check_law`), a head that grounds to one atom in two disjuncts is
-rejected, and a ground theory builds each law's outcome table once,
-rejecting a probability outside (0, 1] and a head that sums above 1.
+A law whose body is f at rest is dormant: f in every state unless X sets
+one of its exogenous atoms.  Its instances get their heads at once and
+their bodies when first read (`_DormantLaw`), and its occurrence list
+stands in for the bodies: the endogenous occurrences are interned over
+their domains (`_keys`), and each exogenous one is filed in a wake record
+under its constants, from which `_woken` finds the instances an X wakes.
+`ground` keeps each law with its occurrence list, and the stratification
+report reads its edges off those lists.  Domains and laws are checked
+first against the parser's rules (a law by `syntax.check_law`), a head
+that grounds to one atom in two disjuncts is rejected, and a ground theory
+builds each law's outcome table, doing the arithmetic once per distinct
+tuple of head probabilities.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
@@ -110,8 +109,9 @@ class GroundTheory:
     # which may change ``laws``: the dormant laws and per exogenous
     # predicate ``{constants: [(binder domains, {binder values: law},
     # args)]}``, one entry per occurrence in a dormant schema (`ground`,
-    # `_woken`), None making no law dormant; the laws that ``laws``
-    # instantiates, in order; the arity of each predicate of the theory.
+    # `_woken`), None making no law dormant; per law of the theory, in the
+    # order that ``laws`` instantiates them, ``(law, occurrence list)``;
+    # the arity of each predicate of the theory.
     _wake: tuple | None = field(default=None, init=False, compare=False,
                                 repr=False)
     _schemas: tuple | None = field(default=None, init=False, compare=False,
@@ -122,89 +122,129 @@ class GroundTheory:
     def __post_init__(self):
         # The parser rejects such heads at their tokens; a law built in code
         # is caught here, before any inference can mix its outcomes.
-        object.__setattr__(self, "_outcomes",
-                           tuple(_outcome_table(law) for law in self.laws))
+        noops: dict = {}  # (num, den) per head disjunct -> `_noop`
+        tables = []
+        for law in self.laws:
+            probs = tuple(map(_num_den, law.head))
+            noop = noops.get(probs)
+            if noop is None:
+                noop = noops[probs] = _noop(probs)
+            tables.append(tuple([(d.literal, n, q) for d, (n, q) in zip(law.head, probs)])
+                          + noop)
+        object.__setattr__(self, "_outcomes", tuple(tables))
 
 
-def _outcome_table(law: CPLaw) -> tuple:
-    table = [(d.literal, d.prob.numerator, d.prob.denominator) for d in law.head]
-    for _, n, q in table:
+_num_den = attrgetter("prob.numerator", "prob.denominator")
+
+
+def _noop(probs: tuple) -> tuple:
+    """The no-op outcome ``(None, num, den)`` that takes the remainder of
+    the probabilities ``num / den`` of ``probs``, in lowest terms, or
+    nothing when they sum to 1."""
+    for n, q in probs:
         if not 0 < n <= q:
             raise TheoryError(f"probability {Fraction(n, q)} is not in (0, 1]")
-    if len(table) == 1:  # the no-op takes the rest of the one denominator
-        _, n, den = table[0]
-        rest = den - n
-    else:
-        den = lcm(*(q for _, _, q in table))
-        rest = den - sum(n * (den // q) for _, n, q in table)
+    den = lcm(*(q for _, q in probs))
+    rest = den - sum(n * (den // q) for n, q in probs)
     if rest < 0:
         raise TheoryError(f"head probabilities sum to {Fraction(den - rest, den)} > 1")
-    if rest:
-        k = gcd(rest, den)
-        table.append((None, rest // k, den // k))
-    return tuple(table)
+    k = gcd(rest, den)
+    return ((None, rest // k, den // k),) if rest else ()
 
 
-def _template(phi: Formula, domains: dict, table: dict, bound: frozenset):
-    """``phi`` compiled into a function of ``env`` that returns its
-    expansion: variables in ``bound`` replaced by their constants in
-    ``env``, quantifiers expanded over their domains.  Atoms are interned in
-    ``table``."""
-    match phi:
-        case Atom():
-            return _atom_template(phi, table, bound)
-        case Truth():
-            return lambda env: phi
-        case Not(sub):
-            sub = _template(sub, domains, table, bound)
-            return lambda env: Not(sub(env))
-        case And(parts) | Or(parts):
-            node = type(phi)
-            subs = [_template(p, domains, table, bound) for p in parts]
-            return lambda env: node(tuple([s(env) for s in subs]))
-        case ForAll(var, dom, sub) | Exists(var, dom, sub):
-            if dom not in domains:
-                raise TheoryError(f"undeclared domain {dom!r}")
-            consts = domains[dom]
-            universal = isinstance(phi, ForAll)
-            sub = _template(sub, domains, table, bound | {var})
-            if not consts:
-                empty = TRUE if universal else FALSE
-                return lambda env: empty
-            node = And if universal else Or
+class _Compiler:
+    """Walks formulas over ``domains``, interning atoms in ``table``; an
+    atom of a predicate in ``exogenous`` is f at rest, any other atom u."""
 
-            def quantified(env):
-                saved = env.get(var, _UNBOUND)
-                parts = []
-                for c in consts:
-                    env[var] = c
-                    parts.append(sub(env))
-                if saved is _UNBOUND:
-                    del env[var]
-                else:
-                    env[var] = saved
-                return parts[0] if len(parts) == 1 else node(tuple(parts))
-            return quantified
-    raise TypeError(f"not a formula: {phi!r}")
+    __slots__ = ("domains", "table", "exogenous")
+
+    def __init__(self, domains: dict, table: dict, exogenous=()):
+        self.domains, self.table, self.exogenous = domains, table, exogenous
+
+    def law(self, law: CPLaw) -> tuple:
+        """``law``'s binder scope, and its body's template, value at rest
+        and occurrence list (`walk`)."""
+        scope = _scope(law, self.domains)
+        found: list = []
+        template, rest = self.walk(law.body, scope, len(scope), False, found)
+        return scope, template, rest, found
+
+    def walk(self, phi: Formula, scope: dict, slot: int, negated: bool,
+             found: list) -> tuple:
+        """``phi``'s template, a function of ``env`` that returns its
+        expansion, and its Kleene value at rest, 0/1/2 for f/u/t.  A
+        quantifier over an empty domain is t if universal and f if not.
+        ``scope`` maps each bound variable to its ``(slot, domain)`` and
+        ``env`` each slot to its constant; ``slot`` is the next free slot.
+        Each atom that some expansion keeps is appended to ``found`` as
+        ``(atom, negated, args)``, ``negated`` when it sits under an odd
+        number of negations and ``args`` as in `_atom_template`."""
+        match phi:
+            case Atom(pred):
+                args, template = _atom_template(phi, scope, self.table)
+                found.append((phi, negated, args))
+                return template, 0 if pred in self.exogenous else 1
+            case Truth(value):
+                return (lambda env: phi), 2 * value
+            case Not(sub):
+                sub, rest = self.walk(sub, scope, slot, not negated, found)
+                return (lambda env: Not(sub(env))), 2 - rest
+            case And(parts) | Or(parts):
+                node = type(phi)
+                subs, rests = zip(*[self.walk(p, scope, slot, negated, found)
+                                    for p in parts])
+                return ((lambda env: node(tuple([s(env) for s in subs]))),
+                        kleene_junction(node is And, rests))
+            case ForAll(var, dom, sub) | Exists(var, dom, sub):
+                if dom not in self.domains:
+                    raise TheoryError(f"undeclared domain {dom!r}")
+                consts = self.domains[dom]
+                universal = isinstance(phi, ForAll)
+                kept = len(found)
+                sub, rest = self.walk(sub, {**scope, var: (slot, consts)},
+                                      slot + 1, negated, found)
+                if not consts:  # no expansion keeps the body
+                    del found[kept:]
+                    empty = TRUE if universal else FALSE
+                    return (lambda env: empty), 2 * universal
+                node = And if universal else Or
+
+                def quantified(env):
+                    parts = []
+                    for c in consts:
+                        env[slot] = c
+                        parts.append(sub(env))
+                    return parts[0] if len(parts) == 1 else node(tuple(parts))
+                return quantified, rest
+        raise TypeError(f"not a formula: {phi!r}")
 
 
-_UNBOUND = object()
+def _scope(law: CPLaw, domains: dict) -> dict:
+    """Binder j of ``law`` as ``{variable: (j, domain)}``."""
+    scope = {}
+    for j, (v, d) in enumerate(law.vars):
+        if d not in domains:
+            raise TheoryError(f"undeclared domain {d!r}")
+        scope[v] = (j, domains[d])
+    return scope
 
 
-def _atom_template(atom: Atom, table: dict, bound: frozenset):
-    """The atom with the variables in ``bound`` replaced from ``env``, as a
-    function of ``env``, interned in ``table``."""
-    pred, args = atom.predicate, atom.args
-    names = [a.name if isinstance(a, Var) and a.name in bound else None
-             for a in args]
+def _atom_template(atom: Atom, scope: dict, table: dict) -> tuple:
+    """``atom``'s arguments, each ``(slot, domain)`` for a variable in
+    ``scope`` and ``(None, term)`` otherwise, and the function of ``env``
+    that returns its instance, interned in ``table``."""
+    pred, terms = atom.predicate, atom.args
+    args = tuple([scope[a.name] if isinstance(a, Var) and a.name in scope
+                  else (None, a) for a in terms])
+    slots = [s for s, _ in args]
     interned = table.setdefault(pred, {})
-    if not any(names):  # no bound variable: one key
-        key = lambda env: args
-    elif None in names:
-        key = lambda env: tuple([env[n] if n else a for a, n in zip(args, names)])
+    if slots.count(None) == len(slots):  # no bound variable: one key
+        key = lambda env: terms
+    elif None in slots:
+        key = lambda env: tuple([c if s is None else env[s] for s, c in args])
     else:  # every argument a bound variable
-        key = (itemgetter(*names) if len(names) > 1
-               else lambda env, n=names[0]: (env[n],))
+        key = (itemgetter(*slots) if len(slots) > 1
+               else lambda env, s=slots[0]: (env[s],))
 
     def instance(env):
         k = key(env)
@@ -212,41 +252,13 @@ def _atom_template(atom: Atom, table: dict, bound: frozenset):
         if a is None:
             a = interned[k] = Atom(pred, k)
         return a
-    return instance
-
-
-def _occurrences(law: CPLaw, domains: dict) -> list:
-    """The atom occurrences in ``law``'s body that some instance keeps, as
-    ``(atom, negated, args)``: ``negated`` when it sits under an odd number
-    of negations, and per argument ``(None, constant)`` or ``(slot,
-    domain)``.  Slot j < ``len(law.vars)`` is law binder j; each quantifier
-    gets a slot of its own above those.  An occurrence under a quantifier
-    over an empty domain is in no instance and is skipped."""
-    found: list = []
-    slot = len(law.vars)
-    todo = [(law.body, {v: (j, domains[d]) for j, (v, d) in enumerate(law.vars)},
-             False)]
-    while todo:
-        phi, scope, negated = todo.pop()
-        match phi:
-            case Atom(_, args):
-                found.append((phi, negated, tuple([
-                    scope[a.name] if isinstance(a, Var) else (None, a) for a in args])))
-            case Not(sub):
-                todo.append((sub, scope, not negated))
-            case And(parts) | Or(parts):
-                todo.extend((p, scope, negated) for p in parts)
-            case ForAll(var, dom, sub) | Exists(var, dom, sub):
-                if domains[dom]:
-                    todo.append((sub, {**scope, var: (slot, domains[dom])}, negated))
-                    slot += 1
-    return found
+    return args, instance
 
 
 def _keys(args: tuple, env: dict):
-    """Every argument tuple of an occurrence's ``args`` (`_occurrences`),
-    with the slots in ``env`` set to its constants and every other slot
-    ranging over its domain."""
+    """Every argument tuple of an occurrence's ``args``, with the slots in
+    ``env`` set to its constants and every other slot ranging over its
+    domain."""
     free = {s: dom for s, dom in args if s is not None and s not in env}
     env = dict(env)
     for combo in itertools.product(*free.values()):
@@ -298,28 +310,11 @@ class _DormantLaw(CPLaw):
     __hash__ = CPLaw.__hash__
 
 
-def _at_rest(phi: Formula, t: Theory) -> int:
-    """Kleene value, 0/1/2 for f/u/t, of every expansion of ``phi`` with each
-    exogenous atom f and each other atom u.  A law whose body is f here is
-    dormant: f in every state unless X sets one of its exogenous atoms."""
-    match phi:
-        case Atom(pred):
-            return 0 if pred in t.exogenous else 1
-        case Truth(value):
-            return 2 * value
-        case Not(sub):
-            return 2 - _at_rest(sub, t)
-        case And(parts) | Or(parts):
-            return kleene_junction(isinstance(phi, And), (_at_rest(p, t) for p in parts))
-        case ForAll(_, dom, sub) | Exists(_, dom, sub):
-            empty = 2 * isinstance(phi, ForAll)
-            return _at_rest(sub, t) if t.domains.get(dom) else empty
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 def expand_formula(phi: Formula, env: dict, domains: dict) -> Formula:
     """Substitute ``env`` and expand quantifiers to finite connectives."""
-    return _template(phi, domains, {}, frozenset(env))(dict(env))
+    scope = {v: (j, None) for j, v in enumerate(env)}
+    template, _ = _Compiler(domains, {}).walk(phi, scope, len(scope), False, [])
+    return template(dict(enumerate(env.values())))
 
 
 # Called with the domains of a law's binders, in binder order: the binder
@@ -328,19 +323,14 @@ def expand_formula(phi: Formula, env: dict, domains: dict) -> Formula:
 _assignments = itertools.product
 
 
-def _instances(law: CPLaw, domains: dict, table: dict):
-    """`law_instances`, interning the head atoms in ``table``."""
-    for _, d in law.vars:
-        if d not in domains:
-            raise TheoryError(f"undeclared domain {d!r}")
-    names = [v for v, _ in law.vars]
-    bound = frozenset(names)
-    head = [(d.literal.negated, _atom_template(d.literal.atom, table, bound), d.prob)
-            for d in law.head]
-    for assignment in _assignments(*(domains[d] for _, d in law.vars)):
-        env = dict(zip(names, assignment))
-        yield env, tuple(HeadDisjunct(EffectLiteral(negated, atom(env)), prob)
-                         for negated, atom, prob in head)
+def _instances(law: CPLaw, scope: dict, table: dict):
+    """Per instance of ``law``, its binder values and its ground head, the
+    head atoms interned in ``table``."""
+    head = [(d.literal.negated, _atom_template(d.literal.atom, scope, table)[1],
+             d.prob) for d in law.head]
+    for values in _assignments(*(dom for _, dom in scope.values())):
+        yield values, tuple([HeadDisjunct(EffectLiteral(negated, atom(values)), prob)
+                             for negated, atom, prob in head])
 
 
 def law_instances(law: CPLaw, domains: dict):
@@ -349,7 +339,9 @@ def law_instances(law: CPLaw, domains: dict):
     Assignments come in domain order; the body is left to the caller, which
     either expands its quantifiers or only substitutes ``env``.
     """
-    return _instances(law, domains, {})
+    names = [v for v, _ in law.vars]
+    for values, head in _instances(law, _scope(law, domains), {}):
+        yield dict(zip(names, values)), head
 
 
 def ground(t: Theory) -> GroundTheory:
@@ -370,28 +362,31 @@ def ground(t: Theory) -> GroundTheory:
     for law in t.laws:
         check_law(law, t, arity)
     table: dict = {}  # predicate -> {args: atom}, every atom the laws mention
+    compiler = _Compiler(t.domains, table, t.exogenous)
     expanded: set = set()  # (predicate, args) of the dormant occurrences interned
     wakers: dict = {pred: {} for pred in t.exogenous}  # the wake record
     dormant: list = []
+    schemas: list = []
     laws: list = []
     for law in t.laws:
-        body = _template(law.body, t.domains, table,
-                         frozenset(v for v, _ in law.vars))
+        scope, body, rest, found = compiler.law(law)
+        schemas.append((law, found))
         # no exogenous predicate: a dormant body is false outright and rare
-        asleep = bool(t.exogenous) and not _at_rest(law.body, t)
+        asleep = bool(t.exogenous) and not rest
         first = len(laws)
-        for env, head in _instances(law, t.domains, table):
+        for values, head in _instances(law, scope, table):
             if len(head) > 1 and len({d.literal.atom for d in head}) < len(head):
                 atom = _repeated([d.literal.atom for d in head])
                 raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
+            env = dict(enumerate(values))
             laws.append(_DormantLaw(head, body, env) if asleep
                         else CPLaw((), head, body(env)))
         if asleep and len(laws) > first:
             # its exogenous body atoms are listed, the others interned
             dormant.extend(range(first, len(laws)))
-            doms = [t.domains[d] for _, d in law.vars]
+            doms = [dom for _, dom in scope.values()]
             instance = dict(zip(_assignments(*doms), range(first, len(laws))))
-            for atom, _, args in _occurrences(law, t.domains):
+            for atom, _, args in found:
                 if atom.predicate in wakers:
                     # filed under its constants, None for each slot
                     constants = tuple([c if s is None else None for s, c in args])
@@ -408,7 +403,7 @@ def ground(t: Theory) -> GroundTheory:
     g = GroundTheory(tuple(laws), frozenset(endo),
                      ExogenousUniverse(t.exogenous, t.domains), dict(t.domains))
     for name, value in (("_wake", (frozenset(dormant), wakers)),
-                        ("_schemas", t.laws), ("_arity", arity)):
+                        ("_schemas", tuple(schemas)), ("_arity", arity)):
         object.__setattr__(g, name, value)
     return g
 
@@ -449,10 +444,11 @@ def stratification_report(g: GroundTheory) -> StratificationReport:
     atom in no head has no out-edges and lies on no cycle, so the graph has
     head atoms only.
 
-    The edges come from the law schemas that `ground` kept, so no body is
-    built: each occurrence of an atom that heads a law is expanded per
-    binder assignment, once per assignment of the binders it mentions.  A
-    ground theory built in code is its own schemas.
+    The edges come from the occurrence lists that `ground` kept with the
+    law schemas, so no body is built: each occurrence of an atom that heads
+    a law is expanded per binder assignment, once per assignment of the
+    binders it mentions.  A ground theory built in code is its own schemas,
+    and its laws are walked for their lists as `ground` walks a schema.
     """
     node: dict = {}  # head atom -> node number
     for law in g.laws:
@@ -463,12 +459,15 @@ def stratification_report(g: GroundTheory) -> StratificationReport:
     for a, j in node.items():
         numbers.setdefault(a.predicate, {})[a.args] = j
     deps: list = [{} for _ in range(heads)]  # per head: {body head: negative}
+    schemas = g._schemas
+    if schemas is None:
+        compiler = _Compiler(g.domains, {})
+        schemas = [(law, compiler.law(law)[3]) for law in g.laws]
     laws = iter(g.laws)
-    for schema in g.laws if g._schemas is None else g._schemas:
+    for schema, found in schemas:
         body = [(numbers[a.predicate], negated, args, {}, sorted(
                     {s for s, _ in args if s is not None and s < len(schema.vars)}))
-                for a, negated, args in _occurrences(schema, g.domains)
-                if a.predicate in numbers]
+                for a, negated, args in found if a.predicate in numbers]
         for assignment in _assignments(*(g.domains[d] for _, d in schema.vars)):
             edges = []
             for number, negated, args, memo, slots in body:

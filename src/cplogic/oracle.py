@@ -7,16 +7,15 @@ engine's iterative state walk: it shares the engine's state classification,
 soundness check and mixing loop, but not its one law per state.
 ``well_founded_model`` and ``least_model`` are classical fixpoint
 constructions for the deterministic fragments, giving the engine something
-external to agree with.  ``random_stratified_theory`` generates seeded
-theories that have one distribution whatever the firing order.  The
-references that only the tests use, a rescanning U and a `Fraction`
-distribution, are kept in ``tests/reference_engine.py``.
+external to agree with.  The references that only the tests use, a
+rescanning U and a `Fraction` distribution, are kept in
+``tests/reference_engine.py``, and the seeded random theories in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -26,8 +25,7 @@ from .engine import Distribution, ExecState, UMode, _fold, _mix
 from .engine import (applicable, apply_disjunct, compute_U,  # noqa: F401
                      satisfied_unfired)
 from .ground import GroundTheory
-from .syntax import (And, Atom, CPLaw, EffectLiteral, Formula, HeadDisjunct,
-                     Not, Or, Theory, Truth, TRUE, atom_names,
+from .syntax import (And, Atom, Formula, Not, Or, Truth, atom_names,
                      formula_atom_polarities)
 from .threeval import ThreeValuedInterp, holds
 
@@ -254,71 +252,3 @@ def least_model(g: GroundTheory, X: frozenset = frozenset()) -> frozenset:
                 model.add(head)
                 changed = True
     return frozenset(model)
-
-
-# ---------------------------------------------------------------------------
-# Seeded random theories
-# ---------------------------------------------------------------------------
-
-# The first eight names are fixed: seeds must keep giving the same theories.
-_ATOM_NAMES = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
-_PROB_SINGLES = (Fraction(1), Fraction(1, 2), Fraction(1, 3),
-                 Fraction(2, 3), Fraction(1, 4), Fraction(3, 4))
-_PROB_PAIRS = ((Fraction(1, 2), Fraction(1, 2)),
-               (Fraction(1, 2), Fraction(1, 4)),
-               (Fraction(1, 3), Fraction(1, 3)),
-               (Fraction(1, 4), Fraction(1, 4)),
-               (Fraction(2, 3), Fraction(1, 3)))
-
-
-def _atom_names(atoms: int) -> tuple:
-    if not 1 <= atoms <= len(_ATOM_NAMES):
-        raise ValueError(f"atoms must be between 1 and {len(_ATOM_NAMES)}, "
-                         f"got {atoms}")
-    return _ATOM_NAMES[:atoms]
-
-
-def random_stratified_theory(seed: int, atoms: int = 6, laws: int = 6,
-                             negative_heads: bool = True) -> Theory:
-    """Seeded propositional theory that is stratified by construction.
-
-    Atoms live on strata; negative dependencies (negated body occurrences,
-    and every body edge of a law with a negative head literal) only point
-    strictly downwards, so no cycle can carry a negative edge.  A head has
-    one or two disjuncts, and a body literal is negated with probability 0.4.
-    """
-    rng = random.Random(seed)
-    names = list(_atom_names(atoms))
-    stratum = {name: rng.randint(0, 2) for name in names}
-    n_laws = rng.randint(1, laws)
-
-    out = []
-    for _ in range(n_laws):
-        width = rng.randint(1, 2)
-        head_names = rng.sample(names, min(width, len(names)))
-        literals = []
-        has_neg_head = False
-        for name in head_names:
-            neg = negative_heads and rng.random() < 0.25
-            has_neg_head = has_neg_head or neg
-            literals.append(EffectLiteral(neg, Atom(name)))
-        probs = (rng.choice(_PROB_SINGLES),) if len(literals) == 1 \
-            else rng.choice(_PROB_PAIRS)
-        head = tuple(HeadDisjunct(lit, p) for lit, p in zip(literals, probs))
-
-        floor = min(stratum[n] for n in head_names)
-        parts = []
-        for _ in range(rng.randint(0, 2)):
-            negated = rng.random() < 0.4
-            strict = negated or has_neg_head
-            pool = [n for n in names
-                    if (stratum[n] < floor if strict else stratum[n] <= floor)]
-            if not pool:
-                continue
-            atom = Atom(rng.choice(pool))
-            parts.append(Not(atom) if negated else atom)
-        phi: Formula = TRUE if not parts else (
-            parts[0] if len(parts) == 1 else And(tuple(parts)))
-        out.append(CPLaw((), head, phi))
-    return Theory({}, {}, tuple(out))

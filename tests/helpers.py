@@ -7,7 +7,6 @@ from itertools import product
 from hypothesis import strategies as st
 
 from cplogic import theories
-from cplogic.oracle import _atom_names
 from cplogic.syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll,
                             Formula, HeadDisjunct, Not, Or, Theory, FALSE,
                             TRUE, Var, formula_atoms, substitute_atom)
@@ -40,6 +39,25 @@ def deterministic_gears() -> Theory:
     return Theory(dict(t.domains), dict(t.exogenous), laws)
 
 
+# The first eight names are fixed: seeds must keep giving the same theories.
+_ATOM_NAMES = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+_PROB_SINGLES = (Fraction(1), Fraction(1, 2), Fraction(1, 3),
+                 Fraction(2, 3), Fraction(1, 4), Fraction(3, 4))
+_PROB_PAIRS = ((Fraction(1, 2), Fraction(1, 2)),
+               (Fraction(1, 2), Fraction(1, 4)),
+               (Fraction(1, 3), Fraction(1, 3)),
+               (Fraction(1, 4), Fraction(1, 4)),
+               (Fraction(2, 3), Fraction(1, 3)))
+
+
+def _atom_names(atoms: int) -> tuple:
+    if not 1 <= atoms <= len(_ATOM_NAMES):
+        raise ValueError(f"atoms must be between 1 and {len(_ATOM_NAMES)}, "
+                         f"got {atoms}")
+    return _ATOM_NAMES[:atoms]
+
+
 def random_deterministic_theory(seed: int, atoms: int = 6, laws: int = 6,
                                 negation_rate: float = 0.4) -> Theory:
     """Seeded propositional deterministic theory; bodies may use negation
@@ -60,6 +78,51 @@ def random_deterministic_theory(seed: int, atoms: int = 6, laws: int = 6,
         head_atom = Atom(rng.choice(names))
         phi = TRUE if rng.random() < 0.15 else body(2)
         out.append(CPLaw((), (HeadDisjunct(EffectLiteral(False, head_atom), Fraction(1)),), phi))
+    return Theory({}, {}, tuple(out))
+
+
+def random_stratified_theory(seed: int, atoms: int = 6, laws: int = 6,
+                             negative_heads: bool = True) -> Theory:
+    """Seeded propositional theory that is stratified by construction.
+
+    Atoms live on strata; negative dependencies (negated body occurrences,
+    and every body edge of a law with a negative head literal) only point
+    strictly downwards, so no cycle can carry a negative edge.  A head has
+    one or two disjuncts, and a body literal is negated with probability 0.4.
+    """
+    rng = random.Random(seed)
+    names = list(_atom_names(atoms))
+    stratum = {name: rng.randint(0, 2) for name in names}
+    n_laws = rng.randint(1, laws)
+
+    out = []
+    for _ in range(n_laws):
+        width = rng.randint(1, 2)
+        head_names = rng.sample(names, min(width, len(names)))
+        literals = []
+        has_neg_head = False
+        for name in head_names:
+            neg = negative_heads and rng.random() < 0.25
+            has_neg_head = has_neg_head or neg
+            literals.append(EffectLiteral(neg, Atom(name)))
+        probs = (rng.choice(_PROB_SINGLES),) if len(literals) == 1 \
+            else rng.choice(_PROB_PAIRS)
+        head = tuple(HeadDisjunct(lit, p) for lit, p in zip(literals, probs))
+
+        floor = min(stratum[n] for n in head_names)
+        parts = []
+        for _ in range(rng.randint(0, 2)):
+            negated = rng.random() < 0.4
+            strict = negated or has_neg_head
+            pool = [n for n in names
+                    if (stratum[n] < floor if strict else stratum[n] <= floor)]
+            if not pool:
+                continue
+            atom = Atom(rng.choice(pool))
+            parts.append(Not(atom) if negated else atom)
+        phi: Formula = TRUE if not parts else (
+            parts[0] if len(parts) == 1 else And(tuple(parts)))
+        out.append(CPLaw((), head, phi))
     return Theory({}, {}, tuple(out))
 
 

@@ -11,13 +11,14 @@ from cplogic.engine import (Distribution, ExecState, ExogenousError,
                             build_execution_model, compute_U, distribution,
                             query)
 from cplogic.ground import ground, stratification_report
-from cplogic.oracle import (BudgetExceededError, random_stratified_theory,
-                            sweep_orders, well_founded_model)
+from cplogic.oracle import (BudgetExceededError, sweep_orders,
+                            well_founded_model)
 from cplogic.syntax import Atom, parse_formula, parse_theory
 from cplogic.threeval import UnboundAtomError
 
 from helpers import (approximates, atom, atoms, leaf_paths,
-                     mentioned_exogenous, quantified_theories, total)
+                     mentioned_exogenous, quantified_theories,
+                     random_stratified_theory, total)
 
 SUZY = theories.get("suzy_billy")
 SUZY_G = ground(SUZY)

@@ -5,20 +5,24 @@ through `sweep_orders`, in both modes, must get exactly the overestimate
 that `reference_engine.reference_U` computes by the definition.
 """
 
+import gc
+from fractions import Fraction
+from types import CellType, FunctionType
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cplogic import engine, theories
 from cplogic.engine import (SoundnessError, UMode, compute_U, distribution,
-                            satisfied_unfired)
+                            query, satisfied_unfired)
 from cplogic.ground import ground
-from cplogic.oracle import (BudgetExceededError, random_stratified_theory,
-                            sweep_orders)
+from cplogic.oracle import BudgetExceededError, sweep_orders
 from cplogic.syntax import FALSE, TRUE, And, Atom, Not, Or, parse_theory
 from cplogic.threeval import ThreeValuedInterp, kleene_eval
 
-from helpers import atom, atoms, random_deterministic_theory
+from helpers import (atom, atoms, random_deterministic_theory,
+                     random_stratified_theory)
 from reference_engine import reference_U
 
 NOTHING = frozenset()
@@ -134,6 +138,28 @@ def test_program_lives_on_its_ground_theory():
     assert other is not prog
     assert g._compiled == (atoms("Crank1", "Locked(g1)"), other)
     assert g == ground(theories.get("locked_gears"))
+
+
+def test_a_compiled_program_is_freed_without_the_cyclic_collector():
+    # Recursive closures per compiled body would each be a reference cycle
+    # of functions and cells that only the cyclic collector frees.
+    g = ground(parse_theory(_chain(60)))
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        X = atoms("Crank", "Locked(g30)")
+        assert query(g, X, atom("Turns(g29)")) == Fraction(9, 10) ** 29
+        assert len(engine._program(g, X).live) == 62
+        del g
+        gc.collect()
+        cyclic = [x for x in gc.garbage
+                  if isinstance(x, CellType) or (isinstance(x, FunctionType)
+                                                 and x.__module__ == engine.__name__)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert cyclic == []
 
 
 _ENDO = tuple(Atom(name) for name in "ABCD")  # bit k is _ENDO[k]

@@ -19,12 +19,11 @@ from hypothesis import example, given, settings
 from cplogic import theories
 from cplogic.ground import (expand_formula, ground, law_instances,
                             stratification_report)
-from cplogic.oracle import random_stratified_theory
 from cplogic.syntax import (TRUE, And, Atom, EffectLiteral, TheoryError,
                             format_atom_set, parse_theory)
 
 import reference_ground as ref
-from helpers import random_deterministic_theory
+from helpers import random_deterministic_theory, random_stratified_theory
 from test_print_parse import theory_values
 
 # Nested law binders, a quantifier that shadows a law variable (the inner

@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from cplogic import theories
 from cplogic.engine import SoundnessError, UMode, _mix, distribution
 from cplogic.ground import ground
-from cplogic.oracle import (BudgetExceededError, _freeze, _thaw,
-                            random_stratified_theory, sweep_orders)
+from cplogic.oracle import BudgetExceededError, _freeze, _thaw, sweep_orders
 
-from helpers import random_deterministic_theory
+from helpers import random_deterministic_theory, random_stratified_theory
 from reference_engine import reference_distribution
 
 NOTHING = frozenset()

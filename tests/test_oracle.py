@@ -4,11 +4,11 @@ from cplogic import theories
 from cplogic.engine import SoundnessError, UMode, distribution
 from cplogic.ground import ground
 from cplogic.oracle import (BudgetExceededError, OracleError, least_model,
-                            random_stratified_theory, sweep_orders,
-                            well_founded_model)
+                            sweep_orders, well_founded_model)
 from cplogic.syntax import law_atoms, parse_theory
 
-from helpers import atoms, deterministic_gears, random_deterministic_theory
+from helpers import (atoms, deterministic_gears, random_deterministic_theory,
+                     random_stratified_theory)
 
 NOTHING = frozenset()
 

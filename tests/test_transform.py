@@ -12,7 +12,7 @@ from cplogic.transform import (NameClashError, SharedHeadError, TransformError,
                                intervene, internalize, negative_head_predicates,
                                tau_not)
 
-from helpers import atom, atoms
+from helpers import atom, atoms, random_stratified_theory
 
 BP = theories.get("blood_pressure")
 
@@ -223,7 +223,6 @@ def test_tau_not_output_round_trips_through_printer():
 @pytest.mark.parametrize("seed", range(40))
 def test_tau_not_equivalence_on_random_theories(seed):
     # seeds without negative heads exercise the identity case
-    from cplogic.oracle import random_stratified_theory
     t = random_stratified_theory(seed, atoms=5, laws=5)
     compiled, _ = tau_not(t)
     vocab = set(endogenous_signature(t))
@@ -236,7 +235,6 @@ def _theory_with_intervenable_atom(seed):
     multi-outcome head mentions, so `intervene` can remove it.  Seeds
     ``seed``, ``seed + 1000``, ... are tried until a theory has one."""
     import random as _random
-    from cplogic.oracle import random_stratified_theory
     for derived in range(seed, seed + 100_000, 1000):
         t = random_stratified_theory(derived, atoms=5, laws=5)
         caused = {d.literal.atom for law in t.laws for d in law.head}
