@@ -24,7 +24,8 @@ does not wake is neither walked nor has its body built: X's atoms are
 matched against the grounding's wake record, one entry per exogenous
 atom occurrence of a dormant schema (`ground._woken`).  `compute_U` is a
 worklist fixpoint over that index; the two-valued body test and the U
-gate run the same compiled bodies.
+gate run the same compiled bodies.  `query` runs only the laws that reach
+its atoms in that program when the program is stratified (`_relevant`).
 
 All probabilities are exact.  While the fold runs, a state's
 sub-distribution is one integer denominator ``D`` and an integer numerator
@@ -38,12 +39,12 @@ once, at the root, and checks that the distribution sums to exactly 1.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .ground import GroundTheory, _woken, expand_formula
+from .ground import GroundTheory, _negation_cycles, _woken, expand_formula
 from .syntax import (And, Atom, EffectLiteral, Formula, Not, Or, atom_names,
                      format_atom_set, formula_atoms)
 # bench/tracing.py counts `holds` and `kleene_eval` calls at this import
@@ -134,10 +135,12 @@ class _Program:
     Endogenous atom k, in ``str`` order, is bit ``1 << k``; a set of atoms
     is the sum of their bits, and a three-valued interpretation is a pair of
     masks ``(t, u)`` with every other atom f.  ``bodies[i](t, u)`` is law
-    i's Kleene value, 0/1/2 for f/u/t, with X's atoms already folded in.
+    i's Kleene value, 0/1/2 for f/u/t, with X's atoms already folded in,
+    and ``reads[i]`` the masks it reads as `_compile_body` gives them.
     ``heads[i]`` has one ``(negated, bit, readers)`` per head disjunct,
     ``readers`` being the laws whose compiled bodies read that atom.
-    ``live`` lists the laws whose bodies X does not make false outright.
+    ``live`` lists the laws whose bodies X does not make false outright,
+    and ``writers[bit]`` the live laws with that atom in a head.
     ``last_U`` is the latest U built by `compute_U` with its masks.
     A dormant law, whose body `ground` found f at rest, that no atom of X
     wakes (`ground._woken`) gets `_FALSE` and reads nothing, as its compile
@@ -145,7 +148,7 @@ class _Program:
     An X outside the exogenous universe raises `ExogenousError`.
     """
 
-    __slots__ = ("atoms", "bit", "bodies", "heads", "live", "last_U")
+    __slots__ = ("atoms", "bit", "bodies", "reads", "heads", "live", "writers", "last_U")
 
     def __init__(self, g: GroundTheory, X: frozenset):
         extra = [a for a in X if a not in g.exogenous_atoms]
@@ -156,20 +159,23 @@ class _Program:
         self.bit = {a: 1 << k for k, a in enumerate(self.atoms)}
         dormant, woken = (g._wake[0], _woken(g, X)) if g._wake else ((), ())
         compiled = [_compile_body(law.body, self.bit, X, g.exogenous_atoms)
-                    if i in woken or i not in dormant else (_FALSE, 0)
+                    if i in woken or i not in dormant else (_FALSE, (0, 0))
                     for i, law in enumerate(g.laws)]
-        self.bodies = tuple(body for body, _ in compiled)
-        self.live = tuple(i for i, (body, _) in enumerate(compiled)
+        self.bodies, self.reads = tuple(zip(*compiled)) or ((), ())
+        self.live = tuple(i for i, body in enumerate(self.bodies)
                           if body is not _FALSE)
-        readers: dict = {}
-        for i, (_, reads) in enumerate(compiled):
-            for b in _bits(reads):
+        heads = [[(d.literal.negated, self.bit[d.literal.atom]) for d in law.head]
+                 for law in g.laws]
+        readers, self.writers = {}, {}
+        for i in self.live:  # a law that is not live reads nothing
+            pos, neg = self.reads[i]
+            for b in _bits(pos | neg):
                 readers.setdefault(b, []).append(i)
+            for _, b in heads[i]:
+                self.writers.setdefault(b, []).append(i)
         self.heads = tuple(
-            tuple((d.literal.negated, self.bit[d.literal.atom],
-                   tuple(readers.get(self.bit[d.literal.atom], ())))
-                  for d in law.head)
-            for law in g.laws)
+            tuple([(negated, b, tuple(readers.get(b, ()))) for negated, b in head])
+            for head in heads)
         self.last_U = (None, 0, 0)
 
     def mask(self, atoms) -> int:
@@ -223,8 +229,9 @@ def _bits(mask: int):
 
 
 def _compile_body(phi: Formula, bit: dict, X: frozenset, exogenous: Set):
-    """Kleene evaluator of ground ``phi`` over ``(t, u)`` masks, plus the
-    mask of the endogenous atoms it reads once X is folded in.
+    """Kleene evaluator of ground ``phi`` over ``(t, u)`` masks, and the
+    endogenous atoms it reads once X is folded in, as the masks ``(pos,
+    neg)`` of those under an even and an odd number of ``~``.
 
     An exogenous atom is decided by X.  Truth constants and unbound atoms
     are read by `kleene_eval` itself, so they are interpreted, and an
@@ -232,19 +239,20 @@ def _compile_body(phi: Formula, bit: dict, X: frozenset, exogenous: Set):
     is dropped from its connective or decides it, and the literals of a
     connective are tested as two masks.
     """
-    reads = [0]
-    body = _comp(phi, bit, X, exogenous, reads)
+    reads = [0, 0]
+    body = _comp(phi, bit, X, exogenous, reads, False)
     if isinstance(body, int):
-        return (_TRUE if body else _FALSE), 0
+        return (_TRUE if body else _FALSE), (0, 0)
     if isinstance(body, tuple):
-        body = _junction(True, *body, [], reads)
-    return body, reads[0]
+        body = _junction(True, *body, [], reads, False)
+    return body, tuple(reads)
 
 
-def _comp(phi: Formula, bit: dict, X: frozenset, exogenous: Set, reads: list):
+def _comp(phi: Formula, bit: dict, X: frozenset, exogenous: Set, reads: list, negated: bool):
     """`_compile_body`'s walk: 0 or 2 when X decides ``phi``; the masks
     ``(pos, neg)`` when ``phi`` is a single literal, A as ``(bit of A, 0)``
-    and ~A as ``(0, bit of A)``; else a function of ``(t, u)``."""
+    and ~A as ``(0, bit of A)``; else a function of ``(t, u)``.  ``phi`` is
+    under an odd number of ``~`` when ``negated``."""
     match phi:
         case Atom():
             b = bit.get(phi)
@@ -253,7 +261,7 @@ def _comp(phi: Formula, bit: dict, X: frozenset, exogenous: Set, reads: list):
             if phi in exogenous:
                 return 2 if phi in X else 0
         case Not(sub):
-            e = _comp(sub, bit, X, exogenous, reads)
+            e = _comp(sub, bit, X, exogenous, reads, not negated)
             if isinstance(e, int):
                 return 2 - e
             if isinstance(e, tuple):
@@ -265,7 +273,7 @@ def _comp(phi: Formula, bit: dict, X: frozenset, exogenous: Set, reads: list):
             pos = neg = 0
             subs = []
             for p in parts:
-                e = _comp(p, bit, X, exogenous, reads)
+                e = _comp(p, bit, X, exogenous, reads, negated)
                 if isinstance(e, tuple):
                     pos |= e[0]
                     neg |= e[1]
@@ -276,11 +284,11 @@ def _comp(phi: Formula, bit: dict, X: frozenset, exogenous: Set, reads: list):
             lits = pos | neg
             if subs:
                 return subs[0] if len(subs) == 1 and not lits \
-                    else _junction(conj, pos, neg, subs, reads)
+                    else _junction(conj, pos, neg, subs, reads, negated)
             if not lits:
                 return unit
             if lits & (lits - 1) or pos & neg:  # not a single literal
-                return _junction(conj, pos, neg, [], reads)
+                return _junction(conj, pos, neg, [], reads, negated)
             return pos, neg
     return kleene_eval(phi, _NO_ATOMS, X, exogenous)
 
@@ -296,11 +304,13 @@ def _FALSE(t, u):
     return 0
 
 
-def _junction(conj: bool, pos: int, neg: int, subs: list, reads: list):
+def _junction(conj: bool, pos: int, neg: int, subs: list, reads: list, negated: bool):
     """Kleene value of the conjunction (``conj``) or disjunction of the
     literals ``A`` for A in ``pos``, ``~A`` for A in ``neg`` and the
-    evaluators ``subs``; the literals' atoms are added to ``reads[0]``."""
-    reads[0] |= pos | neg
+    evaluators ``subs``; ``pos`` is added to ``reads[negated]`` and ``neg``
+    to the other, as in `_compile_body`."""
+    reads[negated] |= pos
+    reads[not negated] |= neg
     if conj:
         def lits(t, u):
             if pos & ~(t | u) or neg & t:
@@ -539,7 +549,10 @@ def distribution(g: GroundTheory, X: frozenset,
 def query(g: GroundTheory, X: frozenset, phi: Formula,
           mode: UMode = UMode.EXTENDED) -> Fraction:
     """Probability mass of the worlds satisfying ground-expanded ``phi``, an
-    atom of the theory's vocabulary that no law mentions being false."""
+    atom of the theory's vocabulary that no law mentions being false.
+
+    When the program compiled for X is stratified, only the live laws that
+    reach ``phi``'s atoms run (`_relevant`): no other law changes what they read."""
     phi = expand_formula(phi, {}, g.domains)
     arity = g._arity or {a.predicate: len(a.args) for a in g.endogenous_atoms}
     constants = set().union(*g.domains.values())
@@ -548,4 +561,41 @@ def query(g: GroundTheory, X: frozenset, phi: Formula,
                 arity.get(atom.predicate) != len(atom.args)
                 or not constants.issuperset(atom.args)):
             raise UnboundAtomError(f"unknown atom {atom}")
+    # compute_U compiles g for X, as in _fold; with every law fired, U is cheap
+    compute_U(g, X, ExecState(frozenset(), frozenset(), frozenset(range(len(g.laws)))))
+    prog = _program(g, X)
+    kept = _relevant(prog, formula_atoms(phi))
+    if len(kept) < len(prog.live) and _stratified(prog):
+        g = replace(g, laws=tuple(map(g.laws.__getitem__, kept)))
     return distribution(g, X, mode).prob(phi, X)
+
+
+def _relevant(prog: _Program, atoms) -> list:
+    """The live laws that can cause or retract one of ``atoms``, or an atom
+    that such a law's compiled body reads, in index order."""
+    writers, reads, kept = prog.writers, prog.reads, set()
+    seen, todo = 0, prog.mask({a for a in atoms if a in prog.bit})
+    while todo:  # the atoms first reached in the last round
+        seen |= todo
+        found = 0
+        for b in _bits(todo):
+            for i in writers.get(b, ()):
+                if i not in kept:
+                    kept.add(i)
+                    found |= reads[i][0] | reads[i][1]
+        todo = found & ~seen
+    return sorted(kept)
+
+
+def _stratified(prog: _Program) -> bool:
+    """Whether no cycle is negative in the graph with an edge from each head
+    atom of a live law to each atom its body reads, negative when read under
+    an odd number of ``~`` or when the head literal is negative."""
+    deps: dict = {}  # head bit -> {read bit: negative}
+    for i in prog.live:
+        pos, neg = prog.reads[i]
+        for negated, b, _ in prog.heads[i]:
+            out = deps.setdefault(b, {})
+            for r in _bits(pos | neg):
+                out[r] = negated or bool(r & neg) or out.get(r, False)
+    return not _negation_cycles(deps)

@@ -23,8 +23,7 @@ under its constants, from which `_woken` finds the instances an X wakes.
 report reads its edges off those lists.  Domains and laws are checked
 first against the parser's rules (a law by `syntax.check_law`), a head
 that grounds to one atom in two disjuncts is rejected, and a ground theory
-builds each law's outcome table, doing the arithmetic once per distinct
-tuple of head probabilities.
+builds each law's outcome table.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
@@ -122,30 +121,24 @@ class GroundTheory:
     def __post_init__(self):
         # The parser rejects such heads at their tokens; a law built in code
         # is caught here, before any inference can mix its outcomes.
-        noops: dict = {}  # (num, den) per head disjunct -> `_noop`
-        tables = []
-        for law in self.laws:
-            probs = tuple(map(_num_den, law.head))
-            noop = noops.get(probs)
-            if noop is None:
-                noop = noops[probs] = _noop(probs)
-            tables.append(tuple([(d.literal, n, q) for d, (n, q) in zip(law.head, probs)])
-                          + noop)
-        object.__setattr__(self, "_outcomes", tuple(tables))
+        object.__setattr__(self, "_outcomes", tuple(
+            tuple(table) + _noop(table) for table in
+            ([(d.literal, d.prob.numerator, d.prob.denominator) for d in law.head]
+             for law in self.laws)))
 
 
-_num_den = attrgetter("prob.numerator", "prob.denominator")
-
-
-def _noop(probs: tuple) -> tuple:
+def _noop(table: list) -> tuple:
     """The no-op outcome ``(None, num, den)`` that takes the remainder of
-    the probabilities ``num / den`` of ``probs``, in lowest terms, or
-    nothing when they sum to 1."""
-    for n, q in probs:
+    the probabilities ``num / den`` of the outcomes ``(literal, num, den)``
+    of ``table``, in lowest terms, or nothing when they sum to 1."""
+    for _, n, q in table:
         if not 0 < n <= q:
             raise TheoryError(f"probability {Fraction(n, q)} is not in (0, 1]")
-    den = lcm(*(q for _, q in probs))
-    rest = den - sum(n * (den // q) for n, q in probs)
+    if len(table) == 1:  # the rest of one denominator, in lowest terms
+        _, n, den = table[0]
+        return ((None, den - n, den),) if n < den else ()
+    den = lcm(*(q for _, _, q in table))
+    rest = den - sum(n * (den // q) for _, n, q in table)
     if rest < 0:
         raise TheoryError(f"head probabilities sum to {Fraction(den - rest, den)} > 1")
     k = gcd(rest, den)
@@ -454,11 +447,10 @@ def stratification_report(g: GroundTheory) -> StratificationReport:
     for law in g.laws:
         for disj in law.head:
             node.setdefault(disj.literal.atom, len(node))
-    heads = len(node)
     numbers: dict = {}  # predicate -> {args: node number}
     for a, j in node.items():
         numbers.setdefault(a.predicate, {})[a.args] = j
-    deps: list = [{} for _ in range(heads)]  # per head: {body head: negative}
+    deps: dict = {j: {} for j in node.values()}  # per head: {body head: negative}
     schemas = g._schemas
     if schemas is None:
         compiler = _Compiler(g.domains, {})
@@ -482,47 +474,46 @@ def stratification_report(g: GroundTheory) -> StratificationReport:
                 for j, negated in edges:
                     out[j] = negated or negated_head or out.get(j, False)
 
-    adj = [list(out) for out in deps]
-    radj: list = [[] for _ in range(heads)]
-    for i, js in enumerate(adj):
-        for j in js:
-            radj[j].append(i)
+    atoms = list(node)
+    offending = tuple(sorted((frozenset(map(atoms.__getitem__, members))
+                              for members in _negation_cycles(deps)), key=format_atom_set))
+    return StratificationReport(not offending, offending)
 
-    # Kosaraju
+
+def _negation_cycles(deps: dict) -> list:
+    """By Kosaraju, the node sets of the strongly connected components with a
+    negative internal edge, in the graph with an edge from each node n of
+    ``deps`` to each node m in the dict ``deps[n]``, negative if ``deps[n][m]``."""
+    radj: dict = {n: [] for n in deps}
+    for n, out in deps.items():
+        for m in out:
+            if m in radj:
+                radj[m].append(n)
     order: list = []
-    seen = [False] * heads
-    for start in range(heads):
-        if seen[start]:
-            continue
-        stack = [(start, iter(adj[start]))]
-        seen[start] = True
+    seen: set = set()
+    for start in deps:
+        stack = [] if start in seen else [(start, iter(deps[start]))]
+        seen.add(start)
         while stack:
-            i, it = stack[-1]
-            for j in it:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append((j, iter(adj[j])))
+            n, it = stack[-1]
+            for m in it:
+                if m in radj and m not in seen:
+                    seen.add(m)
+                    stack.append((m, iter(deps[m])))
                     break
             else:
-                order.append(i)
+                order.append(n)
                 stack.pop()
-    comp = [-1] * heads
+    comp: dict = {}  # node -> the first node of its component
     for start in reversed(order):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = start
-        while stack:
-            for j in radj[stack.pop()]:
-                if comp[j] < 0:
-                    comp[j] = start
-                    stack.append(j)
-
-    bad = {comp[i] for i, out in enumerate(deps)
-           for j, negative in out.items() if negative and comp[j] == comp[i]}
-    members: dict = {}
-    for i, a in enumerate(node):
-        if comp[i] in bad:
-            members.setdefault(comp[i], set()).add(a)
-    offending = tuple(sorted(map(frozenset, members.values()), key=format_atom_set))
-    return StratificationReport(not offending, offending)
+        if start not in comp:
+            comp[start] = start
+            stack = [start]
+            while stack:
+                for m in radj[stack.pop()]:
+                    if m not in comp:
+                        comp[m] = start
+                        stack.append(m)
+    bad = {comp[n] for n, out in deps.items()
+           for m, negative in out.items() if negative and comp.get(m) == comp[n]}
+    return [{n for n, c in comp.items() if c == b} for b in bad]

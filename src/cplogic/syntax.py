@@ -34,7 +34,7 @@ The printer is the parser's inverse up to formatting: for any theory value
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
@@ -174,6 +174,8 @@ class Theory:
     domains: dict  # name -> tuple of constants, declaration order kept
     exogenous: dict  # predicate -> arity
     laws: tuple[CPLaw, ...]
+    # `endogenous_signature`, kept by the parser or worked out on first use
+    _signature: dict | None = field(default=None, init=False, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +243,16 @@ def law_atoms(law: CPLaw) -> Iterator[Atom]:
 
 
 def endogenous_signature(t: Theory) -> dict:
-    """Predicate -> arity map for every predicate not declared exogenous."""
-    sig: dict = {}
-    for law in t.laws:
-        for atom in law_atoms(law):
-            if atom.predicate not in t.exogenous:
-                sig.setdefault(atom.predicate, len(atom.args))
-    return sig
+    """Predicate -> arity map for every predicate not declared exogenous,
+    walked out of the laws once per theory; treat it as read-only."""
+    if t._signature is None:
+        sig: dict = {}
+        for law in t.laws:
+            for atom in law_atoms(law):
+                if atom.predicate not in t.exogenous:
+                    sig.setdefault(atom.predicate, len(atom.args))
+        object.__setattr__(t, "_signature", sig)
+    return t._signature
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +365,10 @@ class _Parser:
                 self.expect_punct(".")
             else:
                 self.laws.append(self.parse_law())
-        return Theory(dict(self.domains), dict(self.exogenous), tuple(self.laws))
+        t = Theory(dict(self.domains), dict(self.exogenous), tuple(self.laws))
+        sig = {p: n for p, n in self.arity.items() if p not in self.exogenous}
+        object.__setattr__(t, "_signature", sig)
+        return t
 
     def parse_domain_decl(self):
         name_tok = self.expect_ident("domain name")

@@ -2,10 +2,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplogic import cli, theories
+from cplogic import cli, engine, theories
 from cplogic.engine import (Distribution, ExecState, ExogenousError,
                             SoundnessError, UMode, applicable, apply_disjunct,
                             build_execution_model, compute_U, distribution,
@@ -18,7 +18,8 @@ from cplogic.threeval import UnboundAtomError
 
 from helpers import (approximates, atom, atoms, leaf_paths,
                      mentioned_exogenous, quantified_theories,
-                     random_stratified_theory, total)
+                     random_deterministic_theory, random_stratified_theory,
+                     total)
 
 SUZY = theories.get("suzy_billy")
 SUZY_G = ground(SUZY)
@@ -389,16 +390,29 @@ def test_modes_agree_without_negative_heads(seed):
         == distribution(g, frozenset(), UMode.EXTENDED)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.one_of(st.integers(0, 10 ** 6).map(random_stratified_theory),
-                 quantified_theories(max_laws=3)), st.data())
-def test_a_theory_reported_stratified_never_gets_stuck(t, data):
-    # What slicing a stratified theory would rest on: the report is only a
-    # sufficient condition, and it must be sufficient in both modes.
-    g = ground(t)
-    assume(stratification_report(g).stratified)
-    mentioned = mentioned_exogenous(g)
-    X = frozenset(data.draw(st.lists(st.sampled_from(mentioned), unique=True))
-                  if mentioned else ())
-    for mode in UMode:
-        distribution(g, X, mode)
+def test_a_theory_reported_stratified_never_gets_stuck():
+    # What slicing a query rests on: the report on the theory and the check
+    # on the program compiled for X (`engine._stratified`) are sufficient
+    # conditions only, and each must be sufficient in both modes.  The draws
+    # include negation cycles, and each check must reject some of them.
+    verdicts = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.integers(0, 10 ** 6).map(random_stratified_theory),
+                     st.integers(0, 10 ** 6).map(random_deterministic_theory),
+                     quantified_theories(max_laws=3)), st.data())
+    def never_stuck(t, data):
+        g = ground(t)
+        mentioned = mentioned_exogenous(g)
+        X = frozenset(data.draw(st.lists(st.sampled_from(mentioned), unique=True))
+                      if mentioned else ())
+        reported = stratification_report(g).stratified
+        checked = engine._stratified(engine._Program(g, X))
+        assert checked or not reported  # the live program is a subgraph
+        verdicts.add(checked)
+        if checked:
+            for mode in UMode:
+                distribution(g, X, mode)
+
+    never_stuck()
+    assert verdicts == {True, False}

@@ -196,10 +196,21 @@ def test_compiled_bodies_agree_with_kleene_eval(phi, t, u, X):
     # time, against the evaluator that reads the formula itself
     u &= ~t
     bit = {a: 1 << k for k, a in enumerate(_ENDO)}
-    body, reads = engine._compile_body(phi, bit, X, frozenset(_EXO))
+    body, (pos, neg) = engine._compile_body(phi, bit, X, frozenset(_EXO))
     nu = ThreeValuedInterp(frozenset(_ENDO),
                            frozenset(a for a in _ENDO if t & bit[a]),
                            frozenset(a for a in _ENDO if u & bit[a]))
     assert body(t, u) == kleene_eval(phi, nu, X, frozenset(_EXO))
     # an atom that the body does not read cannot change its value
+    reads = pos | neg
     assert body(t & reads, u & reads) == body(t, u)
+    # raising an atom from f to u to t never lowers the value when the body
+    # reads it under an even number of ~ only, and never raises it when
+    # under an odd number only
+    for b in bit.values():
+        rest_t, rest_u = t & ~b, u & ~b
+        values = [body(rest_t, rest_u), body(rest_t, rest_u | b), body(rest_t | b, rest_u)]
+        if not b & neg:
+            assert values == sorted(values)
+        if not b & pos:
+            assert values == sorted(values, reverse=True)

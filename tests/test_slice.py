@@ -1,0 +1,153 @@
+"""`engine.query` on the relevant slice of a theory.
+
+When the program compiled for X is stratified, `query` runs `distribution`
+on the live laws that can cause or retract a query atom, or an atom that
+such a law reads, and on the whole theory otherwise.  Every answer must
+equal the one read off the whole theory's distribution, a theory that gets
+stuck included, and in extended mode the LPAD reading of a stratified
+theory (`tests/reference_lpad.py`).
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cplogic import engine, theories
+from cplogic.engine import SoundnessError, UMode, distribution, query
+from cplogic.ground import ground, stratification_report
+from cplogic.syntax import (TRUE, And, Not, Or, Theory, formula_atoms,
+                            parse_formula, parse_theory)
+
+from helpers import (mentioned_exogenous, quantified_theories,
+                     random_stratified_theory)
+from reference_lpad import lpad_distribution
+
+
+def _full(g, X, phi, mode):
+    """``phi``'s probability read off the whole theory's distribution."""
+    try:
+        return distribution(g, X, mode).prob(phi, X)
+    except SoundnessError:
+        return SoundnessError
+
+
+def _answer(g, X, phi, mode):
+    try:
+        return query(g, X, phi, mode)
+    except SoundnessError:
+        return SoundnessError
+
+
+def _sliced(g, X, phi) -> bool:
+    """Whether `query` runs on a slice of ``g`` for ``phi`` under ``X``."""
+    prog = engine._Program(g, X)
+    kept = engine._relevant(prog, formula_atoms(phi))
+    return len(kept) < len(prog.live) and engine._stratified(prog)
+
+
+def test_every_bundled_atom_query_equals_the_full_distribution():
+    sliced = stuck = 0
+    for name, bundled in theories.BUNDLED.items():
+        g = ground(bundled.theory())
+        for X in bundled.exo_cases:
+            for mode in UMode:
+                try:
+                    dist = distribution(g, X, mode)
+                except SoundnessError:
+                    dist = None
+                for a in sorted(g.endogenous_atoms, key=str):
+                    want = SoundnessError if dist is None else dist.prob(a, X)
+                    assert _answer(g, X, a, mode) == want, (name, X, mode, a)
+                    sliced += _sliced(g, X, a)
+                    stuck += dist is None
+    assert sliced and stuck  # both paths are taken
+
+
+def test_random_stratified_queries_equal_the_full_distribution():
+    sliced = 0
+    for seed in range(100):
+        g = ground(random_stratified_theory(seed))
+        for mode in UMode:
+            dist = distribution(g, frozenset(), mode)
+            for a in sorted(g.endogenous_atoms, key=str):
+                assert query(g, frozenset(), a, mode) == dist.prob(a), (seed, mode, a)
+                sliced += _sliced(g, frozenset(), a)
+    assert sliced > 60
+
+
+@st.composite
+def _queries(draw):
+    """A quantified theory with negative heads, an X over the exogenous
+    atoms its bodies mention, a mode, and a query over one or two of its
+    atoms."""
+    t = draw(quantified_theories())
+    g = ground(t)
+    mentioned = mentioned_exogenous(g)
+    X = frozenset(draw(st.lists(st.sampled_from(mentioned), unique=True))
+                  if mentioned else ())
+    pool = sorted(g.endogenous_atoms, key=str) + mentioned or [TRUE]
+    a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    phi = draw(st.sampled_from((a, Not(a), And((a, b)), Or((a, Not(b))))))
+    return g, X, draw(st.sampled_from(UMode)), phi
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_queries())
+def test_quantified_queries_equal_the_full_distribution(case):
+    g, X, mode, phi = case
+    assert _answer(g, X, phi, mode) == _full(g, X, phi, mode)
+
+
+def test_extended_queries_equal_the_lpad_reading_of_stratified_theories():
+    cases = [(b.theory(), X) for b in theories.BUNDLED.values() for X in b.exo_cases]
+    cases += [(random_stratified_theory(seed), frozenset()) for seed in range(40)]
+    checked = 0
+    for t, X in cases:
+        g = ground(t)
+        if not stratification_report(g).stratified:
+            continue
+        lpad = lpad_distribution(t, X)
+        for a in sorted(g.endogenous_atoms, key=str):
+            want = sum((p for world, p in lpad.items() if a in world), Fraction(0))
+            assert query(g, X, a) == want, (t, X, a)
+            checked += 1
+    assert checked > 100
+
+
+def test_a_one_coin_query_visits_that_coin_only(monkeypatch):
+    t = parse_theory("".join(f"(C{i}:1/2).\n" for i in range(10))
+                     + "Any <- " + " ; ".join(f"C{i}" for i in range(10)) + ".\n")
+    states = []
+    real = engine.satisfied_unfired
+
+    def counted(g, X, state):
+        states.append(state)
+        return real(g, X, state)
+
+    monkeypatch.setattr(engine, "satisfied_unfired", counted)
+    assert query(ground(t), frozenset(), parse_formula("C3", t)) == Fraction(1, 2)
+    assert len(states) <= 3  # the root and one state per side of C3
+    states.clear()
+    distribution(ground(t), frozenset())
+    whole = len(states)
+    states.clear()
+    query(ground(t), frozenset(), parse_formula("Any", t))
+    assert len(states) == whole > 1000  # every law reaches Any: no slice
+
+
+@pytest.mark.parametrize("loop, stuck", [
+    (theories.get("negation_loop").laws, tuple(UMode)),
+    # a cycle that only the negative head makes negative: A turns B on,
+    # which would retract A, so extended mode cannot decide B's body A
+    (parse_theory("A.\n~A <- B.\nB <- A.").laws, (UMode.EXTENDED,)),
+])
+def test_a_negation_loop_beside_a_coin_still_gets_stuck(loop, stuck):
+    t = Theory({}, {}, loop + parse_theory("(Coin:1/2).").laws)
+    g = ground(t)
+    coin = parse_formula("Coin", t)
+    assert len(engine._relevant(engine._Program(g, frozenset()), [coin])) == 1
+    for mode in stuck:
+        with pytest.raises(SoundnessError):
+            query(g, frozenset(), coin, mode)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplogic import theories
+from cplogic import syntax, theories
 from cplogic.syntax import (MAX_NESTING, And, Atom, ForAll, Not, Or, ParseError,
                             TheoryError, Theory, Truth, Var, _tokenize,
-                            check_theory, parse_assignment, parse_formula,
+                            check_theory, endogenous_signature,
+                            parse_assignment, parse_formula,
                             parse_literal, parse_theory, print_theory, TRUE)
 
 from helpers import total
@@ -417,3 +418,21 @@ def test_a_theory_vocabulary_follows_a_change_to_its_exogenous_declarations():
     del t.exogenous["E"]
     with pytest.raises(ParseError, match="unknown predicate 'E'"):
         parse_literal("E(c)", t)
+
+
+def test_a_theory_signature_is_walked_once_per_theory(monkeypatch):
+    walked = []
+    real = syntax.law_atoms
+    monkeypatch.setattr(syntax, "law_atoms", lambda law: walked.append(law) or real(law))
+    parsed = parse_theory("domain d = {c}.\nexogenous E/1.\nA <- B, E(c).\nP(c) <- ~A.")
+    for text in ("A", "P(c)", "E(c)"):
+        parse_formula(text, parsed)
+        parse_literal(text, parsed)
+    assert walked == []  # the parser keeps the signature it built
+    built = Theory(parsed.domains, parsed.exogenous, parsed.laws)
+    for text in ("A", "P(c)", "E(c)"):
+        parse_formula(text, built)
+        parse_literal(text, built)
+    assert walked == list(built.laws)  # one walk, on first use
+    assert endogenous_signature(built) == endogenous_signature(parsed) == {
+        "A": 0, "B": 0, "P": 1}
