@@ -10,13 +10,13 @@ oracles in `cplogic.oracle`.
 from .engine import (Distribution, ExecNode, ExecState, SoundnessError, UMode,
                      applicable, apply_disjunct, build_execution_model,
                      compute_U, distribution, query)
-from .ground import (GroundTheory, StratificationReport, ground,
+from .ground import (GroundTheory, StratificationReport, check_theory, ground,
                      stratification_report)
 from .oracle import (BudgetExceededError, OrderSweepReport, least_model,
                      sweep_orders, well_founded_model)
 from .syntax import (Atom, CPLaw, EffectLiteral, Formula, HeadDisjunct,
-                     ParseError, Theory, TheoryError, Var, check_theory,
-                     parse_formula, parse_literal, parse_theory, print_theory)
+                     ParseError, Theory, TheoryError, Var, parse_formula,
+                     parse_literal, parse_theory, print_theory)
 from .threeval import ThreeValuedInterp, holds, kleene_eval
 from .transform import (SharedHeadError, TransformError, intervene,
                         internalize, tau_not)

@@ -20,10 +20,10 @@ stands in for the bodies: the endogenous occurrences are interned over
 their domains (`_keys`), and each exogenous one is filed in a wake record
 under its constants, from which `_woken` finds the instances an X wakes.
 `ground` keeps each law with its occurrence list, and the stratification
-report reads its edges off those lists.  Domains and laws are checked
-first against the parser's rules (a law by `syntax.check_law`), a head
-that grounds to one atom in two disjuncts is rejected, and a ground theory
-builds each law's outcome table.
+report reads its edges off those lists.  The same walk holds each law to
+the parser's rules, so `check_theory` runs it too; domains are checked
+first, a head that grounds to one atom in two disjuncts is rejected, and a
+ground theory builds each law's outcome table.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
-                     HeadDisjunct, Not, Or, Theory, TheoryError, Truth, TRUE,
-                     FALSE, Var, check_law, format_atom_set)
+                     HeadDisjunct, Not, Or, ParseError, Theory, TheoryError,
+                     Truth, TRUE, FALSE, Var, format_atom_set, parse_theory,
+                     print_theory)
 from .threeval import kleene_junction
 
 
@@ -147,20 +148,71 @@ def _noop(table: list) -> tuple:
 
 class _Compiler:
     """Walks formulas over ``domains``, interning atoms in ``table``; an
-    atom of a predicate in ``exogenous`` is f at rest, any other atom u."""
+    atom of a predicate in ``exogenous`` is f at rest, any other atom u.
 
-    __slots__ = ("domains", "table", "exogenous")
+    Given ``arity``, each predicate's arity so far (declared exogenous or
+    used in an earlier law), every law walked is held to the parser's rules
+    and ``arity`` gains the predicates it uses first.  A break raises
+    `TheoryError` naming the culprit: what printing hides (an unbound
+    variable, an `And` or `Or` of fewer than two parts, a non-formula, a
+    probability that is not an `int` or a `Fraction`), a break of the
+    vocabulary (an exogenous head, a constant in no domain, a second arity)
+    or of a law rule (an empty head, an atom in two disjuncts, a binder
+    bound twice, an undeclared domain).
+    """
 
-    def __init__(self, domains: dict, table: dict, exogenous=()):
+    __slots__ = ("domains", "table", "exogenous", "arity", "constants")
+
+    def __init__(self, domains: dict, table: dict, exogenous=(), arity=None):
         self.domains, self.table, self.exogenous = domains, table, exogenous
+        self.arity = arity
+        if arity is not None:
+            self.constants = frozenset(itertools.chain.from_iterable(domains.values()))
 
     def law(self, law: CPLaw) -> tuple:
-        """``law``'s binder scope, and its body's template, value at rest
-        and occurrence list (`walk`)."""
+        """``law``'s binder scope, its head (`head`), and its body's
+        template, value at rest and occurrence list (`walk`)."""
         scope = _scope(law, self.domains)
+        head = self.head(law, scope)
         found: list = []
         template, rest = self.walk(law.body, scope, len(scope), False, found)
-        return scope, template, rest, found
+        return scope, head, template, rest, found
+
+    def head(self, law: CPLaw, scope: dict) -> list:
+        """Per disjunct of ``law``'s head, ``(negated, template, prob)``,
+        the template a function of the binder values that returns the
+        disjunct's atom, interned in ``table``."""
+        if self.arity is not None:
+            if not law.head:
+                raise TheoryError("law has an empty head")
+            seen: set = set()
+            for d in law.head:
+                if type(d.prob) not in (int, Fraction):
+                    raise TheoryError(f"probability {d.prob!r} is not an int or a Fraction")
+                atom = d.literal.atom
+                self.check(atom, scope)
+                if atom.predicate in self.exogenous:
+                    raise TheoryError(f"exogenous atom {atom} may not occur in a head")
+                if atom in seen:
+                    raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
+                seen.add(atom)
+        return [(d.literal.negated, _atom_template(d.literal.atom, scope, self.table)[1],
+                 d.prob) for d in law.head]
+
+    def check(self, atom: Atom, scope: dict) -> None:
+        """Raise `TheoryError` for a variable of ``atom`` that ``scope``
+        does not bind, a constant in no domain, or a second arity of its
+        predicate."""
+        for a in atom.args:
+            if isinstance(a, Var):
+                if a.name not in scope:
+                    raise TheoryError(f"unbound variable {a.name!r}")
+            elif a.__hash__ is None or a not in self.constants:  # a list, say
+                raise TheoryError(f"undeclared constant {a!r} (not in any domain)")
+        pred, n = atom.predicate, len(atom.args)
+        if self.arity.setdefault(pred, n) != n:
+            raise TheoryError(f"predicate {pred!r} used with arity {n}, "
+                              f"previously {self.arity[pred]}")
 
     def walk(self, phi: Formula, scope: dict, slot: int, negated: bool,
              found: list) -> tuple:
@@ -174,6 +226,8 @@ class _Compiler:
         number of negations and ``args`` as in `_atom_template`."""
         match phi:
             case Atom(pred):
+                if self.arity is not None:
+                    self.check(phi, scope)
                 args, template = _atom_template(phi, scope, self.table)
                 found.append((phi, negated, args))
                 return template, 0 if pred in self.exogenous else 1
@@ -183,6 +237,8 @@ class _Compiler:
                 sub, rest = self.walk(sub, scope, slot, not negated, found)
                 return (lambda env: Not(sub(env))), 2 - rest
             case And(parts) | Or(parts):
+                if len(parts) < 2 and self.arity is not None:
+                    raise TheoryError("conjunction/disjunction needs at least two parts")
                 node = type(phi)
                 subs, rests = zip(*[self.walk(p, scope, slot, negated, found)
                                     for p in parts])
@@ -209,11 +265,15 @@ class _Compiler:
                         parts.append(sub(env))
                     return parts[0] if len(parts) == 1 else node(tuple(parts))
                 return quantified, rest
-        raise TypeError(f"not a formula: {phi!r}")
+        raise (TypeError if self.arity is None else TheoryError)(
+            f"not a formula: {phi!r}")
 
 
 def _scope(law: CPLaw, domains: dict) -> dict:
     """Binder j of ``law`` as ``{variable: (j, domain)}``."""
+    names = [v for v, _ in law.vars]
+    if len(set(names)) < len(names):
+        raise TheoryError(f"law variable {_repeated(names)!r} bound twice")
     scope = {}
     for j, (v, d) in enumerate(law.vars):
         if d not in domains:
@@ -316,11 +376,9 @@ def expand_formula(phi: Formula, env: dict, domains: dict) -> Formula:
 _assignments = itertools.product
 
 
-def _instances(law: CPLaw, scope: dict, table: dict):
-    """Per instance of ``law``, its binder values and its ground head, the
-    head atoms interned in ``table``."""
-    head = [(d.literal.negated, _atom_template(d.literal.atom, scope, table)[1],
-             d.prob) for d in law.head]
+def _instances(scope: dict, head: list):
+    """Per assignment of the binders in ``scope``, their values and the
+    ground head of ``head``, a law's head as `_Compiler.head` gives it."""
     for values in _assignments(*(dom for _, dom in scope.values())):
         yield values, tuple([HeadDisjunct(EffectLiteral(negated, atom(values)), prob)
                              for negated, atom, prob in head])
@@ -333,7 +391,8 @@ def law_instances(law: CPLaw, domains: dict):
     either expands its quantifiers or only substitutes ``env``.
     """
     names = [v for v, _ in law.vars]
-    for values, head in _instances(law, _scope(law, domains), {}):
+    scope = _scope(law, domains)
+    for values, head in _instances(scope, _Compiler(domains, {}).head(law, scope)):
         yield dict(zip(names, values)), head
 
 
@@ -343,31 +402,29 @@ def ground(t: Theory) -> GroundTheory:
     Every atom of a predicate not declared exogenous is endogenous.  The
     exogenous universe comes from the declarations, not from mentions: an
     interpretation X may set any ground exogenous atom, mentioned or not.
-    A domain that lists a constant twice, and a law that `syntax.check_law`
-    rejects or that quantifies over an undeclared domain, are rejected
-    with `TheoryError`, whether or not the law has instances.
+    A domain that lists a constant twice, and a law that breaks a rule of
+    the parser (`_Compiler`), are rejected with `TheoryError`, whether or
+    not the law has instances.
     """
     for name, consts in t.domains.items():
         if len(set(consts)) < len(consts):
             raise TheoryError(
                 f"constant {_repeated(consts)!r} listed twice in domain {name!r}")
     arity = dict(t.exogenous)
-    for law in t.laws:
-        check_law(law, t, arity)
     table: dict = {}  # predicate -> {args: atom}, every atom the laws mention
-    compiler = _Compiler(t.domains, table, t.exogenous)
+    compiler = _Compiler(t.domains, table, t.exogenous, arity)
     expanded: set = set()  # (predicate, args) of the dormant occurrences interned
     wakers: dict = {pred: {} for pred in t.exogenous}  # the wake record
     dormant: list = []
     schemas: list = []
     laws: list = []
     for law in t.laws:
-        scope, body, rest, found = compiler.law(law)
+        scope, head, body, rest, found = compiler.law(law)
         schemas.append((law, found))
         # no exogenous predicate: a dormant body is false outright and rare
         asleep = bool(t.exogenous) and not rest
         first = len(laws)
-        for values, head in _instances(law, scope, table):
+        for values, head in _instances(scope, head):
             if len(head) > 1 and len({d.literal.atom for d in head}) < len(head):
                 atom = _repeated([d.literal.atom for d in head])
                 raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
@@ -399,6 +456,25 @@ def ground(t: Theory) -> GroundTheory:
                         ("_schemas", tuple(schemas)), ("_arity", arity)):
         object.__setattr__(g, name, value)
     return g
+
+
+def check_theory(t: Theory) -> None:
+    """Raise `TheoryError` unless ``t`` is well formed.
+
+    A theory value is well formed exactly when its printed text parses back
+    to it, so the parser's rules are the only ones.  The walk that `ground`
+    compiles each law with (`_Compiler`) first catches what printing hides
+    and what breaks the theory's vocabulary.
+    """
+    compiler = _Compiler(t.domains, {}, t.exogenous, dict(t.exogenous))
+    for law in t.laws:
+        compiler.law(law)
+    try:
+        parsed = parse_theory(print_theory(t))
+    except ParseError as exc:
+        raise TheoryError(exc.message) from None
+    if parsed != t:
+        raise TheoryError("theory does not print as itself")
 
 
 def _repeated(items: list):
@@ -454,7 +530,7 @@ def stratification_report(g: GroundTheory) -> StratificationReport:
     schemas = g._schemas
     if schemas is None:
         compiler = _Compiler(g.domains, {})
-        schemas = [(law, compiler.law(law)[3]) for law in g.laws]
+        schemas = [(law, compiler.law(law)[4]) for law in g.laws]
     laws = iter(g.laws)
     for schema, found in schemas:
         body = [(numbers[a.predicate], negated, args, {}, sorted(

@@ -28,7 +28,8 @@ token.
 
 The printer is the parser's inverse up to formatting: for any theory value
 ``t`` produced by `parse_theory`, ``parse_theory(print_theory(t)) == t``.
-`check_theory` accepts a value built in code exactly when that holds for it.
+`ground.check_theory` accepts a value built in code exactly when that holds
+for it.
 """
 
 from __future__ import annotations
@@ -702,94 +703,3 @@ def print_theory(t: Theory) -> str:
     for law in t.laws:
         lines.append(print_law(law))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ---------------------------------------------------------------------------
-# Whole-theory validation (for programmatically built values)
-# ---------------------------------------------------------------------------
-
-def check_theory(t: Theory) -> None:
-    """Raise `TheoryError` unless ``t`` is well formed.
-
-    A theory value is well formed exactly when its printed text parses back
-    to it, so the parser's rules are the only ones.  `check_law` first
-    catches what printing hides and what breaks the theory's vocabulary.
-    """
-    arity = dict(t.exogenous)
-    for law in t.laws:
-        check_law(law, t, arity)
-    try:
-        parsed = parse_theory(print_theory(t))
-    except ParseError as exc:
-        raise TheoryError(exc.message) from None
-    if parsed != t:
-        raise TheoryError("theory does not print as itself")
-
-
-def check_law(law: CPLaw, t: Theory, arity: dict) -> None:
-    """Raise `TheoryError` for what printing hides in ``law``, a law of
-    ``t``, for what breaks the vocabulary of ``t``, and for the law rules
-    of the parser that grounding relies on.
-
-    Printing hides variables that no binder or quantifier binds, which print
-    like constants, `And`/`Or` nodes with fewer than two parts, which print
-    like their part, values that are not formulas at all, and
-    probabilities that are not an `int` or a `Fraction` (``0.5`` prints as
-    the `Fraction` 1/2).  The vocabulary is broken by an exogenous predicate
-    in a head, a constant in no domain and a predicate used with two
-    arities: ``arity`` holds each predicate declared exogenous or used in an
-    earlier law, and gains those that ``law`` uses first.  The law rules
-    are a head with at least one disjunct, no atom in two disjuncts of one
-    head, and no law variable bound twice.
-    """
-    bound: set = set()
-    for v, _ in law.vars:
-        if v in bound:
-            raise TheoryError(f"law variable {v!r} bound twice")
-        bound.add(v)
-    if not law.head:
-        raise TheoryError("law has an empty head")
-    heads: set = set()
-    for d in law.head:
-        if type(d.prob) not in (int, Fraction):
-            raise TheoryError(f"probability {d.prob!r} is not an int or a Fraction")
-        atom = d.literal.atom
-        _check_formula(atom, bound, t.domains, arity)
-        if atom.predicate in t.exogenous:
-            raise TheoryError(f"exogenous atom {atom} may not occur in a head")
-        if atom in heads:
-            raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
-        heads.add(atom)
-    _check_formula(law.body, bound, t.domains, arity)
-
-
-def _check_formula(phi: Formula, bound: set, domains: dict, arity: dict) -> None:
-    match phi:
-        case Atom(pred, args):
-            for a in args:
-                if isinstance(a, Var):
-                    if a.name not in bound:
-                        raise TheoryError(f"unbound variable {a.name!r}")
-                else:
-                    for consts in domains.values():
-                        if a in consts:
-                            break
-                    else:
-                        raise TheoryError(
-                            f"undeclared constant {a!r} (not in any domain)")
-            if arity.setdefault(pred, len(args)) != len(args):
-                raise TheoryError(f"predicate {pred!r} used with arity "
-                                  f"{len(args)}, previously {arity[pred]}")
-        case Truth():
-            pass
-        case Not(sub):
-            _check_formula(sub, bound, domains, arity)
-        case And(parts) | Or(parts):
-            if len(parts) < 2:
-                raise TheoryError("conjunction/disjunction needs at least two parts")
-            for p in parts:
-                _check_formula(p, bound, domains, arity)
-        case ForAll(var, _, sub) | Exists(var, _, sub):
-            _check_formula(sub, bound | {var}, domains, arity)
-        case _:
-            raise TheoryError(f"not a formula: {phi!r}")

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .ground import law_instances
+from .ground import check_theory, law_instances
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
-                     HeadDisjunct, Not, Or, Theory, TRUE, Var, check_theory,
+                     HeadDisjunct, Not, Or, Theory, TRUE, Var,
                      endogenous_signature, substitute_formula)
 
 

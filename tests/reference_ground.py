@@ -2,12 +2,14 @@
 
 `cplogic.ground` compiles each law into a template of closures, interns
 atoms, counts the exogenous universe, builds each law's outcome table with
-integers and finds cycles over head atoms only.  The functions here do the
-same work the plain way: `expand_formula` substitutes and expands node by
-node with a fresh environment per constant, `ground` lists the exogenous
-universe in full, `outcomes` adds up a head with `Fraction`s, and
-`stratification_report` runs Kosaraju over every atom of the dependency
-graph.  The tests check that both give equal values.
+integers and finds cycles over head atoms only, and the walk that compiles
+a law also checks it.  The functions here do the same work the plain way:
+`check_law` states the parser's law rules in a walk of its own,
+`expand_formula` substitutes and expands node by node with a fresh
+environment per constant, `ground` lists the exogenous universe in full,
+`outcomes` adds up a head with `Fraction`s, and `stratification_report`
+runs Kosaraju over every atom of the dependency graph.  The tests check
+that both give equal values, and raise equal errors.
 """
 
 import itertools
@@ -16,8 +18,67 @@ from fractions import Fraction
 from cplogic.ground import GroundTheory, StratificationReport
 from cplogic.syntax import (FALSE, TRUE, And, Atom, CPLaw, EffectLiteral,
                             Exists, ForAll, HeadDisjunct, Not, Or, Truth,
-                            TheoryError, check_law, formula_atom_polarities,
+                            TheoryError, Var, formula_atom_polarities,
                             law_atoms, substitute_atom)
+
+
+def check_law(law, t, arity):
+    """Raise `TheoryError` unless ``law`` keeps the parser's law rules in
+    theory ``t``: binders first, then the head, then the body.  ``arity``
+    maps each predicate declared or used in an earlier law to its arity
+    and gains those that ``law`` uses first."""
+    names = [v for v, _ in law.vars]
+    for k, v in enumerate(names):
+        if v in names[:k]:
+            raise TheoryError(f"law variable {v!r} bound twice")
+    for _, d in law.vars:
+        if d not in t.domains:
+            raise TheoryError(f"undeclared domain {d!r}")
+    if not law.head:
+        raise TheoryError("law has an empty head")
+    for k, disj in enumerate(law.head):
+        if isinstance(disj.prob, bool) or not isinstance(disj.prob, (int, Fraction)):
+            raise TheoryError(f"probability {disj.prob!r} is not an int or a Fraction")
+        atom = disj.literal.atom
+        check_atom(atom, set(names), t, arity)
+        if atom.predicate in t.exogenous:
+            raise TheoryError(f"exogenous atom {atom} may not occur in a head")
+        if atom in [d.literal.atom for d in law.head[:k]]:
+            raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
+    check_formula(law.body, set(names), t, arity)
+
+
+def check_atom(atom, bound, t, arity):
+    for a in atom.args:
+        if isinstance(a, Var) and a.name not in bound:
+            raise TheoryError(f"unbound variable {a.name!r}")
+        if not isinstance(a, Var) and not any(a in c for c in t.domains.values()):
+            raise TheoryError(f"undeclared constant {a!r} (not in any domain)")
+    first = arity.setdefault(atom.predicate, len(atom.args))
+    if first != len(atom.args):
+        raise TheoryError(f"predicate {atom.predicate!r} used with arity "
+                          f"{len(atom.args)}, previously {first}")
+
+
+def check_formula(phi, bound, t, arity):
+    match phi:
+        case Atom():
+            check_atom(phi, bound, t, arity)
+        case Truth():
+            pass
+        case Not(sub):
+            check_formula(sub, bound, t, arity)
+        case And(parts) | Or(parts):
+            if len(parts) < 2:
+                raise TheoryError("conjunction/disjunction needs at least two parts")
+            for p in parts:
+                check_formula(p, bound, t, arity)
+        case ForAll(var, dom, sub) | Exists(var, dom, sub):
+            if dom not in t.domains:
+                raise TheoryError(f"undeclared domain {dom!r}")
+            check_formula(sub, bound | {var}, t, arity)
+        case _:
+            raise TheoryError(f"not a formula: {phi!r}")
 
 
 def expand_formula(phi, env, domains):

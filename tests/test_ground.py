@@ -11,11 +11,11 @@ import cplogic
 from cplogic import theories
 from cplogic.cli import main
 from cplogic.engine import distribution
-from cplogic.ground import (GroundTheory, expand_formula, ground,
+from cplogic.ground import (GroundTheory, check_theory, expand_formula, ground,
                             stratification_report)
 from cplogic.syntax import (FALSE, TRUE, And, Atom, CPLaw, EffectLiteral,
                             Exists, ForAll, HeadDisjunct, Or, Theory,
-                            TheoryError, Var, check_theory, formula_atoms,
+                            TheoryError, Var, formula_atoms,
                             parse_theory)
 
 from helpers import atom, atoms

@@ -6,20 +6,24 @@ random quantified theories (the print∘parse strategy, plus a hand-written
 one with every tricky binder shape), on random propositional programs full
 of negation cycles and on the bundled theories, the ground theories and
 their outcome tables must be equal and the stratification reports equal
-field by field, also before any dormant body has been built.  The
-reference sorts offending cycles by a hash-seed dependent root, so those
-are compared in printed order.
+field by field, also before any dormant body has been built.  A law built
+in code that breaks one of the parser's rules must raise the same error
+through `ground`, the reference and `check_theory`.  The reference sorts
+offending cycles by a hash-seed dependent root, so those are compared in
+printed order.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 
 from cplogic import theories
-from cplogic.ground import (expand_formula, ground, law_instances,
-                            stratification_report)
-from cplogic.syntax import (TRUE, And, Atom, EffectLiteral, TheoryError,
+from cplogic.ground import (check_theory, expand_formula, ground,
+                            law_instances, stratification_report)
+from cplogic.syntax import (TRUE, And, Atom, CPLaw, EffectLiteral, Exists,
+                            HeadDisjunct, Theory, TheoryError, Var,
                             format_atom_set, parse_theory)
 
 import reference_ground as ref
@@ -116,3 +120,27 @@ def test_code_built_oddities_are_rejected():
         for grounding in (ground, ref.ground):
             with pytest.raises(TheoryError, match=f"^{message}$"):
                 grounding(replace(t, laws=t.laws + (odd,)))
+
+
+def _law(head, body=TRUE, prob=Fraction(1)):
+    return CPLaw((), (HeadDisjunct(EffectLiteral(False, head), prob),), body)
+
+
+@pytest.mark.parametrize("law, message", [
+    (_law(Atom("A"), "B"), "not a formula: 'B'"),
+    (_law(Atom("A"), prob=0.5), "probability 0.5 is not an int or a Fraction"),
+    (_law(Atom("P", ("zz",))), r"undeclared constant 'zz' \(not in any domain\)"),
+    (_law(Atom("A"), Atom("P", (["a"],))),
+     r"undeclared constant \['a'\] \(not in any domain\)"),
+    (_law(Atom("P", ("a",)), Atom("P")), "predicate 'P' used with arity 0, previously 1"),
+    (_law(Atom("A"), Exists("x", "d", Atom("Q", (Var("x"), Var("y"))))),
+     "unbound variable 'y'"),
+    (_law(Atom("A"), Exists("x", "ghost", Atom("Q", (Var("x"), "a")))),
+     "undeclared domain 'ghost'"),
+], ids=["not a formula", "float", "head constant", "unhashable constant", "arity",
+        "unbound", "domain"])
+def test_a_law_built_in_code_is_rejected_alike_by_ground_reference_and_check(law, message):
+    t = Theory({"d": ("a",)}, {}, (law,))
+    for check in (ground, ref.ground, check_theory):
+        with pytest.raises(TheoryError, match=f"^{message}$"):
+            check(t)

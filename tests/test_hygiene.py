@@ -8,7 +8,9 @@ code that only the tests read belongs with the tests.  The same holds for
 every public method and property of a class that ``__all__`` exports: the
 package must read it outside its own definition, or the documents name it.  An import statement
 carrying ``# noqa: F401`` binds names on purpose, and a name that
-``__init__`` lists in ``__all__`` is a re-export.
+``__init__`` lists in ``__all__`` is a re-export.  The modules form layers
+(`LAYERS`): each imports only from layers below its own, and only at the
+top of the module, never inside a function.
 """
 
 import ast
@@ -23,6 +25,11 @@ import cplogic
 PACKAGE = Path(cplogic.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 ROOT = PACKAGE.parents[1]
+
+
+# Each package module by layer, lowest first; ``__init__`` re-exports all.
+LAYERS = {"syntax": 0, "threeval": 1, "theories": 1, "ground": 2, "engine": 3,
+          "oracle": 4, "transform": 4, "cli": 5}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -134,3 +141,35 @@ def test_every_public_method_of_an_exported_class_is_read_or_documented():
               and reads[node.name] == _attribute_reads(node).count(node.name)
               and node.name not in named]
     assert not unused, f"public methods only the tests can use: {unused}"
+
+
+def _module(path: Path) -> str:
+    """The package module that ``path`` holds, by its first part."""
+    return path.relative_to(PACKAGE).with_suffix("").parts[0]
+
+
+def _imported(node: ast.Import | ast.ImportFrom) -> list:
+    """The package modules that an import statement imports from."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("cplogic.")]
+    module = node.module or ""
+    if not node.level:
+        if module.split(".")[0] != "cplogic":
+            return []
+        module = module.partition(".")[2]
+    return [module.split(".")[0]] if module else [a.name for a in node.names]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p != PACKAGE / "__init__.py"],
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_every_module_imports_only_from_the_layers_below_it(path):
+    tree = _tree(path)
+    layer = LAYERS[_module(path)]
+    wrong = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if node not in tree.body:
+                wrong.append(f"line {node.lineno}: an import inside a block")
+            wrong.extend(f"line {node.lineno}: {target}" for target in _imported(node)
+                         if LAYERS[target] >= layer)
+    assert not wrong, f"{path.name} breaks the layering: {wrong}"

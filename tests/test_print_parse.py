@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplogic.ground import ground
+from cplogic.ground import check_theory, ground
 from cplogic.syntax import (KEYWORDS, MAX_NESTING, FALSE, TRUE, And, Atom,
                             CPLaw, EffectLiteral, Exists, ForAll,
                             HeadDisjunct, Not, Or, Theory, TheoryError, Var,
-                            check_theory, endogenous_signature, parse_theory,
-                            print_theory)
+                            endogenous_signature, parse_theory, print_theory)
 
 from helpers import apart_when_ground
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cplogic import syntax, theories
+from cplogic.ground import check_theory
 from cplogic.syntax import (MAX_NESTING, And, Atom, ForAll, Not, Or, ParseError,
                             TheoryError, Theory, Truth, Var, _tokenize,
-                            check_theory, endogenous_signature,
+                            endogenous_signature,
                             parse_assignment, parse_formula,
                             parse_literal, parse_theory, print_theory, TRUE)
 
