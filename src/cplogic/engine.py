@@ -17,15 +17,15 @@ over it that follow the lowest-index applicable law per state;
 checks that the firing order does not change the distribution.
 
 States are classified against a `_Program`: the ground theory compiled once
-per X, and kept on the `GroundTheory` itself.  Atoms become bits, each
-body a Kleene evaluator over a pair of bit masks with X folded in, and each
-head atom carries the laws whose bodies read it.  A dormant law that X
-does not wake is neither walked nor has its body built: X's atoms are
-matched against the grounding's wake record, one entry per exogenous
-atom occurrence of a dormant schema (`ground._woken`).  `compute_U` is a
-worklist fixpoint over that index; the two-valued body test and the U
-gate run the same compiled bodies.  `query` runs only the laws that reach
-its atoms in that program when the program is stratified (`_relevant`).
+per X, and kept on the `GroundTheory` itself.  Atoms become bits, each body
+a Kleene evaluator over a pair of bit masks with X folded in, and each head
+atom carries the laws whose bodies read it.  A dormant law that X does not
+wake is neither walked nor has its body built: X's atoms are matched against
+the grounding's wake record, one entry per exogenous atom occurrence of a
+dormant schema (`ground._woken`).  `compute_U` is a worklist fixpoint over
+that index; the two-valued body test and the U gate run the same compiled
+bodies.  `query` runs only the live laws that reach its atoms, on a copy of
+that program, when it is stratified (`_slice`).
 
 All probabilities are exact.  While the fold runs, a state's
 sub-distribution is one integer denominator ``D`` and an integer numerator
@@ -39,7 +39,8 @@ once, at the root, and checks that the distribution sums to exactly 1.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -139,8 +140,8 @@ class _Program:
     and ``reads[i]`` the masks it reads as `_compile_body` gives them.
     ``heads[i]`` has one ``(negated, bit, readers)`` per head disjunct,
     ``readers`` being the laws whose compiled bodies read that atom.
-    ``live`` lists the laws whose bodies X does not make false outright,
-    and ``writers[bit]`` the live laws with that atom in a head.
+    ``live`` lists the laws that may fire, in index order: those whose
+    bodies X does not make false outright, or a query's slice of them.
     ``last_U`` is the latest U built by `compute_U` with its masks.
     A dormant law, whose body `ground` found f at rest, that no atom of X
     wakes (`ground._woken`) gets `_FALSE` and reads nothing, as its compile
@@ -148,7 +149,7 @@ class _Program:
     An X outside the exogenous universe raises `ExogenousError`.
     """
 
-    __slots__ = ("atoms", "bit", "bodies", "reads", "heads", "live", "writers", "last_U")
+    __slots__ = ("atoms", "bit", "bodies", "reads", "heads", "live", "last_U")
 
     def __init__(self, g: GroundTheory, X: frozenset):
         extra = [a for a in X if a not in g.exogenous_atoms]
@@ -166,13 +167,11 @@ class _Program:
                           if body is not _FALSE)
         heads = [[(d.literal.negated, self.bit[d.literal.atom]) for d in law.head]
                  for law in g.laws]
-        readers, self.writers = {}, {}
+        readers: dict = {}
         for i in self.live:  # a law that is not live reads nothing
             pos, neg = self.reads[i]
             for b in _bits(pos | neg):
                 readers.setdefault(b, []).append(i)
-            for _, b in heads[i]:
-                self.writers.setdefault(b, []).append(i)
         self.heads = tuple(
             tuple([(negated, b, tuple(readers.get(b, ()))) for negated, b in head])
             for head in heads)
@@ -551,8 +550,9 @@ def query(g: GroundTheory, X: frozenset, phi: Formula,
     """Probability mass of the worlds satisfying ground-expanded ``phi``, an
     atom of the theory's vocabulary that no law mentions being false.
 
-    When the program compiled for X is stratified, only the live laws that
-    reach ``phi``'s atoms run (`_relevant`): no other law changes what they read."""
+    When the program compiled for X is stratified, a copy of it runs with only
+    the live laws that reach ``phi``'s atoms (`_slice`): no other law changes
+    what they read.  ``g``'s own memo is left as it was."""
     phi = expand_formula(phi, {}, g.domains)
     arity = g._arity or {a.predicate: len(a.args) for a in g.endogenous_atoms}
     constants = set().union(*g.domains.values())
@@ -564,33 +564,22 @@ def query(g: GroundTheory, X: frozenset, phi: Formula,
     # compute_U compiles g for X, as in _fold; with every law fired, U is cheap
     compute_U(g, X, ExecState(frozenset(), frozenset(), frozenset(range(len(g.laws)))))
     prog = _program(g, X)
-    kept = _relevant(prog, formula_atoms(phi))
-    if len(kept) < len(prog.live) and _stratified(prog):
-        g = replace(g, laws=tuple(map(g.laws.__getitem__, kept)))
+    kept, stratified = _slice(prog, formula_atoms(phi))
+    if stratified:
+        prog = copy(prog)
+        prog.live = kept
+        g = copy(g)
+        object.__setattr__(g, "_compiled", (X, prog))
     return distribution(g, X, mode).prob(phi, X)
 
 
-def _relevant(prog: _Program, atoms) -> list:
+def _slice(prog: _Program, atoms) -> tuple[tuple, bool | None]:
     """The live laws that can cause or retract one of ``atoms``, or an atom
-    that such a law's compiled body reads, in index order."""
-    writers, reads, kept = prog.writers, prog.reads, set()
-    seen, todo = 0, prog.mask({a for a in atoms if a in prog.bit})
-    while todo:  # the atoms first reached in the last round
-        seen |= todo
-        found = 0
-        for b in _bits(todo):
-            for i in writers.get(b, ()):
-                if i not in kept:
-                    kept.add(i)
-                    found |= reads[i][0] | reads[i][1]
-        todo = found & ~seen
-    return sorted(kept)
-
-
-def _stratified(prog: _Program) -> bool:
-    """Whether no cycle is negative in the graph with an edge from each head
-    atom of a live law to each atom its body reads, negative when read under
-    an odd number of ``~`` or when the head literal is negative."""
+    that such a law's compiled body reads, in index order; and, when those
+    are not all the live laws, whether the live program is stratified, else
+    None.  Both are read off one graph, with an edge from each head atom of
+    a live law to each atom its body reads, negative when read under an odd
+    number of ``~`` or when the head literal is negative."""
     deps: dict = {}  # head bit -> {read bit: negative}
     for i in prog.live:
         pos, neg = prog.reads[i]
@@ -598,4 +587,14 @@ def _stratified(prog: _Program) -> bool:
             out = deps.setdefault(b, {})
             for r in _bits(pos | neg):
                 out[r] = negated or bool(r & neg) or out.get(r, False)
-    return not _negation_cycles(deps)
+    todo = [prog.bit[a] for a in atoms if a in prog.bit]
+    reached = set(todo)
+    while todo:
+        for r in deps.get(todo.pop(), ()):
+            if r not in reached:
+                reached.add(r)
+                todo.append(r)
+    kept = tuple(i for i in prog.live
+                 if any(b in reached for _, b, _ in prog.heads[i]))
+    return kept, (None if len(kept) == len(prog.live)
+                  else not _negation_cycles(deps))

@@ -148,6 +148,14 @@ def _count_built_bodies(monkeypatch) -> list:
     return built
 
 
+def test_a_dormant_law_answers_other_questions_without_its_body(monkeypatch):
+    built = _count_built_bodies(monkeypatch)
+    law = _reachability(2).laws[0]
+    assert isinstance(law, _DormantLaw)
+    assert law != "Reach(v0)" and not hasattr(law, "missing")
+    assert built == [] and "body" not in vars(law)
+
+
 def test_only_what_x_wakes_has_its_body_built(monkeypatch):
     built = _count_built_bodies(monkeypatch)
     g = _reachability(12)

@@ -306,6 +306,7 @@ def test_the_exogenous_universe_is_counted_not_listed():
     assert atom("R(c99,c0,c7)") in universe
     assert atom("R(c0,c1)") not in universe and atom("R(c0,c1,zz)") not in universe
     assert "R" not in universe
+    assert repr(universe) == "<1000000 exogenous atoms>"
     assert frozenset({atom("R(c0,c1,c2)"), atom("Q")}) - universe == {atom("Q")}
     small = ground(parse_theory("domain d = {a, b}.\nexogenous E/0, R/2.\nA."))
     assert sorted(map(str, small.exogenous_atoms)) == \

@@ -2,7 +2,8 @@
 
 When the program compiled for X is stratified, `query` runs `distribution`
 on the live laws that can cause or retract a query atom, or an atom that
-such a law reads, and on the whole theory otherwise.  Every answer must
+such a law reads, and on the whole theory otherwise; the slice runs on the
+program already compiled for X, so no law is compiled twice.  Every answer must
 equal the one read off the whole theory's distribution, a theory that gets
 stuck included, and in extended mode the LPAD reading of a stratified
 theory (`tests/reference_lpad.py`).
@@ -42,9 +43,7 @@ def _answer(g, X, phi, mode):
 
 def _sliced(g, X, phi) -> bool:
     """Whether `query` runs on a slice of ``g`` for ``phi`` under ``X``."""
-    prog = engine._Program(g, X)
-    kept = engine._relevant(prog, formula_atoms(phi))
-    return len(kept) < len(prog.live) and engine._stratified(prog)
+    return bool(engine._slice(engine._Program(g, X), formula_atoms(phi))[1])
 
 
 def test_every_bundled_atom_query_equals_the_full_distribution():
@@ -116,9 +115,12 @@ def test_extended_queries_equal_the_lpad_reading_of_stratified_theories():
     assert checked > 100
 
 
+_COINS = parse_theory("".join(f"(C{i}:1/2).\n" for i in range(10))
+                      + "Any <- " + " ; ".join(f"C{i}" for i in range(10)) + ".\n")
+
+
 def test_a_one_coin_query_visits_that_coin_only(monkeypatch):
-    t = parse_theory("".join(f"(C{i}:1/2).\n" for i in range(10))
-                     + "Any <- " + " ; ".join(f"C{i}" for i in range(10)) + ".\n")
+    t = _COINS
     states = []
     real = engine.satisfied_unfired
 
@@ -147,7 +149,40 @@ def test_a_negation_loop_beside_a_coin_still_gets_stuck(loop, stuck):
     t = Theory({}, {}, loop + parse_theory("(Coin:1/2).").laws)
     g = ground(t)
     coin = parse_formula("Coin", t)
-    assert len(engine._relevant(engine._Program(g, frozenset()), [coin])) == 1
+    kept, stratified = engine._slice(engine._Program(g, frozenset()), [coin])
+    assert len(kept) == 1 and stratified is False  # the gate refuses the slice
     for mode in stuck:
         with pytest.raises(SoundnessError):
             query(g, frozenset(), coin, mode)
+
+
+def test_a_sliced_query_runs_on_the_program_compiled_for_X(monkeypatch):
+    t, X = _COINS, frozenset()
+    want = distribution(ground(t), X)
+    compiled = []
+    real = engine._compile_body
+
+    def counted(phi, *args):
+        compiled.append(phi)
+        return real(phi, *args)
+
+    monkeypatch.setattr(engine, "_compile_body", counted)
+    g = ground(t)
+    c3 = parse_formula("C3", t)
+    for _ in range(2):
+        assert query(g, X, c3) == Fraction(1, 2)
+        assert len(compiled) == len(g.laws) == 11  # each law once per (g, X)
+    assert engine._program(g, X).live == tuple(range(11))
+    assert distribution(g, X) == want
+    assert len(compiled) == 11
+    assert _sliced(g, X, c3)
+
+
+def test_a_slice_fires_its_laws_in_index_order():
+    # In literal mode the order matters: ~A first pins A, so B is never
+    # caused; B <- A first would see A true.  The coin is outside B's slice.
+    t = parse_theory("~A.\nA.\nB <- A.\n(C:1/2).")
+    g, b = ground(t), parse_formula("B", t)
+    assert _sliced(g, frozenset(), b)
+    assert query(g, frozenset(), b, UMode.LITERAL) == 0 \
+        == _full(g, frozenset(), b, UMode.LITERAL)

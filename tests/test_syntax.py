@@ -204,6 +204,26 @@ def test_parse_assignment_errors_name_the_token(text, message, col):
     assert (info.value.message, info.value.line, info.value.col) == (message, 1, col)
 
 
+@pytest.mark.parametrize("parse, text, message, line, col", [
+    (parse_theory, "domain d = {a}.\ndomain d = {b}.", "domain 'd' declared twice", 2, 8),
+    (parse_theory, "exogenous E/x.", "expected arity (a plain integer)", 1, 13),
+    (parse_theory, "exogenous E/1, E/1.", "exogenous predicate 'E' declared twice", 1, 16),
+    (parse_theory, "domain d = {a}.\n!x in d: !x in d: P(x).",
+     "law variable 'x' bound twice", 2, 11),
+    (parse_theory, "(A:).", "expected a probability", 1, 4),
+    (parse_theory, "(A:1/).", "expected denominator", 1, 6),
+    (parse_theory, "(A:0.5/2).", "fraction numerator must be an integer", 1, 4),
+    (lambda text: parse_formula(text, parse_theory("Q.")), "Q Q",
+     "trailing input after formula", 1, 3),
+    (lambda text: parse_literal(text, parse_theory("Q.")), "Q Q",
+     "trailing input after literal", 1, 3),
+])
+def test_parse_errors_name_the_token(parse, text, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+
+
 @pytest.mark.parametrize("text, col", [
     ("(A:\u00b2).", 4),          # superscript two passes str.isdigit
     ("A <- B\u00e9.", 7),        # e-acute passes str.isalpha

@@ -5,7 +5,7 @@ import pytest
 from cplogic import theories
 from cplogic.engine import distribution
 from cplogic.ground import ground
-from cplogic.syntax import (Atom, CPLaw, EffectLiteral, TheoryError,
+from cplogic.syntax import (Atom, CPLaw, EffectLiteral, TheoryError, Var,
                             endogenous_signature, parse_literal, parse_theory,
                             print_law, print_theory)
 from cplogic.transform import (NameClashError, SharedHeadError, TransformError,
@@ -125,6 +125,15 @@ def test_negative_intervention_idempotent():
 def test_intervene_rejects_exogenous_and_nonground():
     with pytest.raises(TransformError):
         intervene(BP, parse_literal("~Genetics", BP))
+    with pytest.raises(TransformError, match=r"intervention atom P\(x\) is not ground"):
+        intervene(BP, EffectLiteral(True, Atom("P", (Var("x"),))))
+
+
+def test_internalize_rejects_exogenous_and_nonground():
+    with pytest.raises(TransformError, match=r"atom P\(x\) is not ground"):
+        internalize(BP, Atom("P", (Var("x"),)), "Trigger")
+    with pytest.raises(TransformError, match="Genetics is exogenous"):
+        internalize(BP, atom("Genetics"), "Trigger")
 
 
 def test_internalize_adds_guarded_negative_law():
@@ -212,6 +221,12 @@ def test_tau_not_bridge_uses_variables():
 def test_tau_not_fresh_name_collision_detected():
     t = parse_theory("~A <- B. c_pos__A <- B.")
     with pytest.raises(NameClashError):
+        tau_not(t)
+
+
+def test_tau_not_universe_domain_collision_detected():
+    t = parse_theory("domain c_dom__all = {a}.\n!x in c_dom__all: ~P(x) <- Q.")
+    with pytest.raises(NameClashError, match="domain 'c_dom__all' already declared"):
         tau_not(t)
 
 
