@@ -384,18 +384,6 @@ def _instances(scope: dict, head: list):
                              for negated, atom, prob in head])
 
 
-def law_instances(law: CPLaw, domains: dict):
-    """Yield ``(env, ground head)`` per assignment of the law's binders.
-
-    Assignments come in domain order; the body is left to the caller, which
-    either expands its quantifiers or only substitutes ``env``.
-    """
-    names = [v for v, _ in law.vars]
-    scope = _scope(law, domains)
-    for values, head in _instances(scope, _Compiler(domains, {}).head(law, scope)):
-        yield dict(zip(names, values)), head
-
-
 def ground(t: Theory) -> GroundTheory:
     """Instantiate every law over its variables' domains, in declaration order.
 

@@ -34,6 +34,7 @@ for it.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -184,15 +185,17 @@ class Theory:
 # ---------------------------------------------------------------------------
 
 def substitute_atom(atom: Atom, env: dict) -> Atom:
-    if atom.is_ground():
-        return atom
-    return Atom(atom.predicate,
-                tuple(env.get(a.name, a) if isinstance(a, Var) else a
-                      for a in atom.args))
+    args = tuple([env.get(a.name, a) if type(a) is Var else a for a in atom.args])
+    return atom if args == atom.args else Atom(atom.predicate, args)
 
 
 def substitute_formula(phi: Formula, env: dict) -> Formula:
-    """Replace variables by constants according to ``env`` (name -> constant)."""
+    """Replace variables by constants according to ``env`` (name -> constant).
+
+    Capture-free: a quantifier whose variable is named like a constant that
+    a variable under it receives is renamed, ``b`` to the first of ``b1``,
+    ``b2``, ... not used in the quantified formula or among the constants.
+    """
     match phi:
         case Atom():
             return substitute_atom(phi, env)
@@ -204,13 +207,33 @@ def substitute_formula(phi: Formula, env: dict) -> Formula:
             return And(tuple(substitute_formula(p, env) for p in parts))
         case Or(parts):
             return Or(tuple(substitute_formula(p, env) for p in parts))
-        case ForAll(var, dom, sub):
+        case ForAll(var, dom, sub) | Exists(var, dom, sub):
             inner = {k: v for k, v in env.items() if k != var}
-            return ForAll(var, dom, substitute_formula(sub, inner))
-        case Exists(var, dom, sub):
-            inner = {k: v for k, v in env.items() if k != var}
-            return Exists(var, dom, substitute_formula(sub, inner))
+            if var in inner.values():
+                names = _names(sub)
+                if any(free and inner.get(n) == var for n, free in names):
+                    used = {n for n, _ in names} | set(map(str, inner.values()))
+                    var = next(f"{phi.var}{i}" for i in itertools.count(1)
+                               if f"{phi.var}{i}" not in used)
+                    inner[phi.var] = Var(var)
+            return type(phi)(var, dom, substitute_formula(sub, inner))
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def _names(phi: Formula, bound: frozenset = frozenset()) -> set:
+    """Each constant, variable and quantified variable named in ``phi``,
+    paired with whether it is a variable free in ``phi``."""
+    match phi:
+        case Atom(_, args):
+            return {(a.name, a.name not in bound) if isinstance(a, Var) else (a, False)
+                    for a in args}
+        case Not(sub):
+            return _names(sub, bound)
+        case And(parts) | Or(parts):
+            return set().union(*(_names(p, bound) for p in parts))
+        case ForAll(var, _, sub) | Exists(var, _, sub):
+            return {(var, False)} | _names(sub, bound | {var})
+    return set()
 
 
 def formula_atom_polarities(phi: Formula, negated: bool = False) -> Iterator[tuple[Atom, bool]]:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .ground import check_theory, law_instances
-from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
-                     HeadDisjunct, Not, Or, Theory, TRUE, Var,
-                     endogenous_signature, substitute_formula)
+from .ground import check_theory
+from .syntax import (And, Atom, CPLaw, EffectLiteral, HeadDisjunct, Not,
+                     Theory, TRUE, Var, endogenous_signature, substitute_atom,
+                     substitute_formula)
 
 
 class TransformError(Exception):
@@ -38,62 +38,43 @@ def intervene(t: Theory, literal: EffectLiteral) -> Theory:
 
     Removal is instance-exact: a law with an instance whose head mentions the
     target atom is instantiated, and only those instances are dropped; any
-    other law is kept as written.  Raises `SharedHeadError` when the atom
-    shares a multi-outcome head with another atom, where removal has no clear
-    meaning.
-
-    The result is checked as one theory of the kept laws, the laws whose
-    instances it holds and the added fact: an instance of a checked law is
-    checked, unless a constant it substitutes is captured by a quantifier
-    of the same name, so such instances are checked themselves.
+    other law is kept as written.  An instance's body is substituted, not
+    expanded, and a quantified variable that would capture a substituted
+    constant is renamed (``b`` to ``b1``).  Raises `SharedHeadError` when the
+    atom shares a multi-outcome head with another atom, where removal has no
+    clear meaning.  The input theory and the added fact are checked
+    together, so the result, made of their instances, is well formed.
     """
     target = literal.atom
     if not target.is_ground():
         raise TransformError(f"intervention atom {target} is not ground")
     if target.predicate in t.exogenous:
         raise TransformError(f"cannot intervene on exogenous atom {target}")
+    fact = () if literal.negated else (
+        CPLaw((), (HeadDisjunct(EffectLiteral(False, target), Fraction(1)),), TRUE),)
+    check_theory(Theory(t.domains, t.exogenous, t.laws + fact))
 
     new_laws: list[CPLaw] = []
-    checked: list[CPLaw] = []
     for law in t.laws:
-        instances = (list(law_instances(law, t.domains))
-                     if any(d.literal.atom.predicate == target.predicate for d in law.head)
-                     else [])
-        if not any(d.literal.atom == target for _, head in instances for d in head):
+        names = [v for v, _ in law.vars]
+        envs = ([dict(zip(names, values))
+                 for values in itertools.product(*(t.domains[d] for _, d in law.vars))]
+                if any(d.literal.atom.predicate == target.predicate for d in law.head)
+                else [])
+        heads = [[substitute_atom(d.literal.atom, env) for d in law.head] for env in envs]
+        if not any(target in head for head in heads):
             new_laws.append(law)
-            checked.append(law)
         elif len(law.head) > 1:
             raise SharedHeadError(
                 f"atom {target} shares a multi-outcome head with other atoms; "
                 "removing the whole law would also silence them")
         else:  # substitute only: the result is a theory, so body quantifiers stay
-            kept = [CPLaw((), head, substitute_formula(law.body, env))
-                    for env, head in instances if head[0].literal.atom != target]
-            new_laws.extend(kept)
-            if _quantified(law.body).intersection(
-                    c for _, d in law.vars for c in t.domains[d]):
-                checked.extend(kept)
-            elif kept:
-                checked.append(law)
-
-    if not literal.negated:
-        fact = CPLaw((), (HeadDisjunct(EffectLiteral(False, target), Fraction(1)),), TRUE)
-        new_laws.append(fact)
-        checked.append(fact)
-    check_theory(Theory(t.domains, t.exogenous, tuple(checked)))
-    return Theory(dict(t.domains), dict(t.exogenous), tuple(new_laws))
-
-
-def _quantified(phi: Formula) -> set:
-    """The variables that quantifiers in ``phi`` bind."""
-    match phi:
-        case Not(sub):
-            return _quantified(sub)
-        case And(parts) | Or(parts):
-            return set().union(*map(_quantified, parts))
-        case ForAll(var, _, sub) | Exists(var, _, sub):
-            return {var} | _quantified(sub)
-    return set()
+            (d,) = law.head
+            new_laws.extend(
+                CPLaw((), (HeadDisjunct(EffectLiteral(d.literal.negated, head), d.prob),),
+                      substitute_formula(law.body, env))
+                for env, (head,) in zip(envs, heads) if head != target)
+    return Theory(dict(t.domains), dict(t.exogenous), tuple(new_laws) + fact)
 
 
 def internalize(t: Theory, atom: Atom, trigger: str) -> Theory:

@@ -166,11 +166,13 @@ def apart_when_ground(atoms: list, binders: tuple, domains: dict) -> bool:
 
 
 @st.composite
-def quantified_theories(draw, max_laws: int = 4) -> Theory:
+def quantified_theories(draw, max_laws: int = 4, shadow: bool = False) -> Theory:
     """Small quantified theories over exogenous ``E/1`` and ``F/0`` and
     endogenous ``P/1`` and ``Q/0``: positive and negated exogenous
     literals, truth constants, quantifiers nested up to depth 3, one domain
-    that may be empty, and heads with negative literals."""
+    that may be empty, and heads with negative literals.  With ``shadow``,
+    a quantified variable may be named like a constant, which is then not
+    drawn in its scope, so the theory still prints as itself."""
     constants = ("a", "b", "c")
     domains = {"d": tuple(draw(st.lists(st.sampled_from(constants), min_size=1,
                                         max_size=2, unique=True))),
@@ -182,7 +184,7 @@ def quantified_theories(draw, max_laws: int = 4) -> Theory:
 
     def atom(preds, bound):
         pred = draw(st.sampled_from(preds))
-        choices = terms + [Var(v) for v in sorted(bound)]
+        choices = [c for c in terms if c not in bound] + [Var(v) for v in sorted(bound)]
         return Atom(pred, tuple(draw(st.sampled_from(choices))
                                 for _ in range(arity[pred])))
 
@@ -198,7 +200,7 @@ def quantified_theories(draw, max_laws: int = 4) -> Theory:
         if kind == "not":
             return Not(formula(bound, depth - 1))
         if kind == "quant":
-            var = draw(st.sampled_from(("x", "y")))
+            var = draw(st.sampled_from(("x", "y") + (constants if shadow else ())))
             return draw(st.sampled_from((ForAll, Exists)))(
                 var, draw(st.sampled_from(sorted(domains))),
                 formula(bound | {var}, depth - 1))

@@ -91,6 +91,17 @@ def test_do_pipes_into_query(run, tmp_path):
     assert out == "0 (= 0.000000)\n"
 
 
+def test_do_renames_a_quantifier_that_would_capture_a_constant(run):
+    theory = "domain d = {a, b}.\n!y in d: P(y) <- ?b in d: Q(b, y).\n!y in d: Q(y, y).\n"
+    code, transformed, _ = run(["do", "-", "--lit", "~P(a)"], stdin=theory)
+    assert code == 0
+    assert transformed == ("domain d = {a, b}.\n\n"
+                           "P(b) <- ?b1 in d: Q(b1,b).\n!y in d: Q(y,y).\n")
+    code, out, _ = run(["dist", "-"], stdin=transformed)
+    assert code == 0
+    assert out == "{P(b), Q(a,a), Q(b,b)}  1 (= 1.000000)\n"
+
+
 def test_compile_eliminates_negative_heads(run, tmp_path):
     path = tmp_path / "sup.cpl"
     path.write_text(theories.BUNDLED["superhero"].source)

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 
 from cplogic import theories
 from cplogic.ground import (check_theory, expand_formula, ground,
-                            law_instances, stratification_report)
+                            stratification_report)
 from cplogic.syntax import (TRUE, And, Atom, CPLaw, EffectLiteral, Exists,
                             HeadDisjunct, Theory, TheoryError, Var,
                             format_atom_set, parse_theory)
@@ -71,8 +71,6 @@ def assert_same_ground(t):
 def test_quantified_theories_ground_and_stratify_as_the_references(t):
     assert_same_ground(t)
     for law in t.laws:
-        assert list(law_instances(law, t.domains)) == \
-            list(ref.law_instances(law, t.domains))
         # Bind only the first law variable: the others stay variables.
         env = {v: t.domains[d][0] for v, d in law.vars[:1] if t.domains[d]}
         assert expand_formula(law.body, env, t.domains) == \

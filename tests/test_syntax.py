@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from cplogic import syntax, theories
 from cplogic.ground import check_theory
-from cplogic.syntax import (MAX_NESTING, And, Atom, ForAll, Not, Or, ParseError,
-                            TheoryError, Theory, Truth, Var, _tokenize,
-                            endogenous_signature,
+from cplogic.syntax import (MAX_NESTING, And, Atom, Exists, ForAll, Not, Or,
+                            ParseError, TheoryError, Theory, Truth, Var, _tokenize,
+                            endogenous_signature, substitute_formula,
                             parse_assignment, parse_formula,
                             parse_literal, parse_theory, print_theory, TRUE)
 
@@ -361,6 +361,19 @@ def test_check_theory_rejects_a_value_that_prints_as_another():
     law = parse_theory("A <- B.").laws[0]
     with pytest.raises(TheoryError, match="does not print as itself"):
         check_theory(Theory({"d": ["a"]}, {}, (law,)))  # a list, not a tuple
+
+
+def test_substitution_renames_only_a_quantifier_that_would_capture():
+    # the body does not mention x, so ?c keeps its name
+    untouched = Exists("c", "d", Atom("Q", (Var("c"),)))
+    assert substitute_formula(untouched, {"x": "c"}) == untouched
+    # x is bound again inside, so no c reaches the outer ?c either
+    shadowed = Exists("c", "d", Exists("x", "d", Atom("Q", (Var("c"), Var("x")))))
+    assert substitute_formula(shadowed, {"x": "c"}) == shadowed
+    # c1 is named in the body, so the fresh name is c2
+    captured = Exists("c", "d", ForAll("c1", "d", Atom("S", (Var("c"), Var("x"), Var("c1")))))
+    assert substitute_formula(captured, {"x": "c"}) == \
+        Exists("c2", "d", ForAll("c1", "d", Atom("S", (Var("c2"), "c", Var("c1")))))
 
 
 def test_fraction_probability_parses():

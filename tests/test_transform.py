@@ -1,10 +1,12 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cplogic import theories
 from cplogic.engine import distribution
-from cplogic.ground import ground
+from cplogic.ground import check_theory, ground, stratification_report
 from cplogic.syntax import (Atom, CPLaw, EffectLiteral, TheoryError, Var,
                             endogenous_signature, parse_literal, parse_theory,
                             print_law, print_theory)
@@ -12,7 +14,8 @@ from cplogic.transform import (NameClashError, SharedHeadError, TransformError,
                                intervene, internalize, negative_head_predicates,
                                tau_not)
 
-from helpers import atom, atoms, random_stratified_theory
+from helpers import (atom, atoms, mentioned_exogenous, quantified_theories,
+                     random_stratified_theory)
 
 BP = theories.get("blood_pressure")
 
@@ -94,17 +97,20 @@ def test_intervention_substitutes_through_connectives_and_quantifiers():
     assert distribution(ground(out), atoms("E(b)")) == {atoms("P(b)"): 1}
 
 
-def test_intervention_checks_an_instance_whose_constant_a_quantifier_captures():
-    # P(a)'s instance would print Q(b, b) inside ?b, which reads back as the
-    # quantified variable twice
-    t = parse_theory("domain d = {a, b}.\n"
-                     "!y in d: P(y) <- ?b in d: Q(b, y).\n!y in d: Q(y, y).\n")
-    with pytest.raises(TheoryError, match="^theory does not print as itself$"):
-        intervene(t, parse_literal("~P(a)", t))
-    renamed = parse_theory("domain d = {a, b}.\n"
-                           "!y in d: P(y) <- ?z in d: Q(z, y).\n!y in d: Q(y, y).\n")
-    assert print_law(intervene(renamed, parse_literal("~P(a)", renamed)).laws[0]) == \
-        "P(b) <- ?z in d: Q(z,b)."
+CAPTURE = "domain d = {a, b}.\n!y in d: P(y) <- ?b in d: Q(b, y).\n!y in d: Q(y, y).\n"
+
+
+def test_intervention_renames_a_quantifier_that_would_capture_a_constant():
+    # P(b)'s instance puts the constant b under ?b, which would read back as
+    # the quantified variable twice, so the quantifier becomes ?b1
+    t = parse_theory(CAPTURE)
+    out = intervene(t, parse_literal("~P(a)", t))
+    assert print_law(out.laws[0]) == "P(b) <- ?b1 in d: Q(b1,b)."
+    renamed = parse_theory(CAPTURE.replace("?b in d: Q(b, y)", "?z in d: Q(z, y)"))
+    by_hand = intervene(renamed, parse_literal("~P(a)", renamed))
+    assert print_law(by_hand.laws[0]) == "P(b) <- ?z in d: Q(z,b)."
+    assert distribution(ground(out), frozenset()) == \
+        distribution(ground(by_hand), frozenset())
 
 
 def test_intervention_checks_the_laws_it_keeps_and_the_fact_it_adds():
@@ -268,3 +274,47 @@ def test_internalize_equivalence_on_random_theories(seed):
     on = frozenset({Atom("Zz_trigger")})
     assert distribution(ground(guarded), on) == distribution(ground(removed), frozenset())
     assert distribution(ground(guarded), frozenset()) == distribution(ground(t), frozenset())
+
+
+@st.composite
+def _interventions(draw):
+    """A stratified quantified theory whose quantified variables may be
+    named like constants, an atom that some law causes and no
+    multi-outcome head mentions, and an X of mentioned exogenous atoms."""
+    t = draw(quantified_theories(max_laws=3, shadow=True))
+    g = ground(t)
+    assume(stratification_report(g).stratified)
+    caused = {d.literal.atom for law in g.laws for d in law.head}
+    shared = {d.literal.atom for law in g.laws if len(law.head) > 1 for d in law.head}
+    assume(caused - shared)
+    target = draw(st.sampled_from(sorted(caused - shared, key=str)))
+    mentioned = mentioned_exogenous(g)
+    X = frozenset(draw(st.lists(st.sampled_from(mentioned), unique=True))
+                  if mentioned else ())
+    return t, target, X
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example((parse_theory(CAPTURE), atom("P(a)"), frozenset()))
+@given(_interventions())
+def test_internalize_matches_intervene_on_quantified_theories(case):
+    t, target, X = case
+    guarded = internalize(t, target, "T")
+    removed = intervene(t, EffectLiteral(True, target))
+    check_theory(removed)  # no constant captured: it prints as itself
+    assert distribution(ground(guarded), X | {Atom("T")}) == \
+        distribution(ground(removed), X)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(quantified_theories(max_laws=3), st.data())
+def test_tau_not_preserves_the_projected_distribution_of_quantified_theories(t, data):
+    g = ground(t)
+    assume(stratification_report(g).stratified)
+    mentioned = mentioned_exogenous(g)
+    X = frozenset(data.draw(st.lists(st.sampled_from(mentioned), unique=True))
+                  if mentioned else ())
+    compiled, _ = tau_not(t)
+    vocab = set(endogenous_signature(t))
+    assert distribution(ground(compiled), X).project(vocab) == \
+        distribution(g, X).project(vocab)
