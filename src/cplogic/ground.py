@@ -21,9 +21,8 @@ their domains (`_keys`), and each exogenous one is filed in a wake record
 under its constants, from which `_woken` finds the instances an X wakes.
 `ground` keeps each law with its occurrence list, and the stratification
 report reads its edges off those lists.  The same walk holds each law to
-the parser's rules, so `check_theory` runs it too; domains are checked
-first, a head that grounds to one atom in two disjuncts is rejected, and a
-ground theory builds each law's outcome table.
+the language's rules, stated once in `syntax.Rules`, so `check_theory`
+runs it too; a ground theory builds each law's outcome table.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
-                     HeadDisjunct, Not, Or, ParseError, Theory, TheoryError,
+                     HeadDisjunct, Not, Or, ParseError, Rules, Theory, TheoryError,
                      Truth, TRUE, FALSE, Var, format_atom_set, parse_theory,
                      print_theory)
 from .threeval import kleene_junction
@@ -54,10 +53,9 @@ class ExogenousUniverse(Set):
 
     __slots__ = ("_arity", "_constants", "_size")
 
-    def __init__(self, arity: dict, domains: dict):
-        self._arity = arity = dict(arity)
-        self._constants = constants = frozenset(
-            itertools.chain.from_iterable(domains.values()))
+    def __init__(self, rules: Rules):
+        self._arity = arity = dict(rules.exogenous)
+        self._constants = constants = frozenset(rules.constants)
         self._size = sum(len(constants) ** n for n in arity.values())
 
     def __contains__(self, atom) -> bool:
@@ -90,7 +88,8 @@ class GroundTheory:
     rule selection and for the fired-set of execution states.
     ``exogenous_atoms`` is an `ExogenousUniverse` when built by `ground`;
     any set of atoms will do.  A probability outside (0, 1], or a head
-    whose probabilities sum above 1, is rejected with `TheoryError`.
+    whose probabilities sum above 1, is rejected with `TheoryError` before
+    any inference can mix its outcomes.
     """
 
     laws: tuple[CPLaw, ...]
@@ -120,8 +119,6 @@ class GroundTheory:
                                 repr=False)
 
     def __post_init__(self):
-        # The parser rejects such heads at their tokens; a law built in code
-        # is caught here, before any inference can mix its outcomes.
         object.__setattr__(self, "_outcomes", tuple(
             tuple(table) + _noop(table) for table in
             ([(d.literal, d.prob.numerator, d.prob.denominator) for d in law.head]
@@ -134,45 +131,41 @@ def _noop(table: list) -> tuple:
     of ``table``, in lowest terms, or nothing when they sum to 1."""
     for _, n, q in table:
         if not 0 < n <= q:
-            raise TheoryError(f"probability {Fraction(n, q)} is not in (0, 1]")
+            Rules().probability(Fraction(n, q))
     if len(table) == 1:  # the rest of one denominator, in lowest terms
         _, n, den = table[0]
         return ((None, den - n, den),) if n < den else ()
     den = lcm(*(q for _, _, q in table))
     rest = den - sum(n * (den // q) for _, n, q in table)
     if rest < 0:
-        raise TheoryError(f"head probabilities sum to {Fraction(den - rest, den)} > 1")
+        Rules().head_sum(Fraction(den - rest, den))
     k = gcd(rest, den)
     return ((None, rest // k, den // k),) if rest else ()
 
 
 class _Compiler:
-    """Walks formulas over ``domains``, interning atoms in ``table``; an
-    atom of a predicate in ``exogenous`` is f at rest, any other atom u.
+    """Walks formulas over the domains of ``rules``, interning atoms in
+    ``table``; an atom of an exogenous predicate is f at rest, any other u.
 
-    Given ``arity``, each predicate's arity so far (declared exogenous or
-    used in an earlier law), every law walked is held to the parser's rules
-    and ``arity`` gains the predicates it uses first.  A break raises
-    `TheoryError` naming the culprit: what printing hides (an unbound
-    variable, an `And` or `Or` of fewer than two parts, a non-formula, a
-    probability that is not an `int` or a `Fraction`), a break of the
-    vocabulary (an exogenous head, a constant in no domain, a second arity)
-    or of a law rule (an empty head, an atom in two disjuncts, a binder
-    bound twice, an undeclared domain).
+    Binders and quantifiers always keep ``rules``; when ``checked``, every
+    rule holds, the arity map gaining each law's new predicates, and so does
+    what printing hides: no unbound variable, `And` or `Or` of fewer than two
+    parts, non-formula, empty head or probability not an `int` or `Fraction`.
     """
 
-    __slots__ = ("domains", "table", "exogenous", "arity", "constants")
+    __slots__ = ("rules", "table", "checked")
 
-    def __init__(self, domains: dict, table: dict, exogenous=(), arity=None):
-        self.domains, self.table, self.exogenous = domains, table, exogenous
-        self.arity = arity
-        if arity is not None:
-            self.constants = frozenset(itertools.chain.from_iterable(domains.values()))
+    def __init__(self, rules: Rules, table: dict, checked: bool = True):
+        self.rules, self.table, self.checked = rules, table, checked
 
     def law(self, law: CPLaw) -> tuple:
         """``law``'s binder scope, its head (`head`), and its body's
         template, value at rest and occurrence list (`walk`)."""
-        scope = _scope(law, self.domains)
+        scope: dict = {}
+        for j, (v, d) in enumerate(law.vars):
+            consts = self.rules.domain(d)
+            self.rules.bind(v, scope)
+            scope[v] = (j, consts)
         head = self.head(law, scope)
         found: list = []
         template, rest = self.walk(law.body, scope, len(scope), False, found)
@@ -182,37 +175,27 @@ class _Compiler:
         """Per disjunct of ``law``'s head, ``(negated, template, prob)``,
         the template a function of the binder values that returns the
         disjunct's atom, interned in ``table``."""
-        if self.arity is not None:
+        if self.checked:
             if not law.head:
                 raise TheoryError("law has an empty head")
-            seen: set = set()
             for d in law.head:
                 if type(d.prob) not in (int, Fraction):
                     raise TheoryError(f"probability {d.prob!r} is not an int or a Fraction")
-                atom = d.literal.atom
-                self.check(atom, scope)
-                if atom.predicate in self.exogenous:
-                    raise TheoryError(f"exogenous atom {atom} may not occur in a head")
-                if atom in seen:
-                    raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
-                seen.add(atom)
+                self.check(d.literal.atom, scope)
+                self.rules.effect(d.literal.atom)
+            self.rules.distinct([d.literal.atom for d in law.head])
         return [(d.literal.negated, _atom_template(d.literal.atom, scope, self.table)[1],
                  d.prob) for d in law.head]
 
     def check(self, atom: Atom, scope: dict) -> None:
-        """Raise `TheoryError` for a variable of ``atom`` that ``scope``
-        does not bind, a constant in no domain, or a second arity of its
-        predicate."""
+        """Hold ``atom`` to ``rules``; a variable ``scope`` does not bind is an error."""
         for a in atom.args:
             if isinstance(a, Var):
                 if a.name not in scope:
                     raise TheoryError(f"unbound variable {a.name!r}")
-            elif a.__hash__ is None or a not in self.constants:  # a list, say
-                raise TheoryError(f"undeclared constant {a!r} (not in any domain)")
-        pred, n = atom.predicate, len(atom.args)
-        if self.arity.setdefault(pred, n) != n:
-            raise TheoryError(f"predicate {pred!r} used with arity {n}, "
-                              f"previously {self.arity[pred]}")
+            else:
+                self.rules.constant(a)
+        self.rules.predicate(atom.predicate, len(atom.args))
 
     def walk(self, phi: Formula, scope: dict, slot: int, negated: bool,
              found: list) -> tuple:
@@ -226,18 +209,18 @@ class _Compiler:
         number of negations and ``args`` as in `_atom_template`."""
         match phi:
             case Atom(pred):
-                if self.arity is not None:
+                if self.checked:
                     self.check(phi, scope)
                 args, template = _atom_template(phi, scope, self.table)
                 found.append((phi, negated, args))
-                return template, 0 if pred in self.exogenous else 1
+                return template, 0 if pred in self.rules.exogenous else 1
             case Truth(value):
                 return (lambda env: phi), 2 * value
             case Not(sub):
                 sub, rest = self.walk(sub, scope, slot, not negated, found)
                 return (lambda env: Not(sub(env))), 2 - rest
             case And(parts) | Or(parts):
-                if len(parts) < 2 and self.arity is not None:
+                if len(parts) < 2 and self.checked:
                     raise TheoryError("conjunction/disjunction needs at least two parts")
                 node = type(phi)
                 subs, rests = zip(*[self.walk(p, scope, slot, negated, found)
@@ -245,9 +228,7 @@ class _Compiler:
                 return ((lambda env: node(tuple([s(env) for s in subs]))),
                         kleene_junction(node is And, rests))
             case ForAll(var, dom, sub) | Exists(var, dom, sub):
-                if dom not in self.domains:
-                    raise TheoryError(f"undeclared domain {dom!r}")
-                consts = self.domains[dom]
+                consts = self.rules.domain(dom)
                 universal = isinstance(phi, ForAll)
                 kept = len(found)
                 sub, rest = self.walk(sub, {**scope, var: (slot, consts)},
@@ -265,21 +246,8 @@ class _Compiler:
                         parts.append(sub(env))
                     return parts[0] if len(parts) == 1 else node(tuple(parts))
                 return quantified, rest
-        raise (TypeError if self.arity is None else TheoryError)(
+        raise (TheoryError if self.checked else TypeError)(
             f"not a formula: {phi!r}")
-
-
-def _scope(law: CPLaw, domains: dict) -> dict:
-    """Binder j of ``law`` as ``{variable: (j, domain)}``."""
-    names = [v for v, _ in law.vars]
-    if len(set(names)) < len(names):
-        raise TheoryError(f"law variable {_repeated(names)!r} bound twice")
-    scope = {}
-    for j, (v, d) in enumerate(law.vars):
-        if d not in domains:
-            raise TheoryError(f"undeclared domain {d!r}")
-        scope[v] = (j, domains[d])
-    return scope
 
 
 def _atom_template(atom: Atom, scope: dict, table: dict) -> tuple:
@@ -366,7 +334,7 @@ class _DormantLaw(CPLaw):
 def expand_formula(phi: Formula, env: dict, domains: dict) -> Formula:
     """Substitute ``env`` and expand quantifiers to finite connectives."""
     scope = {v: (j, None) for j, v in enumerate(env)}
-    template, _ = _Compiler(domains, {}).walk(phi, scope, len(scope), False, [])
+    template, _ = _Compiler(Rules(domains), {}, False).walk(phi, scope, len(scope), False, [])
     return template(dict(enumerate(env.values())))
 
 
@@ -390,17 +358,13 @@ def ground(t: Theory) -> GroundTheory:
     Every atom of a predicate not declared exogenous is endogenous.  The
     exogenous universe comes from the declarations, not from mentions: an
     interpretation X may set any ground exogenous atom, mentioned or not.
-    A domain that lists a constant twice, and a law that breaks a rule of
-    the parser (`_Compiler`), are rejected with `TheoryError`, whether or
-    not the law has instances.
+    A theory that breaks a rule of the language (`Rules`, and what
+    `_Compiler` checks) is rejected with `TheoryError`, whether or not the
+    law at fault has instances.
     """
-    for name, consts in t.domains.items():
-        if len(set(consts)) < len(consts):
-            raise TheoryError(
-                f"constant {_repeated(consts)!r} listed twice in domain {name!r}")
-    arity = dict(t.exogenous)
+    rules = Rules(t.domains, t.exogenous)
     table: dict = {}  # predicate -> {args: atom}, every atom the laws mention
-    compiler = _Compiler(t.domains, table, t.exogenous, arity)
+    compiler = _Compiler(rules, table)
     expanded: set = set()  # (predicate, args) of the dormant occurrences interned
     wakers: dict = {pred: {} for pred in t.exogenous}  # the wake record
     dormant: list = []
@@ -413,9 +377,8 @@ def ground(t: Theory) -> GroundTheory:
         asleep = bool(t.exogenous) and not rest
         first = len(laws)
         for values, head in _instances(scope, head):
-            if len(head) > 1 and len({d.literal.atom for d in head}) < len(head):
-                atom = _repeated([d.literal.atom for d in head])
-                raise TheoryError(f"atom {atom} appears in two disjuncts of the same head")
+            if len(head) > 1:
+                rules.distinct([d.literal.atom for d in head])
             env = dict(enumerate(values))
             laws.append(_DormantLaw(head, body, env) if asleep
                         else CPLaw((), head, body(env)))
@@ -439,9 +402,9 @@ def ground(t: Theory) -> GroundTheory:
     endo = [a for pred, atoms in table.items() if pred not in t.exogenous
             for a in atoms.values()]
     g = GroundTheory(tuple(laws), frozenset(endo),
-                     ExogenousUniverse(t.exogenous, t.domains), dict(t.domains))
+                     ExogenousUniverse(rules), dict(t.domains))
     for name, value in (("_wake", (frozenset(dormant), wakers)),
-                        ("_schemas", tuple(schemas)), ("_arity", arity)):
+                        ("_schemas", tuple(schemas)), ("_arity", rules.arity)):
         object.__setattr__(g, name, value)
     return g
 
@@ -450,24 +413,19 @@ def check_theory(t: Theory) -> None:
     """Raise `TheoryError` unless ``t`` is well formed.
 
     A theory value is well formed exactly when its printed text parses back
-    to it, so the parser's rules are the only ones.  The walk that `ground`
-    compiles each law with (`_Compiler`) first catches what printing hides
-    and what breaks the theory's vocabulary.
+    to it, so the parser's rules are the only ones; ``t`` is first held to
+    them as `ground` holds it, which also catches what printing hides.
     """
-    compiler = _Compiler(t.domains, {}, t.exogenous, dict(t.exogenous))
+    compiler = _Compiler(Rules(t.domains, t.exogenous), {})
     for law in t.laws:
         compiler.law(law)
+    GroundTheory(t.laws, frozenset(), frozenset(), {})  # the range and sum rules
     try:
         parsed = parse_theory(print_theory(t))
     except ParseError as exc:
         raise TheoryError(exc.message) from None
     if parsed != t:
         raise TheoryError("theory does not print as itself")
-
-
-def _repeated(items: list):
-    """The first item of ``items`` that an earlier one equals."""
-    return next(x for k, x in enumerate(items) if x in items[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +475,7 @@ def stratification_report(g: GroundTheory) -> StratificationReport:
     deps: dict = {j: {} for j in node.values()}  # per head: {body head: negative}
     schemas = g._schemas
     if schemas is None:
-        compiler = _Compiler(g.domains, {})
+        compiler = _Compiler(Rules(g.domains), {}, False)
         schemas = [(law, compiler.law(law)[4]) for law in g.laws]
     laws = iter(g.laws)
     for schema, found in schemas:

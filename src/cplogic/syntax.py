@@ -21,6 +21,8 @@ literals and are kept as exact `fractions.Fraction` values throughout; no
 float ever enters the pipeline.
 
 A `ParseError` carries the line and column of the offending character.
+`Rules` states each rule of the language once: the parser reports a break
+at its token, and `ground` raises `TheoryError` with the same message.
 Formulas, literals and ``--exo`` assignments read against a theory
 (`parse_formula`, `parse_literal`, `parse_assignment`) use its closed
 vocabulary: a predicate the theory does not mention is an error at its
@@ -38,6 +40,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, NamedTuple, Union
 
 KEYWORDS = frozenset({"domain", "exogenous", "in", "true", "false"})
@@ -298,9 +301,9 @@ class _Token(NamedTuple):
     pos: int  # offset of the first character in the source text
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    """1-based line and column of the character at offset ``pos``."""
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+def _fail(text: str, message: str, pos: int):
+    """Raise `ParseError` at the 1-based line and column of offset ``pos``."""
+    raise ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -308,8 +311,7 @@ def _tokenize(text: str) -> list[_Token]:
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}",
-                             *_line_col(text, m.start()))
+            _fail(text, f"unexpected character {m.group()!r}", m.start())
         if kind is not None:
             toks.append(_Token(kind, m.group(), m.start()))
     toks.append(_Token("eof", "", len(text)))
@@ -320,15 +322,90 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _raise(message: str, where=None):
+    raise TheoryError(message)
+
+
+class Rules:
+    """A theory's vocabulary and each rule of the language, stated once.
+
+    The vocabulary is the declared domains and exogenous predicates, the
+    arity each predicate was declared or first used with, and the
+    constants of the domains; `domain` gives a declared domain's constants.
+    The parser and `ground` share the rules: each method checks one and,
+    when it breaks, calls ``fail(message, where)``, which raises: the
+    parser's at the offset ``where`` in its text (``where[k]`` for
+    constant k in `declare_domain`), the default a `TheoryError`.
+    """
+
+    __slots__ = ("fail", "domains", "exogenous", "arity", "constants")
+
+    def __init__(self, domains=(), exogenous=(), fail=_raise):
+        self.fail, self.domains, self.exogenous, self.arity = fail, {}, {}, {}
+        self.constants: set = set()
+        for name in domains:
+            self.declare_domain(name, domains[name])
+        for pred in exogenous:
+            self.declare_exogenous(pred, exogenous[pred])
+
+    def declare_domain(self, name: str, consts, where=None) -> None:
+        listed: set = set()
+        for k, c in enumerate(consts):
+            if c in listed:
+                self.fail(f"constant {c!r} listed twice in domain {name!r}", where and where[k])
+            listed.add(c)
+        self.domains[name] = tuple(consts)
+        self.constants |= listed
+
+    def declare_exogenous(self, pred: str, n, where=None) -> None:
+        if type(n) is not int or n < 0:
+            self.fail("expected arity (a plain integer)", where)
+        self.exogenous[pred] = self.arity[pred] = n
+
+    def domain(self, name: str, where=None) -> tuple:
+        if name not in self.domains:
+            self.fail(f"undeclared domain {name!r}", where)
+        return self.domains[name]
+
+    def bind(self, var: str, bound, where=None) -> None:
+        if var in bound:
+            self.fail(f"law variable {var!r} bound twice", where)
+
+    def predicate(self, pred: str, n: int, where=None) -> None:
+        seen = self.arity.setdefault(pred, n)
+        if seen != n:
+            self.fail(f"predicate {pred!r} used with arity {n}, previously {seen}", where)
+
+    def constant(self, c, where=None, hint: str = "") -> None:
+        if c.__hash__ is None or c not in self.constants:  # a list, say
+            self.fail(f"undeclared constant {c!r} (not in any domain{hint})", where)
+
+    def effect(self, atom: Atom, where=None) -> None:
+        if atom.predicate in self.exogenous:
+            self.fail(f"exogenous atom {atom} may not occur in a head", where)
+
+    def distinct(self, atoms, where=None) -> None:
+        seen: set = set()
+        for a in atoms:
+            if a in seen:
+                self.fail(f"atom {a} appears in two disjuncts of the same head", where)
+            seen.add(a)
+
+    def probability(self, p, where=None) -> None:
+        if not 0 < p <= 1:
+            self.fail(f"probability {p} is not in (0, 1]", where)
+
+    def head_sum(self, total, where=None) -> None:
+        if total > 1:
+            self.fail(f"head probabilities sum to {total} > 1", where)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0  # index of the next token
-        self.domains: dict = {}
-        self.exogenous: dict = {}
-        self.arity: dict = {}  # every predicate seen so far -> arity
-        self.constants: set = set()
+        self.rules = Rules(fail=partial(_fail, text))  # reports at an offset
         self.laws: list[CPLaw] = []
         self.depth = 0  # negations, quantifiers and parentheses now open
         self.closed = False  # True: every predicate must already be known
@@ -362,8 +439,7 @@ class _Parser:
         return self.advance()
 
     def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, *_line_col(self.text, tok.pos))
+        _fail(self.text, message, (tok or self.peek()).pos)
 
     def parse_list(self, sep: str, item, *args) -> list:
         """``item {sep item}``, calling ``item(*args)`` for each item."""
@@ -389,55 +465,32 @@ class _Parser:
                 self.expect_punct(".")
             else:
                 self.laws.append(self.parse_law())
-        t = Theory(dict(self.domains), dict(self.exogenous), tuple(self.laws))
-        sig = {p: n for p, n in self.arity.items() if p not in self.exogenous}
+        t = Theory(dict(self.rules.domains), dict(self.rules.exogenous), tuple(self.laws))
+        sig = {p: n for p, n in self.rules.arity.items() if p not in t.exogenous}
         object.__setattr__(t, "_signature", sig)
         return t
 
     def parse_domain_decl(self):
         name_tok = self.expect_ident("domain name")
-        if name_tok.text in self.domains:
+        if name_tok.text in self.rules.domains:
             self.fail(f"domain {name_tok.text!r} declared twice", name_tok)
         self.expect_punct("=")
         self.expect_punct("{")
-        consts: list[str] = []
-
-        def constant():
-            c = self.expect_ident("constant")
-            if c.text in consts:
-                self.fail(f"constant {c.text!r} listed twice in domain {name_tok.text!r}", c)
-            consts.append(c.text)
-
-        if not self.at_punct("}"):
-            self.parse_list(",", constant)
+        toks = [] if self.at_punct("}") else self.parse_list(",", self.expect_ident, "constant")
         self.expect_punct("}")
-        self.domains[name_tok.text] = tuple(consts)
-        self.constants.update(consts)
+        self.rules.declare_domain(name_tok.text, [c.text for c in toks], [c.pos for c in toks])
 
     def parse_signature(self):
         """One ``name[/arity]`` of an exogenous declaration."""
         name_tok = self.expect_ident("predicate name")
-        arity = 0
+        if name_tok.text in self.rules.exogenous:
+            self.fail(f"exogenous predicate {name_tok.text!r} declared twice", name_tok)
+        tok, arity = name_tok, 0
         if self.at_punct("/"):
             self.advance()
-            num = self.peek()
-            if num.kind != "number" or not num.text.isdigit():
-                self.fail("expected arity (a plain integer)")
-            self.advance()
-            arity = int(num.text)
-        if name_tok.text in self.exogenous:
-            self.fail(f"exogenous predicate {name_tok.text!r} declared twice", name_tok)
-        self.register_predicate(name_tok.text, arity, name_tok)
-        self.exogenous[name_tok.text] = arity
-
-    def register_predicate(self, name: str, arity: int, tok: _Token):
-        seen = self.arity.get(name)
-        if seen is None:
-            if self.closed:
-                self.fail(f"unknown predicate {name!r}", tok)
-            self.arity[name] = arity
-        elif seen != arity:
-            self.fail(f"predicate {name!r} used with arity {arity}, previously {seen}", tok)
+            tok = self.advance()
+            arity = int(tok.text) if tok.text.isdigit() else None
+        self.rules.declare_exogenous(name_tok.text, arity, tok.pos)
 
     # -- laws -------------------------------------------------------------
 
@@ -448,24 +501,18 @@ class _Parser:
         while self.at_punct("!"):
             self.advance()
             var_tok, dom = self.parse_binder()
-            if var_tok.text in env:
-                self.fail(f"law variable {var_tok.text!r} bound twice", var_tok)
+            self.rules.bind(var_tok.text, env, var_tok.pos)
             binders.append((var_tok.text, dom))
             env.add(var_tok.text)
 
         head = self.parse_list(";", self.parse_head_disjunct, env)
-        seen_atoms = set()
-        for d in head:
-            if d.literal.atom in seen_atoms:
-                self.fail(f"atom {d.literal.atom} appears in two disjuncts of the same head", start)
-            seen_atoms.add(d.literal.atom)
+        self.rules.distinct([d.literal.atom for d in head], start.pos)
         body: Formula = TRUE
         if self.at_punct("<-"):
             self.advance()
             body = self.parse_or(env)
-        total = sum((d.prob for d in head), Fraction(0))
-        if total > 1:
-            self.fail(f"head probabilities sum to {total} > 1", start)
+        if len(head) > 1:  # each probability is at most 1
+            self.rules.head_sum(sum(d.prob for d in head), start.pos)
         self.expect_punct(".")
         return CPLaw(tuple(binders), tuple(head), body)
 
@@ -475,8 +522,7 @@ class _Parser:
         self.expect_keyword("in")
         dom_tok = self.expect_ident("domain name")
         self.expect_punct(":")
-        if dom_tok.text not in self.domains:
-            self.fail(f"undeclared domain {dom_tok.text!r}", dom_tok)
+        self.rules.domain(dom_tok.text, dom_tok.pos)
         return var_tok, dom_tok.text
 
     def expect_keyword(self, kw: str):
@@ -500,10 +546,9 @@ class _Parser:
         if self.at_punct("~"):
             self.advance()
             negated = True
-        tok = self.peek()
+        pos = self.peek().pos
         atom = self.parse_atom(env)
-        if atom.predicate in self.exogenous:
-            self.fail(f"exogenous atom {atom} may not occur in a head", tok)
+        self.rules.effect(atom, pos)
         return EffectLiteral(negated, atom)
 
     def parse_prob(self) -> Fraction:
@@ -523,10 +568,7 @@ class _Parser:
             if int(den.text) == 0:
                 self.fail("zero denominator", den)
             value = Fraction(int(tok.text), int(den.text))
-        if value <= 0:
-            self.fail(f"probability must be positive, got {value}", tok)
-        if value > 1:
-            self.fail(f"probability {value} exceeds 1", tok)
+        self.rules.probability(value, tok.pos)
         return value
 
     # -- formulas -----------------------------------------------------------
@@ -574,7 +616,9 @@ class _Parser:
             self.advance()
             args = self.parse_list(",", self.parse_term, env)
             self.expect_punct(")")
-        self.register_predicate(name_tok.text, len(args), name_tok)
+        if self.closed and name_tok.text not in self.rules.arity:
+            self.fail(f"unknown predicate {name_tok.text!r}", name_tok)
+        self.rules.predicate(name_tok.text, len(args), name_tok.pos)
         return Atom(name_tok.text, tuple(args))
 
     def parse_term(self, env: set) -> Term:
@@ -582,10 +626,9 @@ class _Parser:
         tok = self.expect_ident("argument")
         if tok.text in env:
             return Var(tok.text)
-        if tok.text not in self.constants:
-            # theory text is the only place where a binder can be written
-            hint = "" if self.closed else "; law variables need a '!x in d:' binder"
-            self.fail(f"undeclared constant {tok.text!r} (not in any domain{hint})", tok)
+        # theory text is the only place where a binder can be written
+        self.rules.constant(tok.text, tok.pos,
+                            "" if self.closed else "; law variables need a '!x in d:' binder")
         return tok.text
 
 
@@ -598,10 +641,9 @@ def _seeded_parser(text: str, theory: Theory) -> _Parser:
     """A parser over ``text`` closed over the theory's domains and predicates."""
     p = _Parser(text)
     p.closed = True
-    p.domains = dict(theory.domains)
-    for consts in theory.domains.values():
-        p.constants.update(consts)
-    p.arity = {**theory.exogenous, **endogenous_signature(theory)}
+    rules = Rules(theory.domains, theory.exogenous)  # its own faults: TheoryError
+    rules.arity.update(endogenous_signature(theory))
+    rules.fail, p.rules = p.rules.fail, rules
     return p
 
 

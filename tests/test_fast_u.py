@@ -2,7 +2,9 @@
 
 Every state that the engine's fold classifies, through `distribution` and
 through `sweep_orders`, in both modes, must get exactly the overestimate
-that `reference_engine.reference_U` computes by the definition.
+that `reference_engine.reference_U` computes by the definition.  On a
+stratified theory the sweep must also find one distribution in extended
+mode, the one that `distribution` gives.
 """
 
 import gc
@@ -10,22 +12,33 @@ from fractions import Fraction
 from types import CellType, FunctionType
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cplogic import engine, theories
 from cplogic.engine import (SoundnessError, UMode, compute_U, distribution,
                             query, satisfied_unfired)
-from cplogic.ground import ground
+from cplogic.ground import ground, stratification_report
 from cplogic.oracle import BudgetExceededError, sweep_orders
 from cplogic.syntax import FALSE, TRUE, And, Atom, Not, Or, parse_theory
 from cplogic.threeval import ThreeValuedInterp, kleene_eval
 
-from helpers import (atom, atoms, random_deterministic_theory,
-                     random_stratified_theory)
+from helpers import (atom, atoms, mentioned_exogenous, quantified_theories,
+                     random_deterministic_theory, random_stratified_theory)
 from reference_engine import reference_U
 
 NOTHING = frozenset()
+
+
+def _checking(seen: list):
+    """A `compute_U` that asserts equality with the reference and appends
+    each state it checks to ``seen``."""
+    def checked(g, X, state, mode=UMode.EXTENDED):
+        u = compute_U(g, X, state, mode)
+        assert u == reference_U(g, X, state, mode), state.describe()
+        seen.append(state)
+        return u
+    return checked
 
 
 @pytest.fixture
@@ -33,14 +46,7 @@ def checked_U(monkeypatch):
     """Make every `compute_U` call of the fold assert equality with the
     reference; yields a list that counts the states checked."""
     seen = []
-
-    def checked(g, X, state, mode=UMode.EXTENDED):
-        u = compute_U(g, X, state, mode)
-        assert u == reference_U(g, X, state, mode), state.describe()
-        seen.append(state)
-        return u
-
-    monkeypatch.setattr(engine, "compute_U", checked)
+    monkeypatch.setattr(engine, "compute_U", _checking(seen))
     return seen
 
 
@@ -72,6 +78,23 @@ def test_random_theories(seed, checked_U):
     for t in (random_stratified_theory(seed, atoms=12, laws=8),
               random_deterministic_theory(seed, atoms=12, laws=8)):
         _run_both(ground(t), NOTHING, checked_U)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(quantified_theories(max_laws=3), st.data())
+def test_stratified_quantified_theories_have_one_distribution(t, data):
+    g = ground(t)
+    assume(stratification_report(g).stratified)
+    mentioned = mentioned_exogenous(g)
+    X = frozenset(data.draw(st.lists(st.sampled_from(mentioned), unique=True))
+                  if mentioned else ())
+    seen: list = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "compute_U", _checking(seen))
+        dist = distribution(g, X, UMode.EXTENDED)
+        report = sweep_orders(g, X, UMode.EXTENDED)
+    assert report.distributions == (dist,)
+    assert seen
 
 
 def _chain(n: int) -> str:

@@ -14,9 +14,9 @@ from cplogic.engine import distribution
 from cplogic.ground import (GroundTheory, check_theory, expand_formula, ground,
                             stratification_report)
 from cplogic.syntax import (FALSE, TRUE, And, Atom, CPLaw, EffectLiteral,
-                            Exists, ForAll, HeadDisjunct, Or, Theory,
-                            TheoryError, Var, formula_atoms,
-                            parse_theory)
+                            Exists, ForAll, HeadDisjunct, Or, ParseError, Theory,
+                            TheoryError, Var, formula_atoms, parse_theory,
+                            print_theory)
 
 from helpers import atom, atoms
 
@@ -257,6 +257,61 @@ def test_ground_rejects_what_the_parser_rejects(t, message):
         ground(t)
     with pytest.raises(TheoryError):
         check_theory(t)
+
+
+def _laws(*heads, binders=()) -> tuple:
+    """One law per head, each head given as ``(atom, probability)`` pairs."""
+    return tuple(CPLaw(binders, tuple(HeadDisjunct(EffectLiteral(False, a), p)
+                                      for a, p in head), TRUE) for head in heads)
+
+
+_P_X, _HALF = Atom("P", (Var("x"),)), Fraction(1, 2)
+_HINT = "; law variables need a '!x in d:' binder"
+
+
+# Per rule of `syntax.Rules`, a theory built in code that breaks it, the
+# message, and what the parser says of the printed theory: the same message
+# (True), another (a string), or nothing to compare, the text breaking
+# another rule or none (False).
+@pytest.mark.parametrize("t, message, printed", [
+    (Theory({"d": ("a", "a")}, {}, ()), "constant 'a' listed twice in domain 'd'", True),
+    (Theory({"d": ("a",)}, {}, _laws([(_P_X, 1)], binders=(("x", "d"), ("x", "d")))),
+     "law variable 'x' bound twice", True),
+    (Theory({}, {}, _laws([(_P_X, 1)], binders=(("x", "ghost"),))),
+     "undeclared domain 'ghost'", True),
+    (Theory({"d": ("a",)}, {}, _laws([(Atom("P", ("a",)), 1)], [(Atom("P"), 1)])),
+     "predicate 'P' used with arity 0, previously 1", True),
+    (Theory({"d": ("a",)}, {}, _laws([(Atom("P", ("zz",)), 1)])),
+     "undeclared constant 'zz' (not in any domain)",
+     f"undeclared constant 'zz' (not in any domain{_HINT})"),
+    (Theory({"d": ("a",)}, {"E": 1}, _laws([(Atom("E", ("a",)), 1)])),
+     "exogenous atom E(a) may not occur in a head", True),
+    (Theory({}, {}, _laws([(Atom("A"), _HALF), (Atom("A"), _HALF)])),
+     "atom A appears in two disjuncts of the same head", True),
+    (Theory({}, {}, _laws([(Atom("A"), Fraction(0))])), "probability 0 is not in (0, 1]", True),
+    (Theory({}, {}, _laws([(Atom("A"), Fraction(3, 2))])),
+     "probability 3/2 is not in (0, 1]", True),
+    (Theory({}, {}, _laws([(Atom("A"), -_HALF)])),
+     "probability -1/2 is not in (0, 1]", False),  # "-" is no token
+    (Theory({}, {}, _laws([(Atom("A"), Fraction(2, 3)), (Atom("B"), Fraction(2, 3))])),
+     "head probabilities sum to 4/3 > 1", True),
+    # ground once ended in TypeError ("1") and ZeroDivisionError (-1)
+    (Theory({}, {"E": "x"}, ()), "expected arity (a plain integer)", True),
+    (Theory({}, {"E": True}, ()), "expected arity (a plain integer)", True),
+    (Theory({}, {"E": "1"}, ()), "expected arity (a plain integer)", False),  # prints E/1
+    (Theory({}, {"E": -1}, ()), "expected arity (a plain integer)", False),
+], ids=["constant twice", "bound twice", "undeclared domain", "second arity",
+        "undeclared constant", "exogenous head", "two disjuncts", "zero", "above one",
+        "negative", "head sum", "arity x", "arity True", "arity '1'", "arity -1"])
+def test_each_rule_gives_one_message_to_ground_check_and_the_parser(t, message, printed):
+    for check in (ground, check_theory):
+        with pytest.raises(TheoryError) as info:
+            check(t)
+        assert str(info.value) == message
+    if printed:
+        with pytest.raises(ParseError) as info:
+            parse_theory(print_theory(t))
+        assert info.value.message == (message if printed is True else printed)
 
 
 def test_a_head_must_stay_apart_in_every_instance():

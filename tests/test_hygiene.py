@@ -10,7 +10,8 @@ package must read it outside its own definition, or the documents name it.  An i
 carrying ``# noqa: F401`` binds names on purpose, and a name that
 ``__init__`` lists in ``__all__`` is a re-export.  The modules form layers
 (`LAYERS`): each imports only from layers below its own, and only at the
-top of the module, never inside a function.
+top of the module, never inside a function.  Each rule of the language
+is worded once (`RULE_MESSAGES`), in `syntax.Rules`.
 """
 
 import ast
@@ -173,3 +174,25 @@ def test_every_module_imports_only_from_the_layers_below_it(path):
             wrong.extend(f"line {node.lineno}: {target}" for target in _imported(node)
                          if LAYERS[target] >= layer)
     assert not wrong, f"{path.name} breaks the layering: {wrong}"
+
+
+# A fragment of the message of each rule that `syntax.Rules` states.
+RULE_MESSAGES = ("listed twice in domain", "a plain integer", "undeclared domain",
+                 "bound twice", "used with arity", "undeclared constant",
+                 "may not occur in a head", "appears in two disjuncts",
+                 "is not in (0, 1]", "head probabilities sum to")
+
+
+def _strings(tree: ast.AST) -> list:
+    """Every string constant in ``tree``, the parts of f-strings included
+    and docstrings excluded."""
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in docstrings]
+
+
+@pytest.mark.parametrize("fragment", RULE_MESSAGES)
+def test_each_rule_of_the_language_is_worded_once(fragment):
+    sites = [f"{path.relative_to(PACKAGE)}:{node.lineno}" for path in SOURCES
+             for node in _strings(_tree(path)) if fragment in node.value]
+    assert len(sites) == 1, f"{fragment!r} is worded at {sites or 'no site'}"
