@@ -47,8 +47,8 @@ class UsageError(Exception):
     pass
 
 
-def _fmt_prob(p: Fraction) -> str:
-    return f"{p} (= {p.numerator / p.denominator:.6f})"
+def _fmt_prob(p: Fraction, form: str = "{} (= {})") -> str:
+    return form.format(p, f"{p.numerator / p.denominator:.6f}")
 
 
 def _json_rows(dist: engine.Distribution) -> list:
@@ -115,8 +115,7 @@ def cmd_dist(args) -> int:
     if args.tsv:
         print("world\tp\tdecimal")
         for world, p in rows:
-            atoms = ",".join(atom_names(world))
-            print(f"{atoms}\t{p}\t{p.numerator / p.denominator:.6f}")
+            print(",".join(atom_names(world)), _fmt_prob(p, "{}\t{}"), sep="\t")
     else:
         width = max((len(format_atom_set(w)) for w, _ in rows), default=0)
         for world, p in rows:

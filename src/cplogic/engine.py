@@ -18,14 +18,15 @@ checks that the firing order does not change the distribution.
 
 States are classified against a `_Program`: the ground theory compiled once
 per X, and kept on the `GroundTheory` itself.  Atoms become bits, each body
-a Kleene evaluator over a pair of bit masks with X folded in, and each head
-atom carries the laws whose bodies read it.  A dormant law that X does not
-wake is neither walked nor has its body built: X's atoms are matched against
-the grounding's wake record, one entry per exogenous atom occurrence of a
-dormant schema (`ground._woken`).  `compute_U` is a worklist fixpoint over
-that index; the two-valued body test and the U gate run the same compiled
-bodies.  `query` runs only the live laws that reach its atoms, on a copy of
-that program, when it is stratified (`_slice`).
+a Kleene evaluator over a pair of bit masks with X folded in, and one loop
+over the live laws gives each head atom the laws whose bodies read it and
+the signed graph from head atoms to the atoms their bodies read.  A dormant
+law that X does not wake is neither walked nor has its body built
+(`ground._woken`).  `compute_U` is a worklist fixpoint over that index; the
+two-valued body test and the U gate run the same compiled bodies.  `query`
+runs only the live laws that reach its atoms, on a copy of that program,
+when it is stratified; `_slice` reads both off that graph, so a query
+builds none.
 
 All probabilities are exact.  While the fold runs, a state's
 sub-distribution is one integer denominator ``D`` and an integer numerator
@@ -138,10 +139,13 @@ class _Program:
     masks ``(t, u)`` with every other atom f.  ``bodies[i](t, u)`` is law
     i's Kleene value, 0/1/2 for f/u/t, with X's atoms already folded in,
     and ``reads[i]`` the masks it reads as `_compile_body` gives them.
-    ``heads[i]`` has one ``(negated, bit, readers)`` per head disjunct,
-    ``readers`` being the laws whose compiled bodies read that atom.
     ``live`` lists the laws that may fire, in index order: those whose
-    bodies X does not make false outright, or a query's slice of them.
+    bodies X does not make false outright.  One loop over them builds
+    ``heads[i]``, one ``(negated, bit, readers)`` per head disjunct of live
+    law i (empty for any other), ``readers`` being the live laws whose bodies
+    read that atom, and ``deps``, the graph ``{head bit: {read bit:
+    negative}}``, negative when read under an odd number of ``~`` or when
+    the head literal is negative; a query's slice shares both (`_slice`).
     ``last_U`` is the latest U built by `compute_U` with its masks.
     A dormant law, whose body `ground` found f at rest, that no atom of X
     wakes (`ground._woken`) gets `_FALSE` and reads nothing, as its compile
@@ -149,7 +153,7 @@ class _Program:
     An X outside the exogenous universe raises `ExogenousError`.
     """
 
-    __slots__ = ("atoms", "bit", "bodies", "reads", "heads", "live", "last_U")
+    __slots__ = ("atoms", "bit", "bodies", "reads", "heads", "deps", "live", "last_U")
 
     def __init__(self, g: GroundTheory, X: frozenset):
         extra = [a for a in X if a not in g.exogenous_atoms]
@@ -165,16 +169,22 @@ class _Program:
         self.bodies, self.reads = tuple(zip(*compiled)) or ((), ())
         self.live = tuple(i for i, body in enumerate(self.bodies)
                           if body is not _FALSE)
-        heads = [[(d.literal.negated, self.bit[d.literal.atom]) for d in law.head]
-                 for law in g.laws]
-        readers: dict = {}
-        for i in self.live:  # a law that is not live reads nothing
+        self.heads = [()] * len(g.laws)
+        readers: dict = {}  # bit -> its live readers; heads hold these lists
+        self.deps = {}
+        for i in self.live:
             pos, neg = self.reads[i]
-            for b in _bits(pos | neg):
-                readers.setdefault(b, []).append(i)
-        self.heads = tuple(
-            tuple([(negated, b, tuple(readers.get(b, ()))) for negated, b in head])
-            for head in heads)
+            read = tuple(_bits(pos | neg))
+            for r in read:
+                readers.setdefault(r, []).append(i)
+            head = []
+            for d in g.laws[i].head:
+                b, negated = self.bit[d.literal.atom], d.literal.negated
+                head.append((negated, b, readers.setdefault(b, [])))
+                out = self.deps.setdefault(b, {})
+                for r in read:
+                    out[r] = negated or bool(r & neg) or out.get(r, False)
+            self.heads[i] = tuple(head)
         self.last_U = (None, 0, 0)
 
     def mask(self, atoms) -> int:
@@ -577,24 +587,14 @@ def _slice(prog: _Program, atoms) -> tuple[tuple, bool | None]:
     """The live laws that can cause or retract one of ``atoms``, or an atom
     that such a law's compiled body reads, in index order; and, when those
     are not all the live laws, whether the live program is stratified, else
-    None.  Both are read off one graph, with an edge from each head atom of
-    a live law to each atom its body reads, negative when read under an odd
-    number of ``~`` or when the head literal is negative."""
-    deps: dict = {}  # head bit -> {read bit: negative}
-    for i in prog.live:
-        pos, neg = prog.reads[i]
-        for negated, b, _ in prog.heads[i]:
-            out = deps.setdefault(b, {})
-            for r in _bits(pos | neg):
-                out[r] = negated or bool(r & neg) or out.get(r, False)
-    todo = [prog.bit[a] for a in atoms if a in prog.bit]
-    reached = set(todo)
+    None.  Both are read off the graph ``prog.deps`` that the compile built."""
+    reached = {prog.bit[a] for a in atoms if a in prog.bit}
+    todo = list(reached)
     while todo:
-        for r in deps.get(todo.pop(), ()):
-            if r not in reached:
-                reached.add(r)
-                todo.append(r)
+        new = prog.deps.get(todo.pop(), {}).keys() - reached
+        reached |= new
+        todo += new
     kept = tuple(i for i in prog.live
                  if any(b in reached for _, b, _ in prog.heads[i]))
     return kept, (None if len(kept) == len(prog.live)
-                  else not _negation_cycles(deps))
+                  else not _negation_cycles(prog.deps))

@@ -133,6 +133,13 @@ def mentioned_exogenous(g) -> list:
                    if a in g.exogenous_atoms}, key=str)
 
 
+def drawn_exogenous(draw, g) -> frozenset:
+    """An X for the ground theory ``g``, by ``draw`` (a `hypothesis` draw
+    function): each exogenous atom that a body of ``g`` mentions is in X
+    unless a draw leaves it out, so most draws set an atom some body reads."""
+    return frozenset(a for a in mentioned_exogenous(g) if not draw(st.booleans()))
+
+
 def leaf_paths(node):
     """Yield (edges-from-root, leaf node) pairs of an execution tree, left
     to right."""
@@ -170,7 +177,10 @@ def quantified_theories(draw, max_laws: int = 4, shadow: bool = False) -> Theory
     """Small quantified theories over exogenous ``E/1`` and ``F/0`` and
     endogenous ``P/1`` and ``Q/0``: positive and negated exogenous
     literals, truth constants, quantifiers nested up to depth 3, one domain
-    that may be empty, and heads with negative literals.  With ``shadow``,
+    that may be empty, and heads with negative literals.  There are at
+    least two laws (unless ``max_laws`` is 1), and a law shares the binders
+    and body of an earlier one two times in three, so that several laws
+    are often applicable at once.  With ``shadow``,
     a quantified variable may be named like a constant, which is then not
     drawn in its scope, so the theory still prints as itself."""
     constants = ("a", "b", "c")
@@ -207,9 +217,17 @@ def quantified_theories(draw, max_laws: int = 4, shadow: bool = False) -> Theory
         parts = tuple(formula(bound, depth - 1) for _ in range(draw(st.integers(2, 3))))
         return And(parts) if kind == "and" else Or(parts)
 
+    triggers: list = []  # (binders, body) of each law with a body of its own
+
     def law():
-        names = draw(st.lists(st.sampled_from(("x", "y")), max_size=1))
-        binders = tuple((v, draw(st.sampled_from(sorted(domains)))) for v in names)
+        if triggers and draw(st.integers(0, 2)) < 2:
+            binders, body = draw(st.sampled_from(triggers))
+        else:
+            names = draw(st.lists(st.sampled_from(("x", "y")), max_size=1))
+            binders = tuple((v, draw(st.sampled_from(sorted(domains)))) for v in names)
+            body = formula(set(names), 3)
+            triggers.append((binders, body))
+        names = [v for v, _ in binders]
         heads = []
         for _ in range(draw(st.integers(1, 2))):
             a = atom(("P", "Q"), set(names))
@@ -218,7 +236,7 @@ def quantified_theories(draw, max_laws: int = 4, shadow: bool = False) -> Theory
         den = draw(st.integers(len(heads), 4))
         head = tuple(HeadDisjunct(EffectLiteral(draw(st.booleans()), a), Fraction(1, den))
                      for a in heads)
-        return CPLaw(binders, head, formula(set(names), 3))
+        return CPLaw(binders, head, body)
 
     return Theory(domains, exogenous,
-                  tuple(law() for _ in range(draw(st.integers(1, max_laws)))))
+                  tuple(law() for _ in range(draw(st.integers(min(2, max_laws), max_laws)))))

@@ -22,7 +22,7 @@ from cplogic.ground import (GroundTheory, _DormantLaw, _woken, ground,
                             stratification_report)
 from cplogic.syntax import formula_atoms, parse_theory
 
-from helpers import atom, atoms, mentioned_exogenous, quantified_theories
+from helpers import atom, atoms, drawn_exogenous, quantified_theories
 
 
 def _full(g: GroundTheory) -> GroundTheory:
@@ -34,9 +34,7 @@ def _full(g: GroundTheory) -> GroundTheory:
 @given(quantified_theories(), st.data())
 def test_the_sparse_compile_equals_the_full_compile(t, data):
     g = ground(t)
-    mentioned = mentioned_exogenous(g)
-    X = frozenset(data.draw(st.lists(st.sampled_from(mentioned), unique=True))
-                  if mentioned else ())
+    X = drawn_exogenous(data.draw, g)
     # a fresh grounding, so that no dormant body has been read
     fresh = ground(t)
     assert _woken(fresh, X) == {i for i in g._wake[0]

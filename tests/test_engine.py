@@ -17,7 +17,7 @@ from cplogic.syntax import Atom, parse_formula, parse_theory
 from cplogic.threeval import UnboundAtomError
 
 from helpers import (approximates, atom, atoms, leaf_paths,
-                     mentioned_exogenous, quantified_theories,
+                     drawn_exogenous, quantified_theories,
                      random_deterministic_theory, random_stratified_theory,
                      total)
 
@@ -403,9 +403,7 @@ def test_a_theory_reported_stratified_never_gets_stuck():
                      quantified_theories(max_laws=3)), st.data())
     def never_stuck(t, data):
         g = ground(t)
-        mentioned = mentioned_exogenous(g)
-        X = frozenset(data.draw(st.lists(st.sampled_from(mentioned), unique=True))
-                      if mentioned else ())
+        X = drawn_exogenous(data.draw, g)
         reported = stratification_report(g).stratified
         # a query on no atoms keeps no law, so the check runs on every live
         # law; None means there is none, and so no cycle

@@ -13,7 +13,7 @@ from cplogic import theories
 from cplogic.engine import UMode, distribution
 from cplogic.ground import ground, stratification_report
 
-from helpers import mentioned_exogenous, quantified_theories, random_stratified_theory
+from helpers import drawn_exogenous, quantified_theories, random_stratified_theory
 from reference_lpad import SelectionBudgetError, lpad_distribution
 
 
@@ -29,9 +29,7 @@ def test_stratified_propositional_theories_agree(seed):
 def test_stratified_quantified_theories_agree(t, data):
     g = ground(t)
     assume(stratification_report(g).stratified)
-    mentioned = mentioned_exogenous(g)
-    X = frozenset(data.draw(st.lists(st.sampled_from(mentioned), unique=True))
-                  if mentioned else ())
+    X = drawn_exogenous(data.draw, g)
     try:
         expected = lpad_distribution(t, X, budget=2_000)
     except SelectionBudgetError:

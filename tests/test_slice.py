@@ -3,10 +3,13 @@
 When the program compiled for X is stratified, `query` runs `distribution`
 on the live laws that can cause or retract a query atom, or an atom that
 such a law reads, and on the whole theory otherwise; the slice runs on the
-program already compiled for X, so no law is compiled twice.  Every answer must
-equal the one read off the whole theory's distribution, a theory that gets
-stuck included, and in extended mode the LPAD reading of a stratified
-theory (`tests/reference_lpad.py`).
+program already compiled for X, so no law is compiled twice, and reads the
+dependency graph that the compile built, so a query builds no graph.  That
+graph must equal the one built from the compiled reads and heads by the
+edge rule (`_reference_deps`).  Every answer must equal the one read off
+the whole theory's distribution, a theory that gets stuck included, and in
+extended mode the LPAD reading of a stratified theory
+(`tests/reference_lpad.py`).
 """
 
 from fractions import Fraction
@@ -21,8 +24,8 @@ from cplogic.ground import ground, stratification_report
 from cplogic.syntax import (TRUE, And, Not, Or, Theory, formula_atoms,
                             parse_formula, parse_theory)
 
-from helpers import (mentioned_exogenous, quantified_theories,
-                     random_stratified_theory)
+from helpers import (drawn_exogenous, mentioned_exogenous, quantified_theories,
+                     random_deterministic_theory, random_stratified_theory)
 from reference_lpad import lpad_distribution
 
 
@@ -44,6 +47,52 @@ def _answer(g, X, phi, mode):
 def _sliced(g, X, phi) -> bool:
     """Whether `query` runs on a slice of ``g`` for ``phi`` under ``X``."""
     return bool(engine._slice(engine._Program(g, X), formula_atoms(phi))[1])
+
+
+def _reference_deps(g, prog) -> dict:
+    """The signed graph that `engine._slice` used to build on every query:
+    an edge from each head atom of a live law to each atom its compiled body
+    reads, negative when read under an odd number of ``~`` or when the head
+    literal is negative."""
+    deps: dict = {}
+    for i in prog.live:
+        pos, neg = prog.reads[i]
+        for d in g.laws[i].head:
+            out = deps.setdefault(prog.bit[d.literal.atom], {})
+            for k in range(len(prog.atoms)):
+                r = 1 << k
+                if r & (pos | neg):
+                    out[r] = d.literal.negated or bool(r & neg) or out.get(r, False)
+    return deps
+
+
+def _check_relations(g, X) -> int:
+    """Check the graph and head tables that the compile of ``g`` for ``X``
+    derives from its live laws; the number of laws that are not live."""
+    prog = engine._Program(g, X)
+    assert prog.deps == _reference_deps(g, prog)
+    for i, law in enumerate(g.laws):
+        if i not in prog.live:
+            assert prog.heads[i] == ()  # nothing reads a dead law's heads
+            continue
+        assert [(negated, b) for negated, b, _ in prog.heads[i]] == \
+            [(d.literal.negated, prog.bit[d.literal.atom]) for d in law.head]
+        for _, b, readers in prog.heads[i]:
+            assert list(readers) == [j for j in prog.live
+                                     if b & (prog.reads[j][0] | prog.reads[j][1])]
+    return len(g.laws) - len(prog.live)
+
+
+def test_the_compiled_graph_is_the_per_query_graph():
+    dead = 0
+    for bundled in theories.BUNDLED.values():
+        g = ground(bundled.theory())
+        for X in bundled.exo_cases:
+            dead += _check_relations(g, X)
+    for seed in range(100):
+        _check_relations(ground(random_stratified_theory(seed)), frozenset())
+        _check_relations(ground(random_deterministic_theory(seed)), frozenset())
+    assert dead  # some bundled law is not live, and has no head table
 
 
 def test_every_bundled_atom_query_equals_the_full_distribution():
@@ -84,8 +133,7 @@ def _queries(draw):
     t = draw(quantified_theories())
     g = ground(t)
     mentioned = mentioned_exogenous(g)
-    X = frozenset(draw(st.lists(st.sampled_from(mentioned), unique=True))
-                  if mentioned else ())
+    X = drawn_exogenous(draw, g)
     pool = sorted(g.endogenous_atoms, key=str) + mentioned or [TRUE]
     a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
     phi = draw(st.sampled_from((a, Not(a), And((a, b)), Or((a, Not(b))))))
@@ -96,6 +144,7 @@ def _queries(draw):
 @given(_queries())
 def test_quantified_queries_equal_the_full_distribution(case):
     g, X, mode, phi = case
+    _check_relations(g, X)
     assert _answer(g, X, phi, mode) == _full(g, X, phi, mode)
 
 
@@ -167,11 +216,23 @@ def test_a_sliced_query_runs_on_the_program_compiled_for_X(monkeypatch):
         return real(phi, *args)
 
     monkeypatch.setattr(engine, "_compile_body", counted)
+    ran = []  # the program each distribution runs on
+    real_distribution = engine.distribution
+
+    def recorded(g, X, mode):
+        ran.append(g._compiled[1])
+        return real_distribution(g, X, mode)
+
+    monkeypatch.setattr(engine, "distribution", recorded)
     g = ground(t)
     c3 = parse_formula("C3", t)
     for _ in range(2):
         assert query(g, X, c3) == Fraction(1, 2)
         assert len(compiled) == len(g.laws) == 11  # each law once per (g, X)
+    prog = engine._program(g, X)
+    # both slices are copies of the one program and share its one graph
+    assert [p.live for p in ran] == [(3,), (3,)]
+    assert all(p is not prog and p.deps is prog.deps for p in ran)
     assert engine._program(g, X).live == tuple(range(11))
     assert distribution(g, X) == want
     assert len(compiled) == 11

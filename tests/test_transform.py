@@ -14,7 +14,7 @@ from cplogic.transform import (NameClashError, SharedHeadError, TransformError,
                                intervene, internalize, negative_head_predicates,
                                tau_not)
 
-from helpers import (atom, atoms, mentioned_exogenous, quantified_theories,
+from helpers import (atom, atoms, drawn_exogenous, quantified_theories,
                      random_stratified_theory)
 
 BP = theories.get("blood_pressure")
@@ -288,9 +288,7 @@ def _interventions(draw):
     shared = {d.literal.atom for law in g.laws if len(law.head) > 1 for d in law.head}
     assume(caused - shared)
     target = draw(st.sampled_from(sorted(caused - shared, key=str)))
-    mentioned = mentioned_exogenous(g)
-    X = frozenset(draw(st.lists(st.sampled_from(mentioned), unique=True))
-                  if mentioned else ())
+    X = drawn_exogenous(draw, g)
     return t, target, X
 
 
@@ -311,9 +309,7 @@ def test_internalize_matches_intervene_on_quantified_theories(case):
 def test_tau_not_preserves_the_projected_distribution_of_quantified_theories(t, data):
     g = ground(t)
     assume(stratification_report(g).stratified)
-    mentioned = mentioned_exogenous(g)
-    X = frozenset(data.draw(st.lists(st.sampled_from(mentioned), unique=True))
-                  if mentioned else ())
+    X = drawn_exogenous(data.draw, g)
     compiled, _ = tau_not(t)
     vocab = set(endogenous_signature(t))
     assert distribution(ground(compiled), X).project(vocab) == \
