@@ -41,14 +41,13 @@ from __future__ import annotations
 
 from collections.abc import Set
 from copy import copy
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
 
 from .ground import GroundTheory, _negation_cycles, _woken, expand_formula
 from .syntax import (And, Atom, EffectLiteral, Formula, Not, Or, atom_names,
-                     format_atom_set, formula_atoms)
+                     format_atom_set, formula_atoms, record)
 # bench/tracing.py counts `holds` and `kleene_eval` calls at this import
 # site, so both stay bound here.
 from .threeval import (ThreeValuedInterp, UnboundAtomError, holds,
@@ -82,7 +81,7 @@ class SoundnessError(Exception):
             f"with satisfied but undecidable laws {list(blocked)}")
 
 
-@dataclass(frozen=True)
+@record
 class ExecState:
     """One node's world: current true atoms, retracted atoms, fired laws."""
 
@@ -104,7 +103,7 @@ class ExecState:
                 f"fired={sorted(self.fired)}")
 
 
-@dataclass(frozen=True)
+@record
 class ExecEdge:
     prob: Fraction
     outcome: EffectLiteral | None  # None is the no-op outcome
@@ -112,7 +111,7 @@ class ExecEdge:
     child: "ExecNode"
 
 
-@dataclass(frozen=True)
+@record
 class ExecNode:
     state: ExecState
     u: ThreeValuedInterp

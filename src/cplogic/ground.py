@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Set
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -37,7 +36,7 @@ from operator import itemgetter
 from .syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll, Formula,
                      HeadDisjunct, Not, Or, ParseError, Rules, Theory, TheoryError,
                      Truth, TRUE, FALSE, Var, format_atom_set, parse_theory,
-                     print_theory)
+                     print_theory, record)
 from .threeval import kleene_junction
 
 
@@ -80,7 +79,7 @@ class ExogenousUniverse(Set):
         return f"<{len(self)} exogenous atoms>"
 
 
-@dataclass(frozen=True)
+@record
 class GroundTheory:
     """Variable-free laws plus the atom universes they mention.
 
@@ -99,24 +98,20 @@ class GroundTheory:
     # Per law, its outcome table: one ``(outcome, num, den)`` per head
     # disjunct, the probability ``num / den`` in lowest terms, plus the
     # no-op outcome ``None`` with the remainder when the head sums below 1.
-    _outcomes: tuple = field(default=(), init=False, compare=False, repr=False)
+    _outcomes: tuple = ()
     # The engine's compiled form of ``laws`` for one X, as ``(X, program)``;
     # set on first use, so it lives exactly as long as this theory.
-    _compiled: tuple | None = field(default=None, init=False, compare=False,
-                                    repr=False)
-    # Set by `ground`, and None in a copy made by `dataclasses.replace`,
-    # which may change ``laws``: the dormant laws and per exogenous
+    _compiled: tuple | None = None
+    # Set by `ground`, and None in a copy built from the fields, which
+    # may change ``laws``: the dormant laws and per exogenous
     # predicate ``{constants: [(binder domains, {binder values: law},
     # args)]}``, one entry per occurrence in a dormant schema (`ground`,
     # `_woken`), None making no law dormant; per law of the theory, in the
     # order that ``laws`` instantiates them, ``(law, occurrence list)``;
     # the arity of each predicate of the theory.
-    _wake: tuple | None = field(default=None, init=False, compare=False,
-                                repr=False)
-    _schemas: tuple | None = field(default=None, init=False, compare=False,
-                                   repr=False)
-    _arity: dict | None = field(default=None, init=False, compare=False,
-                                repr=False)
+    _wake: tuple | None = None
+    _schemas: tuple | None = None
+    _arity: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "_outcomes", tuple(
@@ -295,9 +290,9 @@ def _woken(g: GroundTheory, X) -> set:
     slot's domain, and wakes the instances whose binders agree."""
     woken: set = set()
     for a in X:
-        record = g._wake[1].get(a.predicate, {})
+        filed = g._wake[1].get(a.predicate, {})
         for constants in itertools.product(*[(c, None) for c in a.args]):
-            for doms, instance, args in record.get(constants, ()):
+            for doms, instance, args in filed.get(constants, ()):
                 env: dict = {}
                 if all(s is None or (c in d and env.setdefault(s, c) == c)
                        for c, (s, d) in zip(a.args, args)):
@@ -432,7 +427,7 @@ def check_theory(t: Theory) -> None:
 # Stratification diagnostic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class StratificationReport:
     """Whether any dependency cycle carries a negative edge.
 

@@ -16,7 +16,6 @@ rescanning U and a `Fraction` distribution, are kept in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
@@ -26,7 +25,7 @@ from .engine import (applicable, apply_disjunct, compute_U,  # noqa: F401
                      satisfied_unfired)
 from .ground import GroundTheory
 from .syntax import (And, Atom, Formula, Not, Or, Truth, atom_names,
-                     formula_atom_polarities)
+                     formula_atom_polarities, record)
 from .threeval import ThreeValuedInterp, holds
 
 
@@ -71,7 +70,7 @@ def _dist_key(fd: tuple):
     return sorted((atom_names(world), str(Fraction(n, D))) for world, n in pairs)
 
 
-@dataclass(frozen=True)
+@record
 class DivergenceWitness:
     """Two rule choices at one reachable state with different achievable outcomes."""
 
@@ -90,7 +89,7 @@ class DivergenceWitness:
                 + f": law {self.law_a} and law {self.law_b} admit different distributions")
 
 
-@dataclass(frozen=True)
+@record
 class OrderSweepReport:
     models_explored: int  # number of distinct complete execution models
     distributions: tuple  # of Distribution, all distinct outcomes seen

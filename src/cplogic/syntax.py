@@ -32,13 +32,15 @@ The printer is the parser's inverse up to formatting: for any theory value
 ``t`` produced by `parse_theory`, ``parse_theory(print_theory(t)) == t``.
 `ground.check_theory` accepts a value built in code exactly when that holds
 for it.
+
+The AST nodes and the package's other immutable values are `record`
+classes: what `dataclasses` would give them, without its start-up cost.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Iterator, NamedTuple, Union
@@ -66,11 +68,64 @@ class TheoryError(Exception):
     """A structurally ill-formed theory value (programmatic construction)."""
 
 
+# The hot methods of a record class, as `record` fills them in for its fields.
+_RECORD_METHODS = """\
+def __init__(self, {params}):
+{body}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+def __hash__(self):
+    return hash(({mine}))
+"""
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def record(cls):
+    """Make ``cls`` an immutable record of the names it annotates, in order.
+
+    A public name is a field: a parameter of ``__init__`` (a class-level
+    value is its default) and a part of ``__match_args__``, ``==`` between
+    records of one class, ``hash`` and ``repr``.  A ``_``-prefixed name is
+    a cache: it reads its class-level value until code sets it with
+    `object.__setattr__`.  ``__init__`` ends with ``__post_init__`` when
+    the class has one; assignment and ``del`` raise `AttributeError`.
+    ``__init__``, ``==`` and ``hash`` are compiled once per class as direct
+    code, since the engine runs them in its inner loops.
+    """
+    names = tuple(n for n in cls.__dict__.get("__annotations__", ()) if n[0] != "_")
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    body = [f"    _set(self, {n!r}, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    mine = "".join(f"self.{n}, " for n in names)
+    source = _RECORD_METHODS.format(
+        params=", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names),
+        body="\n".join(body), mine=mine, theirs=mine.replace("self.", "other."))
+    methods = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), methods)
+    for name in ("__init__", "__eq__", "__hash__"):
+        setattr(cls, name, methods[name])
+    cls.__match_args__ = names
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Var:
     """Occurrence of a law or quantifier variable in an argument position."""
 
@@ -83,7 +138,7 @@ class Var:
 Term = Union[str, Var]  # constants are plain strings
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     predicate: str
     args: tuple[Term, ...] = ()
@@ -97,7 +152,7 @@ class Atom:
         return f"{self.predicate}({','.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
+@record
 class Truth:
     value: bool
 
@@ -105,29 +160,29 @@ class Truth:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     parts: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     parts: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@record
 class ForAll:
     var: str
     domain: str
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Exists:
     var: str
     domain: str
@@ -140,7 +195,7 @@ TRUE = Truth(True)
 FALSE = Truth(False)
 
 
-@dataclass(frozen=True)
+@record
 class EffectLiteral:
     """An atom that a law may cause: positive (make true) or negative (force false)."""
 
@@ -151,13 +206,13 @@ class EffectLiteral:
         return ("~" if self.negated else "") + str(self.atom)
 
 
-@dataclass(frozen=True)
+@record
 class HeadDisjunct:
     literal: EffectLiteral
     prob: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class CPLaw:
     """One causal law: ``vars`` universally quantify head and body.
 
@@ -174,13 +229,13 @@ class CPLaw:
         return len(self.head) == 1 and self.head[0].prob == 1
 
 
-@dataclass(frozen=True)
+@record
 class Theory:
     domains: dict  # name -> tuple of constants, declaration order kept
     exogenous: dict  # predicate -> arity
     laws: tuple[CPLaw, ...]
     # `endogenous_signature`, kept by the parser or worked out on first use
-    _signature: dict | None = field(default=None, init=False, compare=False, repr=False)
+    _signature: dict | None = None
 
 
 # ---------------------------------------------------------------------------

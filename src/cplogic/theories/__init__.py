@@ -6,13 +6,12 @@ with a few representative exogenous worlds to run it under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib.resources import files
 
-from ..syntax import Theory, parse_literal, parse_theory
+from ..syntax import Theory, parse_literal, parse_theory, record
 
 
-@dataclass(frozen=True)
+@record
 class BundledTheory:
     name: str
     cases: tuple  # per representative world, its true exogenous atoms: "A P(c)"

@@ -9,10 +9,9 @@ the ints ``F, U, T = 0, 1, 2``, in the truth order f < u < t: negation is
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass, field
 
 from .syntax import (And, Atom, Exists, ForAll, Formula, Not, Or, Truth,
-                     format_atom_set)
+                     format_atom_set, record)
 
 
 class UnboundAtomError(Exception):
@@ -22,7 +21,7 @@ class UnboundAtomError(Exception):
 F, U, T = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@record
 class ThreeValuedInterp:
     """Total map from a finite atom universe to {t, f, u}.
 
@@ -30,8 +29,8 @@ class ThreeValuedInterp:
     """
 
     universe: frozenset
-    true_set: frozenset = field(default_factory=frozenset)
-    unknown_set: frozenset = field(default_factory=frozenset)
+    true_set: frozenset = frozenset()
+    unknown_set: frozenset = frozenset()
 
     def __post_init__(self):
         if not self.true_set <= self.universe or not self.unknown_set <= self.universe:

@@ -12,6 +12,12 @@ from cplogic.syntax import (And, Atom, CPLaw, EffectLiteral, Exists, ForAll,
                             TRUE, Var, formula_atoms, substitute_atom)
 
 
+def replace(x, **changes):
+    """A copy of the record ``x`` with ``changes`` to its fields, built by
+    its constructor, so that every cache of the copy starts empty."""
+    return type(x)(**{name: getattr(x, name) for name in x.__match_args__} | changes)
+
+
 def atom(spec: str) -> Atom:
     """Build an atom from "P" or "P(a,b)" notation."""
     if "(" not in spec:

@@ -9,7 +9,6 @@ every law gives; a `GroundTheory` built in code carries no record, so it
 is that full compile.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +21,8 @@ from cplogic.ground import (GroundTheory, _DormantLaw, _woken, ground,
                             stratification_report)
 from cplogic.syntax import formula_atoms, parse_theory
 
-from helpers import atom, atoms, drawn_exogenous, quantified_theories
+from helpers import (atom, atoms, drawn_exogenous, quantified_theories,
+                     replace)
 
 
 def _full(g: GroundTheory) -> GroundTheory:

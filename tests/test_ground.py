@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from cplogic.syntax import (FALSE, TRUE, And, Atom, CPLaw, EffectLiteral,
                             TheoryError, Var, formula_atoms, parse_theory,
                             print_theory)
 
-from helpers import atom, atoms
+from helpers import atom, atoms, replace
 
 
 def test_singleton_domain_expands_to_one_law():

@@ -13,7 +13,6 @@ offending cycles by a hash-seed dependent root, so those are compared in
 printed order.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,7 +26,8 @@ from cplogic.syntax import (TRUE, And, Atom, CPLaw, EffectLiteral, Exists,
                             format_atom_set, parse_theory)
 
 import reference_ground as ref
-from helpers import random_deterministic_theory, random_stratified_theory
+from helpers import (random_deterministic_theory, random_stratified_theory,
+                     replace)
 from test_print_parse import theory_values
 
 # Nested law binders, a quantifier that shadows a law variable (the inner

@@ -11,11 +11,16 @@ carrying ``# noqa: F401`` binds names on purpose, and a name that
 ``__init__`` lists in ``__all__`` is a re-export.  The modules form layers
 (`LAYERS`): each imports only from layers below its own, and only at the
 top of the module, never inside a function.  Each rule of the language
-is worded once (`RULE_MESSAGES`), in `syntax.Rules`.
+is worded once (`RULE_MESSAGES`), in `syntax.Rules`.  Importing the CLI
+loads none of the slow stdlib modules that `dataclasses` brings in
+(`HEAVY`), since every `cpl` process pays for its imports.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -196,3 +201,28 @@ def test_each_rule_of_the_language_is_worded_once(fragment):
     sites = [f"{path.relative_to(PACKAGE)}:{node.lineno}" for path in SOURCES
              for node in _strings(_tree(path)) if fragment in node.value]
     assert len(sites) == 1, f"{fragment!r} is worded at {sites or 'no site'}"
+
+
+# Standard modules that `import cplogic.cli` must not load: `dataclasses`
+# and the modules it imports, which cost more than the package's own code.
+HEAVY = {"dataclasses", "inspect", "ast", "dis"}
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    probe = ("import sys; bare = set(sys.modules); import cplogic.cli; "
+             "print(*sorted(set(sys.modules) - bare))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    added = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "cplogic.cli" in added
+    assert not HEAVY & set(added), f"import cplogic.cli loads {HEAVY & set(added)}"
+
+
+def test_no_module_imports_dataclasses():
+    sites = [f"{path.relative_to(PACKAGE)}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(_tree(path))
+             if (isinstance(node, ast.Import) and any(
+                 a.name.split(".")[0] == "dataclasses" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")]
+    assert not sites, f"dataclasses imported at {sites}"

@@ -8,7 +8,6 @@ heads, multi-outcome heads and connectives nested up to `MAX_NESTING`.
 vocabulary and probabilities, and name the culprit.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,7 @@ from cplogic.syntax import (KEYWORDS, MAX_NESTING, FALSE, TRUE, And, Atom,
                             HeadDisjunct, Not, Or, Theory, TheoryError, Var,
                             endogenous_signature, parse_theory, print_theory)
 
-from helpers import apart_when_ground
+from helpers import apart_when_ground, replace
 
 # Disjoint name pools: a variable named like a constant would capture it.
 PREDICATES = ("P", "Q", "R", "Go_2", "s")

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +13,7 @@ from cplogic.transform import (NameClashError, SharedHeadError, TransformError,
                                tau_not)
 
 from helpers import (atom, atoms, drawn_exogenous, quantified_theories,
-                     random_stratified_theory)
+                     random_stratified_theory, replace)
 
 BP = theories.get("blood_pressure")
 
