@@ -2,11 +2,20 @@
 
 A theory executes by repeatedly firing laws whose bodies hold.  Firing is
 gated twice: the body must be true in the current world, and it must also be
-definitely true under a three-valued overestimate of everything that could
+definitely true under a three-valued overestimate U of everything that could
 still be caused further down the tree.  The second gate makes a body literal
 ``~A`` mean "A will never deviate from false", not merely "A is false right
-now".  When a body holds in the current world but the overestimate cannot
-decide it, the process is stuck and the theory has no semantics.
+now".  When a body holds in the current world but U cannot decide it, the
+process is stuck and the theory has no semantics.
+
+The second gate can only block a law that negation can reach.  U keeps
+every atom that is true now at t, except, in extended mode, one that a live
+negative head can retract, and only raises other atoms from f to u.  A body
+that reads no atom under ``~`` is monotone in the order f < u < t, so if it
+is true now it is t under U.  Such a law is *sure* in literal mode, and in
+extended mode when its body also reads no retractable atom.  A state whose
+satisfied laws are all sure fires them as they are; U is built only at the
+other states.
 
 One iterative fold, `_fold`, walks the reachable execution states children
 first: it follows the outcome tables that the ground theory
@@ -22,8 +31,9 @@ a Kleene evaluator over a pair of bit masks with X folded in, and one loop
 over the live laws gives each head atom the laws whose bodies read it and
 the signed graph from head atoms to the atoms their bodies read.  A dormant
 law that X does not wake is neither walked nor has its body built
-(`ground._woken`).  `compute_U` is a worklist fixpoint over that index; the
-two-valued body test and the U gate run the same compiled bodies.  `query`
+(`ground._woken`).  The same loop marks the sure laws of each mode.
+`compute_U` is a worklist fixpoint over that index; the two-valued body
+test and the U gate run the same compiled bodies.  `query`
 runs only the live laws that reach its atoms, on a copy of that program,
 when it is stratified; `_slice` reads both off that graph, so a query
 builds none.
@@ -145,6 +155,9 @@ class _Program:
     read that atom, and ``deps``, the graph ``{head bit: {read bit:
     negative}}``, negative when read under an odd number of ``~`` or when
     the head literal is negative; a query's slice shares both (`_slice`).
+    ``sure[mode]`` holds the live laws that U cannot block in that mode:
+    those whose bodies read no atom under an odd number of ``~``, and, in
+    extended mode, no atom that a live negative head can retract.
     ``last_U`` is the latest U built by `compute_U` with its masks.
     A dormant law, whose body `ground` found f at rest, that no atom of X
     wakes (`ground._woken`) gets `_FALSE` and reads nothing, as its compile
@@ -152,7 +165,8 @@ class _Program:
     An X outside the exogenous universe raises `ExogenousError`.
     """
 
-    __slots__ = ("atoms", "bit", "bodies", "reads", "heads", "deps", "live", "last_U")
+    __slots__ = ("atoms", "bit", "bodies", "reads", "heads", "deps", "live", "sure",
+                 "last_U")
 
     def __init__(self, g: GroundTheory, X: frozenset):
         extra = [a for a in X if a not in g.exogenous_atoms]
@@ -171,6 +185,7 @@ class _Program:
         self.heads = [()] * len(g.laws)
         readers: dict = {}  # bit -> its live readers; heads hold these lists
         self.deps = {}
+        retractable = 0
         for i in self.live:
             pos, neg = self.reads[i]
             read = tuple(_bits(pos | neg))
@@ -183,7 +198,13 @@ class _Program:
                 out = self.deps.setdefault(b, {})
                 for r in read:
                     out[r] = negated or bool(r & neg) or out.get(r, False)
+                if negated:
+                    retractable |= b
             self.heads[i] = tuple(head)
+        positive = [i for i in self.live if not self.reads[i][1]]
+        self.sure = {UMode.LITERAL: frozenset(positive),
+                     UMode.EXTENDED: frozenset(
+                         i for i in positive if not self.reads[i][0] & retractable)}
         self.last_U = (None, 0, 0)
 
     def mask(self, atoms) -> int:
@@ -359,6 +380,9 @@ def compute_U(g: GroundTheory, X: frozenset, state: ExecState,
     law whose body is not f has its heads propagated once, and an atom that
     changes re-evaluates only the still-f bodies that read it.
     ``tests/reference_engine.py`` computes the same fixpoint by rescanning.
+    `_fold` builds U only at a state where some satisfied law is not sure,
+    so ``combine`` gets ``u=None`` elsewhere; `build_execution_model` calls
+    this function for those states itself.
     """
     prog = _program(g, X)
     t, u = prog.overestimate(state, mode)
@@ -416,16 +440,24 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
 
     This is the one place where a state is classified.  ``expand(state,
     app)`` sees each distinct state once, with the laws applicable there,
-    and returns the ones to branch on; every outcome of each is a child.  A
-    state where some body holds but no law is applicable raises
-    `SoundnessError`.  Once its children are done, ``combine(state, u,
-    branches, path)`` gives the state's value: ``branches`` holds one
-    ``(law index, [(outcome, num, den, child value), ...])`` per expanded
-    law, the outcome's probability being ``num / den`` in lowest terms, and
-    ``path`` the ``(law index, outcome)`` steps from the root.  Identical
-    states are folded once and share their value.  The current path lives
-    on an explicit stack, so its length is not bounded by the recursion
-    limit.
+    and returns the ones to branch on; every outcome of each is a child.
+    When every satisfied unfired law is sure (`_Program`), they are the
+    applicable laws and U is not built; otherwise `compute_U` builds U and
+    `_gate` keeps the laws whose bodies are t under it.  A state where some
+    body holds but no law is applicable raises `SoundnessError`.  Once its
+    children are done, ``combine(state, u, branches, path)`` gives the
+    state's value: ``u`` is the state's U, or None where it was not built;
+    ``branches`` holds one ``(law index, [(outcome, num, den, child value),
+    ...])`` per expanded law, the outcome's probability being ``num / den``
+    in lowest terms, and ``path`` the ``(law index, outcome)`` steps from
+    the root.  Identical states are folded once and share their value.  The
+    current path lives on an explicit stack, so its length is not bounded
+    by the recursion limit.
+
+    `bench/tracing.py` times `compute_U`, `satisfied_unfired` and
+    `apply_disjunct` by patching this module's names, so the fold calls
+    them through those names; `query`'s `compute_U` call at the state where
+    every law has fired keeps a `compute_U` span in every query.
     """
     weights = g._outcomes
     memo: dict = {}  # finished state -> value
@@ -436,10 +468,14 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     state = ExecState.initial()
     while True:
         if state is not None:
-            u = compute_U(g, X, state, mode)
+            # satisfied_unfired compiles g on first use, so its time includes it.
             sat = satisfied_unfired(g, X, state)
-            # compute_U compiles g on first use, so U's time includes it.
-            app = _gate(_program(g, X), sat, u)
+            prog = _program(g, X)
+            if prog.sure[mode].issuperset(sat):
+                u, app = None, sat
+            else:
+                u = compute_U(g, X, state, mode)
+                app = _gate(prog, sat, u)
             chosen = expand(state, app)
             if sat and not app:
                 raise SoundnessError(state, sat)
@@ -479,11 +515,14 @@ def build_execution_model(g: GroundTheory, X: frozenset,
     At each node the lowest-index applicable law fires; the node gets one
     child per outcome of its head, the no-op outcome included.  A node with no
     satisfied unfired law is a leaf.  Identical states share one subtree
-    object; `ExecNode.walk` still reads the result as a tree.  Raises
+    object; `ExecNode.walk` still reads the result as a tree.  Every node
+    carries its U, built here where the fold did not need it.  Raises
     `SoundnessError` when some body holds but every such law is undecidable
     under U.
     """
     def node(state, u, branches, _path):
+        if u is None:
+            u = compute_U(g, X, state, mode)
         return ExecNode(state, u, tuple(
             ExecEdge(Fraction(num, den), outcome, i, child)
             for i, kids in branches for outcome, num, den, child in kids))
@@ -570,7 +609,8 @@ def query(g: GroundTheory, X: frozenset, phi: Formula,
                 arity.get(atom.predicate) != len(atom.args)
                 or not constants.issuperset(atom.args)):
             raise UnboundAtomError(f"unknown atom {atom}")
-    # compute_U compiles g for X, as in _fold; with every law fired, U is cheap
+    # compute_U compiles g for X; with every law fired, U is cheap.  It is
+    # also the query's one compute_U span, which bench/selftest.py expects.
     compute_U(g, X, ExecState(frozenset(), frozenset(), frozenset(range(len(g.laws)))))
     prog = _program(g, X)
     kept, stratified = _slice(prog, formula_atoms(phi))

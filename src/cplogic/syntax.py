@@ -236,6 +236,8 @@ class Theory:
     laws: tuple[CPLaw, ...]
     # `endogenous_signature`, kept by the parser or worked out on first use
     _signature: dict | None = None
+    # `_vocabulary`: the declarations it was checked for and its `Rules`
+    _rules: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +405,13 @@ class Rules:
         for pred in exogenous:
             self.declare_exogenous(pred, exogenous[pred])
 
+    def reporting(self, fail) -> "Rules":
+        """These rules over the same vocabulary, calling ``fail`` instead."""
+        other = object.__new__(Rules)
+        other.fail, other.domains, other.exogenous, other.arity, other.constants = (
+            fail, self.domains, self.exogenous, self.arity, self.constants)
+        return other
+
     def declare_domain(self, name: str, consts, where=None) -> None:
         listed: set = set()
         for k, c in enumerate(consts):
@@ -523,6 +532,7 @@ class _Parser:
         t = Theory(dict(self.rules.domains), dict(self.rules.exogenous), tuple(self.laws))
         sig = {p: n for p, n in self.rules.arity.items() if p not in t.exogenous}
         object.__setattr__(t, "_signature", sig)
+        object.__setattr__(t, "_rules", (_declarations(t), self.rules.reporting(_raise)))
         return t
 
     def parse_domain_decl(self):
@@ -692,13 +702,31 @@ def parse_theory(text: str) -> Theory:
     return _Parser(text).parse_theory()
 
 
+def _declarations(t: Theory) -> tuple:
+    """A snapshot of ``t``'s domain and exogenous declarations."""
+    return {name: tuple(consts) for name, consts in t.domains.items()}, dict(t.exogenous)
+
+
+def _vocabulary(t: Theory) -> Rules:
+    """``t``'s closed vocabulary: `Rules` over its declarations and the
+    arity of each predicate it mentions.  The declarations are checked once
+    per theory, or by the parser that built it, and again only after they
+    change; treat the result as read-only."""
+    declared = _declarations(t)
+    kept = t._rules
+    if kept is None or kept[0] != declared:
+        rules = Rules(*declared)  # its own faults: TheoryError
+        rules.arity.update(endogenous_signature(t))
+        kept = (declared, rules)
+        object.__setattr__(t, "_rules", kept)
+    return kept[1]
+
+
 def _seeded_parser(text: str, theory: Theory) -> _Parser:
     """A parser over ``text`` closed over the theory's domains and predicates."""
     p = _Parser(text)
     p.closed = True
-    rules = Rules(theory.domains, theory.exogenous)  # its own faults: TheoryError
-    rules.arity.update(endogenous_signature(theory))
-    rules.fail, p.rules = p.rules.fail, rules
+    p.rules = _vocabulary(theory).reporting(p.rules.fail)
     return p
 
 

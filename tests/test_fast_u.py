@@ -1,10 +1,14 @@
-"""The compiled worklist `compute_U` against the rescanning `reference_U`.
+"""The compiled worklist `compute_U` against the rescanning `reference_U`,
+and the fold's rule for skipping it.
 
-Every state that the engine's fold classifies, through `distribution` and
-through `sweep_orders`, in both modes, must get exactly the overestimate
-that `reference_engine.reference_U` computes by the definition.  On a
-stratified theory the sweep must also find one distribution in extended
-mode, the one that `distribution` gives.
+Every state that `build_execution_model` reaches gets its U, in both modes,
+and every U that the fold builds, through `distribution` and through
+`sweep_orders`, must be exactly the overestimate that
+`reference_engine.reference_U` computes by the definition.  The fold skips
+U at a state whose satisfied laws are all sure; at every such state, the
+reference gate must find those laws applicable.  On a stratified theory the
+sweep must also find one distribution in extended mode, the one that
+`distribution` gives.
 """
 
 import gc
@@ -16,7 +20,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cplogic import engine, theories
-from cplogic.engine import (SoundnessError, UMode, compute_U, distribution,
+from cplogic.engine import (SoundnessError, UMode, applicable,
+                            build_execution_model, compute_U, distribution,
                             query, satisfied_unfired)
 from cplogic.ground import ground, stratification_report
 from cplogic.oracle import BudgetExceededError, sweep_orders
@@ -30,54 +35,81 @@ from reference_engine import reference_U
 NOTHING = frozenset()
 
 
-def _checking(seen: list):
-    """A `compute_U` that asserts equality with the reference and appends
-    each state it checks to ``seen``."""
-    def checked(g, X, state, mode=UMode.EXTENDED):
-        u = compute_U(g, X, state, mode)
+def _small_sweep(g, X, mode):
+    return sweep_orders(g, X, mode, max_nodes=300)
+
+
+def _checked(run, g, X, mode) -> tuple[list, list]:
+    """Run ``run(g, X, mode)`` with every `compute_U` call of the engine
+    asserted equal to `reference_U`.  Returns the states whose U was built
+    and those the fold classified without it; at each of the latter, the
+    reference gate must pass every satisfied law."""
+    built, classified = [], []
+    real_U, real_sat = compute_U, satisfied_unfired
+
+    def checked_U(g, X, state, mode=UMode.EXTENDED):
+        u = real_U(g, X, state, mode)
         assert u == reference_U(g, X, state, mode), state.describe()
-        seen.append(state)
+        built.append(state)
         return u
+
+    def noted_sat(g, X, state):
+        classified.append(state)
+        return real_sat(g, X, state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "compute_U", checked_U)
+        patch.setattr(engine, "satisfied_unfired", noted_sat)
+        try:
+            run(g, X, mode)
+        except (SoundnessError, BudgetExceededError):
+            pass
+    seen = set(built)
+    skipped = [state for state in classified if state not in seen]
+    for state in skipped:
+        sat = satisfied_unfired(g, X, state)
+        assert applicable(g, X, state, reference_U(g, X, state, mode)) == sat, \
+            state.describe()
+    return built, skipped
+
+
+def _run_all(g, X) -> int:
+    """Fold ``g`` under X by `build_execution_model`, `distribution` and a
+    small sweep, in both modes; returns how many U were checked."""
+    checked = 0
+    for mode in UMode:
+        built, skipped = _checked(build_execution_model, g, X, mode)
+        assert built and not skipped  # the tree carries U at every node
+        for run in (distribution, _small_sweep):
+            built += _checked(run, g, X, mode)[0]
+        checked += len(built)
     return checked
 
 
-@pytest.fixture
-def checked_U(monkeypatch):
-    """Make every `compute_U` call of the fold assert equality with the
-    reference; yields a list that counts the states checked."""
-    seen = []
-    monkeypatch.setattr(engine, "compute_U", _checking(seen))
-    return seen
-
-
-def _run_both(g, X, seen):
-    """Fold ``g`` under X by `distribution` and by a small sweep, both modes."""
-    for mode in UMode:
-        before = len(seen)
-        try:
-            distribution(g, X, mode)
-        except SoundnessError:
-            pass
-        try:
-            sweep_orders(g, X, mode, max_nodes=300)
-        except (SoundnessError, BudgetExceededError):
-            pass
-        assert len(seen) > before
-
-
 @pytest.mark.parametrize("name", sorted(theories.BUNDLED))
-def test_bundled_theories(name, checked_U):
+def test_bundled_theories(name):
     bundled = theories.BUNDLED[name]
     g = ground(bundled.theory())
     for X in bundled.exo_cases:
-        _run_both(g, X, checked_U)
+        assert _run_all(g, X)
 
 
 @pytest.mark.parametrize("seed", range(200))
-def test_random_theories(seed, checked_U):
+def test_random_theories(seed):
     for t in (random_stratified_theory(seed, atoms=12, laws=8),
               random_deterministic_theory(seed, atoms=12, laws=8)):
-        _run_both(ground(t), NOTHING, checked_U)
+        assert _run_all(ground(t), NOTHING)
+
+
+def test_random_theories_fire_laws_without_U():
+    # across the seeds, many states have satisfied laws and no U
+    firing = 0
+    for seed in range(40):
+        g = ground(random_stratified_theory(seed, atoms=12, laws=8))
+        for mode in UMode:
+            _, skipped = _checked(distribution, g, NOTHING, mode)
+            firing += sum(1 for s in skipped if satisfied_unfired(g, NOTHING, s))
+    assert firing > 100
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -86,13 +118,12 @@ def test_stratified_quantified_theories_have_one_distribution(t, data):
     g = ground(t)
     assume(stratification_report(g).stratified)
     X = drawn_exogenous(data.draw, g)
-    seen: list = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "compute_U", _checking(seen))
-        dist = distribution(g, X, UMode.EXTENDED)
-        report = sweep_orders(g, X, UMode.EXTENDED)
+    assert _run_all(g, X)
+    results = []
+    for run in (distribution, sweep_orders):  # the whole sweep, checked
+        _checked(lambda *args: results.append(run(*args)), g, X, UMode.EXTENDED)
+    dist, report = results
     assert report.distributions == (dist,)
-    assert seen
 
 
 def _chain(n: int) -> str:
@@ -104,23 +135,43 @@ def _chain(n: int) -> str:
             + "\n".join(laws) + "\n")
 
 
-def test_gear_chain_with_locks(checked_U):
+def test_gear_chain_with_locks():
     g = ground(parse_theory(_chain(40)))
+    checked = 0
     for X in (atoms("Crank"), atoms("Crank", "Locked(g7)"),
               atoms("Crank", "Locked(g0)", "Locked(g39)")):
         for mode in UMode:
-            distribution(g, X, mode)
-    assert len(checked_U) > 40
+            for run in (build_execution_model, distribution):
+                checked += len(_checked(run, g, X, mode)[0])
+    assert checked > 40 * 6
 
 
-def test_coins_with_any(checked_U):
+def test_a_chain_builds_U_only_where_the_lock_can_block():
+    # Locked(g7) makes Turns(g7) retractable: in extended mode U is built
+    # exactly where the law reading Turns(g7) is satisfied, and in literal
+    # mode, where no body reads an atom under ~, nowhere
+    g = ground(parse_theory(_chain(40)))
+    X = atoms("Crank", "Locked(g7)")
+    (reader,) = (i for i, law in enumerate(g.laws) if law.body == atom("Turns(g7)"))
+    built, skipped = _checked(distribution, g, X, UMode.EXTENDED)
+    assert built and skipped
+    assert all(reader in satisfied_unfired(g, X, s) for s in built)
+    assert not any(reader in satisfied_unfired(g, X, s) for s in skipped)
+    built, skipped = _checked(distribution, g, X, UMode.LITERAL)
+    assert built == [] and len(skipped) > 40
+
+
+def test_coins_with_any():
     text = " ".join(f"(C{i}:1/2)." for i in range(8))
     text += " Any <- " + " ; ".join(f"C{i}" for i in range(8)) + "."
     g = ground(parse_theory(text))
     for mode in UMode:
-        dist = distribution(g, NOTHING, mode)
-        assert len(dist) == 256
-    assert len(checked_U) > 256
+        built, _ = _checked(build_execution_model, g, NOTHING, mode)
+        assert len(built) > 256
+        # every body is positive and no head negative: no state needs U
+        built, skipped = _checked(distribution, g, NOTHING, mode)
+        assert built == [] and len(skipped) > 256
+        assert len(distribution(g, NOTHING, mode)) == 256
 
 
 def test_exogenous_atoms_fold_out_of_bodies():

@@ -471,3 +471,35 @@ def test_a_theory_signature_is_walked_once_per_theory(monkeypatch):
     assert walked == list(built.laws)  # one walk, on first use
     assert endogenous_signature(built) == endogenous_signature(parsed) == {
         "A": 0, "B": 0, "P": 1}
+
+
+def test_a_theory_vocabulary_is_checked_once_per_theory(monkeypatch):
+    checked = []
+    real = syntax.Rules.declare_domain
+
+    def counted(rules, name, consts, where=None):
+        checked.append(name)
+        return real(rules, name, consts, where)
+
+    monkeypatch.setattr(syntax.Rules, "declare_domain", counted)
+    parsed = parse_theory("domain d = {c}.\ndomain e = {c, k}.\nexogenous E/1.\n"
+                          "A <- B, E(c).\nP(k) <- ~A.")
+    checked.clear()  # the parser's own declarations
+
+    def read_all(t):
+        for text in ("A", "P(c)", "E(k)"):
+            parse_formula(text, t)
+            parse_literal(text, t)
+        parse_assignment("E(c)=true", t)
+
+    read_all(parsed)
+    assert checked == []  # the parser keeps the vocabulary it checked
+    built = Theory(dict(parsed.domains), dict(parsed.exogenous), parsed.laws)
+    read_all(built)
+    assert checked == ["d", "e"]  # one check, on first use
+    built.domains["f"] = ("m",)
+    with pytest.raises(ParseError, match="undeclared constant 'n'"):
+        parse_formula("P(n)", built)
+    assert parse_formula("P(m)", built) == Atom("P", ("m",))
+    read_all(built)
+    assert checked == ["d", "e", "d", "e", "f"]  # once more after a change
