@@ -15,7 +15,7 @@ that reads no atom under ``~`` is monotone in the order f < u < t, so if it
 is true now it is t under U.  Such a law is *sure* in literal mode, and in
 extended mode when its body also reads no retractable atom.  A state whose
 satisfied laws are all sure fires them as they are; U is built only at the
-other states.
+other states, for the gate alone, and at every node of an execution tree.
 
 One iterative fold, `_fold`, walks the reachable execution states children
 first: it follows the outcome tables that the ground theory
@@ -158,15 +158,13 @@ class _Program:
     ``sure[mode]`` holds the live laws that U cannot block in that mode:
     those whose bodies read no atom under an odd number of ``~``, and, in
     extended mode, no atom that a live negative head can retract.
-    ``last_U`` is the latest U built by `compute_U` with its masks.
     A dormant law, whose body `ground` found f at rest, that no atom of X
     wakes (`ground._woken`) gets `_FALSE` and reads nothing, as its compile
     would give, without its body being built or walked.
     An X outside the exogenous universe raises `ExogenousError`.
     """
 
-    __slots__ = ("atoms", "bit", "bodies", "reads", "heads", "deps", "live", "sure",
-                 "last_U")
+    __slots__ = ("atoms", "bit", "bodies", "reads", "heads", "deps", "live", "sure")
 
     def __init__(self, g: GroundTheory, X: frozenset):
         extra = [a for a in X if a not in g.exogenous_atoms]
@@ -205,10 +203,13 @@ class _Program:
         self.sure = {UMode.LITERAL: frozenset(positive),
                      UMode.EXTENDED: frozenset(
                          i for i in positive if not self.reads[i][0] & retractable)}
-        self.last_U = (None, 0, 0)
 
     def mask(self, atoms) -> int:
-        return sum(map(self.bit.__getitem__, atoms))
+        """The sum of ``atoms``' bits; `UnboundAtomError` for a non-endogenous atom."""
+        try:
+            return sum(map(self.bit.__getitem__, atoms))
+        except KeyError as exc:
+            raise UnboundAtomError(f"atom {exc.args[0]} not in the endogenous universe") from None
 
     def atoms_of(self, mask: int) -> frozenset:
         atoms = self.atoms
@@ -380,18 +381,10 @@ def compute_U(g: GroundTheory, X: frozenset, state: ExecState,
     law whose body is not f has its heads propagated once, and an atom that
     changes re-evaluates only the still-f bodies that read it.
     ``tests/reference_engine.py`` computes the same fixpoint by rescanning.
-    `_fold` builds U only at a state where some satisfied law is not sure,
-    so ``combine`` gets ``u=None`` elsewhere; `build_execution_model` calls
-    this function for those states itself.
     """
     prog = _program(g, X)
     t, u = prog.overestimate(state, mode)
-    true_set = state.true_atoms
-    if t.bit_count() != len(true_set):  # t is I less what was downgraded
-        true_set = prog.atoms_of(t)
-    interp = ThreeValuedInterp(g.endogenous_atoms, true_set, prog.atoms_of(u))
-    prog.last_U = (interp, t, u)
-    return interp
+    return ThreeValuedInterp(g.endogenous_atoms, prog.atoms_of(t), prog.atoms_of(u))
 
 
 def satisfied_unfired(g: GroundTheory, X: frozenset, state: ExecState) -> tuple:
@@ -404,9 +397,7 @@ def satisfied_unfired(g: GroundTheory, X: frozenset, state: ExecState) -> tuple:
 
 def _gate(prog: _Program, laws, u: ThreeValuedInterp) -> tuple:
     """Those of ``laws`` whose bodies are definitely true under ``u``."""
-    last, t, uu = prog.last_U
-    if last is not u:
-        t, uu = prog.mask(u.true_set), prog.mask(u.unknown_set)
+    t, uu = prog.mask(u.true_set), prog.mask(u.unknown_set)
     return tuple(i for i in laws if prog.bodies[i](t, uu) == 2)
 
 
@@ -443,16 +434,16 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     and returns the ones to branch on; every outcome of each is a child.
     When every satisfied unfired law is sure (`_Program`), they are the
     applicable laws and U is not built; otherwise `compute_U` builds U and
-    `_gate` keeps the laws whose bodies are t under it.  A state where some
-    body holds but no law is applicable raises `SoundnessError`.  Once its
-    children are done, ``combine(state, u, branches, path)`` gives the
-    state's value: ``u`` is the state's U, or None where it was not built;
-    ``branches`` holds one ``(law index, [(outcome, num, den, child value),
-    ...])`` per expanded law, the outcome's probability being ``num / den``
-    in lowest terms, and ``path`` the ``(law index, outcome)`` steps from
-    the root.  Identical states are folded once and share their value.  The
-    current path lives on an explicit stack, so its length is not bounded
-    by the recursion limit.
+    `_gate` keeps the laws whose bodies are t under it; U goes nowhere
+    else.  A state where some body holds but no law is applicable raises
+    `SoundnessError`.  Once its children are done, ``combine(state,
+    branches, path)`` gives the state's value: ``branches`` holds one
+    ``(law index, [(outcome, num, den, child value), ...])`` per expanded
+    law, the outcome's probability being ``num / den`` in lowest terms, and
+    ``path`` the ``(law index, outcome)`` steps from the root.  Identical
+    states are folded once and share their value.  The current path lives
+    on an explicit stack, so its length is not bounded by the recursion
+    limit.
 
     `bench/tracing.py` times `compute_U`, `satisfied_unfired` and
     `apply_disjunct` by patching this module's names, so the fold calls
@@ -461,8 +452,8 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     """
     weights = g._outcomes
     memo: dict = {}  # finished state -> value
-    # The current path: per state, its U, the (law, outcome, num, den) edges to
-    # follow, an iterator over those not yet visited, and the children so far.
+    # The current path: per state, the (law, outcome, num, den) edges to follow,
+    # an iterator over those not yet visited, and the children so far.
     frames: list = []
     path: list = []  # (law index, outcome) steps into frames[1:]
     state = ExecState.initial()
@@ -471,18 +462,15 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
             # satisfied_unfired compiles g on first use, so its time includes it.
             sat = satisfied_unfired(g, X, state)
             prog = _program(g, X)
-            if prog.sure[mode].issuperset(sat):
-                u, app = None, sat
-            else:
-                u = compute_U(g, X, state, mode)
-                app = _gate(prog, sat, u)
+            app = sat if prog.sure[mode].issuperset(sat) \
+                else _gate(prog, sat, compute_U(g, X, state, mode))
             chosen = expand(state, app)
             if sat and not app:
                 raise SoundnessError(state, sat)
             edges = [(i, outcome, num, den)
                      for i in chosen for outcome, num, den in weights[i]]
-            frames.append((state, u, edges, iter(edges), []))
-        top, u, edges, todo, children = frames[-1]
+            frames.append((state, edges, iter(edges), []))
+        top, edges, todo, children = frames[-1]
         for i, outcome, _, _ in todo:
             state = apply_disjunct(top, i, outcome)
             children.append(state)
@@ -495,7 +483,7 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
             for (i, outcome, num, den), child in zip(edges, children):
                 branches.setdefault(i, []).append(
                     (outcome, num, den, memo[child]))
-            value = combine(top, u, branches.items(), path)
+            value = combine(top, branches.items(), path)
             if not frames:
                 return value
             memo[top] = value
@@ -516,14 +504,12 @@ def build_execution_model(g: GroundTheory, X: frozenset,
     child per outcome of its head, the no-op outcome included.  A node with no
     satisfied unfired law is a leaf.  Identical states share one subtree
     object; `ExecNode.walk` still reads the result as a tree.  Every node
-    carries its U, built here where the fold did not need it.  Raises
+    carries its U, which this builder computes itself.  Raises
     `SoundnessError` when some body holds but every such law is undecidable
     under U.
     """
-    def node(state, u, branches, _path):
-        if u is None:
-            u = compute_U(g, X, state, mode)
-        return ExecNode(state, u, tuple(
+    def node(state, branches, _path):
+        return ExecNode(state, compute_U(g, X, state, mode), tuple(
             ExecEdge(Fraction(num, den), outcome, i, child)
             for i, kids in branches for outcome, num, den, child in kids))
 
@@ -578,7 +564,7 @@ def distribution(g: GroundTheory, X: frozenset,
     diamond-shaped state spaces.  A state's value is ``(D, {world:
     numerator})``; only the root's is turned into `Fraction`s.
     """
-    def mix(state, _u, branches, _path):
+    def mix(state, branches, _path):
         if not branches:
             return 1, {state.true_atoms: 1}
         ((_, kids),) = branches

@@ -24,9 +24,8 @@ from .engine import Distribution, ExecState, UMode, _fold, _mix
 from .engine import (applicable, apply_disjunct, compute_U,  # noqa: F401
                      satisfied_unfired)
 from .ground import GroundTheory
-from .syntax import (And, Atom, Formula, Not, Or, Truth, atom_names,
-                     formula_atom_polarities, record)
-from .threeval import ThreeValuedInterp, holds
+from .syntax import Formula, atom_names, formula_atom_polarities, record
+from .threeval import F, T, ThreeValuedInterp, evaluate, holds
 
 
 # Default node budget of `sweep_orders` and of `cpl sweep --budget`.  The
@@ -129,7 +128,7 @@ def sweep_orders(g: GroundTheory, X: frozenset,
         states += 1
         return app
 
-    def combine(state, _u, branches, path):
+    def combine(state, branches, path):
         nonlocal witness
         if not branches:
             return 1, frozenset({(1, frozenset({(state.true_atoms, 1)}))})
@@ -183,23 +182,15 @@ def _deterministic_rules(g: GroundTheory, what: str):
 
 
 def _dual_eval(phi: Formula, inner: frozenset, outer: frozenset,
-               X: frozenset, exogenous, positive: bool) -> bool:
+               X: frozenset, exogenous) -> bool:
     """Evaluate with positive atom occurrences read from ``inner`` and
     occurrences under an odd number of negations read from ``outer``."""
-    match phi:
-        case Atom():
-            if phi in exogenous:
-                return phi in X
-            return phi in (inner if positive else outer)
-        case Truth(v):
-            return v
-        case Not(sub):
-            return not _dual_eval(sub, inner, outer, X, exogenous, not positive)
-        case And(parts):
-            return all(_dual_eval(p, inner, outer, X, exogenous, positive) for p in parts)
-        case Or(parts):
-            return any(_dual_eval(p, inner, outer, X, exogenous, positive) for p in parts)
-    raise OracleError(f"cannot evaluate {phi!r}; ground the theory first")
+    def value(atom, negated):
+        if atom in exogenous:
+            return T if atom in X else F
+        return T if atom in (outer if negated else inner) else F
+
+    return evaluate(phi, value) == T
 
 
 def well_founded_model(g: GroundTheory, X: frozenset = frozenset()) -> ThreeValuedInterp:
@@ -219,7 +210,7 @@ def well_founded_model(g: GroundTheory, X: frozenset = frozenset()) -> ThreeValu
             changed = False
             for head, body in rules:
                 if head not in derived and _dual_eval(
-                        body, frozenset(derived), assumed, X, exo, True):
+                        body, frozenset(derived), assumed, X, exo):
                     derived.add(head)
                     changed = True
         return frozenset(derived)

@@ -57,6 +57,26 @@ class ThreeValuedInterp:
                 f"f:{format_atom_set(self.false_set)}")
 
 
+def evaluate(phi: Formula, value, negated: bool = False) -> int:
+    """Kleene value of ground ``phi``, each atom occurrence read as
+    ``value(atom, negated)``, ``negated`` telling whether it sits under an
+    odd number of ``~`` (``phi`` itself under one when ``negated``).  The
+    one walk over formulas that `kleene_eval` and `holds` read through."""
+    match phi:
+        case Atom():
+            return value(phi, negated)
+        case Truth(v):
+            return T if v else F
+        case Not(sub):
+            return 2 - evaluate(sub, value, not negated)
+        case And(parts) | Or(parts):
+            return kleene_junction(isinstance(phi, And),
+                                   (evaluate(p, value, negated) for p in parts))
+        case ForAll() | Exists():
+            raise ValueError("quantifier in a formula; ground it first")
+    raise TypeError(f"not a formula: {phi!r}")
+
+
 def kleene_eval(phi: Formula, nu: ThreeValuedInterp, X: frozenset,
                 exogenous: Set) -> int:
     """Kleene truth value of ground ``phi`` under ``nu``, exogenous atoms from ``X``.
@@ -64,23 +84,14 @@ def kleene_eval(phi: Formula, nu: ThreeValuedInterp, X: frozenset,
     Atoms outside ``nu``'s universe must belong to ``exogenous`` and are
     read two-valued from ``X``; otherwise they are unbound.
     """
-    match phi:
-        case Atom():
-            if phi in nu.universe:
-                return nu.value(phi)
-            if phi not in exogenous:
-                raise UnboundAtomError(f"atom {phi} not in the endogenous or exogenous universe")
-            return T if phi in X else F
-        case Truth(v):
-            return T if v else F
-        case Not(sub):
-            return 2 - kleene_eval(sub, nu, X, exogenous)
-        case And(parts) | Or(parts):
-            return kleene_junction(isinstance(phi, And),
-                                   (kleene_eval(p, nu, X, exogenous) for p in parts))
-        case ForAll() | Exists():
-            raise ValueError("quantifier in a formula handed to kleene_eval; ground it first")
-    raise TypeError(f"not a formula: {phi!r}")
+    def value(atom, _negated):
+        if atom in nu.universe:
+            return nu.value(atom)
+        if atom not in exogenous:
+            raise UnboundAtomError(f"atom {atom} not in the endogenous or exogenous universe")
+        return T if atom in X else F
+
+    return evaluate(phi, value)
 
 
 def kleene_junction(conj: bool, values) -> int:
@@ -102,17 +113,4 @@ def kleene_junction(conj: bool, values) -> int:
 
 def holds(phi: Formula, true_atoms) -> bool:
     """Two-valued satisfaction: atoms are true iff they belong to ``true_atoms``."""
-    match phi:
-        case Atom():
-            return phi in true_atoms
-        case Truth(v):
-            return v
-        case Not(sub):
-            return not holds(sub, true_atoms)
-        case And(parts):
-            return all(holds(p, true_atoms) for p in parts)
-        case Or(parts):
-            return any(holds(p, true_atoms) for p in parts)
-        case ForAll() | Exists():
-            raise ValueError("quantifier in a formula handed to holds; ground it first")
-    raise TypeError(f"not a formula: {phi!r}")
+    return evaluate(phi, lambda atom, _negated: T if atom in true_atoms else F) == T

@@ -65,7 +65,7 @@ def reference_distribution(g: GroundTheory, X: frozenset,
     sub-distribution is a dict of `Fraction`s mixed by ``+`` and ``*``: the
     plain rational arithmetic that the engine's integer mixing must match.
     """
-    def mix(state, _u, branches, _path):
+    def mix(state, branches, _path):
         if not branches:
             return {state.true_atoms: Fraction(1)}
         ((_, kids),) = branches

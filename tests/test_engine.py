@@ -9,7 +9,7 @@ from cplogic import cli, engine, theories
 from cplogic.engine import (Distribution, ExecState, ExogenousError,
                             SoundnessError, UMode, applicable, apply_disjunct,
                             build_execution_model, compute_U, distribution,
-                            query)
+                            query, satisfied_unfired)
 from cplogic.ground import ground, stratification_report
 from cplogic.oracle import (BudgetExceededError, sweep_orders,
                             well_founded_model)
@@ -246,6 +246,20 @@ def test_exogenous_mismatch_rejected():
     for X in (atoms("Broken"), frozenset({"Broken"})):
         with pytest.raises(ExogenousError, match="not in the exogenous universe: Broken"):
             compute_U(ground(SUZY), X, state())
+
+
+def test_atoms_outside_the_theory_rejected():
+    # a state, or another theory's U, naming an atom that is not endogenous
+    # here is an unbound atom, not a bare KeyError
+    unbound = "atom Nope not in the endogenous universe"
+    for call, stray in ((compute_U, state(true=atoms("Nope"))),
+                        (compute_U, state(negated=atoms("Nope"))),
+                        (satisfied_unfired, state(true=atoms("Nope")))):
+        with pytest.raises(UnboundAtomError, match=unbound):
+            call(SUZY_G, NOTHING, stray)
+    other = compute_U(ground(parse_theory("Nope.")), NOTHING, state())
+    with pytest.raises(UnboundAtomError, match=unbound):
+        applicable(SUZY_G, NOTHING, state(), other)
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cplogic import engine, theories
+from cplogic import engine, oracle, theories
 from cplogic.engine import (SoundnessError, UMode, applicable,
                             build_execution_model, compute_U, distribution,
                             query, satisfied_unfired)
 from cplogic.ground import ground, stratification_report
 from cplogic.oracle import BudgetExceededError, sweep_orders
 from cplogic.syntax import FALSE, TRUE, And, Atom, Not, Or, parse_theory
-from cplogic.threeval import ThreeValuedInterp, kleene_eval
+from cplogic.threeval import ThreeValuedInterp, holds, kleene_eval
 
 from helpers import (atom, atoms, drawn_exogenous, quantified_theories,
                      random_deterministic_theory, random_stratified_theory)
 from reference_engine import reference_U
+from reference_tree import T, value
 
 NOTHING = frozenset()
 
@@ -263,16 +264,28 @@ _E, _F = _EXO
 @example(Or((Not(And((_A, _B))), And((_C, _D)))), 0b0011, 0, frozenset())
 @example(And((Or((_A, _B)), Or((_C, _D, _E)))), 0, 0b1100, frozenset())
 @example(Or((_A, And((_B, _C)), Not(_F))), 0b0110, 0, frozenset({_F}))
+# a negated atom at u, which the well-founded reading takes from the outer set
+@example(And((_B, Not(_A))), 0b0010, 0b0001, frozenset())
 def test_compiled_bodies_agree_with_kleene_eval(phi, t, u, X):
     # the literal masks, the nested evaluators and X folded in at compile
     # time, against the evaluator that reads the formula itself
     u &= ~t
     bit = {a: 1 << k for k, a in enumerate(_ENDO)}
-    body, (pos, neg) = engine._compile_body(phi, bit, X, frozenset(_EXO))
-    nu = ThreeValuedInterp(frozenset(_ENDO),
-                           frozenset(a for a in _ENDO if t & bit[a]),
-                           frozenset(a for a in _ENDO if u & bit[a]))
-    assert body(t, u) == kleene_eval(phi, nu, X, frozenset(_EXO))
+    exo = frozenset(_EXO)
+    body, (pos, neg) = engine._compile_body(phi, bit, X, exo)
+    true = frozenset(a for a in _ENDO if t & bit[a])
+    unknown = frozenset(a for a in _ENDO if u & bit[a])
+    nu = ThreeValuedInterp(frozenset(_ENDO), true, unknown)
+    assert body(t, u) == kleene_eval(phi, nu, X, exo)
+    # threeval's one walk, read three ways, against Kleene by min and max:
+    # the three-valued value, two-valued truth, and the well-founded
+    # model's reading of positive occurrences from an inner set (the t
+    # atoms) and negated ones from an outer set (the t and u atoms), which
+    # holds exactly when phi is t
+    kleene = value(phi, true, unknown, X, exo)
+    assert kleene_eval(phi, nu, X, exo) == kleene
+    assert holds(phi, true | X) == (value(phi, true, (), X, exo) == T)
+    assert oracle._dual_eval(phi, true, true | unknown, X, exo) == (kleene == T)
     # an atom that the body does not read cannot change its value
     reads = pos | neg
     assert body(t & reads, u & reads) == body(t, u)

@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import pytest
 
 from cplogic import theories
 from cplogic.engine import SoundnessError, UMode, distribution
-from cplogic.ground import ground
+from cplogic.ground import GroundTheory, ground
 from cplogic.oracle import (BudgetExceededError, OracleError, least_model,
                             sweep_orders, well_founded_model)
-from cplogic.syntax import law_atoms, parse_theory
+from cplogic.syntax import (Atom, CPLaw, EffectLiteral, ForAll, HeadDisjunct, Var,
+                            law_atoms, parse_theory)
 
 from helpers import (atoms, deterministic_gears, random_deterministic_theory,
                      random_stratified_theory)
@@ -104,6 +107,17 @@ def test_least_model_rejects_negation():
 def test_least_model_rejects_negation_inside_connectives(text):
     with pytest.raises(OracleError, match="without negated atoms"):
         least_model(ground(parse_theory(text)))
+
+
+def test_ungrounded_bodies_are_rejected_alike():
+    # a code-built theory whose body still has a quantifier: every oracle
+    # and the engine stop at the one walk that reads formulas
+    body = ForAll("x", "d", Atom("Q", (Var("x"),)))
+    head = (HeadDisjunct(EffectLiteral(False, Atom("A")), Fraction(1)),)
+    g = GroundTheory((CPLaw((), head, body),), atoms("A"), frozenset(), {"d": ("a",)})
+    for run in (least_model, well_founded_model, distribution, sweep_orders):
+        with pytest.raises(ValueError, match="quantifier in a formula; ground it first"):
+            run(g, NOTHING)
 
 
 def test_least_model_accepts_double_negation():
