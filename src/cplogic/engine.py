@@ -17,13 +17,14 @@ extended mode when its body also reads no retractable atom.  A state whose
 satisfied laws are all sure fires them as they are; U is built only at the
 other states, for the gate alone, and at every node of an execution tree.
 
-One iterative fold, `_fold`, walks the reachable execution states children
-first: it follows the outcome tables that the ground theory
-built for its laws, classifies each distinct state once and raises
-`SoundnessError`.  `build_execution_model` and `distribution` are folds
-over it that follow the lowest-index applicable law per state;
-`oracle.sweep_orders` is a fold that follows every applicable law, and so
-checks that the firing order does not change the distribution.
+Two walkers follow the outcome tables that the ground theory built for
+its laws and classify each distinct reachable state once, by `_classify`,
+which raises `SoundnessError`.  `_forward` pushes probability mass from
+the root one layer of states at a time, for `distribution`, so `query`
+and `cpl dist`, `query` and `check`.  `_fold` folds the states children
+first, for `build_execution_model` and `oracle.sweep_orders` (`cpl
+sweep`), which follows every applicable law and so checks that the firing
+order does not change the distribution.
 
 States are classified against a `_Program`: the ground theory compiled once
 per X, and kept on the `GroundTheory` itself.  Atoms become bits, each body
@@ -38,13 +39,12 @@ runs only the live laws that reach its atoms, on a copy of that program,
 when it is stratified; `_slice` reads both off that graph, so a query
 builds none.
 
-All probabilities are exact.  While the fold runs, a state's
-sub-distribution is one integer denominator ``D`` and an integer numerator
-per world, the numerators summing to ``D``; each law's outcome
-probabilities enter as integer ``(num, den)`` pairs.  Mixing children puts
-them over the ``lcm`` of their denominators, so no ``Fraction`` is built or
-normalized per edge.  `distribution` converts each world to a `Fraction`
-once, at the root, and checks that the distribution sums to exactly 1.
+All probabilities are exact.  Each law's outcome probabilities enter as
+integer ``(num, den)`` pairs, and mass is held as integer numerators over
+one denominator: per layer in `_forward`, and per state's sub-distribution
+in the sweep, whose `_mix` puts children over the ``lcm`` of theirs.  No
+``Fraction`` is built or normalized per edge; `distribution` builds one
+per world, once the totals are checked to sum to exactly 1.
 """
 
 from __future__ import annotations
@@ -426,29 +426,42 @@ def apply_disjunct(state: ExecState, index: int,
     return ExecState(state.true_atoms | {a}, state.negated, fired)
 
 
+def _classify(g: GroundTheory, X: frozenset, mode: UMode, state: ExecState) -> tuple:
+    """The laws applicable at ``state``, and U there if it was built, else None.
+
+    When every satisfied unfired law is sure (`_Program`), they are the
+    applicable laws and U is not built; otherwise `compute_U` builds U and
+    `_gate` keeps the laws whose bodies are t under it.  Some body holding
+    with no law applicable raises `SoundnessError`.  `bench/tracing.py`
+    patches `compute_U`, `satisfied_unfired` and `apply_disjunct` here, so
+    the walkers call them through this module's names.
+    """
+    # satisfied_unfired compiles g on first use, so its time includes it.
+    sat = satisfied_unfired(g, X, state)
+    prog = _program(g, X)
+    if prog.sure[mode].issuperset(sat):
+        return sat, None
+    u = compute_U(g, X, state, mode)
+    app = _gate(prog, sat, u)
+    if not app:
+        raise SoundnessError(state, sat)
+    return app, u
+
+
 def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     """Fold the execution states reachable from the root, children first.
 
-    This is the one place where a state is classified.  ``expand(state,
-    app)`` sees each distinct state once, with the laws applicable there,
-    and returns the ones to branch on; every outcome of each is a child.
-    When every satisfied unfired law is sure (`_Program`), they are the
-    applicable laws and U is not built; otherwise `compute_U` builds U and
-    `_gate` keeps the laws whose bodies are t under it; U goes nowhere
-    else.  A state where some body holds but no law is applicable raises
-    `SoundnessError`.  Once its children are done, ``combine(state,
-    branches, path)`` gives the state's value: ``branches`` holds one
-    ``(law index, [(outcome, num, den, child value), ...])`` per expanded
-    law, the outcome's probability being ``num / den`` in lowest terms, and
-    ``path`` the ``(law index, outcome)`` steps from the root.  Identical
-    states are folded once and share their value.  The current path lives
-    on an explicit stack, so its length is not bounded by the recursion
-    limit.
-
-    `bench/tracing.py` times `compute_U`, `satisfied_unfired` and
-    `apply_disjunct` by patching this module's names, so the fold calls
-    them through those names; `query`'s `compute_U` call at the state where
-    every law has fired keeps a `compute_U` span in every query.
+    ``expand(state, app, u)`` sees each distinct state once, with the laws
+    applicable there and U or None (`_classify`), and returns the ones to
+    branch on; every outcome of each is a child.  Once its children are
+    done, ``combine(state, branches, path)`` gives the state's value:
+    ``branches`` holds one ``(law index, [(outcome, num, den, child
+    value), ...])`` per expanded law, the outcome's probability being
+    ``num / den`` in lowest terms, and ``path`` the ``(law index,
+    outcome)`` steps from the root.  Identical states are folded once and
+    share their value.  The walk is depth first, so it raises at the first
+    stuck node in preorder.  The current path lives on an explicit stack,
+    so its length is not bounded by the recursion limit.
     """
     weights = g._outcomes
     memo: dict = {}  # finished state -> value
@@ -459,14 +472,7 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     state = ExecState.initial()
     while True:
         if state is not None:
-            # satisfied_unfired compiles g on first use, so its time includes it.
-            sat = satisfied_unfired(g, X, state)
-            prog = _program(g, X)
-            app = sat if prog.sure[mode].issuperset(sat) \
-                else _gate(prog, sat, compute_U(g, X, state, mode))
-            chosen = expand(state, app)
-            if sat and not app:
-                raise SoundnessError(state, sat)
+            chosen = expand(state, *_classify(g, X, mode, state))
             edges = [(i, outcome, num, den)
                      for i in chosen for outcome, num, den in weights[i]]
             frames.append((state, edges, iter(edges), []))
@@ -491,9 +497,46 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
             state = None
 
 
-def _lowest(_state, app):
+def _lowest(_state, app, _u):
     """`_fold`'s expand for one execution model: the lowest-index applicable law."""
     return app[:1]
+
+
+def _forward(g: GroundTheory, X: frozenset, mode: UMode) -> tuple[int, dict]:
+    """Push probability mass from the root to the leaves, one layer at a time.
+
+    Every edge fires a law, so a state's layer is ``len(fired)``.  A layer
+    is ``{state: numerator}`` over one denominator ``D``.  The lowest-index
+    applicable law's outcome ``(outcome, m, den)`` adds ``m * num * (L //
+    (D * den))`` to the child over ``L``, the ``lcm`` of the layer's ``D *
+    den``; a leaf adds to its world's total, all that outlives a layer.
+    Returns ``(D, {world: numerator})``.  A layer meets the shallowest stuck
+    state first, so `_fold` then raises at the first in preorder.
+    """
+    weights = g._outcomes
+    D, layer, totals = 1, {ExecState.initial(): 1}, {}
+    while layer:
+        grown = []
+        for state, num in layer.items():
+            try:
+                app, _ = _classify(g, X, mode, state)
+            except SoundnessError:
+                _fold(g, X, mode, _lowest, lambda *_: None)
+                raise
+            if app:
+                grown.append((state, num, app[0]))
+            else:
+                totals[state.true_atoms] = totals.get(state.true_atoms, 0) + num
+        step = lcm(*{den for _, _, i in grown for _, _, den in weights[i]})
+        layer = {}
+        for state, num, i in grown:
+            for outcome, m, den in weights[i]:
+                child = apply_disjunct(state, i, outcome)
+                layer[child] = layer.get(child, 0) + m * num * (step // den)
+        if step > 1:
+            D *= step
+            totals = {world: step * num for world, num in totals.items()}
+    return D, totals
 
 
 def build_execution_model(g: GroundTheory, X: frozenset,
@@ -504,16 +547,22 @@ def build_execution_model(g: GroundTheory, X: frozenset,
     child per outcome of its head, the no-op outcome included.  A node with no
     satisfied unfired law is a leaf.  Identical states share one subtree
     object; `ExecNode.walk` still reads the result as a tree.  Every node
-    carries its U, which this builder computes itself.  Raises
-    `SoundnessError` when some body holds but every such law is undecidable
-    under U.
+    carries its U, built once: by `_classify` where it gates, else here.
+    Raises `SoundnessError` when some body holds but every such law is
+    undecidable under U.
     """
+    us: dict = {}
+
+    def lowest(state, app, u):
+        us[state] = compute_U(g, X, state, mode) if u is None else u
+        return _lowest(state, app, u)
+
     def node(state, branches, _path):
-        return ExecNode(state, compute_U(g, X, state, mode), tuple(
+        return ExecNode(state, us.pop(state), tuple(
             ExecEdge(Fraction(num, den), outcome, i, child)
             for i, kids in branches for outcome, num, den, child in kids))
 
-    return _fold(g, X, mode, _lowest, node)
+    return _fold(g, X, mode, lowest, node)
 
 
 class Distribution(dict):
@@ -559,19 +608,10 @@ def distribution(g: GroundTheory, X: frozenset,
                  mode: UMode = UMode.EXTENDED) -> Distribution:
     """Exact leaf distribution of the canonical execution model.
 
-    A sub-distribution depends only on its state (I, N, fired), so sharing
-    identical states keeps the walk polynomial for the common
-    diamond-shaped state spaces.  A state's value is ``(D, {world:
-    numerator})``; only the root's is turned into `Fraction`s.
+    `_forward` gives each world's mass as an integer over one denominator;
+    they become `Fraction`s here, once checked to sum to exactly 1.
     """
-    def mix(state, branches, _path):
-        if not branches:
-            return 1, {state.true_atoms: 1}
-        ((_, kids),) = branches
-        return _mix((num, den, D, nums.items())
-                    for _, num, den, (D, nums) in kids)
-
-    D, nums = _fold(g, X, mode, _lowest, mix)
+    D, nums = _forward(g, X, mode)
     total = sum(nums.values())
     if total != D:
         raise ArithmeticError(

@@ -122,7 +122,7 @@ def sweep_orders(g: GroundTheory, X: frozenset,
         if work > max_nodes:
             raise BudgetExceededError(max_nodes)
 
-    def expand(_state, app):
+    def expand(_state, app, _u):
         nonlocal states
         bump()
         states += 1

@@ -61,9 +61,10 @@ def reference_distribution(g: GroundTheory, X: frozenset,
                            mode: UMode = UMode.EXTENDED) -> Distribution:
     """`engine.distribution` with `Fraction` arithmetic at every edge.
 
-    The same fold, following the same law per state, but each state's
+    It follows the same law per state, but walks the states children first
+    with `engine._fold`, not forward by layers, and each state's
     sub-distribution is a dict of `Fraction`s mixed by ``+`` and ``*``: the
-    plain rational arithmetic that the engine's integer mixing must match.
+    plain rational arithmetic that the engine's integer masses must match.
     """
     def mix(state, branches, _path):
         if not branches:

@@ -1,0 +1,44 @@
+"""The benchmark's engine counts on seed 1 of each workload, pinned.
+
+`bench/tracing.py` counts the engine's work by patching the names it
+calls: the states classified (`satisfied_unfired`), the successors built
+(`apply_disjunct`), the memo hits those imply, the worlds returned, the
+`U` builds and the `holds` calls.  Each workload's seed-1 requests run
+here once as library calls under its `Tracer`, and the counts must be the
+ones `bench/run.py --trace 1 --seed 1` reports, so a walker that does
+more or less work, or calls the engine through other names, fails here.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import runner  # noqa: E402
+import workloads  # noqa: E402
+from tracing import Tracer, layer_metrics  # noqa: E402
+
+COUNTS = ("engine.states", "engine.expand_calls", "engine.memo_hits",
+          "engine.worlds", "engine.u_calls", "threeval.holds_calls")
+WANT = {
+    "chain": (552, 549, 3, 272, 6, 272),
+    "coins": (6143, 6140, 0, 2050, 2, 1026),
+    "domain": (23, 19, 1, 11, 7, 10),
+    "sweep": (477, 601, 128, 196, 75, 0),
+}
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_seed_one_counts(name, tmp_path):
+    tracer = Tracer()
+    tracer.install()
+    try:
+        errors = [runner.run_lib(req).error
+                  for req in workloads.build(name, 1, tmp_path)]
+    finally:
+        tracer.uninstall()
+    assert errors == [None] * len(errors)
+    m = layer_metrics(tracer.spans, tracer.counts)
+    assert tuple(m[k] for k in COUNTS) == WANT[name]

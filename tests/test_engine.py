@@ -16,6 +16,7 @@ from cplogic.oracle import (BudgetExceededError, sweep_orders,
 from cplogic.syntax import Atom, parse_formula, parse_theory
 from cplogic.threeval import UnboundAtomError
 
+import reference_tree
 from helpers import (approximates, atom, atoms, leaf_paths,
                      drawn_exogenous, quantified_theories,
                      random_deterministic_theory, random_stratified_theory,
@@ -152,6 +153,50 @@ def test_negation_loop_is_stuck_at_root():
         build_execution_model(g, NOTHING)
     assert info.value.state == ExecState.initial()
     assert info.value.blocked == (0, 1)
+
+
+# The A outcome comes first in preorder and gets stuck two laws down, at
+# P <- ~P; the no-op outcome gets stuck one law down, at Q <- ~Q.
+TWO_STUCK = "(A:1/2). B <- A. P <- A, B, ~P. Q <- ~A, ~Q."
+
+
+def test_the_first_stuck_node_in_preorder_is_named():
+    g = ground(parse_theory(TWO_STUCK))
+    deep, shallow = state(atoms("A", "B"), (), (0, 1)), state((), (), (0,))
+    for s, law in ((deep, 2), (shallow, 3)):
+        assert satisfied_unfired(g, NOTHING, s) == (law,)
+        assert applicable(g, NOTHING, s, compute_U(g, NOTHING, s)) == ()
+    for mode in UMode:
+        with pytest.raises(reference_tree.Stuck) as ref:
+            reference_tree.leaves(g, NOTHING, mode is UMode.EXTENDED)
+        assert ref.value.state == (deep.true_atoms, deep.negated, deep.fired)
+        for run in (distribution, build_execution_model):
+            with pytest.raises(SoundnessError) as info:
+                run(g, NOTHING, mode)
+            assert info.value.state == deep
+            assert info.value.blocked == (2,)
+
+
+def test_the_tree_builds_u_once_per_node(monkeypatch):
+    g = ground(theories.get("locked_gears"))
+    X = atoms("Crank1", "Crank2", "Locked(g1)")
+    calls = []
+    real = engine.compute_U
+
+    def counted(g, X, state, mode=UMode.EXTENDED):
+        calls.append(state)
+        return real(g, X, state, mode)
+
+    monkeypatch.setattr(engine, "compute_U", counted)
+    made = {}
+    for mode in UMode:
+        calls.clear()
+        root = build_execution_model(g, X, mode)
+        nodes = {node.state for node in root.walk()}
+        assert sorted(map(ExecState.describe, calls)) \
+            == sorted(map(ExecState.describe, nodes))
+        made[mode] = len(calls)
+    assert made == {UMode.LITERAL: 10, UMode.EXTENDED: 9}
 
 
 def test_positive_program_single_branch():

@@ -1,7 +1,7 @@
 """Integer mixing against `Fraction` arithmetic.
 
-`engine.distribution` and `oracle.sweep_orders` hold each state's
-sub-distribution as one integer denominator and integer numerators.
+`engine.distribution` holds each layer's masses, and `oracle.sweep_orders`
+each state's sub-distribution, as integer numerators over one denominator.
 `reference_engine.reference_distribution` folds the same states with `Fraction` ``+``
 and ``*`` at every edge; the two must agree exactly, and the sweep must
 freeze equal distributions equal.
@@ -94,7 +94,7 @@ def test_divergent_sweeps_freeze_apart(seed, distinct):
 
 def test_root_check_reports_the_fraction_total(monkeypatch):
     g = ground(theories.get("suzy_billy"))
-    monkeypatch.setattr("cplogic.engine._fold",
+    monkeypatch.setattr("cplogic.engine._forward",
                         lambda *args: (8, {frozenset(): 6}))
     with pytest.raises(ArithmeticError,
                        match=r"^leaf probabilities sum to 3/4, not 1$"):
