@@ -18,13 +18,17 @@ satisfied laws are all sure fires them as they are; U is built only at the
 other states, for the gate alone, and at every node of an execution tree.
 
 Two walkers follow the outcome tables that the ground theory built for
-its laws and classify each distinct reachable state once, by `_classify`,
-which raises `SoundnessError`.  `_forward` pushes probability mass from
-the root one layer of states at a time, for `distribution`, so `query`
-and `cpl dist`, `query` and `check`.  `_fold` folds the states children
-first, for `build_execution_model` and `oracle.sweep_orders` (`cpl
-sweep`), which follows every applicable law and so checks that the firing
-order does not change the distribution.
+its laws and classify each distinct reachable state once, by one U, one
+gate and one set of sure laws; a stuck state raises `SoundnessError`.
+`_forward` pushes probability mass from the root one layer of states at a
+time, for `distribution`, so `query` and `cpl dist`, `query` and `check`;
+its `ExecState` records go through `_classify` and `apply_disjunct`,
+whose calls `bench/tracing.py` counts (until ROADMAP item 1b).  `_fold`
+folds integer keys ``(I, N, fired)`` children first, for
+`build_execution_model` and `oracle.sweep_orders` (`cpl sweep`), which
+follows every applicable law and so checks that the firing order does not
+change the distribution; it builds an `ExecState` only for a tree node, a
+divergence witness or a `SoundnessError`.
 
 States are classified against a `_Program`: the ground theory compiled once
 per X, and kept on the `GroundTheory` itself.  Atoms become bits, each body
@@ -215,16 +219,23 @@ class _Program:
         atoms = self.atoms
         return frozenset(atoms[b.bit_length() - 1] for b in _bits(mask))
 
-    def overestimate(self, state: ExecState, mode: UMode) -> tuple[int, int]:
-        """The ``(t, u)`` masks of U at ``state``, by worklist propagation."""
-        bodies, heads, fired = self.bodies, self.heads, state.fired
-        t, u = self.mask(state.true_atoms), 0
-        pinned = self.mask(state.negated)
+    def state(self, I: int, N: int, F: int) -> ExecState:
+        """The `ExecState` of the fold's key ``(I, N, F)``."""
+        return ExecState(self.atoms_of(I), self.atoms_of(N),
+                         frozenset(b.bit_length() - 1 for b in _bits(F)))
+
+    def overestimate(self, t: int, pinned: int, fired: int, mode: UMode) -> tuple[int, int]:
+        """The ``(t, u)`` masks of U at the state whose true atoms are ``t``,
+        retracted atoms ``pinned`` and fired laws ``fired`` (bit ``1 << i``
+        for law i).  Every unfired body is evaluated once, each law whose
+        body is not f has its heads propagated once, and an atom that
+        changes re-evaluates only the still-f bodies that read it."""
+        bodies, heads, u = self.bodies, self.heads, 0
         extended = mode is UMode.EXTENDED
         queue = []  # laws whose body is not f, heads not yet propagated
         waiting = set()  # unfired laws whose body is f so far
         for i in self.live:
-            if i not in fired:
+            if not fired >> i & 1:
                 if bodies[i](t, 0):
                     queue.append(i)
                 else:
@@ -376,14 +387,13 @@ def compute_U(g: GroundTheory, X: frozenset, state: ExecState,
     u: an atom may still be caused by an unfired law whose body is not yet
     ruled out, and (extended mode) a true atom may still be retracted by an
     unfired law with a matching negative head literal.  Retracted atoms (N)
-    stay pinned at f.  The fixpoint is reached by worklist propagation over
-    ``g``'s compiled program: every unfired body is evaluated once, each
-    law whose body is not f has its heads propagated once, and an atom that
-    changes re-evaluates only the still-f bodies that read it.
-    ``tests/reference_engine.py`` computes the same fixpoint by rescanning.
+    stay pinned at f.  `_Program.overestimate` reaches the fixpoint, the
+    one U that every walker builds; ``tests/reference_engine.py``
+    computes the same fixpoint by rescanning.
     """
     prog = _program(g, X)
-    t, u = prog.overestimate(state, mode)
+    t, u = prog.overestimate(prog.mask(state.true_atoms), prog.mask(state.negated),
+                             sum(1 << i for i in state.fired), mode)
     return ThreeValuedInterp(g.endogenous_atoms, prog.atoms_of(t), prog.atoms_of(u))
 
 
@@ -395,16 +405,18 @@ def satisfied_unfired(g: GroundTheory, X: frozenset, state: ExecState) -> tuple:
                  if i not in fired and bodies[i](t, 0) == 2)
 
 
-def _gate(prog: _Program, laws, u: ThreeValuedInterp) -> tuple:
-    """Those of ``laws`` whose bodies are definitely true under ``u``."""
-    t, uu = prog.mask(u.true_set), prog.mask(u.unknown_set)
-    return tuple(i for i in laws if prog.bodies[i](t, uu) == 2)
+def _gate(bodies, laws, t: int, u: int) -> tuple:
+    """Those of ``laws`` whose bodies are definitely true under the U whose
+    masks are ``(t, u)``."""
+    return tuple(i for i in laws if bodies[i](t, u) == 2)
 
 
 def applicable(g: GroundTheory, X: frozenset, state: ExecState,
                u: ThreeValuedInterp) -> tuple:
     """Laws allowed to fire: body true now and definitely true under ``u``."""
-    return _gate(_program(g, X), satisfied_unfired(g, X, state), u)
+    prog = _program(g, X)
+    return _gate(prog.bodies, satisfied_unfired(g, X, state),
+                 prog.mask(u.true_set), prog.mask(u.unknown_set))
 
 
 def apply_disjunct(state: ExecState, index: int,
@@ -432,9 +444,10 @@ def _classify(g: GroundTheory, X: frozenset, mode: UMode, state: ExecState) -> t
     When every satisfied unfired law is sure (`_Program`), they are the
     applicable laws and U is not built; otherwise `compute_U` builds U and
     `_gate` keeps the laws whose bodies are t under it.  Some body holding
-    with no law applicable raises `SoundnessError`.  `bench/tracing.py`
-    patches `compute_U`, `satisfied_unfired` and `apply_disjunct` here, so
-    the walkers call them through this module's names.
+    with no law applicable raises `SoundnessError`.  `_fold` decides the
+    same on its masks.  `bench/tracing.py` patches `compute_U`,
+    `satisfied_unfired` and `apply_disjunct` here, so `_forward` calls them
+    through this module's names.
     """
     # satisfied_unfired compiles g on first use, so its time includes it.
     sat = satisfied_unfired(g, X, state)
@@ -442,7 +455,7 @@ def _classify(g: GroundTheory, X: frozenset, mode: UMode, state: ExecState) -> t
     if prog.sure[mode].issuperset(sat):
         return sat, None
     u = compute_U(g, X, state, mode)
-    app = _gate(prog, sat, u)
+    app = _gate(prog.bodies, sat, prog.mask(u.true_set), prog.mask(u.unknown_set))
     if not app:
         raise SoundnessError(state, sat)
     return app, u
@@ -451,53 +464,68 @@ def _classify(g: GroundTheory, X: frozenset, mode: UMode, state: ExecState) -> t
 def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     """Fold the execution states reachable from the root, children first.
 
-    ``expand(state, app, u)`` sees each distinct state once, with the laws
-    applicable there and U or None (`_classify`), and returns the ones to
-    branch on; every outcome of each is a child.  Once its children are
-    done, ``combine(state, branches, path)`` gives the state's value:
-    ``branches`` holds one ``(law index, [(outcome, num, den, child
-    value), ...])`` per expanded law, the outcome's probability being
-    ``num / den`` in lowest terms, and ``path`` the ``(law index,
-    outcome)`` steps from the root.  Identical states are folded once and
-    share their value.  The walk is depth first, so it raises at the first
-    stuck node in preorder.  The current path lives on an explicit stack,
-    so its length is not bounded by the recursion limit.
+    A state is the key ``(I, N, F)``: the masks of the true atoms, the
+    retracted atoms and the fired laws (law i is bit ``1 << i``).  Each
+    distinct state is classified once on its masks, and ``expand(key, app,
+    u)`` sees it with its applicable laws and the ``(t, u)`` masks of U, or
+    None where U was not built, and returns the laws to branch on; every
+    outcome of each is a child.  Once its children are done,
+    ``combine(key, branches, path)`` gives the state's value: ``branches``
+    holds one ``(law index, [(outcome, num, den, child value), ...])`` per
+    expanded law, the outcome's probability being ``num / den`` in lowest
+    terms, and ``path`` the ``(law index, outcome)`` steps from the root.
+    Identical states are folded once and share their value.  The walk is
+    depth first, so it raises at the first stuck node in preorder; the
+    current path lives on an explicit stack, so its length is not bounded
+    by the recursion limit.
     """
-    weights = g._outcomes
-    memo: dict = {}  # finished state -> value
-    # The current path: per state, the (law, outcome, num, den) edges to follow,
-    # an iterator over those not yet visited, and the children so far.
+    prog = _program(g, X)
+    bodies, live, sure = prog.bodies, prog.live, prog.sure[mode]
+    # Per live law, each outcome with its atom's bit, 0 for the no-op.
+    table = {i: [(outcome, num, den, outcome is not None and outcome.negated,
+                  0 if outcome is None else prog.bit[outcome.atom])
+                 for outcome, num, den in g._outcomes[i]] for i in live}
+    memo: dict = {}  # finished key -> value
+    # The current path: per state, the (law, outcome, num, den, child) edges
+    # to follow and an iterator over those not yet visited.
     frames: list = []
     path: list = []  # (law index, outcome) steps into frames[1:]
-    state = ExecState.initial()
+    key = (0, 0, 0)
     while True:
-        if state is not None:
-            chosen = expand(state, *_classify(g, X, mode, state))
-            edges = [(i, outcome, num, den)
-                     for i in chosen for outcome, num, den in weights[i]]
-            frames.append((state, edges, iter(edges), []))
-        top, edges, todo, children = frames[-1]
-        for i, outcome, _, _ in todo:
-            state = apply_disjunct(top, i, outcome)
-            children.append(state)
-            if state not in memo:
+        if key is not None:
+            I, N, F = key
+            sat = tuple(i for i in live if not F >> i & 1 and bodies[i](I, 0) == 2)
+            if sure.issuperset(sat):
+                u, app = None, sat
+            else:
+                u = prog.overestimate(I, N, F, mode)
+                app = _gate(bodies, sat, *u)
+                if not app:
+                    raise SoundnessError(prog.state(I, N, F), sat)
+            edges = [(i, outcome, num, den, (I & ~b, N | b, F | 1 << i) if negated
+                      else (I | b & ~N, N, F | 1 << i))
+                     for i in expand(key, app, u)
+                     for outcome, num, den, negated, b in table[i]]
+            frames.append((key, edges, iter(edges)))
+        top, edges, todo = frames[-1]
+        for i, outcome, _, _, key in todo:
+            if key not in memo:
                 path.append((i, outcome))
                 break
         else:
             frames.pop()
             branches: dict = {}
-            for (i, outcome, num, den), child in zip(edges, children):
-                branches.setdefault(i, []).append(
-                    (outcome, num, den, memo[child]))
+            for i, outcome, num, den, child in edges:
+                branches.setdefault(i, []).append((outcome, num, den, memo[child]))
             value = combine(top, branches.items(), path)
             if not frames:
                 return value
             memo[top] = value
             path.pop()
-            state = None
+            key = None
 
 
-def _lowest(_state, app, _u):
+def _lowest(_key, app, _u):
     """`_fold`'s expand for one execution model: the lowest-index applicable law."""
     return app[:1]
 
@@ -551,14 +579,17 @@ def build_execution_model(g: GroundTheory, X: frozenset,
     Raises `SoundnessError` when some body holds but every such law is
     undecidable under U.
     """
+    prog = _program(g, X)
     us: dict = {}
 
-    def lowest(state, app, u):
-        us[state] = compute_U(g, X, state, mode) if u is None else u
-        return _lowest(state, app, u)
+    def lowest(key, app, u):
+        us[key] = prog.overestimate(*key, mode) if u is None else u
+        return _lowest(key, app, u)
 
-    def node(state, branches, _path):
-        return ExecNode(state, us.pop(state), tuple(
+    def node(key, branches, _path):
+        t, u = us.pop(key)
+        return ExecNode(prog.state(*key), ThreeValuedInterp(
+            g.endogenous_atoms, prog.atoms_of(t), prog.atoms_of(u)), tuple(
             ExecEdge(Fraction(num, den), outcome, i, child)
             for i, kids in branches for outcome, num, den, child in kids))
 

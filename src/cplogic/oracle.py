@@ -3,8 +3,10 @@
 ``sweep_orders`` enumerates every choice of applicable law at every node and
 collects the distribution of each complete execution model, so firing-order
 invariance can be checked rather than assumed.  It is a fold over the
-engine's iterative state walk: it shares the engine's state classification,
-soundness check and mixing loop, but not its one law per state.
+engine's state walk, `engine._fold`: it shares the engine's state
+classification, soundness check and mixing loop, but not its one law per
+state.  States are integer keys and worlds the masks of their true atoms,
+made atom sets only for the report.
 ``well_founded_model`` and ``least_model`` are classical fixpoint
 constructions for the deterministic fragments, giving the engine something
 external to agree with.  The references that only the tests use, a
@@ -19,7 +21,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, prod
 
-from .engine import Distribution, ExecState, UMode, _fold, _mix
+from .engine import Distribution, ExecState, UMode, _fold, _mix, _program
 # Bound here only so that bench/tracing.py can patch them at this import site.
 from .engine import (applicable, apply_disjunct, compute_U,  # noqa: F401
                      satisfied_unfired)
@@ -28,9 +30,10 @@ from .syntax import Formula, atom_names, formula_atom_polarities, record
 from .threeval import F, T, ThreeValuedInterp, evaluate, holds
 
 
-# Default node budget of `sweep_orders` and of `cpl sweep --budget`.  The
-# sweep's memo holds about 5 KB per unit on a wide random theory, so this
-# default stops a sweep at about 0.5 GB.
+# Default node budget of `sweep_orders` and of `cpl sweep --budget`.  Peak
+# `tracemalloc` bytes per unit where `random_stratified_theory(seed, atoms=14,
+# laws=12)`, seeds 10-69, either mode, exceeds a budget of 20,000: median
+# 340, largest 5.3 K (seed 38, literal), so this stops a sweep near 0.5 GB.
 DEFAULT_BUDGET = 100_000
 
 
@@ -49,8 +52,8 @@ class OracleError(Exception):
 # ---------------------------------------------------------------------------
 
 def _freeze(D: int, nums: dict) -> tuple:
-    """``nums / D`` as ``(D, frozenset of (frozenset[Atom], numerator)
-    pairs)``, reduced by the gcd of ``D`` and every numerator, so that equal
+    """``nums / D`` as ``(D, frozenset of (world mask, numerator) pairs)``,
+    reduced by the gcd of ``D`` and every numerator, so that equal
     distributions freeze equal."""
     k = gcd(D, *nums.values())
     if k > 1:
@@ -59,14 +62,13 @@ def _freeze(D: int, nums: dict) -> tuple:
     return D, frozenset(nums.items())
 
 
-def _thaw(fd: tuple) -> Distribution:
+def _thaw(fd: tuple, world_of=lambda world: world) -> Distribution:
     D, pairs = fd
-    return Distribution({world: Fraction(n, D) for world, n in pairs})
+    return Distribution({world_of(world): Fraction(n, D) for world, n in pairs})
 
 
-def _dist_key(fd: tuple):
-    D, pairs = fd
-    return sorted((atom_names(world), str(Fraction(n, D))) for world, n in pairs)
+def _dist_key(dist: Distribution):
+    return sorted((atom_names(world), str(p)) for world, p in dist.items())
 
 
 @record
@@ -112,6 +114,7 @@ def sweep_orders(g: GroundTheory, X: frozenset,
     plus distribution combinations and the sweep fails loudly when exceeded.
     A `SoundnessError` from any branch propagates.
     """
+    prog = _program(g, X)
     witness: DivergenceWitness | None = None
     work = 0
     states = 0
@@ -122,48 +125,44 @@ def sweep_orders(g: GroundTheory, X: frozenset,
         if work > max_nodes:
             raise BudgetExceededError(max_nodes)
 
-    def expand(_state, app, _u):
+    def expand(_key, app, _u):
         nonlocal states
         bump()
         states += 1
         return app
 
-    def combine(state, branches, path):
+    def combine(key, branches, path):
         nonlocal witness
         if not branches:
-            return 1, frozenset({(1, frozenset({(state.true_atoms, 1)}))})
+            return 1, frozenset({(1, frozenset({(key[0], 1)}))})
         per_rule: dict = {}
         models = 0
         for i, kids in branches:
-            weights = [(num, den) for _, num, den, _ in kids]
             combos = set()
             for combo in itertools.product(*(dists for *_, (_, dists) in kids)):
                 bump()
-                combos.add(_freeze(*_mix(
-                    (num, den, D, pairs)
-                    for (num, den), (D, pairs) in zip(weights, combo))))
+                combos.add(_freeze(*_mix((num, den, *fd) for (_, num, den, _), fd
+                                         in zip(kids, combo))))
             per_rule[i] = frozenset(combos)
             models += prod(count for *_, (count, _) in kids)
         if witness is None and len(set(per_rule.values())) > 1:
-            witness = _build_witness(tuple(path), state, per_rule)
+            witness = _build_witness(prog, tuple(path), key, per_rule)
         return models, frozenset().union(*per_rule.values())
 
     models, dists = _fold(g, X, mode, expand, combine)
-    distributions = tuple(map(_thaw, sorted(dists, key=_dist_key)))
+    distributions = tuple(sorted((_thaw(fd, prog.atoms_of) for fd in dists), key=_dist_key))
     return OrderSweepReport(models, distributions, witness, states, max_nodes)
 
 
-def _build_witness(path, state, per_rule) -> DivergenceWitness:
+def _build_witness(prog, path, key, per_rule) -> DivergenceWitness:
     (a, set_a), (b, set_b) = next(
         ((ra, sa), (rb, sb))
         for ra, sa in sorted(per_rule.items())
         for rb, sb in sorted(per_rule.items())
         if ra < rb and sa != sb)
-    only_a = set_a - set_b
-    only_b = set_b - set_a
-    fd_a = min(only_a or set_a, key=_dist_key)
-    fd_b = min(only_b or set_b, key=_dist_key)
-    return DivergenceWitness(path, state, a, b, _thaw(fd_a), _thaw(fd_b))
+    dist_a = min((_thaw(fd, prog.atoms_of) for fd in set_a - set_b or set_a), key=_dist_key)
+    dist_b = min((_thaw(fd, prog.atoms_of) for fd in set_b - set_a or set_b), key=_dist_key)
+    return DivergenceWitness(path, prog.state(*key), a, b, dist_a, dist_b)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ for the integer mixing of `engine.distribution` to agree with.
 
 from fractions import Fraction
 
-from cplogic.engine import Distribution, ExecState, UMode, _fold, _lowest
+from cplogic.engine import (Distribution, ExecState, UMode, _fold, _lowest,
+                            _program)
 from cplogic.ground import GroundTheory
 from cplogic.threeval import F, T, U, ThreeValuedInterp, kleene_eval
 
@@ -66,9 +67,9 @@ def reference_distribution(g: GroundTheory, X: frozenset,
     sub-distribution is a dict of `Fraction`s mixed by ``+`` and ``*``: the
     plain rational arithmetic that the engine's integer masses must match.
     """
-    def mix(state, branches, _path):
+    def mix(key, branches, _path):
         if not branches:
-            return {state.true_atoms: Fraction(1)}
+            return {key[0]: Fraction(1)}  # the mask of the leaf's world
         ((_, kids),) = branches
         acc: dict = {}
         for _, num, den, sub in kids:
@@ -77,4 +78,6 @@ def reference_distribution(g: GroundTheory, X: frozenset,
                 acc[world] = acc.get(world, Fraction(0)) + prob * p
         return acc
 
-    return Distribution(_fold(g, X, mode, _lowest, mix))
+    masses = _fold(g, X, mode, _lowest, mix)
+    atoms_of = _program(g, X).atoms_of
+    return Distribution({atoms_of(world): p for world, p in masses.items()})

@@ -180,14 +180,15 @@ def test_the_first_stuck_node_in_preorder_is_named():
 def test_the_tree_builds_u_once_per_node(monkeypatch):
     g = ground(theories.get("locked_gears"))
     X = atoms("Crank1", "Crank2", "Locked(g1)")
+    # every U, the fold's gate's and the tree's own, is built here
     calls = []
-    real = engine.compute_U
+    real = engine._Program.overestimate
 
-    def counted(g, X, state, mode=UMode.EXTENDED):
-        calls.append(state)
-        return real(g, X, state, mode)
+    def counted(prog, t, pinned, fired, mode):
+        calls.append(prog.state(t, pinned, fired))
+        return real(prog, t, pinned, fired, mode)
 
-    monkeypatch.setattr(engine, "compute_U", counted)
+    monkeypatch.setattr(engine._Program, "overestimate", counted)
     made = {}
     for mode in UMode:
         calls.clear()

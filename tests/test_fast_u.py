@@ -1,12 +1,13 @@
 """The compiled worklist `compute_U` against the rescanning `reference_U`,
-and the fold's rule for skipping it.
+and the walkers' rule for skipping it.
 
 Every state that `build_execution_model` reaches gets its U, in both modes,
-and every U that the fold builds, through `distribution` and through
+and every U that a walker builds, through `distribution` and through
 `sweep_orders`, must be exactly the overestimate that
-`reference_engine.reference_U` computes by the definition.  The fold skips
+`reference_engine.reference_U` computes by the definition.  A walker skips
 U at a state whose satisfied laws are all sure; at every such state, the
-reference gate must find those laws applicable.  On a stratified theory the
+reference gate must find those laws applicable, and the sweep must both
+build and skip U somewhere in its corpus.  On a stratified theory the
 sweep must also find one distribution in extended mode, the one that
 `distribution` gives.
 """
@@ -41,26 +42,42 @@ def _small_sweep(g, X, mode):
 
 
 def _checked(run, g, X, mode) -> tuple[list, list]:
-    """Run ``run(g, X, mode)`` with every `compute_U` call of the engine
-    asserted equal to `reference_U`.  Returns the states whose U was built
-    and those the fold classified without it; at each of the latter, the
-    reference gate must pass every satisfied law."""
-    built, classified = [], []
-    real_U, real_sat = compute_U, satisfied_unfired
+    """Run ``run(g, X, mode)`` with every U that a walker builds asserted
+    equal to `reference_U`.  Returns the states whose U was built and those
+    classified without it; at each of the latter, the reference gate must
+    pass every satisfied law.
 
-    def checked_U(g, X, state, mode=UMode.EXTENDED):
-        u = real_U(g, X, state, mode)
+    Every U is built by `_Program.overestimate`: `compute_U` wraps it for
+    `_forward`, and `_fold` calls it on its masks.  `_forward` classifies a
+    state through `satisfied_unfired`; `_fold` hands each to its expand."""
+    built, classified = [], []
+    real_U, real_sat, real_fold = engine._Program.overestimate, satisfied_unfired, engine._fold
+
+    def checked_U(prog, t, pinned, fired, mode):
+        masks = real_U(prog, t, pinned, fired, mode)
+        state = prog.state(t, pinned, fired)
+        u = ThreeValuedInterp(g.endogenous_atoms, *map(prog.atoms_of, masks))
         assert u == reference_U(g, X, state, mode), state.describe()
         built.append(state)
-        return u
+        return masks
 
     def noted_sat(g, X, state):
         classified.append(state)
         return real_sat(g, X, state)
 
+    def noted_fold(g, X, mode, expand, combine):
+        prog = engine._program(g, X)
+
+        def noted(key, app, u):
+            classified.append(prog.state(*key))
+            return expand(key, app, u)
+        return real_fold(g, X, mode, noted, combine)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "compute_U", checked_U)
+        patch.setattr(engine._Program, "overestimate", checked_U)
         patch.setattr(engine, "satisfied_unfired", noted_sat)
+        patch.setattr(engine, "_fold", noted_fold)
+        patch.setattr(oracle, "_fold", noted_fold)
         try:
             run(g, X, mode)
         except (SoundnessError, BudgetExceededError):
@@ -103,14 +120,18 @@ def test_random_theories(seed):
 
 
 def test_random_theories_fire_laws_without_U():
-    # across the seeds, many states have satisfied laws and no U
-    firing = 0
+    # across the seeds, in both walkers, many states have satisfied laws
+    # and no U; the sweep's own walk builds U at some states too
+    firing = {distribution: 0, _small_sweep: 0}
+    gated = 0
     for seed in range(40):
         g = ground(random_stratified_theory(seed, atoms=12, laws=8))
         for mode in UMode:
-            _, skipped = _checked(distribution, g, NOTHING, mode)
-            firing += sum(1 for s in skipped if satisfied_unfired(g, NOTHING, s))
-    assert firing > 100
+            for run in firing:
+                built, skipped = _checked(run, g, NOTHING, mode)
+                firing[run] += sum(1 for s in skipped if satisfied_unfired(g, NOTHING, s))
+                gated += len(built) if run is _small_sweep else 0
+    assert min(firing.values()) > 100 and gated > 100
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

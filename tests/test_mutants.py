@@ -1,4 +1,4 @@
-"""Planted faults in the forward walker that the references must catch.
+"""Planted faults in the two walkers that the references must catch.
 
 Each mutant is an exact snippet of `src/cplogic/engine.py` and its
 replacement.  The test writes a copy of the package with the snippet
@@ -22,6 +22,15 @@ PACKAGE = TESTS.parent / "src" / "cplogic"
 BATTERY = TESTS / "mutant_battery.py"
 
 PUSH = "layer[child] = layer.get(child, 0) + m * num * (step // den)"
+MEMO = "memo: dict = {}  # finished key -> value"
+
+
+def _memo_on(part: str) -> tuple:
+    """`_fold`'s memo seeing only ``key[part]`` of each ``(I, N, F)`` key."""
+    return MEMO, ("memo = type('Memo', (dict,), {m: (lambda f: lambda d, k, *v: "
+                  f"f(d, k[{part}], *v))(getattr(dict, m)) for m in "
+                  "('__contains__', '__getitem__', '__setitem__')})()")
+
 
 MUTANTS = {
     # states of a layer with equal I share one numerator
@@ -35,6 +44,10 @@ MUTANTS = {
                                       "grown.append((state, num, app[-1]))"),
     "literal mode run as extended": ("app, _ = _classify(g, X, mode, state)",
                                      "app, _ = _classify(g, X, UMode.EXTENDED, state)"),
+    "fold memo keyed on I": _memo_on(":1"),
+    "fold memo keyed on (I, N)": _memo_on(":2"),
+    "fold positive outcome ignores a pin": ("else (I | b & ~N, N, F | 1 << i))",
+                                            "else (I | b, N, F | 1 << i))"),
 }
 
 
