@@ -3,8 +3,8 @@
 Parse theories of probabilistic causal laws, build their probability-tree
 execution models with exact rational arithmetic, query the induced
 distributions, apply and internalize interventions, and compile negative
-head literals away.  Everything is cross-checkable against brute-force
-oracles in `cplogic.oracle`.
+head literals away.  `cplogic.oracle` sweeps every firing order, so that
+order invariance is checked rather than assumed.
 """
 
 from .engine import (Distribution, ExecNode, ExecState, SoundnessError, UMode,
@@ -12,8 +12,7 @@ from .engine import (Distribution, ExecNode, ExecState, SoundnessError, UMode,
                      compute_U, distribution, query)
 from .ground import (GroundTheory, StratificationReport, check_theory, ground,
                      stratification_report)
-from .oracle import (BudgetExceededError, OrderSweepReport, least_model,
-                     sweep_orders, well_founded_model)
+from .oracle import BudgetExceededError, OrderSweepReport, sweep_orders
 from .syntax import (Atom, CPLaw, EffectLiteral, Formula, HeadDisjunct,
                      ParseError, Theory, TheoryError, Var, parse_formula,
                      parse_literal, parse_theory, print_theory)
@@ -31,7 +30,7 @@ __all__ = [
     "ThreeValuedInterp", "TransformError", "UMode", "Var",
     "applicable", "apply_disjunct", "build_execution_model",
     "check_theory", "compute_U", "distribution", "ground", "holds",
-    "intervene", "internalize", "kleene_eval", "least_model",
-    "parse_formula", "parse_literal", "parse_theory", "print_theory", "query",
-    "stratification_report", "sweep_orders", "tau_not", "well_founded_model",
+    "intervene", "internalize", "kleene_eval", "parse_formula", "parse_literal",
+    "parse_theory", "print_theory", "query", "stratification_report",
+    "sweep_orders", "tau_not",
 ]

@@ -252,7 +252,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, TheoryError, transform.TransformError,
-            UnboundAtomError, engine.ExogenousError, oracle.OracleError) as exc:
+            UnboundAtomError, engine.ExogenousError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except engine.SoundnessError as exc:

@@ -439,7 +439,7 @@ def apply_disjunct(state: ExecState, index: int,
 
 
 def _classify(g: GroundTheory, X: frozenset, mode: UMode, state: ExecState) -> tuple:
-    """The laws applicable at ``state``, and U there if it was built, else None.
+    """The laws applicable at ``state``.
 
     When every satisfied unfired law is sure (`_Program`), they are the
     applicable laws and U is not built; otherwise `compute_U` builds U and
@@ -453,12 +453,12 @@ def _classify(g: GroundTheory, X: frozenset, mode: UMode, state: ExecState) -> t
     sat = satisfied_unfired(g, X, state)
     prog = _program(g, X)
     if prog.sure[mode].issuperset(sat):
-        return sat, None
+        return sat
     u = compute_U(g, X, state, mode)
     app = _gate(prog.bodies, sat, prog.mask(u.true_set), prog.mask(u.unknown_set))
     if not app:
         raise SoundnessError(state, sat)
-    return app, u
+    return app
 
 
 def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
@@ -547,7 +547,7 @@ def _forward(g: GroundTheory, X: frozenset, mode: UMode) -> tuple[int, dict]:
         grown = []
         for state, num in layer.items():
             try:
-                app, _ = _classify(g, X, mode, state)
+                app = _classify(g, X, mode, state)
             except SoundnessError:
                 _fold(g, X, mode, _lowest, lambda *_: None)
                 raise
@@ -575,7 +575,7 @@ def build_execution_model(g: GroundTheory, X: frozenset,
     child per outcome of its head, the no-op outcome included.  A node with no
     satisfied unfired law is a leaf.  Identical states share one subtree
     object; `ExecNode.walk` still reads the result as a tree.  Every node
-    carries its U, built once: by `_classify` where it gates, else here.
+    carries its U, built once: by `_fold` where it gates, else here.
     Raises `SoundnessError` when some body holds but every such law is
     undecidable under U.
     """

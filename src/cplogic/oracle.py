@@ -1,4 +1,5 @@
-"""Brute-force validators, independent of the engine's canonical firing order.
+"""The exhaustive firing-order sweep, independent of the engine's canonical
+firing order.
 
 ``sweep_orders`` enumerates every choice of applicable law at every node and
 collects the distribution of each complete execution model, so firing-order
@@ -7,12 +8,10 @@ engine's state walk, `engine._fold`: it shares the engine's state
 classification, soundness check and mixing loop, but not its one law per
 state.  States are integer keys and worlds the masks of their true atoms,
 made atom sets only for the report.
-``well_founded_model`` and ``least_model`` are classical fixpoint
-constructions for the deterministic fragments, giving the engine something
-external to agree with.  The references that only the tests use, a
-rescanning U and a `Fraction` distribution, are kept in
-``tests/reference_engine.py``, and the seeded random theories in
-``tests/helpers.py``.
+The references that only the tests use are kept in ``tests/``: a
+rescanning U and a `Fraction` distribution in ``reference_engine.py``, the
+well-founded and least models of the deterministic fragments in
+``reference_models.py``, and the seeded random theories in ``helpers.py``.
 """
 
 from __future__ import annotations
@@ -22,12 +21,12 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .engine import Distribution, ExecState, UMode, _fold, _mix, _program
+from .ground import GroundTheory
+from .syntax import atom_names, record
 # Bound here only so that bench/tracing.py can patch them at this import site.
 from .engine import (applicable, apply_disjunct, compute_U,  # noqa: F401
                      satisfied_unfired)
-from .ground import GroundTheory
-from .syntax import Formula, atom_names, formula_atom_polarities, record
-from .threeval import F, T, ThreeValuedInterp, evaluate, holds
+from .threeval import holds  # noqa: F401
 
 
 # Default node budget of `sweep_orders` and of `cpl sweep --budget`.  Peak
@@ -42,14 +41,6 @@ class BudgetExceededError(Exception):
         self.budget = budget
         super().__init__(f"order sweep exceeded the node budget of {budget}")
 
-
-class OracleError(Exception):
-    """Input outside the oracle's fragment (nondeterministic, negated, ...)."""
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive firing-order sweep
-# ---------------------------------------------------------------------------
 
 def _freeze(D: int, nums: dict) -> tuple:
     """``nums / D`` as ``(D, frozenset of (world mask, numerator) pairs)``,
@@ -164,80 +155,3 @@ def _build_witness(prog, path, key, per_rule) -> DivergenceWitness:
     dist_b = min((_thaw(fd, prog.atoms_of) for fd in set_b - set_a or set_b), key=_dist_key)
     return DivergenceWitness(path, prog.state(*key), a, b, dist_a, dist_b)
 
-
-# ---------------------------------------------------------------------------
-# Well-founded and least models (deterministic fragments)
-# ---------------------------------------------------------------------------
-
-def _deterministic_rules(g: GroundTheory, what: str):
-    rules = []
-    for law in g.laws:
-        if not law.is_deterministic():
-            raise OracleError(f"{what} needs deterministic laws, got {law.head}")
-        if law.head[0].literal.negated:
-            raise OracleError(f"{what} does not accept negative head literals")
-        rules.append((law.head[0].literal.atom, law.body))
-    return rules
-
-
-def _dual_eval(phi: Formula, inner: frozenset, outer: frozenset,
-               X: frozenset, exogenous) -> bool:
-    """Evaluate with positive atom occurrences read from ``inner`` and
-    occurrences under an odd number of negations read from ``outer``."""
-    def value(atom, negated):
-        if atom in exogenous:
-            return T if atom in X else F
-        return T if atom in (outer if negated else inner) else F
-
-    return evaluate(phi, value) == T
-
-
-def well_founded_model(g: GroundTheory, X: frozenset = frozenset()) -> ThreeValuedInterp:
-    """Alternating-fixpoint well-founded model of a deterministic theory.
-
-    The theory, read as a normal logic program (one rule per law, arbitrary
-    ground bodies), is evaluated through the alternating sequence of
-    underestimates and overestimates; atoms in neither limit set are unknown.
-    """
-    rules = _deterministic_rules(g, "well_founded_model")
-    exo = g.exogenous_atoms
-
-    def gamma(assumed: frozenset) -> frozenset:
-        derived: set = set()
-        changed = True
-        while changed:
-            changed = False
-            for head, body in rules:
-                if head not in derived and _dual_eval(
-                        body, frozenset(derived), assumed, X, exo):
-                    derived.add(head)
-                    changed = True
-        return frozenset(derived)
-
-    true_set = frozenset()
-    while True:
-        possible = gamma(true_set)
-        advanced = gamma(possible)
-        if advanced == true_set:
-            break
-        true_set = advanced
-    assert true_set <= possible
-    return ThreeValuedInterp(g.endogenous_atoms, true_set, possible - true_set)
-
-
-def least_model(g: GroundTheory, X: frozenset = frozenset()) -> frozenset:
-    """Immediate-consequence fixpoint of a positive deterministic theory:
-    no atom of a body may occur under an odd number of negations."""
-    rules = _deterministic_rules(g, "least_model")
-    for _, body in rules:
-        if any(negated for _, negated in formula_atom_polarities(body)):
-            raise OracleError("least_model needs bodies without negated atoms")
-    model: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in rules:
-            if head not in model and holds(body, model | X):
-                model.add(head)
-                changed = True
-    return frozenset(model)

@@ -57,21 +57,19 @@ class ThreeValuedInterp:
                 f"f:{format_atom_set(self.false_set)}")
 
 
-def evaluate(phi: Formula, value, negated: bool = False) -> int:
-    """Kleene value of ground ``phi``, each atom occurrence read as
-    ``value(atom, negated)``, ``negated`` telling whether it sits under an
-    odd number of ``~`` (``phi`` itself under one when ``negated``).  The
-    one walk over formulas that `kleene_eval` and `holds` read through."""
+def evaluate(phi: Formula, value) -> int:
+    """Kleene value of ground ``phi``, each atom read as ``value(atom)``.
+    The one walk over formulas that `kleene_eval` and `holds` read through."""
     match phi:
         case Atom():
-            return value(phi, negated)
+            return value(phi)
         case Truth(v):
             return T if v else F
         case Not(sub):
-            return 2 - evaluate(sub, value, not negated)
+            return 2 - evaluate(sub, value)
         case And(parts) | Or(parts):
             return kleene_junction(isinstance(phi, And),
-                                   (evaluate(p, value, negated) for p in parts))
+                                   (evaluate(p, value) for p in parts))
         case ForAll() | Exists():
             raise ValueError("quantifier in a formula; ground it first")
     raise TypeError(f"not a formula: {phi!r}")
@@ -84,7 +82,7 @@ def kleene_eval(phi: Formula, nu: ThreeValuedInterp, X: frozenset,
     Atoms outside ``nu``'s universe must belong to ``exogenous`` and are
     read two-valued from ``X``; otherwise they are unbound.
     """
-    def value(atom, _negated):
+    def value(atom):
         if atom in nu.universe:
             return nu.value(atom)
         if atom not in exogenous:
@@ -113,4 +111,4 @@ def kleene_junction(conj: bool, values) -> int:
 
 def holds(phi: Formula, true_atoms) -> bool:
     """Two-valued satisfaction: atoms are true iff they belong to ``true_atoms``."""
-    return evaluate(phi, lambda atom, _negated: T if atom in true_atoms else F) == T
+    return evaluate(phi, lambda atom: T if atom in true_atoms else F) == T

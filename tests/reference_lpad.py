@@ -10,9 +10,10 @@ the product of its choices, and its world is the well-founded model of
 the normal program it picks, with X as facts.  `tau_not` first turns
 negative heads into positive ones, so the sum covers them too.
 
-Nothing here runs the engine's execution fold: the worlds come from
-`oracle.well_founded_model`, so a fault in building probability trees
-cannot hide behind a reference that shares it.
+Nothing here runs the engine's execution fold or its formula evaluator:
+the worlds come from `reference_models.well_founded_model`, so a fault in
+building probability trees or in reading formulas cannot hide behind a
+reference that shares it.
 """
 
 from fractions import Fraction
@@ -20,9 +21,10 @@ from itertools import product
 from math import prod
 
 from cplogic.ground import GroundTheory, ground
-from cplogic.oracle import well_founded_model
 from cplogic.syntax import CPLaw, EffectLiteral, HeadDisjunct
 from cplogic.transform import tau_not
+
+from reference_models import well_founded_model
 
 
 class SelectionBudgetError(Exception):

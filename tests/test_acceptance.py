@@ -16,12 +16,13 @@ from cplogic.cli import main
 from cplogic.engine import (Distribution, SoundnessError, UMode,
                             build_execution_model, distribution, query)
 from cplogic.ground import ground
-from cplogic.oracle import sweep_orders, well_founded_model
+from cplogic.oracle import sweep_orders
 from cplogic.syntax import (endogenous_signature, parse_formula,
                             parse_literal, parse_theory, print_theory)
 from cplogic.transform import intervene, internalize, tau_not
 
 from helpers import atom, atoms, random_deterministic_theory
+from reference_models import well_founded_model
 
 NOTHING = frozenset()
 

@@ -11,8 +11,7 @@ from cplogic.engine import (Distribution, ExecState, ExogenousError,
                             build_execution_model, compute_U, distribution,
                             query, satisfied_unfired)
 from cplogic.ground import ground, stratification_report
-from cplogic.oracle import (BudgetExceededError, sweep_orders,
-                            well_founded_model)
+from cplogic.oracle import BudgetExceededError, sweep_orders
 from cplogic.syntax import Atom, parse_formula, parse_theory
 from cplogic.threeval import UnboundAtomError
 
@@ -21,6 +20,7 @@ from helpers import (approximates, atom, atoms, leaf_paths,
                      drawn_exogenous, quantified_theories,
                      random_deterministic_theory, random_stratified_theory,
                      total)
+from reference_models import well_founded_model
 
 SUZY = theories.get("suzy_billy")
 SUZY_G = ground(SUZY)

@@ -5,13 +5,13 @@ import pytest
 from cplogic import theories
 from cplogic.engine import SoundnessError, UMode, distribution
 from cplogic.ground import GroundTheory, ground
-from cplogic.oracle import (BudgetExceededError, OracleError, least_model,
-                            sweep_orders, well_founded_model)
+from cplogic.oracle import BudgetExceededError, sweep_orders
 from cplogic.syntax import (Atom, CPLaw, EffectLiteral, ForAll, HeadDisjunct, Var,
                             law_atoms, parse_theory)
 
 from helpers import (atoms, deterministic_gears, random_deterministic_theory,
                      random_stratified_theory)
+from reference_models import OracleError, least_model, well_founded_model
 
 NOTHING = frozenset()
 
