@@ -45,10 +45,11 @@ builds none.
 
 All probabilities are exact.  Each law's outcome probabilities enter as
 integer ``(num, den)`` pairs, and mass is held as integer numerators over
-one denominator: per layer in `_forward`, and per state's sub-distribution
-in the sweep, whose `_mix` puts children over the ``lcm`` of theirs.  No
-``Fraction`` is built or normalized per edge; `distribution` builds one
-per world, once the totals are checked to sum to exactly 1.
+one denominator: per layer in `_forward`, where it grows by the ``lcm`` of
+the layer's outcome denominators, and over one ``M`` per program in the
+sweep, the product of each live law's ``lcm``.  No ``Fraction`` is built
+or normalized per edge; `distribution` and the sweep build one per
+reported world, once the numerators are checked to sum to exactly 1.
 """
 
 from __future__ import annotations
@@ -613,26 +614,6 @@ class Distribution(dict):
     def prob(self, phi: Formula, X: frozenset = frozenset()) -> Fraction:
         return sum((p for world, p in self.items() if holds(phi, world | X)),
                    Fraction(0))
-
-
-def _mix(weighted) -> tuple[int, dict]:
-    """Weighted sum of integer sub-distributions.
-
-    Each ``(num, den, D, pairs)`` item is the sub-distribution that gives
-    each ``(world, n)`` of ``pairs`` the probability ``n / D``, at weight
-    ``num / den``.  The result is ``(L, {world: numerator})`` over the
-    common denominator ``L``, the ``lcm`` of every ``den * D``; it is not
-    reduced.
-    """
-    weighted = [(num, den * D, pairs) for num, den, D, pairs in weighted]
-    L = lcm(*(d for _, d, _ in weighted))
-    acc: dict = {}
-    get = acc.get
-    for num, d, pairs in weighted:
-        scale = L // d * num
-        for world, n in pairs:
-            acc[world] = get(world, 0) + scale * n
-    return L, acc
 
 
 def distribution(g: GroundTheory, X: frozenset,

@@ -7,7 +7,10 @@ invariance can be checked rather than assumed.  It is a fold over the
 engine's state walk, `engine._fold`: it shares the engine's state
 classification, soundness check and mixing loop, but not its one law per
 state.  States are integer keys and worlds the masks of their true atoms,
-made atom sets only for the report.
+made atom sets only for the report.  Every sub-distribution is a frozenset
+of ``(world, n)`` pairs, ``n / M`` being the world's probability over one
+``M`` per program, so a law's mix is one multiply-add pass and equal
+distributions freeze equal at any states.
 The references that only the tests use are kept in ``tests/``: a
 rescanning U and a `Fraction` distribution in ``reference_engine.py``, the
 well-founded and least models of the deterministic fragments in
@@ -16,11 +19,10 @@ well-founded and least models of the deterministic fragments in
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import gcd, prod
+from math import lcm, prod
 
-from .engine import Distribution, ExecState, UMode, _fold, _mix, _program
+from .engine import Distribution, ExecState, UMode, _fold, _program
 from .ground import GroundTheory
 from .syntax import atom_names, record
 # Bound here only so that bench/tracing.py can patch them at this import site.
@@ -30,9 +32,9 @@ from .threeval import holds  # noqa: F401
 
 
 # Default node budget of `sweep_orders` and of `cpl sweep --budget`.  Peak
-# `tracemalloc` bytes per unit where `random_stratified_theory(seed, atoms=14,
-# laws=12)`, seeds 10-69, either mode, exceeds a budget of 20,000: median
-# 340, largest 5.3 K (seed 38, literal), so this stops a sweep near 0.5 GB.
+# `tracemalloc` of `random_stratified_theory(seed, atoms=14, laws=12)`, seeds
+# 10-69, either mode, at this budget: 109 MB for seed 47 in literal mode, at
+# most 43 MB for the other 119 sweeps; so this stops a sweep near 0.1 GB.
 DEFAULT_BUDGET = 100_000
 
 
@@ -42,20 +44,21 @@ class BudgetExceededError(Exception):
         super().__init__(f"order sweep exceeded the node budget of {budget}")
 
 
-def _freeze(D: int, nums: dict) -> tuple:
-    """``nums / D`` as ``(D, frozenset of (world mask, numerator) pairs)``,
-    reduced by the gcd of ``D`` and every numerator, so that equal
-    distributions freeze equal."""
-    k = gcd(D, *nums.values())
-    if k > 1:
-        D //= k
-        nums = {world: n // k for world, n in nums.items()}
-    return D, frozenset(nums.items())
+def _thaw(pairs, M: int, world_of) -> Distribution:
+    """The distribution that gives each ``(world mask, n)`` of ``pairs`` the
+    probability ``n / M``, checked to sum to exactly 1."""
+    total = sum(n for _, n in pairs)
+    if total != M:
+        raise ArithmeticError(f"leaf probabilities sum to {Fraction(total, M)}, not 1")
+    return Distribution({world_of(world): Fraction(n, M) for world, n in pairs})
 
 
-def _thaw(fd: tuple, world_of=lambda world: world) -> Distribution:
-    D, pairs = fd
-    return Distribution({world_of(world): Fraction(n, D) for world, n in pairs})
+def _add(acc: dict, num: int, den: int, pairs) -> dict:
+    """``acc`` plus ``num / den`` times the numerators ``pairs``, in place."""
+    get = acc.get
+    for world, n in pairs:
+        acc[world] = get(world, 0) + num * (n // den)
+    return acc
 
 
 def _dist_key(dist: Distribution):
@@ -106,52 +109,64 @@ def sweep_orders(g: GroundTheory, X: frozenset,
     A `SoundnessError` from any branch propagates.
     """
     prog = _program(g, X)
+    # Below a state that has fired law i, mass times M is a multiple of
+    # every denominator of law i's outcomes, so ``n // den`` is exact.
+    M = prod(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live)
     witness: DivergenceWitness | None = None
     work = 0
     states = 0
 
-    def bump():
-        nonlocal work
+    def expand(_key, app, _u):
+        nonlocal work, states
         work += 1
+        states += 1
         if work > max_nodes:
             raise BudgetExceededError(max_nodes)
-
-    def expand(_key, app, _u):
-        nonlocal states
-        bump()
-        states += 1
         return app
 
     def combine(key, branches, path):
-        nonlocal witness
+        nonlocal work, witness
         if not branches:
-            return 1, frozenset({(1, frozenset({(key[0], 1)}))})
+            return 1, frozenset({frozenset({(key[0], M)})})
         per_rule: dict = {}
         models = 0
         for i, kids in branches:
-            combos = set()
-            for combo in itertools.product(*(dists for *_, (_, dists) in kids)):
-                bump()
-                combos.add(_freeze(*_mix((num, den, *fd) for (_, num, den, _), fd
-                                         in zip(kids, combo))))
-            per_rule[i] = frozenset(combos)
-            models += prod(count for *_, (count, _) in kids)
+            count, combos, accs = 1, 1, [{}]
+            for _, num, den, (n, dists) in kids:
+                count *= n
+                if len(dists) == 1:
+                    (pairs,) = dists
+                    for acc in accs:
+                        _add(acc, num, den, pairs)
+                    continue
+                combos *= len(dists)
+                if work + combos > max_nodes:
+                    raise BudgetExceededError(max_nodes)
+                # Each partial mix with each distribution, equal mixes kept once.
+                accs = list({frozenset(acc.items()): acc for acc in (
+                    _add(dict(acc), num, den, pairs) for acc in accs for pairs in dists)
+                }.values())
+            work += combos
+            if work > max_nodes:
+                raise BudgetExceededError(max_nodes)
+            per_rule[i] = frozenset(frozenset(acc.items()) for acc in accs)
+            models += count
         if witness is None and len(set(per_rule.values())) > 1:
-            witness = _build_witness(prog, tuple(path), key, per_rule)
+            witness = _build_witness(prog, tuple(path), key, per_rule, M)
         return models, frozenset().union(*per_rule.values())
 
     models, dists = _fold(g, X, mode, expand, combine)
-    distributions = tuple(sorted((_thaw(fd, prog.atoms_of) for fd in dists), key=_dist_key))
+    distributions = tuple(sorted((_thaw(fd, M, prog.atoms_of) for fd in dists), key=_dist_key))
     return OrderSweepReport(models, distributions, witness, states, max_nodes)
 
 
-def _build_witness(prog, path, key, per_rule) -> DivergenceWitness:
+def _build_witness(prog, path, key, per_rule, M) -> DivergenceWitness:
     (a, set_a), (b, set_b) = next(
         ((ra, sa), (rb, sb))
         for ra, sa in sorted(per_rule.items())
         for rb, sb in sorted(per_rule.items())
         if ra < rb and sa != sb)
-    dist_a = min((_thaw(fd, prog.atoms_of) for fd in set_a - set_b or set_a), key=_dist_key)
-    dist_b = min((_thaw(fd, prog.atoms_of) for fd in set_b - set_a or set_b), key=_dist_key)
+    dist_a = min((_thaw(fd, M, prog.atoms_of) for fd in set_a - set_b or set_a), key=_dist_key)
+    dist_b = min((_thaw(fd, M, prog.atoms_of) for fd in set_b - set_a or set_b), key=_dist_key)
     return DivergenceWitness(path, prog.state(*key), a, b, dist_a, dist_b)
 

@@ -1,23 +1,24 @@
 """Integer mixing against `Fraction` arithmetic.
 
-`engine.distribution` holds each layer's masses, and `oracle.sweep_orders`
-each state's sub-distribution, as integer numerators over one denominator.
-`reference_engine.reference_distribution` folds the same states with `Fraction` ``+``
-and ``*`` at every edge; the two must agree exactly, and the sweep must
-freeze equal distributions equal.
+`engine.distribution` holds each layer's masses as integer numerators over
+one denominator, and `oracle.sweep_orders` each state's sub-distributions
+as integer numerators over one ``M`` per program.
+`reference_engine.reference_distribution` folds the same states with
+`Fraction` ``+`` and ``*`` at every edge, and `_fraction_sweep` here
+follows every law as the sweep does with the same `Fraction` arithmetic;
+the integers must agree with both exactly, and the sweep must freeze equal
+distributions equal, at whichever states it reaches them.
 """
 
+import itertools
 from fractions import Fraction
-from math import gcd
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from cplogic import theories
-from cplogic.engine import SoundnessError, UMode, _mix, distribution
+from cplogic import oracle, theories
+from cplogic.engine import SoundnessError, UMode, _fold, _program, distribution
 from cplogic.ground import ground
-from cplogic.oracle import BudgetExceededError, _freeze, _thaw, sweep_orders
+from cplogic.oracle import BudgetExceededError, sweep_orders
 
 from helpers import random_deterministic_theory, random_stratified_theory
 from reference_engine import reference_distribution
@@ -101,38 +102,66 @@ def test_root_check_reports_the_fraction_total(monkeypatch):
         distribution(g, NOTHING)
 
 
-# -- `_mix` and `_freeze` on random input --------------------------------------
+# -- the sweep's integer mixing, state by state -------------------------------
 
-_worlds = st.sampled_from("abcde")
-_sub = st.integers(1, 60).flatmap(lambda D: st.tuples(
-    st.just(D), st.dictionaries(_worlds, st.integers(0, D), min_size=1)))
-_weight = st.integers(1, 12).flatmap(
-    lambda den: st.tuples(st.integers(1, den), st.just(den)))
-_children = st.lists(st.tuples(_weight, _sub), min_size=1, max_size=4)
+def _fraction_sweep(g, X, mode) -> dict:
+    """Each state's value in the order sweep, mixed with `Fraction` ``+``
+    and ``*``: ``{key: frozenset of distributions}``, a distribution being
+    a frozenset of ``(world mask, probability)`` pairs."""
+    values: dict = {}
+
+    def combine(key, branches, _path):
+        if not branches:
+            values[key] = frozenset({frozenset({(key[0], Fraction(1))})})
+            return values[key]
+        out = set()
+        for _, kids in branches:
+            for combo in itertools.product(*(sub for *_, sub in kids)):
+                acc: dict = {}
+                for (_, num, den, _), dist in zip(kids, combo):
+                    for world, p in dist:
+                        acc[world] = acc.get(world, Fraction(0)) + Fraction(num, den) * p
+                out.add(frozenset(acc.items()))
+        values[key] = frozenset(out)
+        return values[key]
+
+    _fold(g, X, mode, lambda _key, app, _u: app, combine)
+    return values
 
 
-def _items(children):
-    return [(num, den, D, nums.items()) for (num, den), (D, nums) in children]
+@pytest.mark.parametrize("seed", range(60))
+def test_sweep_is_fraction_arithmetic(seed, monkeypatch):
+    """At every state, the sweep's frozen distributions, thawed over the one
+    denominator they all sum to, are the `Fraction` sweep's; distinct
+    frozen forms thaw apart, so equal distributions reached at different
+    states froze equal; and the report is the root's value."""
+    g = ground(random_stratified_theory(seed, atoms=6, laws=8))
+    prog = _program(g, NOTHING)
+    frozen: dict = {}  # key -> the distributions of the sweep's value there
 
+    def spy(*args):
+        *head, combine = args
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_children, st.integers(1, 6), st.integers(1, 6))
-def test_mix_is_fraction_arithmetic(children, k, j):
-    L, nums = _mix(_items(children))
-    want: dict = {}
-    for (num, den), (D, sub) in children:
-        for world, n in sub.items():
-            want[world] = want.get(world, Fraction(0)) \
-                + Fraction(num, den) * Fraction(n, D)
-    assert list(nums) == list(want)  # same worlds, same insertion order
-    assert {w: Fraction(n, L) for w, n in nums.items()} == want
+        def record(key, branches, path):
+            value = combine(key, branches, path)
+            frozen[key] = value[1]
+            return value
+        return _fold(*head, record)
 
-    frozen = _freeze(L, nums)
-    D, pairs = frozen
-    assert gcd(D, *(n for _, n in pairs)) == 1
-    assert _thaw(frozen) == want
-    # The same rationals written over other denominators freeze equal.
-    scaled = [((num * j, den * j), (D * k, {w: n * k for w, n in sub.items()}))
-              for (num, den), (D, sub) in children]
-    assert _freeze(*_mix(_items(scaled))) == frozen
-    assert _freeze(L * k, {w: n * k for w, n in nums.items()}) == frozen
+    monkeypatch.setattr(oracle, "_fold", spy)
+    for mode in UMode:
+        frozen.clear()
+        try:
+            report = sweep_orders(g, NOTHING, mode, 20_000)
+        except (BudgetExceededError, SoundnessError):
+            continue
+        everything = set().union(*frozen.values())
+        (M,) = {sum(n for _, n in fd) for fd in everything}
+        thawed = {fd: frozenset((world, Fraction(n, M)) for world, n in fd)
+                  for fd in everything}
+        assert len(set(thawed.values())) == len(thawed)
+        assert {key: frozenset(map(thawed.get, fds)) for key, fds in frozen.items()} \
+            == _fraction_sweep(g, NOTHING, mode)
+        assert {frozenset(d.items()) for d in report.distributions} == {
+            frozenset((prog.atoms_of(world), p) for world, p in fd)
+            for fd in map(thawed.get, frozen[0, 0, 0])}

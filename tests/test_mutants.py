@@ -58,6 +58,10 @@ MUTANTS = {
         "i for i in positive)"),
     "evaluate does not flip under ~": ("threeval.py", "return 2 - evaluate(sub, value)",
                                        "return evaluate(sub, value)"),
+    # two 1/2 laws in a row: 2 // 2 // 2 truncates to 0
+    "sweep denominator the lcm of the laws', not their product": (
+        "oracle.py", "M = prod(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live)",
+        "M = lcm(*(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live))"),
 }
 
 
