@@ -44,12 +44,11 @@ when it is stratified; `_slice` reads both off that graph, so a query
 builds none.
 
 All probabilities are exact.  Each law's outcome probabilities enter as
-integer ``(num, den)`` pairs, and mass is held as integer numerators over
-one denominator: per layer in `_forward`, where it grows by the ``lcm`` of
-the layer's outcome denominators, and over one ``M`` per program in the
-sweep, the product of each live law's ``lcm``.  No ``Fraction`` is built
-or normalized per edge; `distribution` and the sweep build one per
-reported world, once the numerators are checked to sum to exactly 1.
+integer ``(num, den)`` pairs, and `_forward` and the order sweep count
+mass as integer numerators over one denominator ``M`` per program, the
+product of each live law's ``lcm`` (`_unit`).  No ``Fraction`` is built
+or normalized per edge; `_thaw` builds one per reported world, once the
+numerators are checked to sum to exactly ``M``.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from collections.abc import Set
 from copy import copy
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .ground import GroundTheory, _negation_cycles, _woken, expand_formula
 from .syntax import (And, Atom, EffectLiteral, Formula, Not, Or, atom_names,
@@ -534,38 +533,35 @@ def _lowest(_key, app, _u):
 def _forward(g: GroundTheory, X: frozenset, mode: UMode) -> tuple[int, dict]:
     """Push probability mass from the root to the leaves, one layer at a time.
 
-    Every edge fires a law, so a state's layer is ``len(fired)``.  A layer
-    is ``{state: numerator}`` over one denominator ``D``.  The lowest-index
-    applicable law's outcome ``(outcome, m, den)`` adds ``m * num * (L //
-    (D * den))`` to the child over ``L``, the ``lcm`` of the layer's ``D *
-    den``; a leaf adds to its world's total, all that outlives a layer.
-    Returns ``(D, {world: numerator})``.  A layer meets the shallowest stuck
-    state first, so `_fold` then raises at the first in preorder.
+    Every edge fires a law, so a state's layer is ``len(fired)``, and a
+    layer holds each of its states once, ``{state: numerator}`` over the
+    program's one denominator ``M`` (`_unit`).  The root holds ``M``; the
+    lowest-index applicable law's outcome ``(outcome, m, den)`` adds ``m *
+    (num // den)`` to the child, exactly, and a leaf adds its numerator to
+    its world's total.  Returns ``(M, {world: numerator})``.  A layer meets
+    the shallowest stuck state first, so `_fold` then raises at the first in
+    preorder.
     """
     weights = g._outcomes
-    D, layer, totals = 1, {ExecState.initial(): 1}, {}
+    M = _unit(g, _program(g, X))
+    layer, totals = {ExecState.initial(): M}, {}
     while layer:
-        grown = []
+        below: dict = {}
         for state, num in layer.items():
             try:
                 app = _classify(g, X, mode, state)
             except SoundnessError:
                 _fold(g, X, mode, _lowest, lambda *_: None)
                 raise
-            if app:
-                grown.append((state, num, app[0]))
-            else:
+            if not app:
                 totals[state.true_atoms] = totals.get(state.true_atoms, 0) + num
-        step = lcm(*{den for _, _, i in grown for _, _, den in weights[i]})
-        layer = {}
-        for state, num, i in grown:
+                continue
+            i = app[0]
             for outcome, m, den in weights[i]:
                 child = apply_disjunct(state, i, outcome)
-                layer[child] = layer.get(child, 0) + m * num * (step // den)
-        if step > 1:
-            D *= step
-            totals = {world: step * num for world, num in totals.items()}
-    return D, totals
+                below[child] = below.get(child, 0) + m * (num // den)
+        layer = below
+    return M, totals
 
 
 def build_execution_model(g: GroundTheory, X: frozenset,
@@ -620,15 +616,31 @@ def distribution(g: GroundTheory, X: frozenset,
                  mode: UMode = UMode.EXTENDED) -> Distribution:
     """Exact leaf distribution of the canonical execution model.
 
-    `_forward` gives each world's mass as an integer over one denominator;
-    they become `Fraction`s here, once checked to sum to exactly 1.
+    `_forward` counts each world's mass over the program's one ``M``, and
+    `_thaw` checks the counts and makes them `Fraction`s.
     """
-    D, nums = _forward(g, X, mode)
-    total = sum(nums.values())
-    if total != D:
-        raise ArithmeticError(
-            f"leaf probabilities sum to {Fraction(total, D)}, not 1")
-    return Distribution({world: Fraction(n, D) for world, n in nums.items()})
+    M, nums = _forward(g, X, mode)
+    return _thaw(nums.items(), M, frozenset)  # worlds are atom sets already
+
+
+def _unit(g: GroundTheory, prog: _Program) -> int:
+    """The one denominator ``M`` over which `_forward` and the order sweep
+    count ``prog``'s masses: the product over its live laws of the ``lcm``
+    of each law's outcome denominators.  A path fires each law at most
+    once, so a numerator that law i's outcome scales, ``M`` times a sum of
+    products of other laws' outcome probabilities, is a multiple of every
+    denominator of law i's outcomes, and ``n // den`` is exact."""
+    return prod(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live)
+
+
+def _thaw(pairs, M: int, world_of) -> Distribution:
+    """The distribution that gives each ``(world, n)`` of ``pairs`` the
+    probability ``n / M``, ``world_of(world)`` being its atom set, checked
+    to sum to exactly 1."""
+    total = sum(n for _, n in pairs)
+    if total != M:
+        raise ArithmeticError(f"leaf probabilities sum to {Fraction(total, M)}, not 1")
+    return Distribution({world_of(world): Fraction(n, M) for world, n in pairs})
 
 
 def query(g: GroundTheory, X: frozenset, phi: Formula,

@@ -127,9 +127,6 @@ def _noop(table: list) -> tuple:
     for _, n, q in table:
         if not 0 < n <= q:
             Rules().probability(Fraction(n, q))
-    if len(table) == 1:  # the rest of one denominator, in lowest terms
-        _, n, den = table[0]
-        return ((None, den - n, den),) if n < den else ()
     den = lcm(*(q for _, _, q in table))
     rest = den - sum(n * (den // q) for _, n, q in table)
     if rest < 0:

@@ -5,12 +5,13 @@ firing order.
 collects the distribution of each complete execution model, so firing-order
 invariance can be checked rather than assumed.  It is a fold over the
 engine's state walk, `engine._fold`: it shares the engine's state
-classification, soundness check and mixing loop, but not its one law per
-state.  States are integer keys and worlds the masks of their true atoms,
-made atom sets only for the report.  Every sub-distribution is a frozenset
-of ``(world, n)`` pairs, ``n / M`` being the world's probability over one
-``M`` per program, so a law's mix is one multiply-add pass and equal
-distributions freeze equal at any states.
+classification and soundness check, but not its one law per state, and
+counts mass as `distribution` does, over the program's one ``M``
+(`engine._unit`), checked once in `engine._thaw`.  States are integer keys
+and worlds the masks of their true atoms, made atom sets only for the
+report.  Every sub-distribution is a frozenset of ``(world, n)`` pairs,
+``n / M`` being the world's probability, so a law's mix is one
+multiply-add pass and equal distributions freeze equal at any states.
 The references that only the tests use are kept in ``tests/``: a
 rescanning U and a `Fraction` distribution in ``reference_engine.py``, the
 well-founded and least models of the deterministic fragments in
@@ -19,10 +20,9 @@ well-founded and least models of the deterministic fragments in
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
-from .engine import Distribution, ExecState, UMode, _fold, _program
+from .engine import Distribution, ExecState, UMode, _fold, _program, _thaw, _unit
 from .ground import GroundTheory
 from .syntax import atom_names, record
 # Bound here only so that bench/tracing.py can patch them at this import site.
@@ -42,15 +42,6 @@ class BudgetExceededError(Exception):
     def __init__(self, budget: int):
         self.budget = budget
         super().__init__(f"order sweep exceeded the node budget of {budget}")
-
-
-def _thaw(pairs, M: int, world_of) -> Distribution:
-    """The distribution that gives each ``(world mask, n)`` of ``pairs`` the
-    probability ``n / M``, checked to sum to exactly 1."""
-    total = sum(n for _, n in pairs)
-    if total != M:
-        raise ArithmeticError(f"leaf probabilities sum to {Fraction(total, M)}, not 1")
-    return Distribution({world_of(world): Fraction(n, M) for world, n in pairs})
 
 
 def _add(acc: dict, num: int, den: int, pairs) -> dict:
@@ -109,9 +100,7 @@ def sweep_orders(g: GroundTheory, X: frozenset,
     A `SoundnessError` from any branch propagates.
     """
     prog = _program(g, X)
-    # Below a state that has fired law i, mass times M is a multiple of
-    # every denominator of law i's outcomes, so ``n // den`` is exact.
-    M = prod(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live)
+    M = _unit(g, prog)
     witness: DivergenceWitness | None = None
     work = 0
     states = 0
@@ -131,7 +120,10 @@ def sweep_orders(g: GroundTheory, X: frozenset,
         per_rule: dict = {}
         models = 0
         for i, kids in branches:
-            count, combos, accs = 1, 1, [{}]
+            work += prod(len(dists) for _, _, _, (_, dists) in kids)
+            if work > max_nodes:
+                raise BudgetExceededError(max_nodes)
+            count, accs = 1, [{}]
             for _, num, den, (n, dists) in kids:
                 count *= n
                 if len(dists) == 1:
@@ -139,16 +131,10 @@ def sweep_orders(g: GroundTheory, X: frozenset,
                     for acc in accs:
                         _add(acc, num, den, pairs)
                     continue
-                combos *= len(dists)
-                if work + combos > max_nodes:
-                    raise BudgetExceededError(max_nodes)
                 # Each partial mix with each distribution, equal mixes kept once.
                 accs = list({frozenset(acc.items()): acc for acc in (
                     _add(dict(acc), num, den, pairs) for acc in accs for pairs in dists)
                 }.values())
-            work += combos
-            if work > max_nodes:
-                raise BudgetExceededError(max_nodes)
             per_rule[i] = frozenset(frozenset(acc.items()) for acc in accs)
             models += count
         if witness is None and len(set(per_rule.values())) > 1:

@@ -197,11 +197,21 @@ def _strings(tree: ast.AST) -> list:
             and isinstance(node.value, str) and id(node) not in docstrings]
 
 
-@pytest.mark.parametrize("fragment", RULE_MESSAGES)
-def test_each_rule_of_the_language_is_worded_once(fragment):
+def _worded_once(fragment: str):
     sites = [f"{path.relative_to(PACKAGE)}:{node.lineno}" for path in SOURCES
              for node in _strings(_tree(path)) if fragment in node.value]
     assert len(sites) == 1, f"{fragment!r} is worded at {sites or 'no site'}"
+
+
+@pytest.mark.parametrize("fragment", RULE_MESSAGES)
+def test_each_rule_of_the_language_is_worded_once(fragment):
+    _worded_once(fragment)
+
+
+def test_the_leaf_sum_check_is_worded_once():
+    """`distribution` and the order sweep count mass over one ``M`` per
+    program and check the sum in one place, `engine._thaw`."""
+    _worded_once("leaf probabilities sum to")
 
 
 # Standard modules that `import cplogic.cli` must not load: `dataclasses`

@@ -1,8 +1,10 @@
 """Integer mixing against `Fraction` arithmetic.
 
-`engine.distribution` holds each layer's masses as integer numerators over
-one denominator, and `oracle.sweep_orders` each state's sub-distributions
-as integer numerators over one ``M`` per program.
+`engine.distribution` and `oracle.sweep_orders` both count mass as
+integer numerators over one ``M`` per program (`engine._unit`), checked
+once to sum to exactly ``M`` in `engine._thaw`: the forward walk pushes
+each state's mass to its children, and the sweep mixes each state's
+sub-distributions.
 `reference_engine.reference_distribution` folds the same states with
 `Fraction` ``+`` and ``*`` at every edge, and `_fraction_sweep` here
 follows every law as the sweep does with the same `Fraction` arithmetic;

@@ -21,7 +21,7 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "cplogic"
 BATTERY = TESTS / "mutant_battery.py"
 
-PUSH = "layer[child] = layer.get(child, 0) + m * num * (step // den)"
+PUSH = "below[child] = below.get(child, 0) + m * (num // den)"
 MEMO = "memo: dict = {}  # finished key -> value"
 
 
@@ -35,14 +35,13 @@ def _memo_on(part: str) -> tuple:
 
 MUTANTS = {
     # states of a layer with equal I share one numerator
-    "layer keyed on I": ("engine.py", PUSH, "child = next((s for s in layer if"
+    "layer keyed on I": ("engine.py", PUSH, "child = next((s for s in below if"
                          " s.true_atoms == child.true_atoms), child); " + PUSH),
     # states of a layer with equal I and N share one numerator
-    "layer keyed on (I, N)": ("engine.py", PUSH, "child = next((s for s in layer if"
+    "layer keyed on (I, N)": ("engine.py", PUSH, "child = next((s for s in below if"
                               " (s.true_atoms, s.negated) == (child.true_atoms,"
                               " child.negated)), child); " + PUSH),
-    "highest-index law fired first": ("engine.py", "grown.append((state, num, app[0]))",
-                                      "grown.append((state, num, app[-1]))"),
+    "highest-index law fired first": ("engine.py", "i = app[0]", "i = app[-1]"),
     "literal mode run as extended": ("engine.py", "app = _classify(g, X, mode, state)",
                                      "app = _classify(g, X, UMode.EXTENDED, state)"),
     "fold memo keyed on I": _memo_on(":1"),
@@ -58,10 +57,10 @@ MUTANTS = {
         "i for i in positive)"),
     "evaluate does not flip under ~": ("threeval.py", "return 2 - evaluate(sub, value)",
                                        "return evaluate(sub, value)"),
-    # two 1/2 laws in a row: 2 // 2 // 2 truncates to 0
+    # two 1/2 laws in a row: 2 // 2 // 2 truncates to 0, in either walker
     "sweep denominator the lcm of the laws', not their product": (
-        "oracle.py", "M = prod(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live)",
-        "M = lcm(*(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live))"),
+        "engine.py", "return prod(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live)",
+        "return lcm(*(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live))"),
 }
 
 

@@ -60,6 +60,18 @@ def test_sweep_budget_is_enforced():
         sweep_orders(g, atoms("Crank1", "Crank2", "Crank3"), max_nodes=5)
 
 
+# The smallest budget with which each literal-mode sweep finishes, and the
+# number of distributions it then reports.
+@pytest.mark.parametrize("seed, budget, distinct",
+                         [(75, 221, 8), (137, 4_226, 256), (168, 9_182, 64)])
+def test_sweep_budget_boundary_is_exact(seed, budget, distinct):
+    g = ground(random_stratified_theory(seed, atoms=12, laws=8))
+    report = sweep_orders(g, NOTHING, UMode.LITERAL, budget)
+    assert len(report.distributions) == distinct
+    with pytest.raises(BudgetExceededError):
+        sweep_orders(g, NOTHING, UMode.LITERAL, budget - 1)
+
+
 def test_wfm_simple_negation():
     wfm = well_founded_model(ground(parse_theory("A <- ~B.")))
     assert wfm.true_set == atoms("A")
