@@ -97,7 +97,7 @@ def cmd_check(args) -> int:
     g = ground(theory)
     print(f"laws: {len(theory.laws)} ({len(g.laws)} ground instances)")
     print(f"endogenous atoms: {len(g.endogenous_atoms)}")
-    print(f"exogenous atoms: {len(g.exogenous_atoms)}")
+    print(f"exogenous atoms: {g.exogenous_atoms.count()}")
     print(stratification_report(g).describe())
     dist = engine.distribution(g, X, mode)
     print(f"soundness probe (exo={format_atom_set(X)}): ok ({len(dist)} worlds)")

@@ -28,6 +28,7 @@ runs it too; a ground theory builds each law's outcome table.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Set
 from fractions import Fraction
 from math import gcd, lcm
@@ -47,15 +48,15 @@ class ExogenousUniverse(Set):
     constants of the theory's domains.  The universe is counted, not
     listed: membership is tested against the declarations, and iteration
     builds the atoms one at a time, so ``exogenous R/3`` over 100 constants
-    costs no memory for its million atoms.
+    costs no memory for its million atoms.  It is counted when asked, and
+    past `sys.maxsize` ``len`` raises `OverflowError` without computing it.
     """
 
-    __slots__ = ("_arity", "_constants", "_size")
+    __slots__ = ("_arity", "_constants")
 
     def __init__(self, rules: Rules):
-        self._arity = arity = dict(rules.exogenous)
-        self._constants = constants = frozenset(rules.constants)
-        self._size = sum(len(constants) ** n for n in arity.values())
+        self._arity = dict(rules.exogenous)
+        self._constants = frozenset(rules.constants)
 
     def __contains__(self, atom) -> bool:
         return (isinstance(atom, Atom)
@@ -63,7 +64,24 @@ class ExogenousUniverse(Set):
                 and self._constants.issuperset(atom.args))
 
     def __len__(self) -> int:
-        return self._size
+        c, total = len(self._constants), 0
+        for n in self._arity.values():
+            power = c ** n if c < 2 else 1
+            for _ in range(n if c > 1 else 0):  # at most 63 steps
+                if power > (sys.maxsize - total) // c:
+                    raise OverflowError("more exogenous atoms than sys.maxsize")
+                power *= c
+            total += power
+        return total
+
+    def count(self) -> str:
+        """``len``, or past `sys.maxsize` one ``c^n`` term per predicate
+        over its c constants (``2^64``)."""
+        try:
+            return str(len(self))
+        except OverflowError:
+            c = len(self._constants)
+            return " + ".join(f"{c}^{n}" for n in self._arity.values())
 
     def __iter__(self):
         constants = sorted(self._constants)
@@ -76,7 +94,7 @@ class ExogenousUniverse(Set):
         return frozenset(it)  # the result of a set operation is listed
 
     def __repr__(self) -> str:
-        return f"<{len(self)} exogenous atoms>"
+        return f"<{self.count()} exogenous atoms>"
 
 
 @record

@@ -236,8 +236,6 @@ class Theory:
     laws: tuple[CPLaw, ...]
     # `endogenous_signature`, kept by the parser or worked out on first use
     _signature: dict | None = None
-    # `_vocabulary`: the declarations it was checked for and its `Rules`
-    _rules: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +403,6 @@ class Rules:
         for pred in exogenous:
             self.declare_exogenous(pred, exogenous[pred])
 
-    def reporting(self, fail) -> "Rules":
-        """These rules over the same vocabulary, calling ``fail`` instead."""
-        other = object.__new__(Rules)
-        other.fail, other.domains, other.exogenous, other.arity, other.constants = (
-            fail, self.domains, self.exogenous, self.arity, self.constants)
-        return other
-
     def declare_domain(self, name: str, consts, where=None) -> None:
         listed: set = set()
         for k, c in enumerate(consts):
@@ -474,7 +465,9 @@ class _Parser:
         self.depth = 0  # negations, quantifiers and parentheses now open
         self.closed = False  # True: every predicate must already be known
 
-    # -- token plumbing ------------------------------------------------
+    # -- token cursor -----------------------------------------------------
+    # A punct or keyword text belongs to no token of another kind, and only
+    # the eof token has the text "", so a token is told by its text alone.
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -485,14 +478,16 @@ class _Parser:
             self.i += 1
         return tok
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is ``text``."""
+        if self.toks[self.i].text == text:
+            self.i += 1
+            return True
+        return False
 
-    def expect_punct(self, text: str) -> _Token:
-        if not self.at_punct(text):
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
             self.fail(f"expected {text!r}")
-        return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> _Token:
         tok = self.peek()
@@ -508,8 +503,7 @@ class _Parser:
     def parse_list(self, sep: str, item, *args) -> list:
         """``item {sep item}``, calling ``item(*args)`` for each item."""
         items = [item(*args)]
-        while self.at_punct(sep):
-            self.advance()
+        while self.accept(sep):
             items.append(item(*args))
         return items
 
@@ -518,7 +512,7 @@ class _Parser:
     def parse_theory(self) -> Theory:
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind == "ident" and tok.text in ("domain", "exogenous"):
+            if tok.text in ("domain", "exogenous"):
                 if self.laws:
                     self.fail("declarations must precede laws")
                 self.advance()
@@ -526,23 +520,24 @@ class _Parser:
                     self.parse_domain_decl()
                 else:
                     self.parse_list(",", self.parse_signature)
-                self.expect_punct(".")
+                self.expect(".")
             else:
                 self.laws.append(self.parse_law())
         t = Theory(dict(self.rules.domains), dict(self.rules.exogenous), tuple(self.laws))
         sig = {p: n for p, n in self.rules.arity.items() if p not in t.exogenous}
         object.__setattr__(t, "_signature", sig)
-        object.__setattr__(t, "_rules", (_declarations(t), self.rules.reporting(_raise)))
         return t
 
     def parse_domain_decl(self):
         name_tok = self.expect_ident("domain name")
         if name_tok.text in self.rules.domains:
             self.fail(f"domain {name_tok.text!r} declared twice", name_tok)
-        self.expect_punct("=")
-        self.expect_punct("{")
-        toks = [] if self.at_punct("}") else self.parse_list(",", self.expect_ident, "constant")
-        self.expect_punct("}")
+        self.expect("=")
+        self.expect("{")
+        toks = []
+        if not self.accept("}"):
+            toks = self.parse_list(",", self.expect_ident, "constant")
+            self.expect("}")
         self.rules.declare_domain(name_tok.text, [c.text for c in toks], [c.pos for c in toks])
 
     def parse_signature(self):
@@ -551,8 +546,7 @@ class _Parser:
         if name_tok.text in self.rules.exogenous:
             self.fail(f"exogenous predicate {name_tok.text!r} declared twice", name_tok)
         tok, arity = name_tok, 0
-        if self.at_punct("/"):
-            self.advance()
+        if self.accept("/"):
             tok = self.advance()
             arity = int(tok.text) if tok.text.isdigit() else None
         self.rules.declare_exogenous(name_tok.text, arity, tok.pos)
@@ -563,8 +557,7 @@ class _Parser:
         start = self.peek()
         binders: list[tuple[str, str]] = []
         env: set = set()
-        while self.at_punct("!"):
-            self.advance()
+        while self.accept("!"):
             var_tok, dom = self.parse_binder()
             self.rules.bind(var_tok.text, env, var_tok.pos)
             binders.append((var_tok.text, dom))
@@ -572,45 +565,32 @@ class _Parser:
 
         head = self.parse_list(";", self.parse_head_disjunct, env)
         self.rules.distinct([d.literal.atom for d in head], start.pos)
-        body: Formula = TRUE
-        if self.at_punct("<-"):
-            self.advance()
-            body = self.parse_or(env)
+        body = self.parse_or(env) if self.accept("<-") else TRUE
         if len(head) > 1:  # each probability is at most 1
             self.rules.head_sum(sum(d.prob for d in head), start.pos)
-        self.expect_punct(".")
+        self.expect(".")
         return CPLaw(tuple(binders), tuple(head), body)
 
     def parse_binder(self) -> tuple[_Token, str]:
         """``x in d :`` after a ``!`` or ``?``: the variable and its domain."""
         var_tok = self.expect_ident("variable")
-        self.expect_keyword("in")
+        self.expect("in")
         dom_tok = self.expect_ident("domain name")
-        self.expect_punct(":")
+        self.expect(":")
         self.rules.domain(dom_tok.text, dom_tok.pos)
         return var_tok, dom_tok.text
 
-    def expect_keyword(self, kw: str):
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != kw:
-            self.fail(f"expected {kw!r}")
-        self.advance()
-
     def parse_head_disjunct(self, env: set) -> HeadDisjunct:
-        if self.at_punct("("):
-            self.advance()
+        if self.accept("("):
             lit = self.parse_effect_literal(env)
-            self.expect_punct(":")
+            self.expect(":")
             prob = self.parse_prob()
-            self.expect_punct(")")
+            self.expect(")")
             return HeadDisjunct(lit, prob)
         return HeadDisjunct(self.parse_effect_literal(env), Fraction(1))
 
     def parse_effect_literal(self, env: set) -> EffectLiteral:
-        negated = False
-        if self.at_punct("~"):
-            self.advance()
-            negated = True
+        negated = self.accept("~")
         pos = self.peek().pos
         atom = self.parse_atom(env)
         self.rules.effect(atom, pos)
@@ -622,8 +602,7 @@ class _Parser:
             self.fail("expected a probability")
         self.advance()
         value = Fraction(tok.text)  # exact: "0.9" -> 9/10
-        if self.at_punct("/"):
-            self.advance()
+        if self.accept("/"):
             den = self.peek()
             if den.kind != "number" or not den.text.isdigit():
                 self.fail("expected denominator")
@@ -647,40 +626,38 @@ class _Parser:
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_unary(self, env: set) -> Formula:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in ("~", "!", "?", "("):
+        text = self.peek().text
+        if text in ("~", "!", "?", "("):
             if self.depth == MAX_NESTING:
                 self.fail(f"formula nested more than {MAX_NESTING} levels deep")
             self.depth += 1
             phi = self.parse_nested(env)
             self.depth -= 1
             return phi
-        if tok.kind == "ident" and tok.text in ("true", "false"):
+        if text in ("true", "false"):
             self.advance()
-            return TRUE if tok.text == "true" else FALSE
+            return TRUE if text == "true" else FALSE
         return self.parse_atom(env)
 
     def parse_nested(self, env: set) -> Formula:
         """A negation, quantifier or parenthesized formula."""
-        if self.at_punct("~"):
-            self.advance()
+        text = self.advance().text
+        if text == "~":
             return Not(self.parse_unary(env))
-        if self.at_punct("!") or self.at_punct("?"):
-            cls = ForAll if self.advance().text == "!" else Exists
-            var_tok, dom = self.parse_binder()
-            return cls(var_tok.text, dom, self.parse_unary(env | {var_tok.text}))
-        self.expect_punct("(")
-        inner = self.parse_or(env)
-        self.expect_punct(")")
-        return inner
+        if text == "(":
+            inner = self.parse_or(env)
+            self.expect(")")
+            return inner
+        var_tok, dom = self.parse_binder()
+        cls = ForAll if text == "!" else Exists
+        return cls(var_tok.text, dom, self.parse_unary(env | {var_tok.text}))
 
     def parse_atom(self, env: set) -> Atom:
         name_tok = self.expect_ident("predicate")
         args: list[Term] = []
-        if self.at_punct("("):
-            self.advance()
+        if self.accept("("):
             args = self.parse_list(",", self.parse_term, env)
-            self.expect_punct(")")
+            self.expect(")")
         if self.closed and name_tok.text not in self.rules.arity:
             self.fail(f"unknown predicate {name_tok.text!r}", name_tok)
         self.rules.predicate(name_tok.text, len(args), name_tok.pos)
@@ -702,31 +679,13 @@ def parse_theory(text: str) -> Theory:
     return _Parser(text).parse_theory()
 
 
-def _declarations(t: Theory) -> tuple:
-    """A snapshot of ``t``'s domain and exogenous declarations."""
-    return {name: tuple(consts) for name, consts in t.domains.items()}, dict(t.exogenous)
-
-
-def _vocabulary(t: Theory) -> Rules:
-    """``t``'s closed vocabulary: `Rules` over its declarations and the
-    arity of each predicate it mentions.  The declarations are checked once
-    per theory, or by the parser that built it, and again only after they
-    change; treat the result as read-only."""
-    declared = _declarations(t)
-    kept = t._rules
-    if kept is None or kept[0] != declared:
-        rules = Rules(*declared)  # its own faults: TheoryError
-        rules.arity.update(endogenous_signature(t))
-        kept = (declared, rules)
-        object.__setattr__(t, "_rules", kept)
-    return kept[1]
-
-
 def _seeded_parser(text: str, theory: Theory) -> _Parser:
     """A parser over ``text`` closed over the theory's domains and predicates."""
     p = _Parser(text)
     p.closed = True
-    p.rules = _vocabulary(theory).reporting(p.rules.fail)
+    rules = Rules(theory.domains, theory.exogenous)  # a malformed declaration: TheoryError
+    rules.arity.update(endogenous_signature(theory))
+    rules.fail, p.rules = p.rules.fail, rules  # then it reports at offsets in text
     return p
 
 
@@ -747,10 +706,7 @@ def parse_literal(text: str, theory: Theory) -> EffectLiteral:
     """Parse ``A`` or ``~A`` with ``A`` a ground atom of ``theory``'s
     vocabulary, as `parse_formula` reads it."""
     p = _seeded_parser(text, theory)
-    negated = False
-    if p.at_punct("~"):
-        p.advance()
-        negated = True
+    negated = p.accept("~")
     atom = p.parse_atom(set())
     if p.peek().kind != "eof":
         p.fail("trailing input after literal")
@@ -767,8 +723,7 @@ def parse_assignment(text: str, theory: Theory) -> dict:
     values: dict = {}
     while p.peek().kind != "eof":
         tok = p.peek()
-        if p.at_punct("~"):
-            p.advance()
+        if p.accept("~"):
             atom = p.parse_atom(set())
             p.fail(f"write {atom}=true or {atom}=false, not ~{atom}", tok)
         atom = p.parse_atom(set())
@@ -776,15 +731,15 @@ def parse_assignment(text: str, theory: Theory) -> dict:
             p.fail(f"{atom} is not exogenous", tok)
         if atom in values:
             p.fail(f"{atom} assigned twice", tok)
-        p.expect_punct("=")
-        value = p.peek()
-        if value.kind != "ident" or value.text not in ("true", "false"):
-            got = repr(value.text) if value.text else "end of input"
+        p.expect("=")
+        value = p.peek().text
+        if value not in ("true", "false"):
+            got = repr(value) if value else "end of input"
             p.fail(f"expected true or false, got {got}")
         p.advance()
-        values[atom] = value.text == "true"
+        values[atom] = value == "true"
         if p.peek().kind != "eof":
-            p.expect_punct(",")
+            p.expect(",")
     return values
 
 

@@ -391,3 +391,22 @@ def test_check_prints_the_size_of_a_large_exogenous_universe(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "exogenous atoms: 1000000\n" in out
     assert "ok (1 worlds)" in out
+
+
+@pytest.mark.parametrize("text, count", [
+    ("domain d = {a, b}. exogenous E/64. A.", "2^64"),
+    ("domain d = {a, b, c}. exogenous E/100000000. A.", "3^100000000"),
+])
+def test_a_universe_past_sys_maxsize_is_counted_in_powers(tmp_path, text, count):
+    path = tmp_path / "huge.cpl"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(cplogic.__file__).parents[1]))
+    for command, printed in (("check", f"exogenous atoms: {count}\n"), ("dist", "{A}  1 ")):
+        proc = subprocess.run([sys.executable, "-m", "cplogic.cli", command, str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert printed in proc.stdout
+    universe = ground(parse_theory(text)).exogenous_atoms
+    assert repr(universe) == f"<{count} exogenous atoms>"
+    with pytest.raises(OverflowError):
+        len(universe)

@@ -7,7 +7,9 @@ its own definition, and so must every public one, unless the README,
 excuse it.  Code that only the tests read belongs with the tests.  The
 same holds for every public method and property of a class that
 ``__all__`` exports: the package must read it outside its own definition,
-or the documents name it.  An import statement
+or the documents name it.  Every method of a ``_``-prefixed class must
+be read in the package too, save dunders and overrides of a base-class
+method, which code outside it calls.  An import statement
 carrying ``# noqa: F401`` binds names on purpose, and a name that
 ``__init__`` lists in ``__all__`` is a re-export.  The modules form layers
 (`LAYERS`): each imports only from layers below its own, and only at the
@@ -18,6 +20,7 @@ loads none of the slow stdlib modules that `dataclasses` brings in
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -148,6 +151,26 @@ def test_every_public_method_of_an_exported_class_is_read_or_documented():
               and reads[node.name] == _attribute_reads(node).count(node.name)
               and node.name not in named]
     assert not unused, f"public methods only the tests can use: {unused}"
+
+
+def test_every_method_of_a_private_class_is_read():
+    trees = {path: _tree(path) for path in SOURCES}
+    reads = Counter(_attribute_reads(*trees.values()))
+    unused = []
+    for path, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")):
+                continue
+            parts = [p for p in path.relative_to(PACKAGE).with_suffix("").parts
+                     if p != "__init__"]
+            module = importlib.import_module(".".join(("cplogic", *parts)))
+            bases = getattr(module, cls.name).__mro__[1:]
+            unused += [f"{cls.name}.{node.name}" for node in cls.body
+                       if isinstance(node, ast.FunctionDef)
+                       and not (node.name.startswith("__") and node.name.endswith("__"))
+                       and not any(node.name in vars(base) for base in bases)
+                       and reads[node.name] == _attribute_reads(node).count(node.name)]
+    assert not unused, f"methods of private classes nothing reads: {unused}"
 
 
 def _module(path: Path) -> str:

@@ -214,6 +214,16 @@ def test_parse_assignment_errors_name_the_token(text, message, col):
     (parse_theory, "(A:).", "expected a probability", 1, 4),
     (parse_theory, "(A:1/).", "expected denominator", 1, 6),
     (parse_theory, "(A:0.5/2).", "fraction numerator must be an integer", 1, 4),
+    (parse_theory, "domain d {a}.", "expected '='", 1, 10),
+    (parse_theory, "domain d = a}.", "expected '{'", 1, 12),
+    (parse_theory, "domain d = {a}. exogenous E/1 A.", "expected '.'", 1, 31),
+    (parse_theory, "(A 1/2).", "expected ':'", 1, 4),
+    (parse_theory, "(A:1/2.", "expected ')'", 1, 7),
+    (parse_theory, "A <- (B, C.", "expected ')'", 1, 11),
+    (parse_theory, "domain d = {a}. A <- P(a.", "expected ')'", 1, 25),
+    (parse_theory, "A <- B C.", "expected '.'", 1, 8),
+    (parse_theory, "domain d = {a}. A <- ?x d: P(x).", "expected 'in'", 1, 25),
+    (parse_theory, "domain d = {a}. A <- ?x in d P(x).", "expected ':'", 1, 30),
     (lambda text: parse_formula(text, parse_theory("Q.")), "Q Q",
      "trailing input after formula", 1, 3),
     (lambda text: parse_literal(text, parse_theory("Q.")), "Q Q",
@@ -453,6 +463,15 @@ def test_a_theory_vocabulary_follows_a_change_to_its_exogenous_declarations():
     del t.exogenous["E"]
     with pytest.raises(ParseError, match="unknown predicate 'E'"):
         parse_literal("E(c)", t)
+    # and to its domains, parsed or built in code
+    parsed = parse_theory("domain d = {c}.\nexogenous E/1.\nP(c) <- E(c).")
+    for built in (parsed, Theory(dict(parsed.domains), dict(parsed.exogenous), parsed.laws)):
+        with pytest.raises(ParseError, match="undeclared constant 'm'"):
+            parse_formula("P(m)", built)
+        built.domains["f"] = ("m",)
+        with pytest.raises(ParseError, match="undeclared constant 'n'"):
+            parse_formula("P(n)", built)
+        assert parse_formula("P(m)", built) == Atom("P", ("m",))
 
 
 def test_a_theory_signature_is_walked_once_per_theory(monkeypatch):
@@ -473,33 +492,10 @@ def test_a_theory_signature_is_walked_once_per_theory(monkeypatch):
         "A": 0, "B": 0, "P": 1}
 
 
-def test_a_theory_vocabulary_is_checked_once_per_theory(monkeypatch):
-    checked = []
-    real = syntax.Rules.declare_domain
-
-    def counted(rules, name, consts, where=None):
-        checked.append(name)
-        return real(rules, name, consts, where)
-
-    monkeypatch.setattr(syntax.Rules, "declare_domain", counted)
-    parsed = parse_theory("domain d = {c}.\ndomain e = {c, k}.\nexogenous E/1.\n"
-                          "A <- B, E(c).\nP(k) <- ~A.")
-    checked.clear()  # the parser's own declarations
-
-    def read_all(t):
-        for text in ("A", "P(c)", "E(k)"):
-            parse_formula(text, t)
-            parse_literal(text, t)
-        parse_assignment("E(c)=true", t)
-
-    read_all(parsed)
-    assert checked == []  # the parser keeps the vocabulary it checked
-    built = Theory(dict(parsed.domains), dict(parsed.exogenous), parsed.laws)
-    read_all(built)
-    assert checked == ["d", "e"]  # one check, on first use
-    built.domains["f"] = ("m",)
-    with pytest.raises(ParseError, match="undeclared constant 'n'"):
-        parse_formula("P(n)", built)
-    assert parse_formula("P(m)", built) == Atom("P", ("m",))
-    read_all(built)
-    assert checked == ["d", "e", "d", "e", "f"]  # once more after a change
+def test_a_closed_read_checks_the_declarations_of_a_theory_built_in_code():
+    doubled = Theory({"d": ("a", "a")}, {}, ())
+    for parse in (parse_formula, parse_literal):
+        with pytest.raises(TheoryError, match="constant 'a' listed twice in domain 'd'"):
+            parse("A", doubled)
+    with pytest.raises(TheoryError, match=re.escape("expected arity (a plain integer)")):
+        parse_assignment("", Theory({}, {"E": "x"}, ()))
