@@ -18,12 +18,12 @@ The four commands that run inference take ``--mode`` and ``--exo
 take neither.  The assignment, the query and the literal are read by the
 theory parser against the theory's vocabulary, so their errors carry a column.
 
-Exit codes: 0 success, 1 usage or input error, 2 unsound theory,
-3 node budget exceeded, 141 standard output closed before all output was
-written (the code a shell reports for a process killed by SIGPIPE).  An
-input that exhausts Python's recursion limit or memory, or is not UTF-8
-text, is reported in one line as an input error (exit 1), never as a
-traceback.  Output is deterministic: worlds are sorted and
+Exit codes: 0 success, 1 usage or input error, 2 unsound theory, 3 node
+budget exceeded, 141 standard output closed before all output was written
+(as a shell reports a process killed by SIGPIPE).  An input that exhausts
+Python's recursion limit or memory, is not UTF-8 or has an answer too long
+to print (`sys.get_int_max_str_digits`) is one line of input error (exit
+1), never a traceback.  Output is deterministic: worlds are sorted and
 every probability is printed as an exact rational with a 6-place decimal.
 """
 
@@ -261,6 +261,12 @@ def main(argv=None) -> int:
     except oracle.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise  # a bug: only a number too long to print is an input error
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a number to print has more than {limit} digits", file=sys.stderr)
+        return 1
     except (RecursionError, MemoryError) as exc:
         # Last resort: whatever input got this far, it gets no traceback.
         print(f"error: input too large or too deeply nested "

@@ -64,14 +64,10 @@ class ExogenousUniverse(Set):
                 and self._constants.issuperset(atom.args))
 
     def __len__(self) -> int:
-        c, total = len(self._constants), 0
-        for n in self._arity.values():
-            power = c ** n if c < 2 else 1
-            for _ in range(n if c > 1 else 0):  # at most 63 steps
-                if power > (sys.maxsize - total) // c:
-                    raise OverflowError("more exogenous atoms than sys.maxsize")
-                power *= c
-            total += power
+        c = len(self._constants)  # c ** n > sys.maxsize once c > 1 and n > 62: not formed
+        total = sum(c ** n if c < 2 or n < 63 else sys.maxsize + 1 for n in self._arity.values())
+        if total > sys.maxsize:
+            raise OverflowError("more exogenous atoms than sys.maxsize")
         return total
 
     def count(self) -> str:

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from fractions import Fraction
-from functools import partial
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, Union
 
 KEYWORDS = frozenset({"domain", "exogenous", "in", "true", "false"})
 
@@ -342,35 +342,28 @@ def endogenous_signature(t: Theory) -> dict:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"""
-    [ \t\r\n]+ | %[^\n]*                      # whitespace and comments: skipped
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>[0-9]+(?:\.[0-9]+)?)
-  | (?P<punct><-|[(){}:;,.~!?=/])
-  | (?P<bad>.)
+    (?:[ \t\r\n]+ | %[^\n]*)*                  # whitespace and comments: skipped
+    (?:([A-Za-z_][A-Za-z0-9_]*                  # identifier
+       | [0-9]+(?:\.[0-9]+)?                    # number
+       | <- | [(){}:;,.~!?=/])                  # punctuation
+     | (.))?                                    # a character outside the alphabet
 """, re.VERBOSE | re.DOTALL)
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "number" | "punct" | "eof"
-    text: str
-    pos: int  # offset of the first character in the source text
-
-
-def _fail(text: str, message: str, pos: int):
-    """Raise `ParseError` at the 1-based line and column of offset ``pos``."""
+def _fail(text: str, message: str, k: int):
+    """Raise `ParseError` at the 1-based line and column of token ``k`` of ``text``."""
+    m = next(itertools.islice(_TOKEN.finditer(text), k, None))
+    pos = m.end() - len(m[1] or m[2] or "")
     raise ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            _fail(text, f"unexpected character {m.group()!r}", m.start())
-        if kind is not None:
-            toks.append(_Token(kind, m.group(), m.start()))
-    toks.append(_Token("eof", "", len(text)))
-    return toks
+def _tokenize(text: str) -> tuple:
+    """The tokens of ``text``, one per match of `_TOKEN`, then ``""``: the end."""
+    toks, bad = zip(*_TOKEN.findall(text))
+    if any(bad):
+        k = next(k for k, c in enumerate(bad) if c)
+        _fail(text, f"unexpected character {bad[k]!r}", k)
+    return toks[:toks.index("") + 1]  # after a trailing gap the end matches twice
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +382,8 @@ class Rules:
     constants of the domains; `domain` gives a declared domain's constants.
     The parser and `ground` share the rules: each method checks one and,
     when it breaks, calls ``fail(message, where)``, which raises: the
-    parser's at the offset ``where`` in its text (``where[k]`` for
-    constant k in `declare_domain`), the default a `TheoryError`.
+    parser's at the token with index ``where`` (``where[k]`` for constant
+    k in `declare_domain`), the default a `TheoryError`.
     """
 
     __slots__ = ("fail", "domains", "exogenous", "arity", "constants")
@@ -457,30 +450,27 @@ class Rules:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
+        self.text, self.toks = text, _tokenize(text)
         self.i = 0  # index of the next token
-        self.rules = Rules(fail=partial(_fail, text))  # reports at an offset
+        # at a token index, not through self: no cycle keeps the tokens alive
+        self.rules = Rules(fail=lambda message, k: _fail(text, message, k))
         self.laws: list[CPLaw] = []
         self.depth = 0  # negations, quantifiers and parentheses now open
         self.closed = False  # True: every predicate must already be known
 
     # -- token cursor -----------------------------------------------------
-    # A punct or keyword text belongs to no token of another kind, and only
-    # the eof token has the text "", so a token is told by its text alone.
+    # A token is its text: "" is the end, an identifier starts with a letter
+    # or "_", a number with a digit, and punct and keywords are themselves.
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
-
-    def advance(self) -> _Token:
+    def advance(self) -> str:
         tok = self.toks[self.i]
-        if tok.kind != "eof":
+        if tok:
             self.i += 1
         return tok
 
     def accept(self, text: str) -> bool:
-        """Consume the next token if its text is ``text``."""
-        if self.toks[self.i].text == text:
+        """Consume the next token if it is ``text``."""
+        if self.toks[self.i] == text:
             self.i += 1
             return True
         return False
@@ -489,16 +479,25 @@ class _Parser:
         if not self.accept(text):
             self.fail(f"expected {text!r}")
 
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
+    def expect_ident(self, what: str = "identifier") -> int:
+        """Consume an identifier and return its token index."""
+        tok = self.toks[self.i]
+        if not tok.isidentifier():  # tokens are ASCII
             self.fail(f"expected {what}")
-        if tok.text in KEYWORDS:
-            self.fail(f"{tok.text!r} is a reserved word, cannot be used as {what}")
-        return self.advance()
+        if tok in KEYWORDS:
+            self.fail(f"{tok!r} is a reserved word, cannot be used as {what}")
+        self.i += 1
+        return self.i - 1
 
-    def fail(self, message: str, tok: _Token | None = None):
-        _fail(self.text, message, (tok or self.peek()).pos)
+    def number(self, k: int, read=int):
+        try:  # token k, a number; one longer than the interpreter converts raises
+            return read(self.toks[k])
+        except ValueError:
+            self.fail(f"number has more than {sys.get_int_max_str_digits()} digits", k)
+
+    def fail(self, message: str, at: int | None = None):
+        """Raise `ParseError` at token ``at``, by default the next one."""
+        _fail(self.text, message, self.i if at is None else at)
 
     def parse_list(self, sep: str, item, *args) -> list:
         """``item {sep item}``, calling ``item(*args)`` for each item."""
@@ -510,13 +509,12 @@ class _Parser:
     # -- statements -----------------------------------------------------
 
     def parse_theory(self) -> Theory:
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.text in ("domain", "exogenous"):
+        while tok := self.toks[self.i]:
+            if tok in ("domain", "exogenous"):
                 if self.laws:
                     self.fail("declarations must precede laws")
-                self.advance()
-                if tok.text == "domain":
+                self.i += 1
+                if tok == "domain":
                     self.parse_domain_decl()
                 else:
                     self.parse_list(",", self.parse_signature)
@@ -529,56 +527,56 @@ class _Parser:
         return t
 
     def parse_domain_decl(self):
-        name_tok = self.expect_ident("domain name")
-        if name_tok.text in self.rules.domains:
-            self.fail(f"domain {name_tok.text!r} declared twice", name_tok)
+        name = self.toks[self.expect_ident("domain name")]
+        if name in self.rules.domains:
+            self.fail(f"domain {name!r} declared twice", self.i - 1)
         self.expect("=")
         self.expect("{")
-        toks = []
+        ks = []
         if not self.accept("}"):
-            toks = self.parse_list(",", self.expect_ident, "constant")
+            ks = self.parse_list(",", self.expect_ident, "constant")
             self.expect("}")
-        self.rules.declare_domain(name_tok.text, [c.text for c in toks], [c.pos for c in toks])
+        self.rules.declare_domain(name, [self.toks[c] for c in ks], ks)
 
     def parse_signature(self):
         """One ``name[/arity]`` of an exogenous declaration."""
-        name_tok = self.expect_ident("predicate name")
-        if name_tok.text in self.rules.exogenous:
-            self.fail(f"exogenous predicate {name_tok.text!r} declared twice", name_tok)
-        tok, arity = name_tok, 0
+        k = self.expect_ident("predicate name")
+        name = self.toks[k]
+        if name in self.rules.exogenous:
+            self.fail(f"exogenous predicate {name!r} declared twice", k)
+        arity = 0
         if self.accept("/"):
-            tok = self.advance()
-            arity = int(tok.text) if tok.text.isdigit() else None
-        self.rules.declare_exogenous(name_tok.text, arity, tok.pos)
+            arity = self.number(k + 2) if self.advance().isdigit() else None
+        self.rules.declare_exogenous(name, arity, k + 2)  # only a bad arity fails
 
     # -- laws -------------------------------------------------------------
 
     def parse_law(self) -> CPLaw:
-        start = self.peek()
+        start = self.i
         binders: list[tuple[str, str]] = []
         env: set = set()
         while self.accept("!"):
-            var_tok, dom = self.parse_binder()
-            self.rules.bind(var_tok.text, env, var_tok.pos)
-            binders.append((var_tok.text, dom))
-            env.add(var_tok.text)
+            var, dom = self.parse_binder(env)
+            binders.append((var, dom))
+            env.add(var)
 
         head = self.parse_list(";", self.parse_head_disjunct, env)
-        self.rules.distinct([d.literal.atom for d in head], start.pos)
+        self.rules.distinct([d.literal.atom for d in head], start)
         body = self.parse_or(env) if self.accept("<-") else TRUE
         if len(head) > 1:  # each probability is at most 1
-            self.rules.head_sum(sum(d.prob for d in head), start.pos)
+            self.rules.head_sum(sum(d.prob for d in head), start)
         self.expect(".")
         return CPLaw(tuple(binders), tuple(head), body)
 
-    def parse_binder(self) -> tuple[_Token, str]:
-        """``x in d :`` after a ``!`` or ``?``: the variable and its domain."""
-        var_tok = self.expect_ident("variable")
+    def parse_binder(self, bound=()) -> tuple[str, str]:
+        """``x in d :`` after ``!`` or ``?``: the variable, not in ``bound``, and the domain."""
+        k = self.expect_ident("variable")
         self.expect("in")
-        dom_tok = self.expect_ident("domain name")
+        d = self.expect_ident("domain name")
         self.expect(":")
-        self.rules.domain(dom_tok.text, dom_tok.pos)
-        return var_tok, dom_tok.text
+        self.rules.domain(self.toks[d], d)
+        self.rules.bind(self.toks[k], bound, k)
+        return self.toks[k], self.toks[d]
 
     def parse_head_disjunct(self, env: set) -> HeadDisjunct:
         if self.accept("("):
@@ -591,28 +589,26 @@ class _Parser:
 
     def parse_effect_literal(self, env: set) -> EffectLiteral:
         negated = self.accept("~")
-        pos = self.peek().pos
+        at = self.i
         atom = self.parse_atom(env)
-        self.rules.effect(atom, pos)
+        self.rules.effect(atom, at)
         return EffectLiteral(negated, atom)
 
     def parse_prob(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind != "number":
-            self.fail("expected a probability")
-        self.advance()
-        value = Fraction(tok.text)  # exact: "0.9" -> 9/10
+        k = self.i  # the numerator, then "/" and the denominator
+        if not self.advance()[:1].isdigit():
+            self.fail("expected a probability", k)
+        value = self.number(k, Fraction)  # exact: "0.9" -> 9/10
         if self.accept("/"):
-            den = self.peek()
-            if den.kind != "number" or not den.text.isdigit():
-                self.fail("expected denominator")
-            self.advance()
-            if "." in tok.text:
-                self.fail("fraction numerator must be an integer", tok)
-            if int(den.text) == 0:
-                self.fail("zero denominator", den)
-            value = Fraction(int(tok.text), int(den.text))
-        self.rules.probability(value, tok.pos)
+            if not self.advance().isdigit():
+                self.fail("expected denominator", k + 2)
+            if "." in self.toks[k]:
+                self.fail("fraction numerator must be an integer", k)
+            den = self.number(k + 2)
+            if den == 0:
+                self.fail("zero denominator", k + 2)
+            value /= den
+        self.rules.probability(value, k)
         return value
 
     # -- formulas -----------------------------------------------------------
@@ -626,52 +622,53 @@ class _Parser:
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_unary(self, env: set) -> Formula:
-        text = self.peek().text
-        if text in ("~", "!", "?", "("):
+        tok = self.toks[self.i]
+        if tok in ("~", "!", "?", "("):
             if self.depth == MAX_NESTING:
                 self.fail(f"formula nested more than {MAX_NESTING} levels deep")
             self.depth += 1
             phi = self.parse_nested(env)
             self.depth -= 1
             return phi
-        if text in ("true", "false"):
-            self.advance()
-            return TRUE if text == "true" else FALSE
+        if tok in ("true", "false"):
+            self.i += 1
+            return TRUE if tok == "true" else FALSE
         return self.parse_atom(env)
 
     def parse_nested(self, env: set) -> Formula:
         """A negation, quantifier or parenthesized formula."""
-        text = self.advance().text
-        if text == "~":
+        tok = self.advance()
+        if tok == "~":
             return Not(self.parse_unary(env))
-        if text == "(":
+        if tok == "(":
             inner = self.parse_or(env)
             self.expect(")")
             return inner
-        var_tok, dom = self.parse_binder()
-        cls = ForAll if text == "!" else Exists
-        return cls(var_tok.text, dom, self.parse_unary(env | {var_tok.text}))
+        var, dom = self.parse_binder()
+        cls = ForAll if tok == "!" else Exists
+        return cls(var, dom, self.parse_unary(env | {var}))
 
     def parse_atom(self, env: set) -> Atom:
-        name_tok = self.expect_ident("predicate")
+        k = self.expect_ident("predicate")
+        name = self.toks[k]
         args: list[Term] = []
         if self.accept("("):
             args = self.parse_list(",", self.parse_term, env)
             self.expect(")")
-        if self.closed and name_tok.text not in self.rules.arity:
-            self.fail(f"unknown predicate {name_tok.text!r}", name_tok)
-        self.rules.predicate(name_tok.text, len(args), name_tok.pos)
-        return Atom(name_tok.text, tuple(args))
+        if self.closed and name not in self.rules.arity:
+            self.fail(f"unknown predicate {name!r}", k)
+        self.rules.predicate(name, len(args), k)
+        return Atom(name, tuple(args))
 
     def parse_term(self, env: set) -> Term:
         """A variable if ``env`` binds it, else a declared constant."""
-        tok = self.expect_ident("argument")
-        if tok.text in env:
-            return Var(tok.text)
+        tok = self.toks[self.expect_ident("argument")]
+        if tok in env:
+            return Var(tok)
         # theory text is the only place where a binder can be written
-        self.rules.constant(tok.text, tok.pos,
+        self.rules.constant(tok, self.i - 1,
                             "" if self.closed else "; law variables need a '!x in d:' binder")
-        return tok.text
+        return tok
 
 
 def parse_theory(text: str) -> Theory:
@@ -685,7 +682,7 @@ def _seeded_parser(text: str, theory: Theory) -> _Parser:
     p.closed = True
     rules = Rules(theory.domains, theory.exogenous)  # a malformed declaration: TheoryError
     rules.arity.update(endogenous_signature(theory))
-    rules.fail, p.rules = p.rules.fail, rules  # then it reports at offsets in text
+    rules.fail, p.rules = p.rules.fail, rules  # then it reports at tokens of text
     return p
 
 
@@ -697,7 +694,7 @@ def parse_formula(text: str, theory: Theory) -> Formula:
     """
     p = _seeded_parser(text, theory)
     phi = p.parse_or(set())
-    if p.peek().kind != "eof":
+    if p.toks[p.i]:
         p.fail("trailing input after formula")
     return phi
 
@@ -708,7 +705,7 @@ def parse_literal(text: str, theory: Theory) -> EffectLiteral:
     p = _seeded_parser(text, theory)
     negated = p.accept("~")
     atom = p.parse_atom(set())
-    if p.peek().kind != "eof":
+    if p.toks[p.i]:
         p.fail("trailing input after literal")
     return EffectLiteral(negated, atom)
 
@@ -721,24 +718,24 @@ def parse_assignment(text: str, theory: Theory) -> dict:
     """
     p = _seeded_parser(text, theory)
     values: dict = {}
-    while p.peek().kind != "eof":
-        tok = p.peek()
+    while p.toks[p.i]:
+        at = p.i
         if p.accept("~"):
             atom = p.parse_atom(set())
-            p.fail(f"write {atom}=true or {atom}=false, not ~{atom}", tok)
+            p.fail(f"write {atom}=true or {atom}=false, not ~{atom}", at)
         atom = p.parse_atom(set())
         if atom.predicate not in theory.exogenous:
-            p.fail(f"{atom} is not exogenous", tok)
+            p.fail(f"{atom} is not exogenous", at)
         if atom in values:
-            p.fail(f"{atom} assigned twice", tok)
+            p.fail(f"{atom} assigned twice", at)
         p.expect("=")
-        value = p.peek().text
+        value = p.toks[p.i]
         if value not in ("true", "false"):
             got = repr(value) if value else "end of input"
             p.fail(f"expected true or false, got {got}")
-        p.advance()
+        p.i += 1
         values[atom] = value == "true"
-        if p.peek().kind != "eof":
+        if p.toks[p.i]:
             p.expect(",")
     return values
 

@@ -323,6 +323,26 @@ def test_deep_nesting_is_a_parse_error(run, text):
                    "(line 1, column 106)\n")
 
 
+@pytest.mark.parametrize("argv", [["dist", "-"], ["dist", "-", "--json"],
+                                  ["query", "-", "-q", "A,B"], ["sweep", "-"]])
+def test_an_answer_too_long_to_print_is_an_input_error(run, argv):
+    # each denominator converts to text, the answers' D * D does not
+    D = "7" * 4000
+    code, out, err = run(argv, stdin=f"(A:1/{D}).\n(B:1/{D}).\n")
+    assert (code, out) == (1, "")
+    assert err == (f"error: a number to print has more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+
+
+def test_any_other_value_error_keeps_its_traceback(run, suzy, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr("cplogic.engine.distribution", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run(["dist", suzy])
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
 def test_last_resort_error_exits_one(run, suzy, monkeypatch, exc):
     def exhausted(*args, **kwargs):

@@ -1,6 +1,10 @@
+import gc
+import io
+import random
 import re
 import string
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cplogic import syntax, theories
+from cplogic.cli import main
 from cplogic.ground import check_theory
 from cplogic.syntax import (MAX_NESTING, And, Atom, Exists, ForAll, Not, Or,
                             ParseError, TheoryError, Theory, Truth, Var, _tokenize,
@@ -228,6 +233,24 @@ def test_parse_assignment_errors_name_the_token(text, message, col):
      "trailing input after formula", 1, 3),
     (lambda text: parse_literal(text, parse_theory("Q.")), "Q Q",
      "trailing input after literal", 1, 3),
+    (parse_theory, "domain d = {a, b, a}.", "constant 'a' listed twice in domain 'd'", 1, 19),
+    (parse_theory, "A.\ndomain d = {a}.", "declarations must precede laws", 2, 1),
+    (parse_theory, "A <- ?x in e: P(x).", "undeclared domain 'e'", 1, 12),
+    (parse_theory, "domain d = {a}. A <- P(a), P.",
+     "predicate 'P' used with arity 0, previously 1", 1, 28),
+    (parse_theory, "domain d = {a}. A <- P(b).",
+     "undeclared constant 'b' (not in any domain; law variables need a '!x in d:' binder)",
+     1, 24),
+    (parse_theory, "exogenous E/0. E <- A.", "exogenous atom E may not occur in a head", 1, 16),
+    (parse_theory, "A; A.", "atom A appears in two disjuncts of the same head", 1, 1),
+    (parse_theory, "(A:3/2).", "probability 3/2 is not in (0, 1]", 1, 4),
+    (parse_theory, "(A:2/3); (B:2/3).", "head probabilities sum to 4/3 > 1", 1, 1),
+    (parse_theory, "(A:1/0).", "zero denominator", 1, 6),
+    (parse_theory, "domain in = {a}.", "'in' is a reserved word, cannot be used as domain name",
+     1, 8),
+    (parse_theory, "exogenous E/", "expected arity (a plain integer)", 1, 13),
+    (parse_theory, "A <- " + "~" * (MAX_NESTING + 1) + "B.",
+     f"formula nested more than {MAX_NESTING} levels deep", 1, 106),
 ])
 def test_parse_errors_name_the_token(parse, text, message, line, col):
     with pytest.raises(ParseError) as info:
@@ -309,6 +332,23 @@ def _first_outside_alphabet(text: str):
     return None
 
 
+def _token_starts(text: str, toks) -> list:
+    """The offset of each of ``toks`` in ``text``, whitespace and comment gaps
+    skipped between them; fails unless they rebuild ``text``."""
+    starts, end = [], 0
+    for tok in toks:
+        start = _GAP.match(text, end).end()
+        assert text.startswith(tok, start)
+        starts.append(start)
+        end = start + len(tok)
+    assert end == len(text)
+    return starts
+
+
+def _error_offset(text: str, line: int, col: int) -> int:
+    return sum(len(row) + 1 for row in text.split("\n")[:line - 1]) + col - 1
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
 def test_token_positions(text):
@@ -317,19 +357,67 @@ def test_token_positions(text):
         toks = _tokenize(text)
     except ParseError as exc:
         assert bad is not None
-        before = text[:bad]
         assert exc.message == f"unexpected character {text[bad]!r}"
-        assert (exc.line, exc.col) == (before.count("\n") + 1,
-                                       len(before.rsplit("\n", 1)[-1]) + 1)
+        assert _error_offset(text, exc.line, exc.col) == bad
         return
     assert bad is None
-    assert toks[-1] == ("eof", "", len(text))
-    end = 0
-    for tok in toks:
-        assert tok.pos >= end
-        assert text[tok.pos:tok.pos + len(tok.text)] == tok.text
-        assert _GAP.fullmatch(text, end, tok.pos)
-        end = tok.pos + len(tok.text)
+    assert toks[-1] == "" and "" not in toks[:-1]
+    _token_starts(text, toks)
+
+
+_INSERTS = (*"~(),;.:/!?%", "<-", *string.digits)
+
+
+def _mutant(rng, text: str) -> str:
+    """``text`` with one character deleted, duplicated or swapped with the
+    next, or with a piece of the language or a digit inserted."""
+    i = rng.randrange(len(text))
+    op = rng.randrange(4)
+    if op == 0:
+        return text[:i] + text[i + 1:]
+    if op == 1:
+        return text[:i] + text[i] + text[i:]
+    if op == 2:
+        return text[:i] + text[i + 1:i + 2] + text[i] + text[i + 2:]
+    return text[:i] + rng.choice(_INSERTS) + text[i:]
+
+
+def test_mutated_theories_exit_cleanly_and_name_a_token(capsys, monkeypatch):
+    rng = random.Random(32)
+    sources = [theories.BUNDLED[name].source for name in sorted(theories.BUNDLED)]
+    position = re.compile(r"\(line (\d+), column (\d+)\)$")
+    for _ in range(300):
+        text = _mutant(rng, rng.choice(sources))
+        bad = _first_outside_alphabet(text)
+        for command in ("check", "dist"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code = main([command, "-"])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), err
+            found = position.search(err.rstrip("\n"))
+            if found is None:
+                continue
+            at = _error_offset(text, int(found[1]), int(found[2]))
+            if bad is not None:
+                assert at == bad, err
+            else:
+                assert at in _token_starts(text, _tokenize(text)), err
+
+
+def test_a_parser_is_freed_without_the_cycle_collector():
+    # a cycle through a parser would keep its tokens until a full collection
+    t = theories.get("locked_gears")
+    gc.disable()
+    try:
+        parsers = [syntax._Parser(theories.BUNDLED["locked_gears"].source),
+                   syntax._seeded_parser("Crank1, ~Locked(g1)", t)]
+        parsers[0].parse_theory()
+        parsers[1].parse_or(set())
+        refs = [weakref.ref(p) for p in parsers]
+        del parsers
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_error_position_after_tab_and_carriage_return():
@@ -395,6 +483,16 @@ def test_fraction_probability_parses():
 def test_zero_denominator_rejected():
     with pytest.raises(ParseError, match="zero denominator"):
         parse_theory("(A:1/0) <- B.")
+
+
+@pytest.mark.parametrize("text, col", [("(A:1/" + "1" * 5000 + ").", 6),
+                                       ("(A:0." + "1" * 5000 + ").", 4),
+                                       ("exogenous E/" + "1" * 5000 + ". A.", 13)])
+def test_a_number_too_long_to_convert_is_a_parse_error(text, col):
+    with pytest.raises(ParseError) as info:
+        parse_theory(text)
+    assert (info.value.message, info.value.line, info.value.col) == (
+        f"number has more than {sys.get_int_max_str_digits()} digits", 1, col)
 
 
 def test_truth_constants_in_bodies():
