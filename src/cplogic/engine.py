@@ -45,10 +45,10 @@ builds none.
 
 All probabilities are exact.  Each law's outcome probabilities enter as
 integer ``(num, den)`` pairs, and `_forward` and the order sweep count
-mass as integer numerators over one denominator ``M`` per program, the
-product of each live law's ``lcm`` (`_unit`).  No ``Fraction`` is built
-or normalized per edge; `_thaw` builds one per reported world, once the
-numerators are checked to sum to exactly ``M``.
+mass as integer numerators over the product of each live law's ``lcm``,
+one ``M`` per program, or per state in the sweep (`_unit`).  No
+``Fraction`` is built per edge; `_thaw` builds one per reported world,
+once the numerators are checked to sum to exactly their denominator.
 """
 
 from __future__ import annotations
@@ -623,14 +623,21 @@ def distribution(g: GroundTheory, X: frozenset,
     return _thaw(nums.items(), M, frozenset)  # worlds are atom sets already
 
 
+def _lcms(g: GroundTheory, prog: _Program) -> dict:
+    """Per live law i of ``prog``, the ``lcm`` of its outcome denominators."""
+    return {i: lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live}
+
+
 def _unit(g: GroundTheory, prog: _Program) -> int:
-    """The one denominator ``M`` over which `_forward` and the order sweep
-    count ``prog``'s masses: the product over its live laws of the ``lcm``
-    of each law's outcome denominators.  A path fires each law at most
-    once, so a numerator that law i's outcome scales, ``M`` times a sum of
-    products of other laws' outcome probabilities, is a multiple of every
-    denominator of law i's outcomes, and ``n // den`` is exact."""
-    return prod(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live)
+    """The one denominator ``M`` over which `_forward` counts ``prog``'s
+    masses, the product of its `_lcms`.  A path fires each law at most once,
+    so a numerator that law i's outcome scales, ``M`` times a sum of products
+    of other laws' outcome probabilities, is a multiple of every denominator
+    of law i's outcomes, and ``n // den`` is exact.  The order sweep never
+    divides: a state's numerators are over ``S``, the product of its unfired
+    live laws' `_lcms`, ``M`` at the root, and firing law i scales a child's
+    by ``num * (lcm_i // den)``, ``S`` being the child's times ``lcm_i``."""
+    return prod(_lcms(g, prog).values())
 
 
 def _thaw(pairs, M: int, world_of) -> Distribution:

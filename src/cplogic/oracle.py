@@ -5,13 +5,14 @@ firing order.
 collects the distribution of each complete execution model, so firing-order
 invariance can be checked rather than assumed.  It is a fold over the
 engine's state walk, `engine._fold`: it shares the engine's state
-classification and soundness check, but not its one law per state, and
-counts mass as `distribution` does, over the program's one ``M``
-(`engine._unit`), checked once in `engine._thaw`.  States are integer keys
-and worlds the masks of their true atoms, made atom sets only for the
-report.  Every sub-distribution is a frozenset of ``(world, n)`` pairs,
-``n / M`` being the world's probability, so a law's mix is one
-multiply-add pass and equal distributions freeze equal at any states.
+classification and soundness check, but not its one law per state.  States
+are integer keys and worlds the masks of their true atoms.  A state's
+sub-distribution is one int, its numerators over the state's ``S``
+(`engine._unit`) packed in one field of ``M.bit_length()`` bits per world,
+numbered as the sweep first reaches it; no numerator exceeds ``M``, so no
+field carries.  A law's mix is a few big-integer multiply-adds, and the
+ints compared, of one state or of one law's children, share one ``S``.
+Only the report and the witness unpack them, in `engine._thaw`.
 The references that only the tests use are kept in ``tests/``: a
 rescanning U and a `Fraction` distribution in ``reference_engine.py``, the
 well-founded and least models of the deterministic fragments in
@@ -20,9 +21,10 @@ well-founded and least models of the deterministic fragments in
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import prod
 
-from .engine import Distribution, ExecState, UMode, _fold, _program, _thaw, _unit
+from .engine import Distribution, ExecState, UMode, _fold, _lcms, _program, _thaw
 from .ground import GroundTheory
 from .syntax import atom_names, record
 # Bound here only so that bench/tracing.py can patch them at this import site.
@@ -33,8 +35,8 @@ from .threeval import holds  # noqa: F401
 
 # Default node budget of `sweep_orders` and of `cpl sweep --budget`.  Peak
 # `tracemalloc` of `random_stratified_theory(seed, atoms=14, laws=12)`, seeds
-# 10-69, either mode, at this budget: 109 MB for seed 47 in literal mode, at
-# most 43 MB for the other 119 sweeps; so this stops a sweep near 0.1 GB.
+# 10-69, either mode, at this budget: 20 MB for seed 54 in extended mode, at
+# most 17 MB for the other 119 sweeps; so this stops a sweep near 20 MB.
 DEFAULT_BUDGET = 100_000
 
 
@@ -42,14 +44,6 @@ class BudgetExceededError(Exception):
     def __init__(self, budget: int):
         self.budget = budget
         super().__init__(f"order sweep exceeded the node budget of {budget}")
-
-
-def _add(acc: dict, num: int, den: int, pairs) -> dict:
-    """``acc`` plus ``num / den`` times the numerators ``pairs``, in place."""
-    get = acc.get
-    for world, n in pairs:
-        acc[world] = get(world, 0) + num * (n // den)
-    return acc
 
 
 def _dist_key(dist: Distribution):
@@ -100,7 +94,13 @@ def sweep_orders(g: GroundTheory, X: frozenset,
     A `SoundnessError` from any branch propagates.
     """
     prog = _program(g, X)
-    M = _unit(g, prog)
+    lcms = _lcms(g, prog)
+
+    def scale(F: int) -> int:  # the S of a state that fired the laws F
+        return prod(m for i, m in lcms.items() if not F >> i & 1)
+
+    k = (M := scale(0)).bit_length()  # the width of a field
+    ids: dict = {}  # world mask -> its field
     witness: DivergenceWitness | None = None
     work = 0
     states = 0
@@ -113,46 +113,42 @@ def sweep_orders(g: GroundTheory, X: frozenset,
             raise BudgetExceededError(max_nodes)
         return app
 
+    def thaw(packed: int, S: int) -> Distribution:
+        field = (1 << k) - 1
+        return _thaw([(I, n) for I, j in ids.items() if (n := packed >> k * j & field)],
+                     S, prog.atoms_of)
+
     def combine(key, branches, path):
         nonlocal work, witness
         if not branches:
-            return 1, frozenset({frozenset({(key[0], M)})})
+            return 1, frozenset({scale(key[2]) << k * ids.setdefault(key[0], len(ids))})
         per_rule: dict = {}
         models = 0
         for i, kids in branches:
-            work += prod(len(dists) for _, _, _, (_, dists) in kids)
+            work += prod(len(dists) for *_, (_, dists) in kids)
             if work > max_nodes:
                 raise BudgetExceededError(max_nodes)
-            count, accs = 1, [{}]
+            count, accs = 1, {0}
             for _, num, den, (n, dists) in kids:
                 count *= n
-                if len(dists) == 1:
-                    (pairs,) = dists
-                    for acc in accs:
-                        _add(acc, num, den, pairs)
-                    continue
+                w = num * (lcms[i] // den)
                 # Each partial mix with each distribution, equal mixes kept once.
-                accs = list({frozenset(acc.items()): acc for acc in (
-                    _add(dict(acc), num, den, pairs) for acc in accs for pairs in dists)
-                }.values())
-            per_rule[i] = frozenset(frozenset(acc.items()) for acc in accs)
+                accs = {acc + w * packed for acc in accs for packed in dists}
+            per_rule[i] = frozenset(accs)
             models += count
         if witness is None and len(set(per_rule.values())) > 1:
-            witness = _build_witness(prog, tuple(path), key, per_rule, M)
+            witness = _build_witness(prog, tuple(path), key, per_rule,
+                                     lambda packed: thaw(packed, scale(key[2])))
         return models, frozenset().union(*per_rule.values())
 
     models, dists = _fold(g, X, mode, expand, combine)
-    distributions = tuple(sorted((_thaw(fd, M, prog.atoms_of) for fd in dists), key=_dist_key))
+    distributions = tuple(sorted((thaw(packed, M) for packed in dists), key=_dist_key))
     return OrderSweepReport(models, distributions, witness, states, max_nodes)
 
 
-def _build_witness(prog, path, key, per_rule, M) -> DivergenceWitness:
+def _build_witness(prog, path, key, per_rule, thaw) -> DivergenceWitness:
     (a, set_a), (b, set_b) = next(
-        ((ra, sa), (rb, sb))
-        for ra, sa in sorted(per_rule.items())
-        for rb, sb in sorted(per_rule.items())
-        if ra < rb and sa != sb)
-    dist_a = min((_thaw(fd, M, prog.atoms_of) for fd in set_a - set_b or set_a), key=_dist_key)
-    dist_b = min((_thaw(fd, M, prog.atoms_of) for fd in set_b - set_a or set_b), key=_dist_key)
+        (ra, rb) for ra, rb in combinations(sorted(per_rule.items()), 2) if ra[1] != rb[1])
+    dist_a = min(map(thaw, set_a - set_b or set_a), key=_dist_key)
+    dist_b = min(map(thaw, set_b - set_a or set_b), key=_dist_key)
     return DivergenceWitness(path, prog.state(*key), a, b, dist_a, dist_b)
-

@@ -490,10 +490,10 @@ class _Parser:
         return self.i - 1
 
     def number(self, k: int, read=int):
-        try:  # token k, a number; one longer than the interpreter converts raises
-            return read(self.toks[k])
-        except ValueError:
-            self.fail(f"number has more than {sys.get_int_max_str_digits()} digits", k)
+        tok, most = self.toks[k], sys.get_int_max_str_digits()  # token k, a number
+        if 0 < most < len(tok) - ("." in tok):  # its digits could not be printed
+            self.fail(f"number has more than {most} digits", k)
+        return read(tok)
 
     def fail(self, message: str, at: int | None = None):
         """Raise `ParseError` at token ``at``, by default the next one."""

@@ -334,6 +334,16 @@ def test_an_answer_too_long_to_print_is_an_input_error(run, argv):
                    f"{sys.get_int_max_str_digits()} digits\n")
 
 
+@pytest.mark.parametrize("cmd", ["check", "dist"])
+def test_a_decimal_as_long_as_can_print_is_read(run, cmd):
+    most = sys.get_int_max_str_digits()
+    code, out, err = run([cmd, "-"], stdin="(A:0." + "1" * most + ").\n")
+    assert (code, out, err) == (
+        1, "", f"error: number has more than {most} digits (line 1, column 4)\n")
+    code, out, err = run([cmd, "-"], stdin="(A:0." + "1" * (most - 1) + ").\n")
+    assert (code, err) == (0, "")
+
+
 def test_any_other_value_error_keeps_its_traceback(run, suzy, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("a bug")

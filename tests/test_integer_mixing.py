@@ -1,18 +1,18 @@
 """Integer mixing against `Fraction` arithmetic.
 
-`engine.distribution` and `oracle.sweep_orders` both count mass as
-integer numerators over one ``M`` per program (`engine._unit`), checked
-once to sum to exactly ``M`` in `engine._thaw`: the forward walk pushes
-each state's mass to its children, and the sweep mixes each state's
-sub-distributions.
+`engine.distribution` counts mass as integer numerators over one ``M`` per
+program (`engine._unit`), the forward walk pushing each state's mass to
+its children; `oracle.sweep_orders` mixes each state's sub-distributions,
+each packed in one int, its numerators over the state's ``S``.  Both are
+checked once to sum to exactly their denominator in `engine._thaw`.
 `reference_engine.reference_distribution` folds the same states with
 `Fraction` ``+`` and ``*`` at every edge, and `_fraction_sweep` here
 follows every law as the sweep does with the same `Fraction` arithmetic;
-the integers must agree with both exactly, and the sweep must freeze equal
-distributions equal, at whichever states it reaches them.
+the integers must agree with both exactly, and the sweep must pack equal
+distributions equal, at whichever states of one ``S`` it reaches them.
 """
-
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +21,7 @@ from cplogic import oracle, theories
 from cplogic.engine import SoundnessError, UMode, _fold, _program, distribution
 from cplogic.ground import ground
 from cplogic.oracle import BudgetExceededError, sweep_orders
+from cplogic.syntax import parse_theory
 
 from helpers import random_deterministic_theory, random_stratified_theory
 from reference_engine import reference_distribution
@@ -131,39 +132,73 @@ def _fraction_sweep(g, X, mode) -> dict:
     return values
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_sweep_is_fraction_arithmetic(seed, monkeypatch):
-    """At every state, the sweep's frozen distributions, thawed over the one
-    denominator they all sum to, are the `Fraction` sweep's; distinct
-    frozen forms thaw apart, so equal distributions reached at different
-    states froze equal; and the report is the root's value."""
-    g = ground(random_stratified_theory(seed, atoms=6, laws=8))
+def _check_packed_sweep(g, monkeypatch):
+    """`test_sweep_is_fraction_arithmetic` on ``g``, in both modes."""
     prog = _program(g, NOTHING)
-    frozen: dict = {}  # key -> the distributions of the sweep's value there
+    lcms = {i: math.lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live}
+    k = math.prod(lcms.values()).bit_length()
+    packed: dict = {}  # key -> (the ints of the sweep's value there, leaf)
+
+    def S(key):
+        return math.prod(m for i, m in lcms.items() if not key[2] >> i & 1)
 
     def spy(*args):
         *head, combine = args
 
         def record(key, branches, path):
             value = combine(key, branches, path)
-            frozen[key] = value[1]
+            packed[key] = value[1], not branches
             return value
         return _fold(*head, record)
 
     monkeypatch.setattr(oracle, "_fold", spy)
     for mode in UMode:
-        frozen.clear()
+        packed.clear()
         try:
             report = sweep_orders(g, NOTHING, mode, 20_000)
         except (BudgetExceededError, SoundnessError):
             continue
-        everything = set().union(*frozen.values())
-        (M,) = {sum(n for _, n in fd) for fd in everything}
-        thawed = {fd: frozenset((world, Fraction(n, M)) for world, n in fd)
-                  for fd in everything}
-        assert len(set(thawed.values())) == len(thawed)
-        assert {key: frozenset(map(thawed.get, fds)) for key, fds in frozen.items()} \
+        fields: dict = {}  # world mask -> its field, read off the leaves
+        for key, (ints, leaf) in packed.items():
+            if leaf:
+                (v,) = ints
+                j = (v.bit_length() - 1) // k
+                assert v == S(key) << k * j
+                assert fields.setdefault(key[0], j) == j
+        assert len(set(fields.values())) == len(fields)
+
+        def unpack(v, key):
+            nums = {world: v >> k * j & (1 << k) - 1 for world, j in fields.items()}
+            assert v == sum(n << k * fields[world] for world, n in nums.items())
+            return frozenset((world, Fraction(n, S(key))) for world, n in nums.items() if n)
+
+        thawed = {key: {v: unpack(v, key) for v in ints} for key, (ints, _) in packed.items()}
+        for scale in {S(key) for key in packed}:
+            of_scale = {v: d for key, ds in thawed.items() if S(key) == scale
+                        for v, d in ds.items()}
+            assert len(set(of_scale.values())) == len(of_scale)
+        assert {key: frozenset(ds.values()) for key, ds in thawed.items()} \
             == _fraction_sweep(g, NOTHING, mode)
         assert {frozenset(d.items()) for d in report.distributions} == {
             frozenset((prog.atoms_of(world), p) for world, p in fd)
-            for fd in map(thawed.get, frozen[0, 0, 0])}
+            for fd in thawed[0, 0, 0].values()}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sweep_is_fraction_arithmetic(seed, monkeypatch):
+    """At every state, the sweep's packed distributions, one field of
+    ``M.bit_length()`` bits per world read off the leaves, each leaf
+    packing its state's ``S`` (the product of the ``lcm``s of the live laws
+    it has not fired), unpacked over the state's ``S``, are the `Fraction`
+    sweep's; no field carries; distinct ints of one ``S`` thaw apart, so
+    equal distributions reached at states of one ``S`` packed equal; and
+    the report is the root's value."""
+    _check_packed_sweep(ground(random_stratified_theory(seed, atoms=6, laws=8)), monkeypatch)
+
+
+@pytest.mark.parametrize("p", ["1/65537", "7/1000000007"])
+def test_sweep_packs_wide_fields(p, monkeypatch):
+    """The same on five coins and ``Any``, with an 81- and a 150-bit ``M``."""
+    coins = [f"C{i}" for i in range(5)]
+    text = "".join(f"({c}:{p}).\n" for c in coins) + f"Any <- {' ; '.join(coins)}.\n"
+    _check_packed_sweep(ground(parse_theory(text)), monkeypatch)

@@ -57,10 +57,16 @@ MUTANTS = {
         "i for i in positive)"),
     "evaluate does not flip under ~": ("threeval.py", "return 2 - evaluate(sub, value)",
                                        "return evaluate(sub, value)"),
-    # two 1/2 laws in a row: 2 // 2 // 2 truncates to 0, in either walker
+    # two 1/2 laws in a row: 2 // 2 // 2 truncates to 0 in the forward walk
     "sweep denominator the lcm of the laws', not their product": (
-        "engine.py", "return prod(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live)",
-        "return lcm(*(lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live))"),
+        "engine.py", "return prod(_lcms(g, prog).values())", "return lcm(*_lcms(g, prog).values())"),
+    # a world of probability 1 carries into the next field
+    "sweep field one bit short": ("oracle.py", "k = (M := scale(0)).bit_length()",
+                                  "k = (M := scale(0)).bit_length() - 1"),
+    "sweep packs every world in one field": ("oracle.py", "ids.setdefault(key[0], len(ids))",
+                                             "ids.setdefault(key[0], 0)"),
+    # a leaf with an unfired live law holds more than its S
+    "sweep leaf valued at M, not its S": ("oracle.py", "{scale(key[2]) << k", "{M << k"),
 }
 
 

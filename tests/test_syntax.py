@@ -495,6 +495,17 @@ def test_a_number_too_long_to_convert_is_a_parse_error(text, col):
         f"number has more than {sys.get_int_max_str_digits()} digits", 1, col)
 
 
+def test_a_decimal_is_read_only_when_all_its_digits_print():
+    # "0." and one digit fewer than the limit convert; its denominator prints
+    most = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as info:
+        parse_theory("(A:0." + "1" * most + ").")
+    assert (info.value.message, info.value.line, info.value.col) == (
+        f"number has more than {most} digits", 1, 4)
+    t = parse_theory("(A:0." + "1" * (most - 1) + ").")
+    assert parse_theory(print_theory(t)) == t
+
+
 def test_truth_constants_in_bodies():
     t = parse_theory("A <- true. B <- false, C.")
     assert t.laws[0].body == TRUE
