@@ -17,8 +17,8 @@ extended mode when its body also reads no retractable atom.  A state whose
 satisfied laws are all sure fires them as they are; U is built only at the
 other states, for the gate alone, and at every node of an execution tree.
 
-Two walkers follow the outcome tables that the ground theory built for
-its laws and classify each distinct reachable state once, by one U, one
+Two walkers follow the outcome tables that the program compiles once per
+live law and classify each distinct reachable state once, by one U, one
 gate and one set of sure laws; a stuck state raises `SoundnessError`.
 `_forward` pushes probability mass from the root one layer of states at a
 time, for `distribution`, so `query` and `cpl dist`, `query` and `check`;
@@ -33,20 +33,20 @@ divergence witness or a `SoundnessError`.
 States are classified against a `_Program`: the ground theory compiled once
 per X, and kept on the `GroundTheory` itself.  Atoms become bits, each body
 a Kleene evaluator over a pair of bit masks with X folded in, and one loop
-over the live laws gives each head atom the laws whose bodies read it and
-the signed graph from head atoms to the atoms their bodies read.  A dormant
-law that X does not wake is neither walked nor has its body built
-(`ground._woken`).  The same loop marks the sure laws of each mode.
-`compute_U` is a worklist fixpoint over that index; the two-valued body
-test and the U gate run the same compiled bodies.  `query`
-runs only the live laws that reach its atoms, on a copy of that program,
-when it is stratified; `_slice` reads both off that graph, so a query
-builds none.
+over the live laws gives each head atom the laws whose bodies read it, the
+signed graph from head atoms to the atoms their bodies read, and each law's
+outcome table and ``lcm``.  A dormant law that X does not wake is neither
+walked nor has its body built (`ground._woken`).  The same loop marks the
+sure laws of each mode.  `compute_U` is a worklist fixpoint over that
+index; the two-valued body test and the U gate run the same compiled
+bodies.  `query` runs only the live laws that reach its atoms, on a copy
+of that program, when it is stratified; `_slice` reads both off that
+graph, so a query builds none.
 
 All probabilities are exact.  Each law's outcome probabilities enter as
 integer ``(num, den)`` pairs, and `_forward` and the order sweep count
-mass as integer numerators over the product of each live law's ``lcm``,
-one ``M`` per program, or per state in the sweep (`_unit`).  No
+mass as integer numerators over denominators that only `_unit` forms,
+one ``M`` per program, or one per state in the sweep.  No
 ``Fraction`` is built per edge; `_thaw` builds one per reported world,
 once the numerators are checked to sum to exactly their denominator.
 """
@@ -156,9 +156,11 @@ class _Program:
     bodies X does not make false outright.  One loop over them builds
     ``heads[i]``, one ``(negated, bit, readers)`` per head disjunct of live
     law i (empty for any other), ``readers`` being the live laws whose bodies
-    read that atom, and ``deps``, the graph ``{head bit: {read bit:
-    negative}}``, negative when read under an odd number of ``~`` or when
-    the head literal is negative; a query's slice shares both (`_slice`).
+    read that atom; ``outcomes[i]``, ``(outcome, num, den, negated, bit)``
+    per entry of ``g._outcomes[i]``, bit 0 for the no-op, and ``lcm[i]``,
+    the ``lcm`` of its ``den``s; and ``deps``, the graph ``{head bit: {read
+    bit: negative}}``, negative when read under an odd number of ``~`` or
+    when the head literal is negative; a query's slice shares them all.
     ``sure[mode]`` holds the live laws that U cannot block in that mode:
     those whose bodies read no atom under an odd number of ``~``, and, in
     extended mode, no atom that a live negative head can retract.
@@ -168,7 +170,8 @@ class _Program:
     An X outside the exogenous universe raises `ExogenousError`.
     """
 
-    __slots__ = ("atoms", "bit", "bodies", "reads", "heads", "deps", "live", "sure")
+    __slots__ = ("atoms", "bit", "bodies", "reads", "heads", "outcomes", "lcm",
+                 "deps", "live", "sure")
 
     def __init__(self, g: GroundTheory, X: frozenset):
         extra = [a for a in X if a not in g.exogenous_atoms]
@@ -185,6 +188,7 @@ class _Program:
         self.live = tuple(i for i, body in enumerate(self.bodies)
                           if body is not _FALSE)
         self.heads = [()] * len(g.laws)
+        self.outcomes, self.lcm = [()] * len(g.laws), [1] * len(g.laws)
         readers: dict = {}  # bit -> its live readers; heads hold these lists
         self.deps = {}
         retractable = 0
@@ -203,6 +207,11 @@ class _Program:
                 if negated:
                     retractable |= b
             self.heads[i] = tuple(head)
+            self.outcomes[i] = tuple(
+                (outcome, num, den, outcome is not None and outcome.negated,
+                 0 if outcome is None else self.bit[outcome.atom])
+                for outcome, num, den in g._outcomes[i])
+            self.lcm[i] = lcm(*(den for _, _, den, _, _ in self.outcomes[i]))
         positive = [i for i in self.live if not self.reads[i][1]]
         self.sure = {UMode.LITERAL: frozenset(positive),
                      UMode.EXTENDED: frozenset(
@@ -480,11 +489,7 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
     by the recursion limit.
     """
     prog = _program(g, X)
-    bodies, live, sure = prog.bodies, prog.live, prog.sure[mode]
-    # Per live law, each outcome with its atom's bit, 0 for the no-op.
-    table = {i: [(outcome, num, den, outcome is not None and outcome.negated,
-                  0 if outcome is None else prog.bit[outcome.atom])
-                 for outcome, num, den in g._outcomes[i]] for i in live}
+    bodies, live, sure, outcomes = prog.bodies, prog.live, prog.sure[mode], prog.outcomes
     memo: dict = {}  # finished key -> value
     # The current path: per state, the (law, outcome, num, den, child) edges
     # to follow and an iterator over those not yet visited.
@@ -505,7 +510,7 @@ def _fold(g: GroundTheory, X: frozenset, mode: UMode, expand, combine):
             edges = [(i, outcome, num, den, (I & ~b, N | b, F | 1 << i) if negated
                       else (I | b & ~N, N, F | 1 << i))
                      for i in expand(key, app, u)
-                     for outcome, num, den, negated, b in table[i]]
+                     for outcome, num, den, negated, b in outcomes[i]]
             frames.append((key, edges, iter(edges)))
         top, edges, todo = frames[-1]
         for i, outcome, _, _, key in todo:
@@ -542,8 +547,8 @@ def _forward(g: GroundTheory, X: frozenset, mode: UMode) -> tuple[int, dict]:
     the shallowest stuck state first, so `_fold` then raises at the first in
     preorder.
     """
-    weights = g._outcomes
-    M = _unit(g, _program(g, X))
+    prog = _program(g, X)
+    outcomes, M = prog.outcomes, _unit(prog, 0)
     layer, totals = {ExecState.initial(): M}, {}
     while layer:
         below: dict = {}
@@ -557,7 +562,7 @@ def _forward(g: GroundTheory, X: frozenset, mode: UMode) -> tuple[int, dict]:
                 totals[state.true_atoms] = totals.get(state.true_atoms, 0) + num
                 continue
             i = app[0]
-            for outcome, m, den in weights[i]:
+            for outcome, m, den, _, _ in outcomes[i]:
                 child = apply_disjunct(state, i, outcome)
                 below[child] = below.get(child, 0) + m * (num // den)
         layer = below
@@ -623,21 +628,17 @@ def distribution(g: GroundTheory, X: frozenset,
     return _thaw(nums.items(), M, frozenset)  # worlds are atom sets already
 
 
-def _lcms(g: GroundTheory, prog: _Program) -> dict:
-    """Per live law i of ``prog``, the ``lcm`` of its outcome denominators."""
-    return {i: lcm(*(den for *_, den in g._outcomes[i])) for i in prog.live}
-
-
-def _unit(g: GroundTheory, prog: _Program) -> int:
-    """The one denominator ``M`` over which `_forward` counts ``prog``'s
-    masses, the product of its `_lcms`.  A path fires each law at most once,
-    so a numerator that law i's outcome scales, ``M`` times a sum of products
-    of other laws' outcome probabilities, is a multiple of every denominator
-    of law i's outcomes, and ``n // den`` is exact.  The order sweep never
-    divides: a state's numerators are over ``S``, the product of its unfired
-    live laws' `_lcms`, ``M`` at the root, and firing law i scales a child's
-    by ``num * (lcm_i // den)``, ``S`` being the child's times ``lcm_i``."""
-    return prod(_lcms(g, prog).values())
+def _unit(prog: _Program, fired: int) -> int:
+    """The denominator of a state that has fired the laws ``fired``, the
+    product of the ``lcm``s of ``prog``'s other live laws; `_forward`
+    counts all mass over ``M = _unit(prog, 0)``.  A path fires each law at
+    most once, so a numerator that law i's outcome scales, ``M`` times a
+    sum of products of other laws' outcome probabilities, is a multiple of
+    every denominator of law i's outcomes, and ``n // den`` is exact.  The
+    order sweep never divides: a state's numerators are over its own unit,
+    and firing law i scales a child's by ``num * (lcm_i // den)``, the
+    parent's unit being the child's times ``lcm_i``."""
+    return prod(prog.lcm[i] for i in prog.live if not fired >> i & 1)
 
 
 def _thaw(pairs, M: int, world_of) -> Distribution:

@@ -544,4 +544,7 @@ def _negation_cycles(deps: dict) -> list:
                         stack.append(m)
     bad = {comp[n] for n, out in deps.items()
            for m, negative in out.items() if negative and comp.get(m) == comp[n]}
-    return [{n for n, c in comp.items() if c == b} for b in bad]
+    members: dict = {}  # first node -> its component's nodes
+    for n, c in comp.items():
+        members.setdefault(c, set()).add(n)
+    return [members[b] for b in bad]

@@ -3,16 +3,16 @@ firing order.
 
 ``sweep_orders`` enumerates every choice of applicable law at every node and
 collects the distribution of each complete execution model, so firing-order
-invariance can be checked rather than assumed.  It is a fold over the
-engine's state walk, `engine._fold`: it shares the engine's state
-classification and soundness check, but not its one law per state.  States
-are integer keys and worlds the masks of their true atoms.  A state's
-sub-distribution is one int, its numerators over the state's ``S``
-(`engine._unit`) packed in one field of ``M.bit_length()`` bits per world,
-numbered as the sweep first reaches it; no numerator exceeds ``M``, so no
-field carries.  A law's mix is a few big-integer multiply-adds, and the
-ints compared, of one state or of one law's children, share one ``S``.
-Only the report and the witness unpack them, in `engine._thaw`.
+invariance can be checked rather than assumed.  A fold over the engine's
+state walk, `engine._fold`, it shares the state classification, soundness
+check and outcome tables, but not the one law per state.  States are keys
+``(I, N, F)`` and worlds the masks of their true atoms.  A state's
+sub-distribution is one int, its numerators over its ``S =
+engine._unit(prog, F)`` in one field of ``M.bit_length()`` bits per world,
+``M`` being the root's ``S``, numbered as the sweep first reaches it; no
+numerator exceeds ``M``, so no field carries.  A law's mix is a few
+big-integer multiply-adds; the ints compared, of one state or of one law's
+children, share one ``S``.  Only the report and witness unpack them.
 The references that only the tests use are kept in ``tests/``: a
 rescanning U and a `Fraction` distribution in ``reference_engine.py``, the
 well-founded and least models of the deterministic fragments in
@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import prod
 
-from .engine import Distribution, ExecState, UMode, _fold, _lcms, _program, _thaw
+from .engine import Distribution, ExecState, UMode, _fold, _program, _thaw, _unit
 from .ground import GroundTheory
 from .syntax import atom_names, record
 # Bound here only so that bench/tracing.py can patch them at this import site.
@@ -94,12 +94,7 @@ def sweep_orders(g: GroundTheory, X: frozenset,
     A `SoundnessError` from any branch propagates.
     """
     prog = _program(g, X)
-    lcms = _lcms(g, prog)
-
-    def scale(F: int) -> int:  # the S of a state that fired the laws F
-        return prod(m for i, m in lcms.items() if not F >> i & 1)
-
-    k = (M := scale(0)).bit_length()  # the width of a field
+    k = (M := _unit(prog, 0)).bit_length()  # the width of a field
     ids: dict = {}  # world mask -> its field
     witness: DivergenceWitness | None = None
     work = 0
@@ -121,7 +116,7 @@ def sweep_orders(g: GroundTheory, X: frozenset,
     def combine(key, branches, path):
         nonlocal work, witness
         if not branches:
-            return 1, frozenset({scale(key[2]) << k * ids.setdefault(key[0], len(ids))})
+            return 1, frozenset({_unit(prog, key[2]) << k * ids.setdefault(key[0], len(ids))})
         per_rule: dict = {}
         models = 0
         for i, kids in branches:
@@ -131,14 +126,14 @@ def sweep_orders(g: GroundTheory, X: frozenset,
             count, accs = 1, {0}
             for _, num, den, (n, dists) in kids:
                 count *= n
-                w = num * (lcms[i] // den)
+                w = num * (prog.lcm[i] // den)
                 # Each partial mix with each distribution, equal mixes kept once.
                 accs = {acc + w * packed for acc in accs for packed in dists}
             per_rule[i] = frozenset(accs)
             models += count
         if witness is None and len(set(per_rule.values())) > 1:
             witness = _build_witness(prog, tuple(path), key, per_rule,
-                                     lambda packed: thaw(packed, scale(key[2])))
+                                     lambda packed: thaw(packed, _unit(prog, key[2])))
         return models, frozenset().union(*per_rule.values())
 
     models, dists = _fold(g, X, mode, expand, combine)

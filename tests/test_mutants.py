@@ -59,14 +59,22 @@ MUTANTS = {
                                        "return evaluate(sub, value)"),
     # two 1/2 laws in a row: 2 // 2 // 2 truncates to 0 in the forward walk
     "sweep denominator the lcm of the laws', not their product": (
-        "engine.py", "return prod(_lcms(g, prog).values())", "return lcm(*_lcms(g, prog).values())"),
+        "engine.py", "return prod(prog.lcm[i] for i in prog.live if not fired >> i & 1)",
+        "return lcm(*(prog.lcm[i] for i in prog.live if not fired >> i & 1))"),
     # a world of probability 1 carries into the next field
-    "sweep field one bit short": ("oracle.py", "k = (M := scale(0)).bit_length()",
-                                  "k = (M := scale(0)).bit_length() - 1"),
+    "sweep field one bit short": ("oracle.py", "k = (M := _unit(prog, 0)).bit_length()",
+                                  "k = (M := _unit(prog, 0)).bit_length() - 1"),
     "sweep packs every world in one field": ("oracle.py", "ids.setdefault(key[0], len(ids))",
                                              "ids.setdefault(key[0], 0)"),
     # a leaf with an unfired live law holds more than its S
-    "sweep leaf valued at M, not its S": ("oracle.py", "{scale(key[2]) << k", "{M << k"),
+    "sweep leaf valued at M, not its S": ("oracle.py", "{_unit(prog, key[2]) << k", "{M << k"),
+    # a head that sums below 1 loses its remainder in both walkers
+    "compiled table drops the no-op outcome": (
+        "engine.py", "for outcome, num, den in g._outcomes[i])",
+        "for outcome, num, den in g._outcomes[i] if outcome is not None)"),
+    # a negative outcome makes its atom true instead of retracting it
+    "compiled table never negated": ("engine.py", "outcome is not None and outcome.negated,",
+                                     "False,"),
 }
 
 

@@ -16,9 +16,11 @@ from cplogic.cli import main
 from cplogic.ground import check_theory
 from cplogic.syntax import (MAX_NESTING, And, Atom, Exists, ForAll, Not, Or,
                             ParseError, TheoryError, Theory, Truth, Var, _tokenize,
-                            endogenous_signature, substitute_formula,
-                            parse_assignment, parse_formula,
-                            parse_literal, parse_theory, print_theory, TRUE)
+                            endogenous_signature, formula_atom_polarities,
+                            substitute_formula, parse_assignment, parse_formula,
+                            parse_literal, parse_theory, print_formula,
+                            print_theory, TRUE)
+from cplogic.threeval import evaluate
 
 from helpers import total
 
@@ -473,6 +475,17 @@ def test_substitution_renames_only_a_quantifier_that_would_capture():
     captured = Exists("c", "d", ForAll("c1", "d", Atom("S", (Var("c"), Var("x"), Var("c1")))))
     assert substitute_formula(captured, {"x": "c"}) == \
         Exists("c2", "d", ForAll("c1", "d", Atom("S", (Var("c2"), "c", Var("c1")))))
+
+
+@pytest.mark.parametrize("walk", [
+    lambda phi: substitute_formula(phi, {}),
+    lambda phi: list(formula_atom_polarities(phi)),
+    print_formula,
+    lambda phi: evaluate(phi, lambda _: 2),
+], ids=["substitute_formula", "formula_atom_polarities", "print_formula", "evaluate"])
+def test_every_formula_walk_rejects_a_non_formula(walk):
+    with pytest.raises(TypeError, match=r"^not a formula: 'B'$"):
+        walk(Not("B"))
 
 
 def test_fraction_probability_parses():

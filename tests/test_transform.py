@@ -111,6 +111,21 @@ def test_intervention_renames_a_quantifier_that_would_capture_a_constant():
         distribution(ground(by_hand), frozenset())
 
 
+@pytest.mark.parametrize("body, printed", [
+    ("?b in d: ~Q(b, y)", "?b1 in d: ~Q(b1,b)"),
+    ("?b in d: (Q(b, y), R(y))", "?b1 in d: (Q(b1,b), R(b))"),
+    ("?b in d: (Q(b, y); R(y))", "?b1 in d: (Q(b1,b); R(b))"),
+    # no atom under ?b, so no b can be captured and ?b stays
+    ("Q(y, y), ?b in d: true", "Q(b,b), ?b in d: true"),
+], ids=["not", "and", "or", "true"])
+def test_intervention_renames_a_capturing_quantifier_over_any_connective(body, printed):
+    t = parse_theory("domain d = {a, b}.\n!y in d: P(y) <- " + body + ".\n"
+                     "!y in d: Q(y, y).\n!y in d: R(y).\n")
+    out = intervene(t, parse_literal("~P(a)", t))
+    assert print_law(out.laws[0]) == f"P(b) <- {printed}."
+    assert parse_theory(print_theory(out)) == out
+
+
 def test_intervention_checks_the_laws_it_keeps_and_the_fact_it_adds():
     t = parse_theory("domain d = {a, b}.\n!y in d: P(y) <- Q(y).\nQ(a).\n")
     wrong_arity = replace(t, laws=(t.laws[0], CPLaw((), t.laws[1].head, Atom("Q"))))
