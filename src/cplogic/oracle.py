@@ -10,9 +10,12 @@ check and outcome tables, but not the one law per state.  States are keys
 sub-distribution is one int, its numerators over its ``S =
 engine._unit(prog, F)`` in one field of ``M.bit_length()`` bits per world,
 ``M`` being the root's ``S``, numbered as the sweep first reaches it; no
-numerator exceeds ``M``, so no field carries.  A law's mix is a few
-big-integer multiply-adds; the ints compared, of one state or of one law's
-children, share one ``S``.  Only the report and witness unpack them.
+numerator exceeds ``M``, so no field carries.  A law's mix is one int, a
+big-integer multiply-add per child, while each child so far reaches one
+distribution, and from the first child that reaches several the set of
+every combination, seeded with that int.  The ints compared, of one state
+or of one law's children, share one ``S``.  Only the report and witness
+unpack them.
 The references that only the tests use are kept in ``tests/``: a
 rescanning U and a `Fraction` distribution in ``reference_engine.py``, the
 well-founded and least models of the deterministic fragments in
@@ -89,9 +92,11 @@ def sweep_orders(g: GroundTheory, X: frozenset,
 
     A fold over the engine's execution states that follows every applicable
     law, not one: a state's value is its number of execution models and the
-    set of distributions they reach.  The budget counts distinct states
-    plus distribution combinations and the sweep fails loudly when exceeded.
-    A `SoundnessError` from any branch propagates.
+    set of distributions they reach.  The budget counts distinct states plus,
+    per law at each state, the product of how many distributions its
+    children reach, and the sweep fails loudly when it is exceeded.  A law's
+    combinations are counted before any is formed, so the sweep stops before
+    it holds them.  A `SoundnessError` from any branch propagates.
     """
     prog = _program(g, X)
     k = (M := _unit(prog, 0)).bit_length()  # the width of a field
@@ -120,16 +125,27 @@ def sweep_orders(g: GroundTheory, X: frozenset,
         per_rule: dict = {}
         models = 0
         for i, kids in branches:
-            work += prod(len(dists) for *_, (_, dists) in kids)
-            if work > max_nodes:
-                raise BudgetExceededError(max_nodes)
-            count, accs = 1, {0}
+            m = prog.lcm[i]
+            count, size, acc, accs = 1, 1, 0, None
             for _, num, den, (n, dists) in kids:
                 count *= n
-                w = num * (prog.lcm[i] // den)
-                # Each partial mix with each distribution, equal mixes kept once.
-                accs = {acc + w * packed for acc in accs for packed in dists}
-            per_rule[i] = frozenset(accs)
+                w = num * (m // den)
+                if accs is None and len(dists) > 1:
+                    # The law's combinations are counted before any is formed.
+                    size = prod(len(sub) for *_, (_, sub) in kids)
+                    if work + size > max_nodes:
+                        raise BudgetExceededError(max_nodes)
+                    accs = {acc}
+                if accs is None:
+                    (packed,) = dists
+                    acc += w * packed
+                else:
+                    # Each partial mix with each distribution, equal mixes kept once.
+                    accs = {a + w * packed for a in accs for packed in dists}
+            work += size
+            if work > max_nodes:
+                raise BudgetExceededError(max_nodes)
+            per_rule[i] = frozenset({acc} if accs is None else accs)
             models += count
         if witness is None and len(set(per_rule.values())) > 1:
             witness = _build_witness(prog, tuple(path), key, per_rule,

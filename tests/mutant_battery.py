@@ -5,11 +5,14 @@
 `tests/test_mutants.py` runs it on copies of the package with one planted
 fault each.  On every bundled theory, exogenous case and mode and on a few
 seeded random theories, it checks against the tree interpreter
-(`reference_tree`) both walkers: `distribution`, and the leaves of
-`build_execution_model` summed per world, a stuck run by the node it
-names; on the stratified ones, the one distribution that `sweep_orders`
-finds in extended mode.  On some of the cases it also checks U at
-every node of `build_execution_model` against `reference_engine`'s
+(`reference_tree`) both walkers, `distribution` and the leaves of
+`build_execution_model` summed per world, and against its all-orders
+sweep (`reference_tree.sweep`) the set of distributions that
+`sweep_orders` finds, in both modes; a stuck run by the node it names.
+The random cases include theories whose literal-mode sweep diverges, and
+at least `MIN_DIVERGENT` of the cases must, so the sweep's mix of several
+distributions per child is checked.  On some of the cases it also checks
+U at every node of `build_execution_model` against `reference_engine`'s
 rescanning U, and `query` of each atom's negation against the tree's leaf
 mass.  It checks `distribution` against the LPAD sum (`reference_lpad`)
 on the stratified bundled theories.  It prints the first disagreement, or
@@ -56,10 +59,10 @@ def tree_leaves(g, X, mode) -> dict:
     return of(build_execution_model(g, X, mode))
 
 
-def one_sweep(g, X, mode) -> dict:
-    """The one distribution that the order sweep finds, else its report."""
-    report = sweep_orders(g, X, mode)
-    return report.distributions[0] if report.invariant else report
+def swept(g, X, mode) -> set:
+    """The distributions that the order sweep finds, as `reference_tree.sweep`
+    gives them."""
+    return {frozenset(dist.items()) for dist in sweep_orders(g, X, mode).distributions}
 
 
 def deep_fault(g, X, mode, want: dict):
@@ -79,13 +82,16 @@ def deep_fault(g, X, mode, want: dict):
     return None
 
 
-def tree_answer(g, X, mode):
+def reference_answer(run, g, X, mode):
     try:
-        leaves = reference_tree.leaves(g, X, mode is UMode.EXTENDED)
+        return run(g, X, mode is UMode.EXTENDED)
     except reference_tree.Stuck as stuck:
         return "stuck", stuck.state, stuck.satisfied
+
+
+def tree_distribution(g, X, extended) -> dict:
     dist: dict = {}
-    for world, p in leaves:
+    for world, p in reference_tree.leaves(g, X, extended):
         dist[world] = dist.get(world, 0) + p
     return dist
 
@@ -97,6 +103,11 @@ CONVERGING = "(A:1/2); (B:1/2). B <- A. (A:1/2); (C:1/2) <- B."
 # The seeds of each generator that `deep_fault` also checks, as it does
 # the hand-built and bundled theories.
 DEEP_SEEDS = 7
+
+# Seeds of `random_stratified_theory(seed, 6, 8)` whose literal-mode sweep
+# reaches several distributions, and the fewest cases that must diverge.
+DIVERGENT_SEEDS = (0, 2, 4, 38, 45, 50, 57)
+MIN_DIVERGENT = 5
 
 
 def cases():
@@ -112,6 +123,8 @@ def cases():
                frozenset(), deep)
         yield (f"deterministic {seed}", ground(random_deterministic_theory(seed, 6, 6)),
                frozenset(), deep)
+    for seed in DIVERGENT_SEEDS:
+        yield f"divergent {seed}", ground(random_stratified_theory(seed, 6, 8)), frozenset(), False
 
 
 def main() -> int:
@@ -123,18 +136,17 @@ def main() -> int:
 
 
 def compare() -> int:
+    divergent = 0
     for label, g, X, deep in cases():
-        stratified = stratification_report(g).stratified
         for mode in UMode:
             where = f"{label}, X={sorted(map(str, X))}, {mode.value}"
-            want = tree_answer(g, X, mode)
-            runs = [distribution, tree_leaves]
-            if stratified and mode is UMode.EXTENDED:
-                runs.append(one_sweep)
-            for run in runs:
+            want = reference_answer(tree_distribution, g, X, mode)
+            orders = reference_answer(reference_tree.sweep, g, X, mode)
+            divergent += isinstance(orders, set) and len(orders) > 1
+            for run, ref in ((distribution, want), (tree_leaves, want), (swept, orders)):
                 got = engine_answer(run, g, X, mode)
-                if got != want:
-                    print(f"battery failed: {where}: {run.__name__} {got}, tree {want}")
+                if got != ref:
+                    print(f"battery failed: {where}: {run.__name__} {got}, reference {ref}")
                     return 1
             fault = deep and isinstance(want, dict) and deep_fault(g, X, mode, want)
             if fault:
@@ -148,6 +160,9 @@ def compare() -> int:
             if distribution(g, X) != lpad_distribution(bundled.theory(), X):
                 print(f"battery failed: {name}, X={sorted(map(str, X))}: LPAD sum differs")
                 return 1
+    if divergent < MIN_DIVERGENT:
+        print(f"battery failed: only {divergent} cases diverge, not {MIN_DIVERGENT}")
+        return 1
     return 0
 
 

@@ -23,6 +23,12 @@ exogenous atom is true exactly when it is in X.  At each node:
 The tree is walked by plain recursion with nothing shared between
 branches, so a node budget bounds the walk, and the first stuck node found
 is the first in preorder.
+
+`sweep` is the all-orders reference for `cplogic.oracle.sweep_orders`: at
+each node it fires every applicable law in turn, mixes each law's children
+with `Fraction` ``+`` and ``*``, and gives the set of distributions the
+firing orders reach.  It remembers each node it has walked, as the
+distributions below a node depend on the node alone.
 """
 
 from fractions import Fraction
@@ -90,6 +96,42 @@ def overestimate(laws, X, exogenous, state, extended: bool) -> tuple:
     return true, unknown
 
 
+def _applicable(laws, X, exogenous, state, extended: bool) -> list:
+    """The applicable laws at ``state`` in index order, empty at a leaf;
+    raises `Stuck` when some law is satisfied but none is applicable."""
+    I = state[0]
+    satisfied = tuple(i for i, law in enumerate(laws) if i not in state[2]
+                      and value(law.body, I, (), X, exogenous) == T)
+    if not satisfied:
+        return []
+    true, unknown = overestimate(laws, X, exogenous, state, extended)
+    applicable = [i for i in satisfied
+                  if value(laws[i].body, true, unknown, X, exogenous) == T]
+    if not applicable:
+        raise Stuck(state, satisfied)
+    return applicable
+
+
+def _children(law, i: int, state) -> list:
+    """The ``(child, probability)`` of firing ``law``, index ``i``, at
+    ``state``: one per head disjunct, in head order, and last the no-op
+    with the probability that is left, if any."""
+    I, N, fired = state
+    out, rest = [], Fraction(1)
+    for d in law.head:
+        a, rest = d.literal.atom, rest - d.prob
+        if d.literal.negated:
+            out.append(((I - {a}, N | {a}, fired | {i}), d.prob))
+        else:
+            out.append(((I if a in N else I | {a}, N, fired | {i}), d.prob))
+    if rest:
+        out.append(((I, N, fired | {i}), rest))
+    return out
+
+
+ROOT = (frozenset(), frozenset(), frozenset())
+
+
 def leaves(g, X: frozenset, extended: bool = True,
            budget: int = 20_000) -> list:
     """Every leaf of the canonical tree of the ground theory ``g`` under
@@ -105,31 +147,55 @@ def leaves(g, X: frozenset, extended: bool = True,
         nodes += 1
         if nodes > budget:
             raise TreeBudgetError(budget)
-        I, N, fired = state
-        satisfied = tuple(i for i, law in enumerate(laws) if i not in fired
-                          and value(law.body, I, (), X, exogenous) == T)
-        if not satisfied:
-            out.append((I, p))
-            return
-        true, unknown = overestimate(laws, X, exogenous, state, extended)
-        applicable = [i for i in satisfied
-                      if value(laws[i].body, true, unknown, X, exogenous) == T]
+        applicable = _applicable(laws, X, exogenous, state, extended)
         if not applicable:
-            raise Stuck(state, satisfied)
+            out.append((state[0], p))
+            return
         i = applicable[0]
-        rest = Fraction(1)
-        for d in laws[i].head:
-            a, rest = d.literal.atom, rest - d.prob
-            if d.literal.negated:
-                child = (I - {a}, N | {a}, fired | {i})
-            else:
-                child = (I if a in N else I | {a}, N, fired | {i})
-            walk(child, p * d.prob)
-        if rest:
-            walk((I, N, fired | {i}), p * rest)
+        for child, q in _children(laws[i], i, state):
+            walk(child, p * q)
 
-    walk((frozenset(), frozenset(), frozenset()), Fraction(1))
+    walk(ROOT, Fraction(1))
     return out
+
+
+def sweep(g, X: frozenset, extended: bool = True, budget: int = 200_000) -> set:
+    """Every distribution that some firing order of ``g`` under ``X``
+    reaches: at each node every applicable law is fired in turn, not only
+    the lowest-index one.  A distribution is a frozenset of ``(world,
+    probability)`` pairs.  Equal nodes are walked once, so the first stuck
+    node, raised as `Stuck`, is the first in preorder, following the
+    applicable laws in index order; past ``budget`` nodes and mixes it raises
+    `TreeBudgetError`."""
+    laws, exogenous = g.laws, g.exogenous_atoms
+    known: dict = {}  # node -> its set of distributions
+    work = 0
+
+    def mix(dist, sub, p) -> frozenset:
+        acc = dict(dist)
+        for world, q in sub:
+            acc[world] = acc.get(world, 0) + p * q
+        return frozenset(acc.items())
+
+    def walk(state) -> set:
+        nonlocal work
+        if state in known:
+            return known[state]
+        work += 1
+        applicable = _applicable(laws, X, exogenous, state, extended)
+        reached = set() if applicable else {frozenset({(state[0], Fraction(1))})}
+        for i in applicable:
+            mixes = {frozenset()}
+            for child, p in _children(laws[i], i, state):
+                mixes = {mix(dist, sub, p) for dist in mixes for sub in walk(child)}
+                work += len(mixes)
+                if work > budget:
+                    raise TreeBudgetError(budget)
+            reached |= mixes
+        known[state] = reached
+        return reached
+
+    return walk(ROOT)
 
 
 def probability(dist: dict, phi, X: frozenset, exogenous) -> Fraction:

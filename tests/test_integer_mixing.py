@@ -24,6 +24,7 @@ from cplogic.oracle import BudgetExceededError, sweep_orders
 from cplogic.syntax import parse_theory
 
 from helpers import random_deterministic_theory, random_stratified_theory
+import reference_tree
 from reference_engine import reference_distribution
 
 NOTHING = frozenset()
@@ -202,3 +203,39 @@ def test_sweep_packs_wide_fields(p, monkeypatch):
     coins = [f"C{i}" for i in range(5)]
     text = "".join(f"({c}:{p}).\n" for c in coins) + f"Any <- {' ; '.join(coins)}.\n"
     _check_packed_sweep(ground(parse_theory(text)), monkeypatch)
+
+
+# In literal mode, law 0's children reach one distribution (C) and then
+# several (not C, where A and ~A may fire in either order), and law 1's
+# several (E) and then one (not E).
+ONE_THEN_SEVERAL = """
+(C:1/2).
+(E:1/2) <- ~C.
+A <- E.
+~A <- E.
+B <- A.
+"""
+
+
+def test_a_law_mixes_one_and_several_distributions_in_either_order(monkeypatch):
+    """The sweep's mix holds one int while each child so far reaches one
+    distribution and a set from the first child that reaches several; both
+    orders of children occur here, and the sweep is the references'."""
+    g = ground(parse_theory(ONE_THEN_SEVERAL))
+    shapes = set()  # per expanded law, how many distributions each child reaches
+
+    def spy(*args):
+        *head, combine = args
+
+        def record(key, branches, path):
+            shapes.update(tuple(len(dists) for *_, (_, dists) in kids) for _, kids in branches)
+            return combine(key, branches, path)
+        return _fold(*head, record)
+
+    monkeypatch.setattr(oracle, "_fold", spy)
+    report = sweep_orders(g, NOTHING, UMode.LITERAL)
+    assert {(1, 2), (2, 1)} <= shapes
+    assert len(report.distributions) == 2
+    assert {frozenset(d.items()) for d in report.distributions} \
+        == reference_tree.sweep(g, NOTHING, extended=False)
+    _check_packed_sweep(g, monkeypatch)

@@ -68,6 +68,12 @@ MUTANTS = {
                                              "ids.setdefault(key[0], 0)"),
     # a leaf with an unfired live law holds more than its S
     "sweep leaf valued at M, not its S": ("oracle.py", "{_unit(prog, key[2]) << k", "{M << k"),
+    # a law whose children reach (one, several) distributions loses the first's mass
+    "sweep set product seeded with 0, not the one-int mix": ("oracle.py", "accs = {acc}",
+                                                              "accs = {0}"),
+    # a child that reaches several distributions passes on only its least
+    "sweep cuts a child's distributions to one": ("oracle.py", "for packed in dists}",
+                                                  "for packed in [min(dists)]}"),
     # a head that sums below 1 loses its remainder in both walkers
     "compiled table drops the no-op outcome": (
         "engine.py", "for outcome, num, den in g._outcomes[i])",

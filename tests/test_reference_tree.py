@@ -5,7 +5,9 @@ evaluator, a rescanning U over atom sets and `Fraction` sums.  `distribution`,
 `query` and the leaves of `build_execution_model` must equal its answers in
 both modes, on theories the LPAD sum cannot read too: unstratified ones
 that are sound, and ones that get stuck, where `SoundnessError` must name
-the interpreter's first stuck node and its satisfied laws.
+the interpreter's first stuck node and its satisfied laws.  The order
+sweep must reach the distributions of the interpreter's all-orders walk
+(`reference_tree.sweep`).
 """
 
 from math import prod
@@ -18,6 +20,7 @@ from cplogic import theories
 from cplogic.engine import (SoundnessError, UMode, build_execution_model,
                             distribution, query)
 from cplogic.ground import ground, stratification_report
+from cplogic.oracle import sweep_orders
 from cplogic.syntax import And, Not, Or
 
 import reference_tree
@@ -96,6 +99,35 @@ def test_random_theories_agree_with_the_tree_interpreter():
     # the cases that no LPAD sum covers are there in numbers
     assert seen["stratified"] > 500
     assert seen["unstratified sound"] > 100 and seen["stuck"] > 50, seen
+
+
+def test_every_firing_order_agrees_with_the_all_orders_interpreter():
+    """`sweep_orders` reaches the distributions that `reference_tree.sweep`
+    gives, or stops at the node where it got stuck; on a stratified theory
+    in extended mode that is the canonical tree's one distribution."""
+    cases = [random_stratified_theory(s, 6, 8) for s in range(60)]
+    cases += [random_deterministic_theory(s, 6, 6) for s in range(60)]
+    seen = {"one": 0, "several": 0, "stuck": 0}
+    for t in cases:
+        g = ground(t)
+        for mode in UMode:
+            try:
+                want = reference_tree.sweep(g, frozenset(), mode is UMode.EXTENDED)
+            except reference_tree.Stuck as stuck:
+                with pytest.raises(SoundnessError) as caught:
+                    sweep_orders(g, frozenset(), mode)
+                state = caught.value.state
+                assert (state.true_atoms, state.negated, state.fired) == stuck.state
+                assert caught.value.blocked == stuck.satisfied
+                seen["stuck"] += 1
+                continue
+            report = sweep_orders(g, frozenset(), mode)
+            assert {frozenset(d.items()) for d in report.distributions} == want
+            if mode is UMode.EXTENDED and stratification_report(g).stratified:
+                tree = _check_distribution(g, frozenset(), mode, _reference(g, frozenset(), mode))
+                assert want == {frozenset(tree.items())}
+            seen["several" if len(want) > 1 else "one"] += 1
+    assert seen["several"] >= 7 and seen["stuck"] > 10, seen
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
